@@ -105,8 +105,6 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
         lo = np.full(model.d, lo[0])
     if hi.size == 1 and model.d > 1:
         hi = np.full(model.d, hi[0])
-    if n.size == 1 and model.d > 1:
-        n = np.full(model.d, n[0])
     box = Box(lo, hi, n)
 
     ssec = dict(cp["solver"]) if cp.has_section("solver") else {}
@@ -114,7 +112,6 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
         params = SolverParams(
             cfl=float(ssec.get("cfl", "0.75")),
             visc=float(ssec.get("visc", "0")),
-            interp=ssec.get("interp", "multilinear").strip(),
             t_end=float(ssec.get("t_end", "1.0")),
             dt_max=float(ssec.get("dt_max", "0.01")),
             n_rec=int(ssec.get("n_rec", "101")),

@@ -17,7 +17,7 @@ which reduces to cfl*dx_min/max|F| in one dimension. Values outside the box
 (upwind ghost nodes, relabeled points S x + e, interpolation queries) come from
 clamped linear extrapolation off the two outermost nodes of each axis, which is
 what the unclamped multilinear weight formula produces on the clamped boundary
-cell. The march aborts when any |U| exceeds OVERFLOW_GUARD.
+cell. The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
 """
 
 from __future__ import annotations
@@ -99,19 +99,14 @@ class Box:
         return int(np.floor(np.min(per_axis)))
 
 
-def _interp_weights(box: Box, pts: np.ndarray):
-    rel = (pts - box.lo) / box.dx
-    cell = np.clip(np.floor(rel), 0, box.n - 1).astype(np.int64)
-    w = rel - cell  # outside [0,1] beyond the box: linear extrapolation
-    return cell, w
-
-
 class InterpPlan:
     """Precomputed corner indices and weights for repeated interpolation."""
 
     def __init__(self, box: Box, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cell, w = _interp_weights(box, pts)
+        rel = (pts - box.lo) / box.dx
+        cell = np.clip(np.floor(rel), 0, box.n - 1).astype(np.int64)
+        w = rel - cell  # outside [0,1] beyond the box: linear extrapolation
         dim = box.dim
         shape = box.shape
         strides = np.array([int(np.prod(shape[a + 1:])) for a in range(dim)], dtype=np.int64)
@@ -163,17 +158,13 @@ class Slice:
 
     __call__ = eval
 
-    def plan(self, pts) -> InterpPlan:
-        return InterpPlan(self.box, pts)
-
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Marcher controls. interp is fixed to 'multilinear'."""
+    """Marcher controls."""
 
     cfl: float = 0.75
     visc: float = 0.0
-    interp: str = "multilinear"
     t_end: float = 1.0
     dt_max: float = 0.01
     n_rec: int = 101
@@ -183,8 +174,6 @@ class SolverParams:
             raise ConfigError("solver.cfl must lie in (0, 1]")
         if self.visc < 0:
             raise ConfigError("solver.visc must be >= 0")
-        if self.interp != "multilinear":
-            raise ConfigError("solver.interp only supports 'multilinear'")
         if self.t_end <= 0:
             raise ConfigError("solver.t_end must be > 0")
         if self.dt_max <= 0:
@@ -263,51 +252,38 @@ def sample_solution(box: Box, times, fn) -> GridSolution:
     return GridSolution(box=box, times=times, values=vals, meta={"kind": "analytic"})
 
 
+def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
+    """View A[start:stop] taken along one axis (axis >= 0)."""
+    return A[(slice(None),) * axis + (slice(start, stop),)]
+
+
 def _pad_linear(U: np.ndarray, axis: int) -> np.ndarray:
     """Extend U by one linear-extrapolation ghost node on both ends of axis."""
-    sl = [slice(None)] * U.ndim
-
-    def take(i):
-        s = list(sl)
-        s[axis] = slice(i, i + 1)
-        return U[tuple(s)]
-
-    lo = 2.0 * take(0) - take(1)
-    hi = 2.0 * take(U.shape[axis] - 1) - take(U.shape[axis] - 2)
+    lo = 2.0 * _along(U, axis, 0, 1) - _along(U, axis, 1, 2)
+    hi = 2.0 * _along(U, axis, -1) - _along(U, axis, -2, -1)
     return np.concatenate([lo, U, hi], axis=axis)
 
 
 def _advection(U, Fv, dx):
-    """Upwind (F . grad) applied to every component of U."""
-    dim = len(dx)
+    """Upwind (F . grad) applied to every component of U.
+
+    One difference per axis over the padded nodes: node i's backward
+    difference is D[i] and its forward difference is D[i+1].
+    """
     adv = np.zeros_like(U)
-    for a in range(dim):
-        P = _pad_linear(U, a)
-        core = [slice(None)] * (dim + 1)
-        core[a] = slice(1, -1)
-        back = list(core)
-        back[a] = slice(0, -2)
-        fwd = list(core)
-        fwd[a] = slice(2, None)
-        Dm = (P[tuple(core)] - P[tuple(back)]) / dx[a]
-        Dp = (P[tuple(fwd)] - P[tuple(core)]) / dx[a]
+    for a in range(len(dx)):
+        D = np.diff(_pad_linear(U, a), axis=a) / dx[a]
         fa = Fv[..., a:a + 1]
-        adv += np.where(fa > 0, fa * Dm, fa * Dp)
+        adv += fa * np.where(fa > 0, _along(D, a, None, -1), _along(D, a, 1))
     return adv
 
 
 def _laplacian(U, dx):
-    dim = len(dx)
     lap = np.zeros_like(U)
-    for a in range(dim):
+    for a in range(len(dx)):
         P = _pad_linear(U, a)
-        core = [slice(None)] * (dim + 1)
-        core[a] = slice(1, -1)
-        back = list(core)
-        back[a] = slice(0, -2)
-        fwd = list(core)
-        fwd[a] = slice(2, None)
-        lap += (P[tuple(fwd)] - 2.0 * P[tuple(core)] + P[tuple(back)]) / dx[a] ** 2
+        lap += (_along(P, a, 2) - 2.0 * _along(P, a, 1, -1) + _along(P, a, None, -2)) \
+            / dx[a] ** 2
     return lap
 
 
@@ -325,9 +301,8 @@ def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
     if box.margin_cells(m.x0) < TARGET_MARGIN_CELLS:
         raise ConfigError(
             f"box must contain x0 with a margin of at least {TARGET_MARGIN_CELLS} cells")
-    X = box.nodes()
+    F_at, G_at = m.bind(box.nodes())
     dx = box.dx
-    dim = box.dim
     S = m.noise.S
     rec_times = np.linspace(0.0, params.t_end, params.n_rec)
     U = u0.values.copy()
@@ -352,12 +327,12 @@ def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
                             values=np.stack(slices), meta=meta_p)
 
     slices = [U.copy()]
-    if not np.all(np.isfinite(U)) or np.max(np.abs(U)) > OVERFLOW_GUARD:
+    if not np.abs(U).max() <= OVERFLOW_GUARD:  # 'not <=' also catches nan
         raise BlowupError("initial data exceeds the overflow guard", t_last=0.0,
                           partial=partial(slices, 1, 0.0))
 
     if params.visc > 0:
-        dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * dim * params.visc)
+        dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * box.dim * params.visc)
     else:
         dt_visc = np.inf
 
@@ -365,14 +340,14 @@ def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
     k = 1
     steps = 0
     while k < params.n_rec:
-        Fv = m.eval_F(X, U)
-        speed = float(np.max(np.sum(np.abs(Fv) / dx, axis=-1)))
+        Fv = F_at(U)
+        speed = float((np.abs(Fv) / dx).sum(axis=-1).max())
         dt = min(params.dt_max, params.cfl / max(speed, 1e-12), dt_visc)
         hit = False
         if t + dt >= rec_times[k] - 1e-14:
             dt = rec_times[k] - t
             hit = True
-        rhs = _advection(U, Fv, dx) - m.eval_G(X, U)
+        rhs = _advection(U, Fv, dx) - G_at(U)
         if m.lam > 0:
             relabeled = jump_plan.apply(U).reshape(U.shape)
             rhs = rhs + m.lam * (U - relabeled @ S)  # row u @ S == S^T u
@@ -380,7 +355,7 @@ def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
             rhs = rhs - params.visc * _laplacian(U, dx)
         U = U - dt * rhs
         steps += 1
-        if not np.all(np.isfinite(U)) or np.max(np.abs(U)) > OVERFLOW_GUARD:
+        if not np.abs(U).max() <= OVERFLOW_GUARD:
             raise BlowupError(
                 f"solution exceeded the overflow guard at t={t + dt:.6g}",
                 t_last=t, partial=partial(slices, k, t))
@@ -403,8 +378,7 @@ def node_jacobians(slc: Slice) -> np.ndarray:
     dim = slc.box.dim
     J = np.empty(U.shape[:-1] + (U.shape[-1], dim))
     for a in range(dim):
-        g = np.gradient(U, dx[a], axis=a, edge_order=1)
-        J[..., a] = g
+        J[..., a] = np.gradient(U, dx[a], axis=a, edge_order=1)
     return J
 
 
@@ -431,14 +405,12 @@ def residual(m: ModelSpec, sol: GridSolution, t, stencil=2) -> np.ndarray:
     box = sol.box
     X = box.nodes()
     U = sol.values[k]
+    Fv = m.eval_F(X, U)
     if stencil == 2:
         dUdt = (sol.values[k + 1] - sol.values[k - 1]) / (sol.times[k + 1] - sol.times[k - 1])
-        J = node_jacobians(Slice(box, U))
-        Fv = m.eval_F(X, U)
-        adv = np.einsum("...ia,...a->...i", J, Fv)
+        adv = np.einsum("...ia,...a->...i", node_jacobians(Slice(box, U)), Fv)
     else:
         dUdt = (sol.values[k + 1] - U) / (sol.times[k + 1] - sol.times[k])
-        Fv = m.eval_F(X, U)
         adv = _advection(U, Fv, box.dx)
     res = dUdt + adv - m.eval_G(X, U)
     if m.lam > 0:
@@ -458,16 +430,17 @@ def write_solution_csv(sol: GridSolution, path):
     dim = sol.box.dim
     header = "t," + ",".join(f"x_{a+1}" for a in range(dim)) \
         + "," + ",".join(f"U_{i+1}" for i in range(d))
-    nodes = sol.box.node_list()
+    # "%.12g" % v renders exactly like f"{v:.12g}". The node columns repeat in
+    # every slice, so they are rendered once, into the format of each row.
+    cell = "%.12g"
+    node_fmt = ",".join([cell] * dim)
+    vals_fmt = ",".join([cell] * d)
+    tails = [f",{node_fmt % tuple(x)},{vals_fmt}\n" for x in sol.box.node_list().tolist()]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for k, t in enumerate(sol.times):
-            vals = sol.values[k].reshape(-1, d)
-            for row in range(nodes.shape[0]):
-                cells = [f"{t:.12g}"]
-                cells += [f"{v:.12g}" for v in nodes[row]]
-                cells += [f"{v:.12g}" for v in vals[row]]
-                fh.write(",".join(cells) + "\n")
+        for t, vals in zip(sol.times, sol.values):
+            t_txt = cell % t
+            fh.write((t_txt + t_txt.join(tails)) % tuple(vals.ravel().tolist()))
 
 
 def meta_record(sol: GridSolution) -> dict:

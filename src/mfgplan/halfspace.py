@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid_solver import Box, GridField, SolverParams
-from .model import FieldSpec, ModelSpec, eval_field
+from .model import FieldSpec, ModelSpec, bind_field, eval_field
 from .planning import PenalizationRun, run_penalization
 
 
@@ -108,25 +108,29 @@ def check_inward_flow(m: ModelSpec, n_samples=2000, rng_seed=0, halfwidth=2.0) -
 def transformed_model(hm: HalfspaceModel) -> ModelSpec:
     """Full-space model in straightened coordinates.
 
-    Drift and source are the factored maps evaluated at x(y); the relabeling,
-    target, and declared constants carry over (the relabeling commutes with
-    the straightening because it leaves the first coordinate fixed).
+    Drift and source are the factored maps evaluated at x(y); their binders
+    compute x(y) once per solve. The relabeling, target and declared constants
+    carry over (the relabeling commutes with the straightening because it
+    leaves the first coordinate fixed).
     """
     base = hm.base
-    ftilde = hm.ftilde
+    d = base.d
 
-    def drift(y, p):
-        return eval_field(ftilde, from_log_coordinates(y.reshape(-1, base.d)),
-                          p.reshape(-1, base.d)).reshape(p.shape)
+    def straightened(name, f):
+        def fn(y, p):
+            return eval_field(f, from_log_coordinates(y.reshape(-1, d)),
+                              p.reshape(-1, d)).reshape(p.shape)
 
-    def source(y, p):
-        return base.eval_G(from_log_coordinates(y.reshape(-1, base.d)),
-                           p.reshape(-1, base.d)).reshape(p.shape)
+        def binder(y):
+            at = bind_field(f, from_log_coordinates(y.reshape(-1, d)))
+            return lambda p: at(p.reshape(-1, d)).reshape(p.shape)
+
+        return FieldSpec.registered(name, fn=fn, binder=binder)
 
     return ModelSpec(
-        d=base.d,
-        F=FieldSpec.registered("halfspace_straightened_drift", fn=drift),
-        G=FieldSpec.registered("halfspace_straightened_source", fn=source),
+        d=d,
+        F=straightened("halfspace_straightened_drift", hm.ftilde),
+        G=straightened("halfspace_straightened_source", base.G),
         lam=base.lam, noise=base.noise,
         x0=to_log_coordinates(base.x0),
         alpha=base.alpha, lip_Fx=base.lip_Fx, lip_Fp=base.lip_Fp,

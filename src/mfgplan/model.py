@@ -76,7 +76,8 @@ def _as_vector(value, d):
 
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """One coupling map, either affine (Mx x + Mp p + c) or a registered evaluator."""
+    """One coupling map, either affine (Mx x + Mp p + c) or a registered evaluator
+    fn(x, p), optionally with binder(x) -> p-only evaluator (see bind_field)."""
 
     kind: str
     Mx: np.ndarray | None = None
@@ -84,6 +85,7 @@ class FieldSpec:
     c: np.ndarray | None = None
     name: str = ""
     fn: object = None
+    binder: object = None
 
     @staticmethod
     def affine(Mx, Mp, c=0.0, d=None):
@@ -99,10 +101,10 @@ class FieldSpec:
                          c=_as_vector(c, d))
 
     @staticmethod
-    def registered(name, fn=None):
+    def registered(name, fn=None, binder=None):
         if fn is None and name not in _FIELD_REGISTRY:
             raise ConfigError(f"unknown registered field '{name}'; known: {registered_names()}")
-        return FieldSpec(kind="registered", name=name, fn=fn)
+        return FieldSpec(kind="registered", name=name, fn=fn, binder=binder)
 
     def __call__(self, x, p):
         return eval_field(self, x, p)
@@ -120,6 +122,20 @@ def eval_field(f: FieldSpec, x, p) -> np.ndarray:
             raise ConfigError(f"unknown registered field '{f.name}'")
         return np.asarray(fn(x, p), dtype=float)
     raise ConfigError(f"unknown field kind '{f.kind}'")
+
+
+def bind_field(f: FieldSpec, x):
+    """Evaluator p -> eval_field(f, x, p) for fixed x and float arrays p, bit for bit.
+
+    Affine fields cache only x @ Mx.T: caching x @ Mx.T + c would change rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    if f.kind == "affine":
+        xm = x @ f.Mx.T
+        return lambda p: xm + p @ f.Mp.T + f.c
+    if f.binder is not None:
+        return f.binder(x)
+    return lambda p: eval_field(f, x, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +207,10 @@ class ModelSpec:
 
     def eval_G(self, x, p):
         return eval_field(self.G, x, p)
+
+    def bind(self, x):
+        """p-only evaluators (F_at, G_at) of F and G at the fixed nodes x."""
+        return bind_field(self.F, x), bind_field(self.G, x)
 
 
 @dataclass

@@ -184,11 +184,19 @@ def graph_limit_diagnostic(U, x0, M, times, box=None) -> GraphLimitDiagnostic:
 # on [0, t_f]; on that window the certified bound is sqrt(1 + 4 beta gamma)/beta.
 
 
-def _condition_values(m: ModelSpec, t):
-    nS2 = m.noise.norm_S ** 2
-    beta = 0.5 * m.alpha * t
+def _beta_gamma(m: ModelSpec, t):
+    return 0.5 * m.alpha * t, m.lip_Gx * m.alpha * t ** 2
+
+
+def _bound(t, beta, gamma):
+    """The certified bound at t; infinite at t = 0."""
+    return np.where(t > 0, np.sqrt(1.0 + 4.0 * beta * gamma) / np.maximum(beta, 1e-300), np.inf)
+
+
+def _condition_values(m: ModelSpec, t, nS2):
+    """Both inequality left-hand sides at t; nS2 is |S|^2."""
+    beta, gamma = _beta_gamma(m, t)
     dbeta = 0.5 * m.alpha
-    gamma = m.lip_Gx * m.alpha * t ** 2
     dgamma = 2.0 * m.lip_Gx * m.alpha * t
     i1 = m.alpha - beta * (m.lip_Gx + 2.0 * m.lip_Fx - m.lam * (1.0 - nS2)) \
         - dbeta - gamma * m.lip_Fp
@@ -198,9 +206,7 @@ def _condition_values(m: ModelSpec, t):
 
 
 def certificate_bound(m: ModelSpec, t) -> float:
-    beta = 0.5 * m.alpha * t
-    gamma = m.lip_Gx * m.alpha * t ** 2
-    return float(np.sqrt(1.0 + 4.0 * beta * gamma) / beta)
+    return float(_bound(t, *_beta_gamma(m, t)))
 
 
 def certificate_horizon(m: ModelSpec, t_max, scan=1000, bisect_iters=60) -> float:
@@ -210,15 +216,16 @@ def certificate_horizon(m: ModelSpec, t_max, scan=1000, bisect_iters=60) -> floa
     """
     if m.alpha <= 0:
         raise ConfigError("certificate requires alpha > 0")
+    nS2 = m.noise.norm_S ** 2
     ts = np.linspace(0.0, t_max, scan + 1)
     ok_prev = 0.0
     for t in ts[1:]:
-        i1, i2 = _condition_values(m, t)
+        i1, i2 = _condition_values(m, t, nS2)
         if i1 < 0 or i2 < -1e-14:
             lo, hi = ok_prev, t
             for _ in range(bisect_iters):
                 mid = 0.5 * (lo + hi)
-                j1, j2 = _condition_values(m, mid)
+                j1, j2 = _condition_values(m, mid, nS2)
                 if j1 < 0 or j2 < -1e-14:
                     hi = mid
                 else:
@@ -271,9 +278,8 @@ def estimate_certificate(m: ModelSpec, sol: GridSolution, times, rel_slack=0.05,
                               ok=np.zeros_like(times, dtype=bool))
     horizon = float(sol.times[-1])
     t_f = certificate_horizon(m, horizon)
-    beta = 0.5 * m.alpha * times
-    gamma = m.lip_Gx * m.alpha * times ** 2
-    bound = np.where(times > 0, np.sqrt(1.0 + 4.0 * beta * gamma) / np.maximum(beta, 1e-300), np.inf)
+    beta, gamma = _beta_gamma(m, times)
+    bound = _bound(times, beta, gamma)
     measured = np.full_like(times, np.nan)
     checked = (times > 0) & (times <= t_f + 1e-12) & (times <= horizon + 1e-12)
     ok = np.zeros_like(times, dtype=bool)

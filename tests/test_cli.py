@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 numerical failure, 2 configuration error,
 3 I/O failure.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,6 +14,11 @@ import pytest
 from mfgplan.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
 
 BASE = """\
 [model]
@@ -203,6 +209,8 @@ def test_verify_reference_config(tmp_path, capsys):
     curves = (out / "curves.csv").read_text().splitlines()
     assert curves[0] == "t,lipschitz,bound,diameter"
     assert len(curves) > 1
+    assert _sha256(out / "curves.csv") == \
+        "f128ed5f8fade2754fbd7cc69278c641a94780b902eb63f52a04263f8680c513"
 
 
 def test_halfspace_reference_config(tmp_path):
@@ -217,3 +225,5 @@ def test_halfspace_reference_config(tmp_path):
     assert rep["log_fit"]["a"] > 0
     assert rep["chain_rule_defect"] <= 2e-2
     assert (out / "halfspace_y.csv").exists()
+    assert _sha256(out / "halfspace_y.csv") == \
+        "7d9e6854576dadbd6da46c5c9382c14df57b4985293398fcab8c7123f52697f6"

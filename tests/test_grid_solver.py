@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
-                     ModelSpec, Slice, SolverParams, check_monotone_map,
+                     GridSolution, ModelSpec, Slice, SolverParams, check_monotone_map,
                      lipschitz_norm, node_jacobians, penalized_slice, residual,
                      sample_solution, solve_master, write_solution_csv)
 from conftest import baseline_model, box1d, closed_form, jump_model
@@ -60,8 +60,6 @@ def test_solver_params_validation():
         SolverParams(n_rec=1)
     with pytest.raises(ConfigError, match="visc"):
         SolverParams(visc=-0.1)
-    with pytest.raises(ConfigError, match="interp"):
-        SolverParams(interp="cubic")
 
 
 def test_baseline_closed_form_and_refinement():
@@ -223,6 +221,37 @@ def test_solution_csv_round_trip(tmp_path, lq0_solution):
     # first block is the t=0 slice in node order
     assert np.allclose(data[:n_nodes, 2],
                        lq0_solution.values[0].reshape(-1), rtol=1e-10)
+
+
+def _per_cell_csv(sol, path):
+    """The per-cell f-string writer that write_solution_csv must match byte for byte."""
+    d, dim = sol.d, sol.box.dim
+    header = "t," + ",".join(f"x_{a+1}" for a in range(dim)) \
+        + "," + ",".join(f"U_{i+1}" for i in range(d))
+    nodes = sol.box.node_list()
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k, t in enumerate(sol.times):
+            vals = sol.values[k].reshape(-1, d)
+            for row in range(nodes.shape[0]):
+                cells = [f"{t:.12g}"]
+                cells += [f"{v:.12g}" for v in nodes[row]]
+                cells += [f"{v:.12g}" for v in vals[row]]
+                fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("dim, d", [(1, 1), (1, 2), (2, 2)])
+def test_solution_csv_matches_per_cell_format(tmp_path, dim, d):
+    special = np.array([-0.0, 5e-324, 1e-300, np.inf, -np.inf, np.nan,
+                        123456789012345.0, 0.1 + 0.2, 1e16, -2.5])
+    box = Box(np.full(dim, -0.3), np.full(dim, 1.0 / 3.0), np.full(dim, 4))
+    times = np.array([0.0, 0.1 + 0.2, 1.0 / 3.0])
+    n_vals = len(times) * int(np.prod(box.shape)) * d
+    vals = np.resize(special, n_vals).reshape(len(times), *box.shape, d)
+    sol = GridSolution(box=box, times=times, values=vals)
+    write_solution_csv(sol, tmp_path / "bulk.csv")
+    _per_cell_csv(sol, tmp_path / "cells.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_margin_validation():

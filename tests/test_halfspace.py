@@ -10,6 +10,7 @@ the log-fit coefficient is exactly 1/(t + eps).
 import numpy as np
 import pytest
 
+import mfgplan.halfspace
 from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError,
                      FieldSpec, HalfspaceModel, ModelSpec, SolverParams,
                      chain_rule_defect, check_factorization, check_inward_flow,
@@ -41,6 +42,38 @@ def derived_solution():
     params = SolverParams(t_end=0.6, n_rec=31, dt_max=0.01)
     return solve_halfspace(hm, box_y, (0.05, 0.0125), params, t_min=0.2,
                            conv_tol=10.0)
+
+
+def test_transformed_model_bind_matches_eval():
+    rng = np.random.default_rng(8)
+    my = transformed_model(derived_halfspace())
+    y = rng.uniform(-4.0, 2.0, size=(9, 5, 2))
+    F_at, G_at = my.bind(y)
+    for _ in range(2):
+        p = rng.uniform(-3.0, 3.0, size=y.shape)
+        assert np.array_equal(F_at(p), my.eval_F(y, p))
+        assert np.array_equal(G_at(p), my.eval_G(y, p))
+
+
+def test_straightening_not_repeated_per_step(monkeypatch):
+    calls = []
+
+    def counted(y):
+        calls.append(1)
+        return from_log_coordinates(y)
+
+    monkeypatch.setattr(mfgplan.halfspace, "from_log_coordinates", counted)
+    hm = derived_halfspace()
+    box_y = Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]), np.array([50, 20]))
+    counts = []
+    for t_end in (0.1, 0.6):
+        calls.clear()
+        hsol = solve_halfspace(hm, box_y, (0.1,), SolverParams(t_end=t_end, n_rec=5),
+                               t_min=0.0, conv_tol=10.0)
+        counts.append((len(calls), hsol.run.solutions[0].meta["steps"]))
+    (short_calls, short_steps), (long_calls, long_steps) = counts
+    assert long_steps > 2 * short_steps
+    assert long_calls == short_calls <= 4
 
 
 def test_log_map_pointwise():

@@ -45,6 +45,21 @@ def test_registered_fields():
         FieldSpec.registered("no_such_field")
 
 
+def test_bind_matches_eval_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-2.0, 2.0, size=(7, 6, 2))
+    fields = (FieldSpec.affine(np.array([[0.3, -1.1], [2.0, 0.7]]), 1.0 / 3.0,
+                               c=np.array([0.1, -0.2]), d=2),
+              FieldSpec.registered("capped_x1_burgers"))
+    m = ModelSpec(d=2, F=fields[0], G=fields[1], lam=0.0,
+                  noise=AffineNoiseMap.identity(2), x0=np.zeros(2))
+    F_at, G_at = m.bind(x)
+    for _ in range(3):  # the bound evaluators are reused across calls
+        p = rng.uniform(-2.0, 2.0, size=x.shape)
+        assert np.array_equal(F_at(p), m.eval_F(x, p))
+        assert np.array_equal(G_at(p), m.eval_G(x, p))
+
+
 def test_model_validation():
     good = baseline_model()
     assert good.d == 1
