@@ -5,8 +5,9 @@ When lambda = 0 the planning system transports data along
     dx/ds = F(x, u),    du/ds = G(x, u),    x(0) = z,  u(0) = U0(z),
 
 and the field satisfies U(t, x(t)) = u(t). solve_by_shooting inverts the
-endpoint map z -> x(t) with a damped Newton iteration, which gives grid-free
-point values of U to cross-check the marching solver.
+endpoint map z -> x(t) for a whole batch of points with the damped Newton
+of the resolvent, which gives grid-free values of U to cross-check the
+marching solver.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError, NewtonError
+from .errors import ConfigError, IntegrationError
 from .model import ModelSpec
+from .yosida import _newton_batch, _require_converged
 
 # Below this horizon the shooting solve is replaced by the first-order
 # expansion U0(x) + t G(x, U0(x)); Newton on a nearly-identity endpoint map
@@ -85,61 +87,29 @@ def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128) -> CharState:
 
 def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
                       max_iter=50) -> np.ndarray:
-    """Value U(t, x) obtained by shooting characteristics onto x.
+    """Values U(t, x) obtained by shooting characteristics onto the rows of x.
 
-    U0 is the initial map (vectorized, (N,d) -> (N,d)). Newton runs on the foot
-    point z with finite-difference Jacobians (step 1e-6*(1+|z|)) and
-    bisection-damped updates; below t = 1e-3 the first-order expansion in t is
-    returned directly.
+    x is one point (d,) or a batch (N, d); the result has the same shape. U0
+    is the initial map (vectorized, (N,d) -> (N,d)). The foot points z solve
+    x(t; z) = x by the resolvent's batched damped Newton with finite-difference
+    Jacobians (step 1e-6*(1+|z|)); below t = SMALL_T the first-order expansion
+    in t is returned directly. Raises NewtonError when a row stays above tol.
     """
     if m.lam > 0:
         raise ConfigError("shooting requires lambda = 0")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = x.shape[0]
+    x = np.asarray(x, dtype=float)
+    X = x.reshape(-1, m.d)
     if t < SMALL_T:
-        u0 = np.asarray(U0(x[None, :]), dtype=float)[0]
-        g = np.asarray(m.eval_G(x[None, :], u0[None, :]), dtype=float)[0]
-        return u0 + t * g
+        u0 = np.asarray(U0(X), dtype=float)
+        u = u0 + t * np.asarray(m.eval_G(X, u0), dtype=float)
+    else:
+        if rk_steps is None:
+            rk_steps = max(64, int(np.ceil(t / 0.005)))
 
-    if rk_steps is None:
-        rk_steps = max(64, int(np.ceil(t / 0.005)))
+        def flow(z):
+            return _rk4_batch(m, z, np.asarray(U0(z), dtype=float), t, rk_steps)
 
-    def endpoint(zb):
-        xe, _ = _rk4_batch(m, zb, np.asarray(U0(zb), dtype=float), t, rk_steps)
-        return xe
-
-    z = x.copy()
-    r = endpoint(z[None, :])[0] - x
-    rn = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if rn <= tol:
-            break
-        # FD Jacobian columns in one batched integration
-        h = 1e-6 * (1.0 + np.abs(z))
-        probes = np.concatenate([z[None, :] + np.diag(h), z[None, :] - np.diag(h)])
-        ends = endpoint(probes)
-        J = (ends[:d] - ends[d:]).T / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = -r
-        alpha = 1.0
-        improved = False
-        for _ in range(40):
-            z_try = z + alpha * step
-            r_try = endpoint(z_try[None, :])[0] - x
-            rn_try = float(np.linalg.norm(r_try))
-            if rn_try < rn:
-                z, r, rn = z_try, r_try, rn_try
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            raise NewtonError(
-                f"shooting stagnated at residual {rn:.3e}", residual=rn)
-    if rn > tol:
-        raise NewtonError(
-            f"shooting did not converge in {max_iter} iterations (residual {rn:.3e})",
-            residual=rn)
-    _, u = _rk4_batch(m, z[None, :], np.asarray(U0(z[None, :]), dtype=float), t, rk_steps)
-    return u[0]
+        z, rn = _newton_batch(lambda z: flow(z)[0], X, X, tol, max_iter, fd_h=1e-6)
+        _require_converged(rn, tol, "shooting")
+        u = flow(z)[1]
+    return u.reshape(x.shape)

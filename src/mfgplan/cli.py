@@ -40,6 +40,14 @@ def _floats(text):
         raise ConfigError(f"expected comma-separated numbers, got '{text}'")
 
 
+def _number(text, what, kind=float):
+    """text parsed by kind (float or int); a malformed number is a ConfigError."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got '{text}'") from None
+
+
 def _points(text, d):
     pts = []
     for chunk in text.split(";"):
@@ -95,12 +103,10 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
         model = model_from_items(msec)
 
     bsec = dict(cp["box"]) if cp.has_section("box") else {}
-    try:
-        lo = np.asarray(_floats(bsec.get("lo", "-1")))
-        hi = np.asarray(_floats(bsec.get("hi", "2")))
-        n = np.asarray([int(v) for v in bsec.get("n", "400").split(",") if v.strip()])
-    except ValueError as exc:
-        raise ConfigError(f"bad value in [box]: {exc}") from None
+    lo = np.asarray(_floats(bsec.get("lo", "-1")))
+    hi = np.asarray(_floats(bsec.get("hi", "2")))
+    n = np.asarray([_number(v, "[box] n", int) for v in bsec.get("n", "400").split(",")
+                    if v.strip()])
     if lo.size == 1 and model.d > 1:
         lo = np.full(model.d, lo[0])
     if hi.size == 1 and model.d > 1:
@@ -108,28 +114,23 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     box = Box(lo, hi, n)
 
     ssec = dict(cp["solver"]) if cp.has_section("solver") else {}
-    try:
-        params = SolverParams(
-            cfl=float(ssec.get("cfl", "0.75")),
-            visc=float(ssec.get("visc", "0")),
-            t_end=float(ssec.get("t_end", "1.0")),
-            dt_max=float(ssec.get("dt_max", "0.01")),
-            n_rec=int(ssec.get("n_rec", "101")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad value in [solver]: {exc}") from None
+    params = SolverParams(
+        cfl=_number(ssec.get("cfl", "0.75"), "[solver] cfl"),
+        visc=_number(ssec.get("visc", "0"), "[solver] visc"),
+        t_end=_number(ssec.get("t_end", "1.0"), "[solver] t_end"),
+        dt_max=_number(ssec.get("dt_max", "0.01"), "[solver] dt_max"),
+        n_rec=_number(ssec.get("n_rec", "101"), "[solver] n_rec", int),
+    )
 
     psec = dict(cp["planning"]) if cp.has_section("planning") else {}
-    try:
-        eps_schedule = tuple(_floats(psec.get("eps", "0.4, 0.2, 0.1")))
-        delta = float(psec.get("delta", "0.25"))
-        t_min = float(psec.get("t_min", "0.2"))
-        conv_tol = float(psec.get("conv_tol", "1e-2"))
-    except ValueError as exc:
-        raise ConfigError(f"bad value in [planning]: {exc}") from None
+    eps_schedule = tuple(_floats(psec.get("eps", "0.4, 0.2, 0.1")))
+    delta = _number(psec.get("delta", "0.25"), "[planning] delta")
+    t_min = _number(psec.get("t_min", "0.2"), "[planning] t_min")
+    conv_tol = _number(psec.get("conv_tol", "1e-2"), "[planning] conv_tol")
 
     rsec = dict(cp["run"]) if cp.has_section("run") else {}
-    seed = int(rsec.get("seed", "0")) if seed_override is None else seed_override
+    seed = _number(rsec.get("seed", "0"), "[run] seed", int) if seed_override is None \
+        else seed_override
     out = Path(rsec.get("out", "out")) if out_override is None else Path(out_override)
     return RunConfig(model=model, box=box, params=params, eps_schedule=eps_schedule,
                      delta=delta, t_min=t_min, conv_tol=conv_tol, seed=seed,
@@ -170,7 +171,7 @@ def _single_solve(cfg: RunConfig, eps=None):
         eps = cfg.eps_schedule[-1]
         sec = cfg.section("solve")
         if "eps" in sec:
-            eps = float(sec["eps"])
+            eps = _number(sec["eps"], "[solve] eps")
     return float(eps), solve_master(cfg.model, penalized_slice(cfg.model, cfg.box, eps),
                                     cfg.params)
 
@@ -218,7 +219,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 
 def cmd_yosida(cfg: RunConfig, args) -> int:
     sec = cfg.section("yosida")
-    delta = float(sec.get("delta", str(cfg.delta)))
+    delta = _number(sec.get("delta", cfg.delta), "[yosida] delta")
     eps, sol = _single_solve(cfg)
     if "times" in sec:
         wanted = _floats(sec["times"])
@@ -249,9 +250,9 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
 
 def cmd_traject(cfg: RunConfig, args) -> int:
     sec = cfg.section("trajectories")
-    t1 = float(sec.get("t1", str(cfg.params.t_end)))
-    t_min = float(sec.get("t_min", "0.05"))
-    steps = int(sec.get("steps", "200"))
+    t1 = _number(sec.get("t1", cfg.params.t_end), "[trajectories] t1")
+    t_min = _number(sec.get("t_min", "0.05"), "[trajectories] t_min")
+    steps = _number(sec.get("steps", "200"), "[trajectories] steps", int)
     starts = _points(sec.get("starts", "1.0"), cfg.model.d)
     eps, sol = _single_solve(cfg)
     field = sol.field()
@@ -282,6 +283,10 @@ def cmd_traject(cfg: RunConfig, args) -> int:
 
 def cmd_halfspace(cfg: RunConfig, args) -> int:
     sec = cfg.section("halfspace")
+    t_fit = _number(sec.get("t_fit", "0.25"), "[halfspace] t_fit")
+    x1_lo = _number(sec.get("x1_min", "0.02"), "[halfspace] x1_min")
+    x1_hi = _number(sec.get("x1_max", "0.9"), "[halfspace] x1_max")
+    n_tail = _number(sec.get("n_tail", "12"), "[halfspace] n_tail", int)
     ftilde = _parse_field(sec, "ftilde", cfg.model.d)
     hm = HalfspaceModel(base=cfg.model, ftilde=ftilde)
     fact = check_factorization(hm, rng_seed=cfg.seed)
@@ -290,10 +295,6 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
                            t_min=cfg.t_min, delta=cfg.delta, conv_tol=cfg.conv_tol)
     if hsol.run.failed_eps is not None:
         raise hsol.run.failure
-    t_fit = float(sec.get("t_fit", "0.25"))
-    x1_lo = float(sec.get("x1_min", "0.02"))
-    x1_hi = float(sec.get("x1_max", "0.9"))
-    n_tail = int(sec.get("n_tail", "12"))
     x_rest = cfg.model.x0[1:]
     tail = np.geomspace(x1_lo, x1_hi, n_tail)
     fit = check_log_blowup(hsol.u_field().eval, t_fit, tail, x_rest)
@@ -317,10 +318,10 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     sec = cfg.section("verify")
-    M = float(sec.get("M", "2.0"))
-    n_pairs = int(sec.get("n_pairs", "2000"))
-    tol_mono = float(sec.get("tol_mono", "1e-4"))
-    cross_tol = float(sec.get("cross_tol", "1e-3"))
+    M = _number(sec.get("M", "2.0"), "[verify] M")
+    n_pairs = _number(sec.get("n_pairs", "2000"), "[verify] n_pairs", int)
+    tol_mono = _number(sec.get("tol_mono", "1e-4"), "[verify] tol_mono")
+    cross_tol = _number(sec.get("cross_tol", "1e-3"), "[verify] cross_tol")
     times = _floats(sec.get("times", "0.8, 0.4, 0.2"))
     times = [t for t in times if cfg.t_min - 1e-12 <= t <= cfg.params.t_end + 1e-12]
     if not times:
@@ -382,7 +383,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_probe(cfg: RunConfig, args) -> int:
     sec = cfg.section("probe")
-    t = float(args.t) if args.t is not None else float(sec.get("t", "0.4"))
+    t = _number(args.t, "--t") if args.t is not None \
+        else _number(sec.get("t", "0.4"), "[probe] t")
     x_text = args.x if args.x is not None else sec.get("x", None)
     if x_text is None:
         raise ConfigError("probe needs x (flag --x or [probe] x)")

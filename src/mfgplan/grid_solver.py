@@ -104,28 +104,32 @@ class InterpPlan:
 
     def __init__(self, box: Box, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rel = (pts - box.lo) / box.dx
-        cell = np.clip(np.floor(rel), 0, box.n - 1).astype(np.int64)
-        w = rel - cell  # outside [0,1] beyond the box: linear extrapolation
+        w = (pts - box.lo) / box.dx
+        cell = np.clip(np.floor(w), 0, box.n - 1)
+        w -= cell  # outside [0,1] beyond the box: linear extrapolation
         dim = box.dim
         shape = box.shape
         strides = np.array([int(np.prod(shape[a + 1:])) for a in range(dim)], dtype=np.int64)
+        base = cell.astype(np.int64) @ strides
+        factors = (1.0 - w, w)  # per-axis weight of the low and the high corner
         corners = list(itertools.product((0, 1), repeat=dim))
         idx = np.empty((pts.shape[0], len(corners)), dtype=np.int64)
         wts = np.empty((pts.shape[0], len(corners)))
         for c, corner in enumerate(corners):
-            node = cell + np.array(corner, dtype=np.int64)
-            idx[:, c] = node @ strides
-            weight = np.ones(pts.shape[0])
-            for a in range(dim):
-                weight = weight * (w[:, a] if corner[a] else 1.0 - w[:, a])
-            wts[:, c] = weight
+            idx[:, c] = base + int(np.dot(corner, strides))
+            wts[:, c] = factors[corner[0]][:, 0]
+            for a in range(1, dim):
+                wts[:, c] *= factors[corner[a]][:, a]
         self.idx = idx
         self.wts = wts
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        """Weighted sum of the corner values, one corner at a time."""
         flat = values.reshape(-1, values.shape[-1])
-        return np.einsum("nc,ncd->nd", self.wts, flat[self.idx])
+        out = np.zeros((self.idx.shape[0], flat.shape[1]))
+        for c in range(self.idx.shape[1]):
+            out += self.wts[:, c:c + 1] * flat[self.idx[:, c]]
+        return out
 
 
 class Slice:
@@ -390,28 +394,20 @@ def lipschitz_norm(sol: GridSolution, t) -> float:
     return float(np.max(sv))
 
 
-def residual(m: ModelSpec, sol: GridSolution, t, stencil=2) -> np.ndarray:
+def residual(m: ModelSpec, sol: GridSolution, t) -> np.ndarray:
     """Pointwise norm of the equation defect of a recorded solution at time t.
 
-    t must be interior to the recorded time grid. stencil=2 uses centered
-    differences in time and space; stencil=1 uses a forward time difference
-    and upwind space differences against F.
+    t must be interior to the recorded time grid; time and space differences
+    are centered (one-sided at box faces).
     """
-    if stencil not in (1, 2):
-        raise ValueError("stencil must be 1 or 2")
     k = sol.index_of(t)
     if k == 0 or k == len(sol.times) - 1:
         raise ValueError("t must be interior to the recorded time grid")
     box = sol.box
     X = box.nodes()
     U = sol.values[k]
-    Fv = m.eval_F(X, U)
-    if stencil == 2:
-        dUdt = (sol.values[k + 1] - sol.values[k - 1]) / (sol.times[k + 1] - sol.times[k - 1])
-        adv = np.einsum("...ia,...a->...i", node_jacobians(Slice(box, U)), Fv)
-    else:
-        dUdt = (sol.values[k + 1] - U) / (sol.times[k + 1] - sol.times[k])
-        adv = _advection(U, Fv, box.dx)
+    dUdt = (sol.values[k + 1] - sol.values[k - 1]) / (sol.times[k + 1] - sol.times[k - 1])
+    adv = np.einsum("...ia,...a->...i", node_jacobians(Slice(box, U)), m.eval_F(X, U))
     res = dUdt + adv - m.eval_G(X, U)
     if m.lam > 0:
         relabeled = InterpPlan(box, m.noise(box.node_list())).apply(U).reshape(U.shape)

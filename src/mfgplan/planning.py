@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characteristics import penalized_data
 from .errors import BlowupError, ConfigError
 from .grid_solver import (Box, GridSolution, Slice, SolverParams, lipschitz_norm,
                           solve_master)
@@ -47,9 +48,7 @@ class PenalizationRun:
 
 def penalized_slice(m: ModelSpec, box: Box, eps) -> Slice:
     """Initial slice (x - x0)/eps on the box nodes."""
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
-    return Slice(box, (box.nodes() - m.x0) / eps)
+    return Slice(box, penalized_data(m.x0, eps)(box.nodes()))
 
 
 def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,

@@ -34,26 +34,30 @@ def _as_eval(U):
     raise ConfigError("field must be a Slice or a vectorized callable")
 
 
-def _newton_batch(g, y0, tol, max_iter, fd_h=1e-7):
-    """Damped Newton on every row of y0 for the vectorized map g.
+def _newton_batch(f, target, y0, tol, max_iter, fd_h=1e-7):
+    """Damped Newton for f(y) = target on every row of y0, f vectorized over rows.
 
-    Returns (y, residual_norms). Jacobians are centered finite differences;
-    steps are halved until the row residual decreases.
+    Returns (y, residual_norms). Jacobians are centered finite differences,
+    all 2*d perturbed copies of y evaluated in one call of f; steps are halved
+    until the row residual does not increase, and a row whose halving fails
+    keeps its point. Iteration stops once every row is within tol or no row
+    above tol improved.
     """
     y = np.atleast_2d(np.asarray(y0, dtype=float)).copy()
     n, d = y.shape
-    r = g(y)
+    r = f(y) - target
     rn = np.linalg.norm(r, axis=1)
     eye = np.eye(d)
     for _ in range(max_iter):
         if np.all(rn <= tol):
             break
-        J = np.empty((n, d, d))
+        h = fd_h * (1.0 + np.abs(y))
+        probes = np.repeat(y[None], 2 * d, axis=0)
         for j in range(d):
-            h = fd_h * (1.0 + np.abs(y[:, j]))
-            e = np.zeros_like(y)
-            e[:, j] = h
-            J[:, :, j] = (g(y + e) - g(y - e)) / (2.0 * h[:, None])
+            probes[j, :, j] += h[:, j]
+            probes[d + j, :, j] -= h[:, j]
+        fp = f(probes.reshape(-1, d)).reshape(2 * d, n, d) - target
+        J = np.moveaxis(fp[:d] - fp[d:], 0, -1) / (2.0 * h[:, None, :])
         try:
             step = np.linalg.solve(J, -r[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -61,14 +65,26 @@ def _newton_batch(g, y0, tol, max_iter, fd_h=1e-7):
         alpha = np.ones(n)
         for _ in range(30):
             y_try = y + alpha[:, None] * step
-            r_try = g(y_try)
+            r_try = f(y_try) - target
             rn_try = np.linalg.norm(r_try, axis=1)
             bad = (rn_try > rn) & (rn > tol)
             if not np.any(bad):
                 break
             alpha = np.where(bad, alpha * 0.5, alpha)
+        y_try[bad], r_try[bad], rn_try[bad] = y[bad], r[bad], rn[bad]
+        improved = np.any((rn_try < rn) & (rn > tol))
         y, r, rn = y_try, r_try, rn_try
+        if not improved:
+            break
     return y, rn
+
+
+def _require_converged(rn, tol, what):
+    """Raise NewtonError when any residual norm in rn is above tol."""
+    if np.any(rn > tol):
+        worst = float(np.max(rn))
+        raise NewtonError(f"{what} left {int(np.sum(rn > tol))} points above tolerance "
+                          f"(worst residual {worst:.3e})", residual=worst)
 
 
 def resolvent(U, delta, x, tol=1e-10, max_iter=60) -> np.ndarray:
@@ -82,14 +98,8 @@ def resolvent(U, delta, x, tol=1e-10, max_iter=60) -> np.ndarray:
     if delta == 0:
         return x.copy()
 
-    def g(y):
-        return y + delta * ue(y) - X
-
-    y, rn = _newton_batch(g, X.copy(), tol, max_iter)
-    if np.any(rn > tol):
-        raise NewtonError(
-            f"resolvent Newton left {int(np.sum(rn > tol))} points above tolerance "
-            f"(worst residual {float(np.max(rn)):.3e})", residual=float(np.max(rn)))
+    y, rn = _newton_batch(lambda y: y + delta * ue(y), X, X, tol, max_iter)
+    _require_converged(rn, tol, "resolvent Newton")
     return y[0] if single else y
 
 
@@ -146,7 +156,6 @@ class YosidaField:
 
     delta: float
     sol: GridSolution
-    base: object = None
 
     @property
     def box(self) -> Box:
@@ -168,7 +177,7 @@ def yosida_field(base: GridSolution, delta, times=None, tol=1e-10) -> YosidaFiel
         vals.append(V.reshape(*base.box.shape, -1))
     sol = GridSolution(box=base.box, times=times, values=np.stack(vals),
                        meta={"kind": "yosida", "delta": float(delta)})
-    return YosidaField(delta=float(delta), sol=sol, base=base)
+    return YosidaField(delta=float(delta), sol=sol)
 
 
 def invert_shift(v: Slice, delta, targets, tol=1e-10, max_iter=60):
@@ -179,11 +188,8 @@ def invert_shift(v: Slice, delta, targets, tol=1e-10, max_iter=60):
     ve = v.eval
     T = np.atleast_2d(np.asarray(targets, dtype=float))
 
-    def g(w):
-        return w - delta * ve(w) - T
-
     w0 = T + delta * ve(T)
-    w, rn = _newton_batch(g, w0, tol, max_iter)
+    w, rn = _newton_batch(lambda w: w - delta * ve(w), T, w0, tol, max_iter)
     return w, rn <= max(tol, 1e-8)
 
 

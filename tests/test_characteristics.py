@@ -8,7 +8,7 @@ RK4 cross-check in tests/oracles/derive_values.py).
 import numpy as np
 import pytest
 
-from mfgplan import (ConfigError, NewtonError, flow_forward, penalized_data,
+from mfgplan import (Box, ConfigError, NewtonError, flow_forward, penalized_data,
                      solve_by_shooting, solve_master, penalized_slice,
                      SolverParams)
 from conftest import baseline_model, box1d, coupled_model, jump_model
@@ -80,11 +80,10 @@ def test_shooting_cross_checks_grid(coupled_solution):
     m = coupled_model(K=1.0)
     U0 = penalized_data(m.x0, 0.1)
     field = coupled_solution.field()
-    probes = np.linspace(-0.3, 1.3, 10)
-    for xv in probes:
-        grid_val = field.eval(0.3, np.array([xv]))
-        char_val = solve_by_shooting(m, U0, 0.3, np.array([xv]))
-        assert abs(grid_val[0] - char_val[0]) <= 2e-2
+    probes = np.linspace(-0.3, 1.3, 10)[:, None]
+    grid_val = field.eval(0.3, probes)
+    char_val = solve_by_shooting(m, U0, 0.3, probes)
+    assert np.max(np.abs(grid_val - char_val)) <= 2e-2
 
 
 def test_shooting_two_dimensional():
@@ -94,6 +93,49 @@ def test_shooting_two_dimensional():
     got = solve_by_shooting(m, U0, 0.5, x)
     want = (x - m.x0) / 0.7
     assert np.allclose(got, want, atol=1e-8)
+
+
+def test_shooting_batch_matches_single_points():
+    m = coupled_model(K=1.0, d=2)
+    U0 = penalized_data(m.x0, 0.1)
+    pts = np.random.default_rng(3).uniform(-0.5, 1.5, size=(12, 2))
+    batch = solve_by_shooting(m, U0, 0.4, pts)
+    assert batch.shape == (12, 2)
+    single = [solve_by_shooting(m, U0, 0.4, x) for x in pts]
+    assert all(v.shape == (2,) for v in single)
+    assert np.max(np.abs(batch - np.array(single))) <= 1e-9
+    # below SMALL_T the expansion takes batches too
+    small = solve_by_shooting(m, U0, 1e-4, pts)
+    assert np.allclose(small, U0(pts) + 1e-4 * pts, rtol=0, atol=1e-12)
+
+
+def _whole_grid_gaps(m, boxes, lo, hi, t=0.4, eps=0.1):
+    """Sup gap between the grid slice at t and shooting, over nodes in [lo, hi]^d."""
+    gaps = []
+    for box in boxes:
+        sol = solve_master(m, penalized_slice(m, box, eps), SolverParams(t_end=t, n_rec=2))
+        nodes = box.node_list()
+        inner = np.all((nodes >= lo - 1e-12) & (nodes <= hi + 1e-12), axis=1)
+        char = solve_by_shooting(m, penalized_data(m.x0, eps), t, nodes[inner])
+        grid = sol.values[-1].reshape(-1, m.d)[inner]
+        gaps.append(float(np.max(np.abs(grid - char))))
+    return np.array(gaps)
+
+
+def test_whole_grid_oracle_first_order_1d():
+    # first-order upwind: the sup gap on the whole interior halves per doubling
+    gaps = _whole_grid_gaps(coupled_model(K=1.0), [box1d(n=n) for n in (100, 200, 400)],
+                            -0.3, 1.3)
+    assert np.all(gaps[:-1] / gaps[1:] >= 1.8)
+
+
+def test_whole_grid_oracle_first_order_2d():
+    ns = (20, 40, 80)
+    boxes = [Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, n)) for n in ns]
+    gaps = _whole_grid_gaps(coupled_model(K=1.0, d=2), boxes, 0.0, 1.0)
+    cells = gaps / np.array([b.dx[0] for b in boxes])
+    assert np.all(cells <= 0.25)
+    assert np.all(gaps[:-1] / gaps[1:] >= 1.6)
 
 
 def test_shooting_guards_and_failure():

@@ -6,6 +6,7 @@ Exit code contract: 0 success, 1 numerical failure, 2 configuration error,
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,41 @@ def test_bad_cfl_names_field(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, cfl="0")
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "cfl" in capsys.readouterr().err
+
+
+BAD_NUMBERS = [
+    ("solve", "box", "n"), ("solve", "solver", "cfl"), ("solve", "solver", "n_rec"),
+    ("solve", "planning", "delta"), ("solve", "run", "seed"), ("solve", "solve", "eps"),
+    ("yosida", "yosida", "delta"),
+    ("traject", "trajectories", "t1"), ("traject", "trajectories", "t_min"),
+    ("traject", "trajectories", "steps"),
+    ("halfspace", "halfspace", "t_fit"), ("halfspace", "halfspace", "x1_min"),
+    ("halfspace", "halfspace", "x1_max"), ("halfspace", "halfspace", "n_tail"),
+    ("verify", "verify", "M"), ("verify", "verify", "n_pairs"),
+    ("verify", "verify", "tol_mono"), ("verify", "verify", "cross_tol"),
+    ("probe", "probe", "t"),
+]
+
+
+@pytest.mark.parametrize("command,section,key", BAD_NUMBERS)
+def test_malformed_number_is_config_error(tmp_path, capsys, command, section, key):
+    cfg, _ = make_config(tmp_path)
+    text = cfg.read_text()
+    if f"[{section}]" in text:
+        text, hits = re.subn(rf"^{key} = .*$", f"{key} = abc", text, flags=re.M)
+        assert hits == 1
+    else:
+        text += f"\n[{section}]\n{key} = abc\n"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_probe_malformed_time_flag(tmp_path, capsys):
+    cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
+    assert main(["probe", "--config", str(cfg), "--t", "soon", "--x", "1.2"]) == 2
+    assert "--t" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      GridSolution, ModelSpec, Slice, SolverParams, check_monotone_map,
                      lipschitz_norm, node_jacobians, penalized_slice, residual,
                      sample_solution, solve_master, write_solution_csv)
+from mfgplan.grid_solver import InterpPlan
 from conftest import baseline_model, box1d, closed_form, jump_model
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
@@ -47,6 +48,20 @@ def test_interp_exact_on_linear_including_extrapolation():
     single = sl.eval(np.array([0.25, 0.5]))
     assert single.shape == (2,)
     assert np.allclose(single, lin(np.array([[0.25, 0.5]]))[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interp_apply_matches_einsum_gather(dim):
+    # the package's fields have d = dim components; signed zeros included
+    rng = np.random.default_rng(dim)
+    box = Box(np.full(dim, -1.0), np.full(dim, 2.0), np.full(dim, 6))
+    vals = rng.normal(size=box.shape + (dim,)) * 10.0 ** rng.integers(-6, 6, box.shape + (dim,))
+    vals.reshape(-1)[::5] = -0.0
+    plan = InterpPlan(box, rng.uniform(-1.5, 2.5, size=(300, dim)))
+    want = np.einsum("nc,ncd->nd", plan.wts, vals.reshape(-1, dim)[plan.idx])
+    got = plan.apply(vals)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_solver_params_validation():

@@ -6,6 +6,8 @@ max|x-x0| * (1/(t_min+e2) - 1/(t_min+e1)) and the certificate horizon of the
 stiff model below is 1.5/|DpF| from the second compatibility inequality.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,21 @@ def test_coupled_two_dimensional_gaps_decrease():
     from mfgplan import check_monotone_map
     mono = check_monotone_map(ext.slice.eval, box, rng_seed=1)
     assert mono >= -1e-4
+
+
+# sha256 of the extracted 2-D jump limit below at 12 significant digits; it
+# pins the jump gather and both Newton solves of the extraction on a 2-D grid
+JUMP_2D_LIMIT_SHA256 = "acde6d7d6d5d4e94a019ebe420ddf69c6cdea1b9e7ece3764536cb86ec2c92e4"
+
+
+def test_extract_limit_2d_jump_bits_pinned():
+    # F = p, G = x, relabeling x -> 0.5 x at rate 1
+    m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
+                  lam=1.0, noise=AffineNoiseMap(0.5 * np.eye(2), np.zeros(2)),
+                  x0=np.array([0.5, 0.5]), alpha=1.0, lip_Fp=1.0, lip_Gx=1.0)
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40))
+    run = run_penalization(m, box, (0.2, 0.1), SolverParams(t_end=0.5, n_rec=6), t_min=0.2)
+    lim = extract_limit(run, 0.4)
+    assert not np.any(lim.failed)
+    text = ",".join(f"{v:.12g}" for v in lim.values.ravel())
+    assert hashlib.sha256(text.encode()).hexdigest() == JUMP_2D_LIMIT_SHA256

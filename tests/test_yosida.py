@@ -11,6 +11,7 @@ from mfgplan import (Box, ConfigError, NewtonError, Slice, SolverParams,
                      YosidaField, eqV_residual, invert_shift, node_jacobians,
                      penalized_slice, resolvent, sample_solution, solve_master,
                      yosida_apply, yosida_by_transport, yosida_field)
+from mfgplan.yosida import _newton_batch
 from conftest import baseline_model, box1d, closed_form, jump_model
 
 X0 = 0.5
@@ -118,6 +119,22 @@ def test_invert_shift_round_trip():
     assert np.all(ok)
     back = w - 0.3 * v.eval(w)
     assert np.allclose(back, targets, atol=1e-9)
+
+
+def test_newton_batch_keeps_best_point_and_stops_early():
+    # y^2 + 1 = 0 has no real root: no row may end worse than a point it
+    # reached, and the iteration stops once no row improves
+    seen = []
+
+    def f(y):
+        out = y ** 2 + 1.0
+        if len(y) == 2:  # the iterates and line-search trials, not the FD probes
+            seen.append(out[:, 0].copy())
+        return out
+
+    y, rn = _newton_batch(f, 0.0, np.array([[0.7], [3.0]]), 1e-10, 60)
+    assert np.array_equal(rn, np.min(seen, axis=0))
+    assert len(seen) < 400  # 60 iterations of 30 failed halvings would be 1800
 
 
 def _analytic_V_field(box, times, delta, slope_fn):
