@@ -17,12 +17,12 @@ from .model import (AffineNoiseMap, FieldSpec, ModelSpec, MonotonicityReport,
                     save_model)
 from .grid_solver import (AnalyticField, Box, GridField, GridSolution, Slice,
                           SolverParams, lipschitz_norm, node_jacobians,
-                          residual, sample_solution, solve_master,
+                          sample_solution, solve_master,
                           write_meta_jsonl, write_solution_csv)
 from .characteristics import (CharState, flow_forward, penalized_data,
                               solve_by_shooting)
 from .yosida import (ResidualField, YosidaField, eqV_residual, invert_shift,
-                     resolvent, yosida_apply, yosida_by_transport,
+                     resolvent, residual, yosida_apply, yosida_by_transport,
                      yosida_field)
 from .planning import (EstimateReport, ExtractedLimit, GraphLimitDiagnostic,
                        PenalizationRun, certificate_bound,

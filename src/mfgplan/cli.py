@@ -21,11 +21,11 @@ from .characteristics import penalized_data, solve_by_shooting
 from .errors import (BlowupError, ConfigError, IntegrationError, NewtonError,
                      PlanningError, TrajectoryExitError)
 from .grid_solver import (Box, SolverParams, lipschitz_norm, meta_record,
-                          write_meta_jsonl, write_solution_csv)
+                          write_meta_jsonl, write_solution_csv, write_table)
 from .halfspace import (HalfspaceModel, chain_rule_defect, check_factorization,
                         check_inward_flow, check_log_blowup, solve_halfspace)
 from .model import (ModelSpec, _parse_field, check_couple_monotone, load_model,
-                    model_from_items)
+                    model_from_items, parse_number, parse_numbers)
 from .planning import (cross_monotonicity, estimate_certificate, extracted_field,
                        graph_limit_diagnostic, run_penalization)
 from .trajectories import (check_planning_convergence, check_value_consistency,
@@ -33,27 +33,12 @@ from .trajectories import (check_planning_convergence, check_value_consistency,
 from .yosida import eqV_residual, yosida_field
 
 
-def _floats(text):
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got '{text}'")
-
-
-def _number(text, what, kind=float):
-    """text parsed by kind (float or int); a malformed number is a ConfigError."""
-    try:
-        return kind(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got '{text}'") from None
-
-
 def _points(text, d):
     pts = []
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
-        vals = _floats(chunk)
+        vals = parse_numbers(chunk, "[trajectories] starts")
         if len(vals) != d:
             raise ConfigError(f"point '{chunk.strip()}' does not have {d} coordinates")
         pts.append(vals)
@@ -103,10 +88,9 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
         model = model_from_items(msec)
 
     bsec = dict(cp["box"]) if cp.has_section("box") else {}
-    lo = np.asarray(_floats(bsec.get("lo", "-1")))
-    hi = np.asarray(_floats(bsec.get("hi", "2")))
-    n = np.asarray([_number(v, "[box] n", int) for v in bsec.get("n", "400").split(",")
-                    if v.strip()])
+    lo = np.asarray(parse_numbers(bsec.get("lo", "-1"), "[box] lo"))
+    hi = np.asarray(parse_numbers(bsec.get("hi", "2"), "[box] hi"))
+    n = np.asarray(parse_numbers(bsec.get("n", "400"), "[box] n", int))
     if lo.size == 1 and model.d > 1:
         lo = np.full(model.d, lo[0])
     if hi.size == 1 and model.d > 1:
@@ -115,21 +99,21 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
 
     ssec = dict(cp["solver"]) if cp.has_section("solver") else {}
     params = SolverParams(
-        cfl=_number(ssec.get("cfl", "0.75"), "[solver] cfl"),
-        visc=_number(ssec.get("visc", "0"), "[solver] visc"),
-        t_end=_number(ssec.get("t_end", "1.0"), "[solver] t_end"),
-        dt_max=_number(ssec.get("dt_max", "0.01"), "[solver] dt_max"),
-        n_rec=_number(ssec.get("n_rec", "101"), "[solver] n_rec", int),
+        cfl=parse_number(ssec.get("cfl", "0.75"), "[solver] cfl"),
+        visc=parse_number(ssec.get("visc", "0"), "[solver] visc"),
+        t_end=parse_number(ssec.get("t_end", "1.0"), "[solver] t_end"),
+        dt_max=parse_number(ssec.get("dt_max", "0.01"), "[solver] dt_max"),
+        n_rec=parse_number(ssec.get("n_rec", "101"), "[solver] n_rec", int),
     )
 
     psec = dict(cp["planning"]) if cp.has_section("planning") else {}
-    eps_schedule = tuple(_floats(psec.get("eps", "0.4, 0.2, 0.1")))
-    delta = _number(psec.get("delta", "0.25"), "[planning] delta")
-    t_min = _number(psec.get("t_min", "0.2"), "[planning] t_min")
-    conv_tol = _number(psec.get("conv_tol", "1e-2"), "[planning] conv_tol")
+    eps_schedule = tuple(parse_numbers(psec.get("eps", "0.4, 0.2, 0.1"), "[planning] eps"))
+    delta = parse_number(psec.get("delta", "0.25"), "[planning] delta")
+    t_min = parse_number(psec.get("t_min", "0.2"), "[planning] t_min")
+    conv_tol = parse_number(psec.get("conv_tol", "1e-2"), "[planning] conv_tol")
 
     rsec = dict(cp["run"]) if cp.has_section("run") else {}
-    seed = _number(rsec.get("seed", "0"), "[run] seed", int) if seed_override is None \
+    seed = parse_number(rsec.get("seed", "0"), "[run] seed", int) if seed_override is None \
         else seed_override
     out = Path(rsec.get("out", "out")) if out_override is None else Path(out_override)
     return RunConfig(model=model, box=box, params=params, eps_schedule=eps_schedule,
@@ -171,7 +155,7 @@ def _single_solve(cfg: RunConfig, eps=None):
         eps = cfg.eps_schedule[-1]
         sec = cfg.section("solve")
         if "eps" in sec:
-            eps = _number(sec["eps"], "[solve] eps")
+            eps = parse_number(sec["eps"], "[solve] eps")
     return float(eps), solve_master(cfg.model, penalized_slice(cfg.model, cfg.box, eps),
                                     cfg.params)
 
@@ -204,10 +188,8 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     write_solution_csv(sol, out / "solution.csv")
     write_meta_jsonl([dict(meta_record(s), eps=e) for e, s in
                       zip(run.eps_schedule, run.solutions)], out / "meta.json")
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("eps_coarse,eps_fine,gap\n")
-        for (e1, e2), g in zip(zip(run.eps_schedule, run.eps_schedule[1:]), run.gaps):
-            fh.write(f"{e1:.12g},{e2:.12g},{g:.12g}\n")
+    write_table(out / "convergence.csv", "eps_coarse,eps_fine,gap",
+                run.eps_schedule[:-1], run.eps_schedule[1:], run.gaps)
     _write_json({"eps": list(run.eps_schedule), "gaps": run.gaps,
                  "t_min": run.t_min, "conv_tol": run.conv_tol,
                  "converged": run.converged}, out / "report.json")
@@ -219,10 +201,12 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 
 def cmd_yosida(cfg: RunConfig, args) -> int:
     sec = cfg.section("yosida")
-    delta = _number(sec.get("delta", cfg.delta), "[yosida] delta")
+    delta = parse_number(sec.get("delta", cfg.delta), "[yosida] delta")
+    if "times" not in sec and cfg.params.n_rec < 3:
+        raise ConfigError("[solver] n_rec must be >= 3 for yosida without [yosida] times")
     eps, sol = _single_solve(cfg)
     if "times" in sec:
-        wanted = _floats(sec["times"])
+        wanted = parse_numbers(sec["times"], "[yosida] times")
     else:
         k = len(sol.times) // 2
         wanted = [sol.times[k - 1], sol.times[k], sol.times[k + 1]]
@@ -231,15 +215,9 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
     res = eqV_residual(cfg.model, V, times[len(times) // 2])
     out = _outdir(cfg)
     write_solution_csv(V.sol, out / "v_slices.csv")
-    with open(out / "eqv_residual.csv", "w") as fh:
-        dim = cfg.box.dim
-        fh.write(",".join(f"x_{a+1}" for a in range(dim)) + ",residual,excluded\n")
-        nodes = cfg.box.node_list()
-        vals = res.values.reshape(-1)
-        exc = res.excluded.reshape(-1)
-        for i in range(nodes.shape[0]):
-            row = [f"{v:.12g}" for v in nodes[i]] + [f"{vals[i]:.12g}", str(int(exc[i]))]
-            fh.write(",".join(row) + "\n")
+    header = [f"x_{a+1}" for a in range(cfg.box.dim)] + ["residual", "excluded"]
+    write_table(out / "eqv_residual.csv", ",".join(header), cfg.box.node_list(),
+                res.values.reshape(-1), res.excluded.reshape(-1))
     _write_json({"delta": delta, "eps": eps, "times": times,
                  "residual_max": res.max(),
                  "excluded_nodes": int(np.sum(res.excluded))}, out / "report.json")
@@ -250,25 +228,19 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
 
 def cmd_traject(cfg: RunConfig, args) -> int:
     sec = cfg.section("trajectories")
-    t1 = _number(sec.get("t1", cfg.params.t_end), "[trajectories] t1")
-    t_min = _number(sec.get("t_min", "0.05"), "[trajectories] t_min")
-    steps = _number(sec.get("steps", "200"), "[trajectories] steps", int)
+    t1 = parse_number(sec.get("t1", cfg.params.t_end), "[trajectories] t1")
+    t_min = parse_number(sec.get("t_min", "0.05"), "[trajectories] t_min")
+    steps = parse_number(sec.get("steps", "200"), "[trajectories] steps", int)
     starts = _points(sec.get("starts", "1.0"), cfg.model.d)
     eps, sol = _single_solve(cfg)
     field = sol.field()
     out = _outdir(cfg)
+    d = cfg.model.d
+    header = ",".join(["t"] + [f"x_{a+1}" for a in range(d)] + [f"u_{a+1}" for a in range(d)])
     report = []
     for k, x1 in enumerate(starts):
         traj = integrate_backward(field, cfg.model, x1, t1, t_min, steps=steps)
-        with open(out / f"trajectory_{k}.csv", "w") as fh:
-            d = cfg.model.d
-            fh.write("t," + ",".join(f"x_{a+1}" for a in range(d)) + ","
-                     + ",".join(f"u_{a+1}" for a in range(d)) + "\n")
-            for i in range(len(traj.times)):
-                row = [f"{traj.times[i]:.12g}"]
-                row += [f"{v:.12g}" for v in traj.states[i]]
-                row += [f"{v:.12g}" for v in traj.values[i]]
-                fh.write(",".join(row) + "\n")
+        write_table(out / f"trajectory_{k}.csv", header, traj.times, traj.states, traj.values)
         conv = check_planning_convergence(traj, cfg.model.x0)
         defect = check_value_consistency(traj, cfg.model)
         report.append({"start": x1.tolist(), "distance_at_t_min": conv.distance,
@@ -283,10 +255,10 @@ def cmd_traject(cfg: RunConfig, args) -> int:
 
 def cmd_halfspace(cfg: RunConfig, args) -> int:
     sec = cfg.section("halfspace")
-    t_fit = _number(sec.get("t_fit", "0.25"), "[halfspace] t_fit")
-    x1_lo = _number(sec.get("x1_min", "0.02"), "[halfspace] x1_min")
-    x1_hi = _number(sec.get("x1_max", "0.9"), "[halfspace] x1_max")
-    n_tail = _number(sec.get("n_tail", "12"), "[halfspace] n_tail", int)
+    t_fit = parse_number(sec.get("t_fit", "0.25"), "[halfspace] t_fit")
+    x1_lo = parse_number(sec.get("x1_min", "0.02"), "[halfspace] x1_min")
+    x1_hi = parse_number(sec.get("x1_max", "0.9"), "[halfspace] x1_max")
+    n_tail = parse_number(sec.get("n_tail", "12"), "[halfspace] n_tail", int)
     ftilde = _parse_field(sec, "ftilde", cfg.model.d)
     hm = HalfspaceModel(base=cfg.model, ftilde=ftilde)
     fact = check_factorization(hm, rng_seed=cfg.seed)
@@ -318,11 +290,11 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     sec = cfg.section("verify")
-    M = _number(sec.get("M", "2.0"), "[verify] M")
-    n_pairs = _number(sec.get("n_pairs", "2000"), "[verify] n_pairs", int)
-    tol_mono = _number(sec.get("tol_mono", "1e-4"), "[verify] tol_mono")
-    cross_tol = _number(sec.get("cross_tol", "1e-3"), "[verify] cross_tol")
-    times = _floats(sec.get("times", "0.8, 0.4, 0.2"))
+    M = parse_number(sec.get("M", "2.0"), "[verify] M")
+    n_pairs = parse_number(sec.get("n_pairs", "2000"), "[verify] n_pairs", int)
+    tol_mono = parse_number(sec.get("tol_mono", "1e-4"), "[verify] tol_mono")
+    cross_tol = parse_number(sec.get("cross_tol", "1e-3"), "[verify] cross_tol")
+    times = parse_numbers(sec.get("times", "0.8, 0.4, 0.2"), "[verify] times")
     times = [t for t in times if cfg.t_min - 1e-12 <= t <= cfg.params.t_end + 1e-12]
     if not times:
         raise ConfigError("[verify] times must intersect [t_min, t_end]")
@@ -365,15 +337,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                                "t": max(snap)},
         "checks": checks,
     }, out / "report.json")
-    with open(out / "curves.csv", "w") as fh:
-        fh.write("t,lipschitz,bound,diameter\n")
-        order = np.argsort(diag.times)
-        for i in order:
-            t = diag.times[i]
-            j = int(np.argmin(np.abs(cert.times - t)))
-            lip = lipschitz_norm(sol, t)
-            fh.write(f"{t:.12g},{lip:.12g},{cert.bound[j]:.12g},"
-                     f"{diag.diameters[i]:.12g}\n")
+    order = np.argsort(diag.times)
+    ts = diag.times[order]
+    nearest = np.argmin(np.abs(cert.times[None, :] - ts[:, None]), axis=1)
+    write_table(out / "curves.csv", "t,lipschitz,bound,diameter", ts,
+                [lipschitz_norm(sol, t) for t in ts], cert.bound[nearest],
+                diag.diameters[order])
     failed = [k for k, v in checks.items() if v is False]
     for k, v in checks.items():
         status = "skipped" if v is None else ("pass" if v else "FAIL")
@@ -383,12 +352,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_probe(cfg: RunConfig, args) -> int:
     sec = cfg.section("probe")
-    t = _number(args.t, "--t") if args.t is not None \
-        else _number(sec.get("t", "0.4"), "[probe] t")
+    t = parse_number(args.t, "--t") if args.t is not None \
+        else parse_number(sec.get("t", "0.4"), "[probe] t")
     x_text = args.x if args.x is not None else sec.get("x", None)
     if x_text is None:
         raise ConfigError("probe needs x (flag --x or [probe] x)")
-    x = np.asarray(_floats(x_text))
+    x = np.asarray(parse_numbers(x_text, "probe x"))
     if x.shape != (cfg.model.d,):
         raise ConfigError(f"probe x must have {cfg.model.d} coordinates")
     if cfg.model.lam > 0:
@@ -452,3 +421,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -394,31 +394,21 @@ def lipschitz_norm(sol: GridSolution, t) -> float:
     return float(np.max(sv))
 
 
-def residual(m: ModelSpec, sol: GridSolution, t) -> np.ndarray:
-    """Pointwise norm of the equation defect of a recorded solution at time t.
-
-    t must be interior to the recorded time grid; time and space differences
-    are centered (one-sided at box faces).
-    """
-    k = sol.index_of(t)
-    if k == 0 or k == len(sol.times) - 1:
-        raise ValueError("t must be interior to the recorded time grid")
-    box = sol.box
-    X = box.nodes()
-    U = sol.values[k]
-    dUdt = (sol.values[k + 1] - sol.values[k - 1]) / (sol.times[k + 1] - sol.times[k - 1])
-    adv = np.einsum("...ia,...a->...i", node_jacobians(Slice(box, U)), m.eval_F(X, U))
-    res = dUdt + adv - m.eval_G(X, U)
-    if m.lam > 0:
-        relabeled = InterpPlan(box, m.noise(box.node_list())).apply(U).reshape(U.shape)
-        res = res + m.lam * (U - relabeled @ m.noise.S)
-    return np.linalg.norm(res, axis=-1)
-
-
 # ---------------------------------------------------------------------------
-# Serialization: CSV body with header t,x_1..x_d,U_1..U_d, one row per
-# (recorded time, node) in C node order; numbers use 12 significant digits so
-# identical runs produce byte-identical files.
+# Serialization: every CSV cell is a number with 12 significant digits, so
+# identical runs produce byte-identical files. A solution has the header
+# t,x_1..x_d,U_1..U_d and one row per (recorded time, node) in C node order.
+
+_CELL = "%.12g"
+
+
+def write_table(path, header, *columns):
+    """CSV of the columns side by side (1-D arrays, or 2-D blocks of columns).
+
+    Booleans are written as 0/1; with no rows only the header is written.
+    """
+    np.savetxt(path, np.column_stack(columns), fmt=_CELL, delimiter=",",
+               header=header, comments="")
 
 
 def write_solution_csv(sol: GridSolution, path):
@@ -426,16 +416,15 @@ def write_solution_csv(sol: GridSolution, path):
     dim = sol.box.dim
     header = "t," + ",".join(f"x_{a+1}" for a in range(dim)) \
         + "," + ",".join(f"U_{i+1}" for i in range(d))
-    # "%.12g" % v renders exactly like f"{v:.12g}". The node columns repeat in
-    # every slice, so they are rendered once, into the format of each row.
-    cell = "%.12g"
-    node_fmt = ",".join([cell] * dim)
-    vals_fmt = ",".join([cell] * d)
+    # The node columns repeat in every slice, so they are rendered once, into
+    # the format of each row.
+    node_fmt = ",".join([_CELL] * dim)
+    vals_fmt = ",".join([_CELL] * d)
     tails = [f",{node_fmt % tuple(x)},{vals_fmt}\n" for x in sol.box.node_list().tolist()]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for t, vals in zip(sol.times, sol.values):
-            t_txt = cell % t
+            t_txt = _CELL % t
             fh.write((t_txt + t_txt.join(tails)) % tuple(vals.ravel().tolist()))
 
 

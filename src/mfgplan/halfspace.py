@@ -109,23 +109,20 @@ def transformed_model(hm: HalfspaceModel) -> ModelSpec:
     """Full-space model in straightened coordinates.
 
     Drift and source are the factored maps evaluated at x(y); their binders
-    compute x(y) once per solve. The relabeling, target and declared constants
-    carry over (the relabeling commutes with the straightening because it
-    leaves the first coordinate fixed).
+    compute x(y) once per solve, and pointwise evaluation goes through them
+    too. The relabeling, target and declared constants carry over (the
+    relabeling commutes with the straightening because it leaves the first
+    coordinate fixed).
     """
     base = hm.base
     d = base.d
 
     def straightened(name, f):
-        def fn(y, p):
-            return eval_field(f, from_log_coordinates(y.reshape(-1, d)),
-                              p.reshape(-1, d)).reshape(p.shape)
-
         def binder(y):
             at = bind_field(f, from_log_coordinates(y.reshape(-1, d)))
             return lambda p: at(p.reshape(-1, d)).reshape(p.shape)
 
-        return FieldSpec.registered(name, fn=fn, binder=binder)
+        return FieldSpec.registered(name, binder=binder)
 
     return ModelSpec(
         d=d,

@@ -76,15 +76,14 @@ def _as_vector(value, d):
 
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """One coupling map, either affine (Mx x + Mp p + c) or a registered evaluator
-    fn(x, p), optionally with binder(x) -> p-only evaluator (see bind_field)."""
+    """One coupling map, either affine (Mx x + Mp p + c) or registered: the
+    registry evaluator of that name, or binder(x) -> p-only evaluator when given."""
 
     kind: str
     Mx: np.ndarray | None = None
     Mp: np.ndarray | None = None
     c: np.ndarray | None = None
     name: str = ""
-    fn: object = None
     binder: object = None
 
     @staticmethod
@@ -101,10 +100,10 @@ class FieldSpec:
                          c=_as_vector(c, d))
 
     @staticmethod
-    def registered(name, fn=None, binder=None):
-        if fn is None and name not in _FIELD_REGISTRY:
+    def registered(name, binder=None):
+        if binder is None and name not in _FIELD_REGISTRY:
             raise ConfigError(f"unknown registered field '{name}'; known: {registered_names()}")
-        return FieldSpec(kind="registered", name=name, fn=fn, binder=binder)
+        return FieldSpec(kind="registered", name=name, binder=binder)
 
     def __call__(self, x, p):
         return eval_field(self, x, p)
@@ -116,12 +115,7 @@ def eval_field(f: FieldSpec, x, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if f.kind == "affine":
         return x @ f.Mx.T + p @ f.Mp.T + f.c
-    if f.kind == "registered":
-        fn = f.fn if f.fn is not None else _FIELD_REGISTRY.get(f.name)
-        if fn is None:
-            raise ConfigError(f"unknown registered field '{f.name}'")
-        return np.asarray(fn(x, p), dtype=float)
-    raise ConfigError(f"unknown field kind '{f.kind}'")
+    return bind_field(f, x)(p)
 
 
 def bind_field(f: FieldSpec, x):
@@ -133,9 +127,14 @@ def bind_field(f: FieldSpec, x):
     if f.kind == "affine":
         xm = x @ f.Mx.T
         return lambda p: xm + p @ f.Mp.T + f.c
+    if f.kind != "registered":
+        raise ConfigError(f"unknown field kind '{f.kind}'")
     if f.binder is not None:
         return f.binder(x)
-    return lambda p: eval_field(f, x, p)
+    fn = _FIELD_REGISTRY.get(f.name)
+    if fn is None:
+        raise ConfigError(f"unknown registered field '{f.name}'")
+    return lambda p: np.asarray(fn(x, p), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,28 +303,42 @@ def affine_couple_eigenvalue(F: FieldSpec, G: FieldSpec) -> float:
 # to scalar * identity for matrices and a constant vector for vectors.
 
 
-def _parse_vector(text, d):
-    parts = [p for p in text.replace(";", ",").split(",") if p.strip() != ""]
-    vals = [float(p) for p in parts]
-    if len(vals) == 1:
-        return _as_vector(vals[0], d)
-    return _as_vector(np.array(vals), d)
+def parse_number(text, what, kind=float):
+    """text read by kind (float or int); a malformed number is a ConfigError naming what."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got '{text}'") from None
 
 
-def _parse_matrix(text, d):
-    rows = [r for r in text.split(";") if r.strip() != ""]
-    if len(rows) == 1 and len(rows[0].split(",")) == 1:
-        return _as_matrix(float(rows[0]), d)
-    mat = [[float(v) for v in row.split(",")] for row in rows]
-    return _as_matrix(np.array(mat), d)
+def parse_numbers(text, what, kind=float):
+    """The comma-separated numbers in text, blank entries skipped, each read by kind."""
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{what} must be comma-separated numbers, got '{text}'") from None
+
+
+def _parse_vector(text, d, what):
+    vals = parse_numbers(text.replace(";", ","), what)
+    return _as_vector(vals[0] if len(vals) == 1 else np.array(vals), d)
+
+
+def _parse_matrix(text, d, what):
+    rows = [parse_numbers(r, what) for r in text.split(";") if r.strip()]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ConfigError(f"{what} has rows of different lengths")
+    if len(rows) == 1 and len(rows[0]) == 1:
+        return _as_matrix(rows[0][0], d)
+    return _as_matrix(np.array(rows), d)
 
 
 def _parse_field(items, prefix, d):
     kind = items.get(f"{prefix}.kind", "affine").strip()
     if kind == "affine":
-        Mx = _parse_matrix(items.get(f"{prefix}.Mx", "0"), d)
-        Mp = _parse_matrix(items.get(f"{prefix}.Mp", "0"), d)
-        c = _parse_vector(items.get(f"{prefix}.c", "0"), d)
+        Mx = _parse_matrix(items.get(f"{prefix}.Mx", "0"), d, f"{prefix}.Mx")
+        Mp = _parse_matrix(items.get(f"{prefix}.Mp", "0"), d, f"{prefix}.Mp")
+        c = _parse_vector(items.get(f"{prefix}.c", "0"), d, f"{prefix}.c")
         return FieldSpec(kind="affine", Mx=Mx, Mp=Mp, c=c)
     if kind == "registered":
         name = items.get(f"{prefix}.name", "").strip()
@@ -335,24 +348,20 @@ def _parse_field(items, prefix, d):
 
 def model_from_items(items: dict) -> ModelSpec:
     """Build a ModelSpec from the key/value pairs of a [model] section."""
-    try:
-        d = int(items["d"])
-    except KeyError:
-        raise ConfigError("model section is missing 'd'") from None
-    try:
-        lam = float(items.get("lambda", "0"))
-        x0 = _parse_vector(items.get("x0", "0"), d)
-        S = _parse_matrix(items.get("S", "1"), d)
-        e = _parse_vector(items.get("e", "0"), d)
-        F = _parse_field(items, "F", d)
-        G = _parse_field(items, "G", d)
-        alpha = float(items.get("alpha", "0"))
-        lips = {k: float(items.get(k, "0"))
-                for k in ("lip_Fx", "lip_Fp", "lip_Gx", "lip_Gp")}
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in model section: {exc}") from None
-    return ModelSpec(d=d, F=F, G=G, lam=lam, noise=AffineNoiseMap(S, e), x0=x0,
-                     alpha=alpha, **lips)
+    if "d" not in items:
+        raise ConfigError("model section is missing 'd'")
+    d = parse_number(items["d"], "[model] d", int)
+    if d < 1:
+        raise ConfigError("model dimension d must be >= 1")
+    lam = parse_number(items.get("lambda", "0"), "[model] lambda")
+    x0 = _parse_vector(items.get("x0", "0"), d, "[model] x0")
+    S = _parse_matrix(items.get("S", "1"), d, "[model] S")
+    e = _parse_vector(items.get("e", "0"), d, "[model] e")
+    F = _parse_field(items, "F", d)
+    G = _parse_field(items, "G", d)
+    consts = {k: parse_number(items.get(k, "0"), f"[model] {k}")
+              for k in ("alpha", "lip_Fx", "lip_Fp", "lip_Gx", "lip_Gp")}
+    return ModelSpec(d=d, F=F, G=G, lam=lam, noise=AffineNoiseMap(S, e), x0=x0, **consts)
 
 
 def load_model(path) -> ModelSpec:

@@ -48,16 +48,18 @@ def integrate_backward(U, m: ModelSpec, x1, t1, t_min, steps=200) -> Trajectory:
     x = np.asarray(x1, dtype=float).reshape(-1).copy()
     h = (t1 - t_min) / steps
 
-    def vel(t, xx):
-        u = U.eval(t, xx[None, :])[0]
+    def drift(xx, u):
         return np.asarray(m.eval_F(xx[None, :], u[None, :]), dtype=float)[0]
+
+    def vel(t, xx):
+        return drift(xx, U.eval(t, xx[None, :])[0])
 
     times = [t1]
     states = [x.copy()]
     values = [U.eval(t1, x[None, :])[0]]
     t = t1
     for k in range(steps):
-        k1 = vel(t, x)
+        k1 = drift(x, values[-1])  # U at (t, x) was recorded with the state
         k2 = vel(t - 0.5 * h, x - 0.5 * h * k1)
         k3 = vel(t - 0.5 * h, x - 0.5 * h * k2)
         k4 = vel(t - h, x - h * k3)

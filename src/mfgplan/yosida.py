@@ -245,3 +245,13 @@ def eqV_residual(m: ModelSpec, V: YosidaField, t) -> ResidualField:
     rhs = np.einsum("...ij,...j->...i", eye - delta * J, core)
     vals = np.linalg.norm(dVdt + adv - rhs, axis=-1)
     return ResidualField(values=vals, excluded=excluded)
+
+
+def residual(m: ModelSpec, sol: GridSolution, t) -> np.ndarray:
+    """Pointwise norm of the master-equation defect of a recorded solution at time t.
+
+    The transported equation at delta = 0 is the master equation itself: the
+    regularized field is the solution, y = x and w = S x + e. So this is
+    eqV_residual of the unregularized field, with its interior-time rule.
+    """
+    return eqV_residual(m, YosidaField(0.0, sol), t).values

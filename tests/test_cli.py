@@ -6,12 +6,16 @@ Exit code contract: 0 success, 1 numerical failure, 2 configuration error,
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfgplan
 from mfgplan.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -110,6 +114,7 @@ BAD_NUMBERS = [
     ("verify", "verify", "M"), ("verify", "verify", "n_pairs"),
     ("verify", "verify", "tol_mono"), ("verify", "verify", "cross_tol"),
     ("probe", "probe", "t"),
+    ("solve", "model", "d"), ("halfspace", "halfspace", "ftilde.Mp"),
 ]
 
 
@@ -132,6 +137,25 @@ def test_probe_malformed_time_flag(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
     assert main(["probe", "--config", str(cfg), "--t", "soon", "--x", "1.2"]) == 2
     assert "--t" in capsys.readouterr().err
+
+
+def test_yosida_needs_three_records(tmp_path, capsys):
+    # without [yosida] times the command regularizes the middle record and
+    # its two neighbours
+    cfg, _ = make_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("n_rec = 51", "n_rec = 2"))
+    assert main(["yosida", "--config", str(cfg)]) == 2
+    assert "n_rec" in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    src = Path(mfgplan.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "mfgplan.cli"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2  # argparse: a command is required
+    assert "usage: mfgplan" in done.stderr
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -263,3 +287,68 @@ def test_halfspace_reference_config(tmp_path):
     assert (out / "halfspace_y.csv").exists()
     assert _sha256(out / "halfspace_y.csv") == \
         "7d9e6854576dadbd6da46c5c9382c14df57b4985293398fcab8c7123f52697f6"
+
+
+# sha256 of the tables each command writes from configs/lq0.cfg
+LQ0_TABLES = {
+    "plan": {"convergence.csv":
+             "a9609c1d7ea01e3fb17d9a64ae8da9fc493156393719d4a80a8abfdfd986a28f"},
+    "yosida": {"eqv_residual.csv":
+               "334695bf0d0e1e7dae2cda1ef9f20d8eabff21d990e13e5151f61a2f225a7f17",
+               "v_slices.csv":
+               "b07622fa957fb165361f77fe1adce9ee6d6b458ba2a51c5b475c973d1f0a75c3"},
+    "traject": {"trajectory_0.csv":
+                "4ab02b96d9b480f3c624ca00a961ab8a44abbc5fff9b35d092135ae99a6ae7a0"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(LQ0_TABLES))
+def test_reference_config_table_digests(tmp_path, command):
+    out = tmp_path / command
+    assert main([command, "--config", str(CONFIGS / "lq0.cfg"), "--quiet",
+                 "--out", str(out)]) == 0
+    for name, digest in LQ0_TABLES[command].items():
+        assert _sha256(out / name) == digest, name
+
+
+JUMP_2D = """\
+[model]
+d = 2
+F.Mp = 1
+G.Mx = 0.5
+lambda = 0.8
+S = 0.5, 0.1; -0.1, 0.5
+e = 0.05, -0.02
+x0 = 0.5, 0.4
+alpha = 1
+lip_Fp = 1
+
+[box]
+lo = -1
+hi = 2
+n = 24
+
+[solver]
+n_rec = 11
+t_end = 0.5
+
+[planning]
+eps = 0.2, 0.1
+
+[yosida]
+delta = 0.2
+"""
+
+
+def test_yosida_2d_jump_digests(tmp_path):
+    # two node columns, a relabeling gather and the excluded column
+    cfg = tmp_path / "jump2d.cfg"
+    cfg.write_text(JUMP_2D)
+    out = tmp_path / "out"
+    assert main(["yosida", "--config", str(cfg), "--quiet", "--out", str(out)]) == 0
+    assert (out / "eqv_residual.csv").read_text().splitlines()[0] == \
+        "x_1,x_2,residual,excluded"
+    assert _sha256(out / "eqv_residual.csv") == \
+        "98305c7d026e0e2ab4e9fc4d2023d504bdf5a63ff4e70238569032d747860764"
+    assert _sha256(out / "v_slices.csv") == \
+        "677dec17fff7d3012133a306fc7c2a8d233e8257d8fd479dafba5065775c4e03"

@@ -11,7 +11,7 @@ from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      GridSolution, ModelSpec, Slice, SolverParams, check_monotone_map,
                      lipschitz_norm, node_jacobians, penalized_slice, residual,
                      sample_solution, solve_master, write_solution_csv)
-from mfgplan.grid_solver import InterpPlan
+from mfgplan.grid_solver import InterpPlan, write_table
 from conftest import baseline_model, box1d, closed_form, jump_model
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
@@ -267,6 +267,26 @@ def test_solution_csv_matches_per_cell_format(tmp_path, dim, d):
     write_solution_csv(sol, tmp_path / "bulk.csv")
     _per_cell_csv(sol, tmp_path / "cells.csv")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_table_matches_per_cell_format(tmp_path):
+    # the per-row f-strings the command tables were written with before
+    rng = np.random.default_rng(3)
+    nodes = rng.uniform(-2.0, 2.0, size=(7, 2))
+    nodes[0] = [-0.0, 1e16]
+    vals = np.array([0.1 + 0.2, 5e-324, np.inf, np.nan, -2.5, 123456789012345.0, 0.0])
+    excluded = np.array([True, False, False, True, False, False, True])
+    write_table(tmp_path / "t.csv", "x_1,x_2,residual,excluded", nodes, vals, excluded)
+    rows = [",".join([f"{v:.12g}" for v in nodes[i]] + [f"{vals[i]:.12g}",
+                                                          str(int(excluded[i]))])
+            for i in range(7)]
+    want = "x_1,x_2,residual,excluded\n" + "".join(r + "\n" for r in rows)
+    assert (tmp_path / "t.csv").read_text() == want
+
+
+def test_table_without_rows_is_its_header(tmp_path):
+    write_table(tmp_path / "t.csv", "eps_coarse,eps_fine,gap", (), (), [])
+    assert (tmp_path / "t.csv").read_text() == "eps_coarse,eps_fine,gap\n"
 
 
 def test_margin_validation():

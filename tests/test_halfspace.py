@@ -49,10 +49,15 @@ def test_transformed_model_bind_matches_eval():
     my = transformed_model(derived_halfspace())
     y = rng.uniform(-4.0, 2.0, size=(9, 5, 2))
     F_at, G_at = my.bind(y)
+    hm = derived_halfspace()
+    x = from_log_coordinates(y.reshape(-1, 2))
     for _ in range(2):
         p = rng.uniform(-3.0, 3.0, size=y.shape)
         assert np.array_equal(F_at(p), my.eval_F(y, p))
         assert np.array_equal(G_at(p), my.eval_G(y, p))
+        # the factored maps evaluated at x(y)
+        for got, f in ((F_at(p), hm.ftilde), (G_at(p), hm.base.G)):
+            assert np.array_equal(got, f(x, p.reshape(-1, 2)).reshape(p.shape))
 
 
 def test_straightening_not_repeated_per_step(monkeypatch):

@@ -190,6 +190,26 @@ def test_registered_field_round_trip(tmp_path):
     assert np.allclose(back.eval_F(x, p), m.eval_F(x, p))
 
 
+def test_registered_field_needs_a_known_name_or_a_binder():
+    f = FieldSpec.registered("doubled", binder=lambda x: (lambda p: 2.0 * p + x))
+    x = np.array([[1.0, 2.0]])
+    p = np.array([[3.0, -1.0]])
+    assert np.array_equal(eval_field(f, x, p), [[7.0, 0.0]])
+    with pytest.raises(ConfigError, match="no_such_field"):
+        eval_field(FieldSpec(kind="registered", name="no_such_field"), x, p)
+    with pytest.raises(ConfigError, match="kind"):
+        eval_field(FieldSpec(kind="quadratic"), x, p)
+
+
+@pytest.mark.parametrize("line", ["d = two", "d = -1", "d = 1\nx0 = 0.5, half",
+                                  "d = 2\nS = 1, 0; 0", "d = 1\nF.Mp = abc"])
+def test_malformed_model_numbers(tmp_path, line):
+    path = tmp_path / "bad.model"
+    path.write_text(f"[model]\n{line}\n")
+    with pytest.raises(ConfigError):
+        load_model(path)
+
+
 def test_load_model_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_model(tmp_path / "missing.model")

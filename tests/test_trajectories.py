@@ -115,3 +115,22 @@ def test_box_exit_keeps_partial_path():
     assert np.all(part.states[:, 0] <= 2.0)
     # exit happens where x0 + 1/t crosses the box lid at 2.0
     assert abs(err.t_exit - 1.0 / 1.5) <= 0.05
+
+
+def test_one_field_evaluation_per_recorded_point_and_stage():
+    # RK4 takes four drift stages a step; the first reuses the value recorded
+    # at the step's start, so a march costs 4 * steps + 1 evaluations
+    base = limit_field()
+    calls = []
+
+    class Counted:
+        def eval(self, t, pts):
+            calls.append(t)
+            return base.eval(t, pts)
+
+    steps = 50
+    traj = integrate_backward(Counted(), baseline_model(), [1.0], 1.0, 0.05, steps=steps)
+    assert len(calls) == 4 * steps + 1
+    ref = integrate_backward(base, baseline_model(), [1.0], 1.0, 0.05, steps=steps)
+    assert np.array_equal(traj.states, ref.states)
+    assert np.array_equal(traj.values, ref.values)

@@ -7,10 +7,11 @@ independent polynomial solver; see also tests/oracles/derive_values.py.
 import numpy as np
 import pytest
 
-from mfgplan import (Box, ConfigError, NewtonError, Slice, SolverParams,
-                     YosidaField, eqV_residual, invert_shift, node_jacobians,
-                     penalized_slice, resolvent, sample_solution, solve_master,
-                     yosida_apply, yosida_by_transport, yosida_field)
+from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
+                     NewtonError, Slice, SolverParams, YosidaField, eqV_residual,
+                     invert_shift, node_jacobians, penalized_slice, residual,
+                     resolvent, sample_solution, solve_master, yosida_apply,
+                     yosida_by_transport, yosida_field)
 from mfgplan.yosida import _newton_batch
 from conftest import baseline_model, box1d, closed_form, jump_model
 
@@ -219,3 +220,31 @@ def test_yosida_field_on_numeric_solution(lq0_solution):
     m = baseline_model()
     r = eqV_residual(m, V, 0.5)
     assert r.max() <= 0.1
+
+
+def test_residual_is_the_master_equation_defect():
+    # the defect written out directly: centered dU/dt + (F . grad) U - G
+    # + lambda (U - S^T U(S x + e)); residual reaches it as the delta = 0
+    # regularized defect
+    S2 = np.array([[0.5, 0.1], [-0.1, 0.5]])
+    models = [
+        (baseline_model(), box1d(n=200)),
+        (jump_model(lam=1.0, S=0.5), Box(np.array([-2.0]), np.array([2.0]), np.array([200]))),
+        (ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(0.5, 0.0, d=2),
+                   lam=0.8, noise=AffineNoiseMap(S2, np.array([0.05, -0.02])),
+                   x0=np.array([0.5, 0.4])),
+         Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 30))),
+    ]
+    for m, box in models:
+        sol = solve_master(m, penalized_slice(m, box, 0.2), SolverParams(t_end=0.4, n_rec=9))
+        X = box.nodes()
+        for k in (1, 4, 7):
+            U = sol.values[k]
+            dUdt = (sol.values[k + 1] - sol.values[k - 1]) / (sol.times[k + 1] - sol.times[k - 1])
+            adv = np.einsum("...ia,...a->...i", node_jacobians(Slice(box, U)), m.eval_F(X, U))
+            relabeled = Slice(box, U).eval(m.noise(box.node_list())).reshape(U.shape)
+            want = np.linalg.norm(dUdt + adv - m.eval_G(X, U)
+                                  + m.lam * (U - relabeled @ m.noise.S), axis=-1)
+            assert float(np.max(np.abs(residual(m, sol, sol.times[k]) - want))) <= 1e-14
+    with pytest.raises(ConfigError, match="interior"):
+        residual(m, sol, sol.times[0])
