@@ -210,7 +210,11 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
     else:
         k = len(sol.times) // 2
         wanted = [sol.times[k - 1], sol.times[k], sol.times[k + 1]]
-    times = [float(sol.times[int(np.argmin(np.abs(sol.times - t)))]) for t in wanted]
+    snapped = [float(sol.times[int(np.argmin(np.abs(sol.times - t)))]) for t in wanted]
+    times = sorted(set(snapped))
+    if len(times) < 3:
+        raise ConfigError(f"[yosida] times must snap to at least 3 distinct recorded "
+                          f"times, got {', '.join(f'{t:.12g}' for t in snapped)}")
     V = yosida_field(sol, delta, times=times)
     res = eqV_residual(cfg.model, V, times[len(times) // 2])
     out = _outdir(cfg)

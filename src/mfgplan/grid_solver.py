@@ -100,7 +100,7 @@ class Box:
 
 
 class InterpPlan:
-    """Precomputed corner indices and weights for repeated interpolation."""
+    """Corner indices and weights for repeated interpolation, shape (2**dim, N)."""
 
     def __init__(self, box: Box, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -111,24 +111,22 @@ class InterpPlan:
         shape = box.shape
         strides = np.array([int(np.prod(shape[a + 1:])) for a in range(dim)], dtype=np.int64)
         base = cell.astype(np.int64) @ strides
-        factors = (1.0 - w, w)  # per-axis weight of the low and the high corner
+        factors = (1.0 - w.T, w.T)  # per-axis weight rows of the low and the high corner
         corners = list(itertools.product((0, 1), repeat=dim))
-        idx = np.empty((pts.shape[0], len(corners)), dtype=np.int64)
-        wts = np.empty((pts.shape[0], len(corners)))
+        self.idx = np.empty((len(corners), pts.shape[0]), dtype=np.int64)
+        self.wts = np.empty((len(corners), pts.shape[0]))
         for c, corner in enumerate(corners):
-            idx[:, c] = base + int(np.dot(corner, strides))
-            wts[:, c] = factors[corner[0]][:, 0]
+            self.idx[c] = base + int(np.dot(corner, strides))
+            self.wts[c] = factors[corner[0]][0]
             for a in range(1, dim):
-                wts[:, c] *= factors[corner[a]][:, a]
-        self.idx = idx
-        self.wts = wts
+                self.wts[c] *= factors[corner[a]][a]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Weighted sum of the corner values, one corner at a time."""
         flat = values.reshape(-1, values.shape[-1])
-        out = np.zeros((self.idx.shape[0], flat.shape[1]))
-        for c in range(self.idx.shape[1]):
-            out += self.wts[:, c:c + 1] * flat[self.idx[:, c]]
+        out = np.zeros((self.idx.shape[1], flat.shape[1]))
+        for idx, wts in zip(self.idx, self.wts):  # cells are clamped: no bounds check
+            out += wts[:, None] * flat.take(idx, axis=0, mode="clip")
         return out
 
 
@@ -272,13 +270,16 @@ def _advection(U, Fv, dx):
     """Upwind (F . grad) applied to every component of U.
 
     One difference per axis over the padded nodes: node i's backward
-    difference is D[i] and its forward difference is D[i+1].
+    difference is D[i] and its forward difference is D[i+1]. The upwind pick
+    runs per component of U, so no inner loop is only d elements long.
     """
     adv = np.zeros_like(U)
     for a in range(len(dx)):
         D = np.diff(_pad_linear(U, a), axis=a) / dx[a]
-        fa = Fv[..., a:a + 1]
-        adv += fa * np.where(fa > 0, _along(D, a, None, -1), _along(D, a, 1))
+        Dm, Dp = _along(D, a, None, -1), _along(D, a, 1)
+        pos = Fv[..., a] > 0
+        for i in range(U.shape[-1]):
+            adv[..., i] += Fv[..., a] * np.where(pos, Dm[..., i], Dp[..., i])
     return adv
 
 
@@ -345,7 +346,7 @@ def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
     steps = 0
     while k < params.n_rec:
         Fv = F_at(U)
-        speed = float((np.abs(Fv) / dx).sum(axis=-1).max())
+        speed = float(sum(np.abs(Fv[..., a]) / dx[a] for a in range(box.dim)).max())
         dt = min(params.dt_max, params.cfl / max(speed, 1e-12), dt_visc)
         hit = False
         if t + dt >= rec_times[k] - 1e-14:

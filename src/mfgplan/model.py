@@ -121,12 +121,16 @@ def eval_field(f: FieldSpec, x, p) -> np.ndarray:
 def bind_field(f: FieldSpec, x):
     """Evaluator p -> eval_field(f, x, p) for fixed x and float arrays p, bit for bit.
 
-    Affine fields cache only x @ Mx.T: caching x @ Mx.T + c would change rounding.
+    Affine fields cache x @ Mx.T, a contiguous Mp.T and c tiled along the last
+    node axis, so adding c is one contiguous loop per row, not a d-long loop per
+    node. Caching x @ Mx.T + c instead would change rounding.
     """
     x = np.asarray(x, dtype=float)
     if f.kind == "affine":
         xm = x @ f.Mx.T
-        return lambda p: xm + p @ f.Mp.T + f.c
+        MpT = np.ascontiguousarray(f.Mp.T)
+        c = np.broadcast_to(f.c, xm.shape[-2:]).copy()
+        return lambda p: xm + p @ MpT + c
     if f.kind != "registered":
         raise ConfigError(f"unknown field kind '{f.kind}'")
     if f.binder is not None:

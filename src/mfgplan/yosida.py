@@ -81,9 +81,9 @@ def _newton_batch(f, target, y0, tol, max_iter, fd_h=1e-7):
 
 def _require_converged(rn, tol, what):
     """Raise NewtonError when any residual norm in rn is above tol."""
-    if np.any(rn > tol):
+    if not np.all(rn <= tol):  # a nan residual counts as above tol
         worst = float(np.max(rn))
-        raise NewtonError(f"{what} left {int(np.sum(rn > tol))} points above tolerance "
+        raise NewtonError(f"{what} left {int(np.sum(~(rn <= tol)))} points above tolerance "
                           f"(worst residual {worst:.3e})", residual=worst)
 
 

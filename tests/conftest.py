@@ -5,6 +5,8 @@ no source (d=1, no relabeling); its penalized solution is the closed form
 U(t,x) = (x - x0)/(eps + t), which most tests lean on.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ def jump_model(lam=1.0, S=0.5):
                      noise=AffineNoiseMap(np.array([[S]]), np.zeros(1)),
                      x0=np.zeros(1), alpha=1.0, lip_Fx=0.0, lip_Fp=1.0,
                      lip_Gx=0.0, lip_Gp=0.0)
+
+
+def digest12(*arrays):
+    """sha256 of the arrays rendered at 12 significant digits, one line per array."""
+    text = "\n".join(",".join(f"{v:.12g}" for v in np.ravel(a)) for a in arrays)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def box1d(n=400, lo=-1.0, hi=2.0):

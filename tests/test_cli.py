@@ -219,6 +219,30 @@ def test_yosida_outputs(tmp_path):
     assert res_head == "x_1,residual,excluded"
 
 
+def test_yosida_times_are_sorted(tmp_path):
+    # dV/dt at the middle time is taken from its neighbours in time, so the
+    # order the times are listed in must not matter
+    outputs = {}
+    for tag, times in (("sorted", "0.3, 0.4, 0.5"), ("shuffled", "0.5, 0.3, 0.4")):
+        (tmp_path / tag).mkdir()
+        cfg, out = make_config(tmp_path / tag, extra=f"[yosida]\ndelta = 0.25\ntimes = {times}\n")
+        assert main(["yosida", "--config", str(cfg), "--quiet"]) == 0
+        outputs[tag] = [(out / name).read_bytes()
+                        for name in ("report.json", "eqv_residual.csv", "v_slices.csv")]
+    assert outputs["shuffled"] == outputs["sorted"]
+    assert json.loads(outputs["sorted"][0])["residual_max"] <= 0.2
+
+
+@pytest.mark.parametrize("times, snapped", [("0.3, 0.31, 0.5", "0.3, 0.3, 0.5"),
+                                            ("0.3, 0.3, 0.3", "0.3, 0.3, 0.3")])
+def test_yosida_times_need_three_distinct_records(tmp_path, capsys, times, snapped):
+    # n_rec = 51 records every 0.02, so 0.31 snaps onto 0.3
+    cfg, _ = make_config(tmp_path, extra=f"[yosida]\ntimes = {times}\n")
+    assert main(["yosida", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "[yosida] times" in err and snapped in err
+
+
 def test_traject_outputs(tmp_path):
     extra = "[trajectories]\nstarts = 1.0; -0.25\nt1 = 1.0\nt_min = 0.1\nsteps = 150\n"
     cfg, out = make_config(tmp_path, extra=extra)

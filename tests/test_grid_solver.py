@@ -12,7 +12,7 @@ from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      lipschitz_norm, node_jacobians, penalized_slice, residual,
                      sample_solution, solve_master, write_solution_csv)
 from mfgplan.grid_solver import InterpPlan, write_table
-from conftest import baseline_model, box1d, closed_form, jump_model
+from conftest import baseline_model, box1d, closed_form, digest12, jump_model
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
 # logistic closed form kappa/((kappa/a0+1)e^{kappa t}-1) with kappa=0.75
@@ -58,10 +58,46 @@ def test_interp_apply_matches_einsum_gather(dim):
     vals = rng.normal(size=box.shape + (dim,)) * 10.0 ** rng.integers(-6, 6, box.shape + (dim,))
     vals.reshape(-1)[::5] = -0.0
     plan = InterpPlan(box, rng.uniform(-1.5, 2.5, size=(300, dim)))
-    want = np.einsum("nc,ncd->nd", plan.wts, vals.reshape(-1, dim)[plan.idx])
+    want = np.einsum("cn,cnd->nd", plan.wts, vals.reshape(-1, dim)[plan.idx])
     got = plan.apply(vals)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_interp_apply_scalar_field_on_2d_box():
+    # d = 1 on a 2-D box, where einsum sums in another order: the reference is
+    # a point-major loop over the corners, signed zeros included
+    rng = np.random.default_rng(7)
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 6))
+    vals = rng.normal(size=box.shape + (1,)) * 10.0 ** rng.integers(-6, 6, box.shape + (1,))
+    vals.reshape(-1)[::5] = -0.0
+    plan = InterpPlan(box, rng.uniform(-1.5, 2.5, size=(300, 2)))
+    idx, wts, flat = plan.idx.T.copy(), plan.wts.T.copy(), vals.reshape(-1, 1)
+    want = np.zeros((300, 1))
+    for c in range(idx.shape[1]):
+        want += wts[:, c:c + 1] * flat[idx[:, c]]
+    got = plan.apply(vals)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interp_indices_stay_on_the_grid_far_outside(dim):
+    # apply reads the corners without a bounds check, so the plan must clamp
+    # every cell; points off the box extrapolate linearly off the edge cell
+    rng = np.random.default_rng(dim)
+    box = Box(np.full(dim, -1.0), np.full(dim, 2.0), np.full(dim, 5))
+    near = rng.uniform(-100.0, 100.0, size=(200, dim))
+    pts = np.concatenate([near, rng.uniform(-1e6, 1e6, size=(50, dim)),
+                          np.full((1, dim), -1e12), np.full((1, dim), 1e12)])
+    plan = InterpPlan(box, pts)
+    assert plan.idx.shape == plan.wts.shape == (2 ** dim, len(pts))
+    assert plan.idx.min() >= 0 and plan.idx.max() < np.prod(box.shape)
+    A = rng.normal(size=(dim, dim))
+    lin = lambda x: x @ A.T + 0.25
+    got = plan.apply(Slice.from_fn(box, lin).values)
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got[:len(near)], lin(near), rtol=1e-9, atol=1e-9)
 
 
 def test_solver_params_validation():
@@ -194,6 +230,44 @@ def test_two_dimensional_solve():
     got = sol.field().eval(0.4, pts)
     want = (pts - m.x0) / 0.5
     assert float(np.max(np.abs(got - want))) <= 5e-2
+
+
+# sha256 of the marched values at 12 significant digits (conftest.digest12)
+MARCH_2D_SHA256 = "b6c88fa5e0a41557556a542d1a60a5a65995553e4e23a78fbfd181e7a16e8fac"
+MARCH_3D_SHA256 = "12fa95148fce7ab457ad80586328252b592eef14d5d0a016e57a45a746ad94ac"
+
+
+def test_march_2d_jump_bits_pinned():
+    # non-diagonal Mp and S, nonzero c (one entry -0.0): the bound affine
+    # fields, the 2-axis speed sum, the upwind pick and the 4-corner gather
+    m = ModelSpec(d=2, F=FieldSpec.affine(np.array([[0.2, 0.0], [0.1, 0.1]]),
+                                          np.array([[1.0, 0.3], [-0.2, 0.8]]),
+                                          c=np.array([0.05, -0.1])),
+                  G=FieldSpec.affine(np.array([[1.0, 0.2], [0.2, 1.0]]), 0.1,
+                                     c=np.array([0.02, -0.0]), d=2),
+                  lam=1.5, noise=AffineNoiseMap(np.array([[0.5, 0.1], [-0.1, 0.6]]),
+                                                np.array([0.05, -0.02])),
+                  x0=np.array([0.5, 0.5]))
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40))
+    sol = solve_master(m, penalized_slice(m, box, 0.2), SolverParams(t_end=0.3, n_rec=4))
+    assert sol.meta["steps"] == 50
+    assert digest12(sol.values) == MARCH_2D_SHA256
+
+
+def test_march_3d_jump_bits_pinned():
+    # the 8-corner gather and the 3-axis speed sum; n = 20 is the smallest
+    # grid that keeps the target TARGET_MARGIN_CELLS from every face
+    m = ModelSpec(d=3, F=FieldSpec.affine(0.0, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.1],
+                                                         [0.1, 0.0, 1.0]]),
+                                          c=np.array([0.01, -0.02, 0.03])),
+                  G=FieldSpec.affine(1.0, 0.0, d=3), lam=1.0,
+                  noise=AffineNoiseMap(np.array([[0.5, 0.1, 0.0], [0.0, 0.6, -0.1],
+                                                 [0.1, 0.0, 0.4]]), np.array([0.1, 0.0, -0.1])),
+                  x0=np.zeros(3))
+    box = Box(np.full(3, -1.0), np.full(3, 1.0), np.full(3, 20))
+    sol = solve_master(m, penalized_slice(m, box, 0.25), SolverParams(t_end=0.1, n_rec=3))
+    assert sol.meta["steps"] == 16
+    assert digest12(sol.values) == MARCH_3D_SHA256
 
 
 def test_blowup_guard_reports_partial():

@@ -46,18 +46,28 @@ def test_registered_fields():
 
 
 def test_bind_matches_eval_bit_for_bit():
+    # d = 1, 2, 3; signed zeros in x, p and c; diagonal and non-diagonal Mp
     rng = np.random.default_rng(5)
-    x = rng.uniform(-2.0, 2.0, size=(7, 6, 2))
-    fields = (FieldSpec.affine(np.array([[0.3, -1.1], [2.0, 0.7]]), 1.0 / 3.0,
-                               c=np.array([0.1, -0.2]), d=2),
-              FieldSpec.registered("capped_x1_burgers"))
-    m = ModelSpec(d=2, F=fields[0], G=fields[1], lam=0.0,
-                  noise=AffineNoiseMap.identity(2), x0=np.zeros(2))
-    F_at, G_at = m.bind(x)
-    for _ in range(3):  # the bound evaluators are reused across calls
-        p = rng.uniform(-2.0, 2.0, size=x.shape)
-        assert np.array_equal(F_at(p), m.eval_F(x, p))
-        assert np.array_equal(G_at(p), m.eval_G(x, p))
+    affine = [FieldSpec.affine(np.array([[0.3, -1.1], [2.0, 0.7]]), 1.0 / 3.0,
+                               c=np.array([0.1, -0.2]), d=2)]
+    for d in (1, 2, 3):
+        c = rng.uniform(-1.0, 1.0, size=d)
+        c[0] = -0.0
+        affine.append(FieldSpec.affine(rng.uniform(-2.0, 2.0, size=(d, d)),
+                                       rng.uniform(-2.0, 2.0, size=(d, d)) / 3.0, c=c, d=d))
+    for F in affine:
+        d = F.c.shape[0]
+        x = rng.uniform(-2.0, 2.0, size=(7, 6, d))
+        x[1::2, ::3] = -0.0
+        m = ModelSpec(d=d, F=F, G=FieldSpec.registered("capped_x1_burgers"), lam=0.0,
+                      noise=AffineNoiseMap.identity(d), x0=np.zeros(d))
+        F_at, G_at = m.bind(x)
+        for k in range(3):  # the bound evaluators are reused across calls
+            p = rng.uniform(-2.0, 2.0, size=x.shape)
+            p[k % 2::2, 1::2] = -0.0
+            for got, want in ((F_at(p), m.eval_F(x, p)), (G_at(p), m.eval_G(x, p))):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_model_validation():

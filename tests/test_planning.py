@@ -6,8 +6,6 @@ max|x-x0| * (1/(t_min+e2) - 1/(t_min+e1)) and the certificate horizon of the
 stiff model below is 1.5/|DpF| from the second compatibility inequality.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError,
                      graph_limit_diagnostic, penalized_slice, run_penalization,
                      solve_master, yosida_apply)
 from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
-                      jump_model)
+                      digest12, jump_model)
 
 # gap law for the 4-term schedule at t_min = 0.2 (box [-1, 2], x0 = 0.5)
 GAP_LAW = (1.25, 1.25, 1.0)
@@ -235,5 +233,4 @@ def test_extract_limit_2d_jump_bits_pinned():
     run = run_penalization(m, box, (0.2, 0.1), SolverParams(t_end=0.5, n_rec=6), t_min=0.2)
     lim = extract_limit(run, 0.4)
     assert not np.any(lim.failed)
-    text = ",".join(f"{v:.12g}" for v in lim.values.ravel())
-    assert hashlib.sha256(text.encode()).hexdigest() == JUMP_2D_LIMIT_SHA256
+    assert digest12(lim.values) == JUMP_2D_LIMIT_SHA256

@@ -46,6 +46,18 @@ def test_resolvent_delta_zero_is_identity():
     assert np.allclose(yosida_apply(U, 0.0, x), U(x))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+def test_resolvent_nan_is_not_converged():
+    # a nan residual fails the tolerance: from a nan field, and from a nan
+    # query point, which multilinear interpolation turns into a nan value
+    x = np.array([[0.3], [-1.2]])
+    with pytest.raises(NewtonError, match="1 points"):
+        resolvent(lambda y: np.where(y > 0, np.nan, y), 0.25, x)
+    sl = Slice.from_fn(box1d(n=40), lambda y: y ** 3)
+    with pytest.raises(NewtonError, match="1 points"):
+        resolvent(sl, 0.25, np.array([[0.3], [np.nan]]))
+
+
 def test_resolvent_nonexpansive():
     # (Id + delta U)^{-1} contracts distances for monotone U
     U = lambda y: y ** 3 + 0.5 * y
