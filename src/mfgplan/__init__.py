@@ -16,7 +16,7 @@ from .model import (AffineNoiseMap, FieldSpec, ModelSpec, MonotonicityReport,
                     model_from_items, register_field, registered_names,
                     save_model)
 from .grid_solver import (AnalyticField, Box, GridField, GridSolution, Slice,
-                          SolverParams, lipschitz_norm, node_jacobians,
+                          SolutionBatch, SolverParams, lipschitz_norm, node_jacobians,
                           sample_solution, solve_master,
                           write_meta_jsonl, write_solution_csv)
 from .characteristics import (CharState, flow_forward, penalized_data,
@@ -48,7 +48,7 @@ __all__ = [
     "HalfspaceSolution", "IntegrationError", "LogFit", "ModelSpec",
     "MonotonicityReport", "NewtonError", "PenalizationRun",
     "PlanningConvergence", "PlanningError", "PullbackField", "ResidualField",
-    "Slice", "SolverParams", "Trajectory", "TrajectoryExitError",
+    "Slice", "SolutionBatch", "SolverParams", "Trajectory", "TrajectoryExitError",
     "YosidaField", "affine_couple_eigenvalue", "certificate_bound",
     "certificate_horizon", "chain_rule_defect", "check_couple_monotone",
     "check_factorization", "check_inward_flow", "check_log_blowup",

@@ -20,14 +20,14 @@ import numpy as np
 from .characteristics import penalized_data, solve_by_shooting
 from .errors import (BlowupError, ConfigError, IntegrationError, NewtonError,
                      PlanningError, TrajectoryExitError)
-from .grid_solver import (Box, SolverParams, lipschitz_norm, meta_record,
+from .grid_solver import (Box, SolverParams, lipschitz_norm, meta_record, solve_master,
                           write_meta_jsonl, write_solution_csv, write_table)
 from .halfspace import (HalfspaceModel, chain_rule_defect, check_factorization,
                         check_inward_flow, check_log_blowup, solve_halfspace)
 from .model import (ModelSpec, _parse_field, check_couple_monotone, load_model,
                     model_from_items, parse_number, parse_numbers)
 from .planning import (cross_monotonicity, estimate_certificate, extracted_field,
-                       graph_limit_diagnostic, run_penalization)
+                       graph_limit_diagnostic, penalized_slice, run_penalization)
 from .trajectories import (check_planning_convergence, check_value_consistency,
                            integrate_backward)
 from .yosida import eqV_residual, yosida_field
@@ -149,8 +149,6 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _single_solve(cfg: RunConfig, eps=None):
-    from .planning import penalized_slice
-    from .grid_solver import solve_master
     if eps is None:
         eps = cfg.eps_schedule[-1]
         sec = cfg.section("solve")
@@ -210,7 +208,7 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
     else:
         k = len(sol.times) // 2
         wanted = [sol.times[k - 1], sol.times[k], sol.times[k + 1]]
-    snapped = [float(sol.times[int(np.argmin(np.abs(sol.times - t)))]) for t in wanted]
+    snapped = sol.snap(wanted)
     times = sorted(set(snapped))
     if len(times) < 3:
         raise ConfigError(f"[yosida] times must snap to at least 3 distinct recorded "
@@ -309,7 +307,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if run.failed_eps is not None:
         raise run.failure
     sol = run.smallest_eps_solution
-    snap = [float(sol.times[int(np.argmin(np.abs(sol.times - t)))]) for t in times]
+    snap = sol.snap(times)
     cert = estimate_certificate(cfg.model, sol, snap)
     ext = extracted_field(run, snap)
     diag = graph_limit_diagnostic(ext.field(), cfg.model.x0, M, snap)

@@ -28,13 +28,17 @@ class IntegrationError(PlanningError):
 class BlowupError(PlanningError):
     """The time marcher exceeded the overflow guard.
 
-    Carries the last stable time and the partial solution recorded so far.
+    Carries the last stable time, the partial solution, the steps taken (the failing
+    one included), the failing dt and what set it: 'cfl', 'dt_max', 'visc' or 'record'.
     """
 
-    def __init__(self, message, t_last, partial=None):
+    def __init__(self, message, t_last, partial=None, steps=None, dt=None, limit=None):
         super().__init__(message)
         self.t_last = t_last
         self.partial = partial
+        self.steps = steps
+        self.dt = dt
+        self.limit = limit
 
 
 class TrajectoryExitError(PlanningError):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -107,7 +108,7 @@ class InterpPlan:
         w = (pts - box.lo) / box.dx
         cell = np.clip(np.floor(w), 0, box.n - 1)
         w -= cell  # outside [0,1] beyond the box: linear extrapolation
-        dim = box.dim
+        self.dim = dim = box.dim
         shape = box.shape
         strides = np.array([int(np.prod(shape[a + 1:])) for a in range(dim)], dtype=np.int64)
         base = cell.astype(np.int64) @ strides
@@ -121,12 +122,19 @@ class InterpPlan:
             for a in range(1, dim):
                 self.wts[c] *= factors[corner[a]][a]
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Weighted sum of the corner values, one corner at a time."""
-        flat = values.reshape(-1, values.shape[-1])
-        out = np.zeros((self.idx.shape[1], flat.shape[1]))
+    def apply(self, values: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """Weighted sum of the corner values, one corner at a time, as (*lead, N, d).
+
+        Leading axes (batch members) gather along their own nodes; out and tmp,
+        when given, receive the result and each corner's term."""
+        flat = values.reshape(values.shape[:values.ndim - 1 - self.dim] + (-1, values.shape[-1]))
+        if out is None:
+            out = np.empty(flat.shape[:-2] + self.idx.shape[1:] + flat.shape[-1:])
+        out.fill(0.0)
         for idx, wts in zip(self.idx, self.wts):  # cells are clamped: no bounds check
-            out += wts[:, None] * flat.take(idx, axis=0, mode="clip")
+            term = flat.take(idx, axis=-2, mode="clip", out=tmp)
+            term *= wts[:, None]
+            out += term
         return out
 
 
@@ -193,9 +201,19 @@ class GridSolution:
     values: np.ndarray  # (K, *box.shape, d)
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        if self.times.ndim != 1 or not np.all(np.diff(self.times) > 0):
+            raise ConfigError("solution times must increase strictly")
+
     @property
     def d(self) -> int:
         return self.values.shape[-1]
+
+    def snap(self, times) -> list:
+        """The recorded time nearest to each of times, in the order given."""
+        times = np.asarray(times, dtype=float).reshape(-1, 1)
+        return self.times[np.argmin(np.abs(self.times - times), axis=1)].tolist()
 
     def index_of(self, t, tol=1e-9) -> int:
         hits = np.nonzero(np.abs(self.times - t) <= tol)[0]
@@ -247,7 +265,6 @@ class AnalyticField:
 
 def sample_solution(box: Box, times, fn) -> GridSolution:
     """Inject a closed-form field fn(t, pts) on box nodes at the given times."""
-    times = np.asarray(times, dtype=float)
     nodes = box.node_list()
     vals = np.stack([np.asarray(fn(t, nodes), dtype=float).reshape(*box.shape, -1)
                      for t in times])
@@ -259,48 +276,86 @@ def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
     return A[(slice(None),) * axis + (slice(start, stop),)]
 
 
-def _pad_linear(U: np.ndarray, axis: int) -> np.ndarray:
-    """Extend U by one linear-extrapolation ghost node on both ends of axis."""
-    lo = 2.0 * _along(U, axis, 0, 1) - _along(U, axis, 1, 2)
-    hi = 2.0 * _along(U, axis, -1) - _along(U, axis, -2, -1)
-    return np.concatenate([lo, U, hi], axis=axis)
+# The march keeps a leading member axis on every array, so node axis a is
+# array axis a + 1, and writes every step into the buffers of one workspace.
+
+def _pad_linear(U: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """U plus one linear-extrapolation ghost node on both ends of axis, in out."""
+    _along(out, axis, 1, -1)[...] = U
+    lo, hi = _along(out, axis, 0, 1), _along(out, axis, -1)
+    np.subtract(np.multiply(_along(U, axis, 0, 1), 2.0, out=lo), _along(U, axis, 1, 2), out=lo)
+    np.subtract(np.multiply(_along(U, axis, -1), 2.0, out=hi), _along(U, axis, -2, -1), out=hi)
+    return out
 
 
-def _advection(U, Fv, dx):
-    """Upwind (F . grad) applied to every component of U.
+def _advection(U, Fv, dx, w):
+    """Upwind (F . grad) applied to every component of U, into w.rhs.
 
-    One difference per axis over the padded nodes: node i's backward
-    difference is D[i] and its forward difference is D[i+1]. The upwind pick
-    runs per component of U, so no inner loop is only d elements long.
+    One difference per axis over the padded nodes (kept in w.pad): node i's
+    backward difference is D[i] and its forward difference is D[i+1]. The
+    upwind pick runs per component of U, so no inner loop is only d long.
     """
-    adv = np.zeros_like(U)
+    adv = w.rhs
+    adv.fill(0.0)
     for a in range(len(dx)):
-        D = np.diff(_pad_linear(U, a), axis=a) / dx[a]
-        Dm, Dp = _along(D, a, None, -1), _along(D, a, 1)
-        pos = Fv[..., a] > 0
+        P = _pad_linear(U, a + 1, w.pad[a])
+        D = np.subtract(_along(P, a + 1, 1), _along(P, a + 1, None, -1), out=w.diff[a])
+        D /= dx[a]
+        Dm, Dp = _along(D, a + 1, None, -1), _along(D, a + 1, 1)
+        pos = np.greater(Fv[..., a], 0, out=w.pos)
         for i in range(U.shape[-1]):
-            adv[..., i] += Fv[..., a] * np.where(pos, Dm[..., i], Dp[..., i])
+            np.copyto(w.pick[..., i], Dp[..., i])
+            np.copyto(w.pick[..., i], Dm[..., i], where=pos)
+            adv[..., i] += np.multiply(w.pick[..., i], Fv[..., a], out=w.pick[..., i])
     return adv
 
 
-def _laplacian(U, dx):
-    lap = np.zeros_like(U)
-    for a in range(len(dx)):
-        P = _pad_linear(U, a)
-        lap += (_along(P, a, 2) - 2.0 * _along(P, a, 1, -1) + _along(P, a, None, -2)) \
-            / dx[a] ** 2
-    return lap
+def _laplacian(dx, w):
+    """Sum of the second differences along each axis of the padded U in w.pad, into w.lap."""
+    w.lap.fill(0.0)
+    for a, P in enumerate(w.pad):
+        term = np.multiply(_along(P, a + 1, 1, -1), 2.0, out=w.pick)
+        np.subtract(_along(P, a + 1, 2), term, out=term)
+        term += _along(P, a + 1, None, -2)
+        w.lap += np.divide(term, dx[a] ** 2, out=term)
+    return w.lap
 
 
-def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
+def _workspace(E, shape, d):
+    """The step buffers of a march of E members, allocated once."""
+    full, grown = (E, *shape, d), lambda a, by: (E, *shape[:a], shape[a] + by, *shape[a + 1:], d)
+    return SimpleNamespace(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick", "lap")},
+                           speed=np.empty(full[:-1]), term=np.empty(full[:-1]),
+                           pos=np.empty(full[:-1], dtype=bool),
+                           pad=[np.empty(grown(a, 2)) for a in range(len(shape))],
+                           diff=[np.empty(grown(a, 1)) for a in range(len(shape))])
+
+
+class SolutionBatch(SimpleNamespace):
+    """solve_master's result for a sequence of slices: box; members, a GridSolution per
+    finished member; values, their records (len(members), K, *box.shape, d), which they
+    view; failure, the first member's BlowupError or None; meta["steps"], their total."""
+
+
+def solve_master(m: ModelSpec, u0, params: SolverParams):
     """March the system from the initial slice u0 to params.t_end.
 
     Slices are recorded at n_rec uniformly spaced times including 0 and t_end;
     the adaptive step is clipped to land exactly on each record time, so runs
     sharing params also share their time grid. Raises BlowupError (carrying the
     partial solution and the last stable time) if any |U| exceeds the guard.
+
+    Given a sequence of slices on one box it returns a SolutionBatch: they
+    march in lockstep as one (E, *nodes, d) array, each member with its own dt
+    and waiting, unchanged, on record k until all have landed there. A member
+    that blows up is dropped with every later one; the first such failure is
+    reported, not raised.
     """
-    box = u0.box
+    single = isinstance(u0, Slice)
+    slices = [u0] if single else list(u0)
+    if not slices or any(s.box is not slices[0].box for s in slices):
+        raise ConfigError("solve_master needs initial slices, all on one box")
+    box = slices[0].box
     if box.dim != m.d:
         raise ConfigError(f"box dimension {box.dim} does not match model d={m.d}")
     if box.margin_cells(m.x0) < TARGET_MARGIN_CELLS:
@@ -308,14 +363,15 @@ def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
             f"box must contain x0 with a margin of at least {TARGET_MARGIN_CELLS} cells")
     F_at, G_at = m.bind(box.nodes())
     dx = box.dx
-    S = m.noise.S
     rec_times = np.linspace(0.0, params.t_end, params.n_rec)
-    U = u0.values.copy()
+    U = np.stack([s.values for s in slices])
+    E = U.shape[0]
+    rec = np.empty((E, params.n_rec) + U.shape[1:])
+    rec[:, 0] = U
+    ws, spans = _workspace(E, box.shape, U.shape[-1]), {}  # spans: ws viewed at members lo:live
 
-    jump_plan = None
-    if m.lam > 0:
-        # relabeled probe points are fixed in time; build the gather plan once
-        jump_plan = InterpPlan(box, m.noise(box.node_list()))
+    # relabeled probe points are fixed in time; build the gather plan once
+    jump_plan = InterpPlan(box, m.noise(box.node_list())) if m.lam > 0 else None
 
     meta = {
         "cfl": params.cfl, "visc": params.visc, "dt_max": params.dt_max,
@@ -323,54 +379,73 @@ def solve_master(m: ModelSpec, u0: Slice, params: SolverParams) -> GridSolution:
         "lambda": m.lam, "box_lo": box.lo.tolist(), "box_hi": box.hi.tolist(),
         "box_n": box.n.tolist(), "aborted": False, "steps": 0,
     }
+    live, failure = E, None  # members from index live on are dropped
 
-    def partial(slices, k_rec, t_last):
-        meta_p = dict(meta)
-        meta_p["aborted"] = True
-        meta_p["t_last"] = t_last
-        return GridSolution(box=box, times=rec_times[:k_rec].copy(),
-                            values=np.stack(slices), meta=meta_p)
+    def fail(e, message, k, t_last, **context):  # member e blew up short of record k
+        nonlocal live, failure
+        partial = GridSolution(box=box, times=rec_times[:k].copy(), values=rec[e, :k].copy(),
+                               meta=dict(meta, aborted=True, t_last=t_last))
+        failure, live = BlowupError(message, t_last=t_last, partial=partial, **context), e
 
-    slices = [U.copy()]
-    if not np.abs(U).max() <= OVERFLOW_GUARD:  # 'not <=' also catches nan
-        raise BlowupError("initial data exceeds the overflow guard", t_last=0.0,
-                          partial=partial(slices, 1, 0.0))
+    bad = np.flatnonzero(~(np.abs(U).reshape(E, -1).max(axis=1) <= OVERFLOW_GUARD))
+    if bad.size:
+        fail(int(bad[0]), "initial data exceeds the overflow guard", 1, 0.0, steps=0)
 
-    if params.visc > 0:
-        dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * box.dim * params.visc)
-    else:
-        dt_visc = np.inf
+    dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * box.dim * params.visc) \
+        if params.visc > 0 else np.inf
+    t, steps, k = np.zeros(E), np.zeros(E, dtype=np.int64), 1
+    while k < params.n_rec and live:
+        todo = np.ones(live, dtype=bool)  # members short of record k
+        while todo.any():
+            lo = int(np.argmax(todo))
+            act, Us, ts = todo[lo:], U[lo:live], t[lo:live].copy()
+            w = spans.get((lo, live)) or spans.setdefault((lo, live), SimpleNamespace(**{
+                key: [b[lo:live] for b in buf] if isinstance(buf, list) else buf[lo:live]
+                for key, buf in vars(ws).items()}))
+            Fv = F_at(Us, w.F)
+            speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
+            for a in range(1, box.dim):
+                speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
+            dt_cfl = params.cfl / np.maximum(speed.reshape(len(act), -1).max(axis=1), 1e-12)
+            dt = np.fmin(np.fmin(params.dt_max, dt_cfl), dt_visc)  # fmin: min() skips nan too
+            hit = ts + dt >= rec_times[k] - 1e-14  # also true for members waiting there
+            dt = np.where(hit, rec_times[k] - ts, dt)
+            rhs = _advection(Us, Fv, dx, w)
+            rhs -= G_at(Us, w.G)
+            if jump_plan is not None:
+                flat = (len(act), -1, Us.shape[-1])
+                relabeled = jump_plan.apply(Us, out=w.G.reshape(flat),
+                                            tmp=w.pick.reshape(flat)).reshape(Us.shape)
+                jump = np.matmul(relabeled, m.noise.S, out=w.pick)  # row u @ S == S^T u
+                rhs += np.multiply(np.subtract(Us, jump, out=jump), m.lam, out=jump)
+            if params.visc > 0:
+                rhs -= np.multiply(_laplacian(dx, w), params.visc, out=w.lap)
+            per_member = (len(act),) + (1,) * (Us.ndim - 1)
+            rhs *= dt.reshape(per_member)
+            np.subtract(Us, rhs, out=Us, where=act.reshape(per_member))
+            steps[lo:live] += act
+            peak = np.abs(Us, out=w.pick).reshape(len(act), -1).max(axis=1)
+            blown = np.flatnonzero(act & ~(peak <= OVERFLOW_GUARD))  # 'not <=' catches nan
+            t[lo:live] = np.where(act, np.where(hit, rec_times[k], ts + dt), ts)
+            todo[lo:] &= ~hit
+            if blown.size:
+                i = int(blown[0])
+                limit = "record" if hit[i] else "dt_max" if dt[i] == params.dt_max \
+                    else "cfl" if dt[i] == dt_cfl[i] else "visc"
+                fail(lo + i, f"solution exceeded the overflow guard at t={ts[i] + dt[i]:.6g}",
+                     k, float(ts[i]), steps=int(steps[lo + i]), dt=float(dt[i]), limit=limit)
+                todo = todo[:live]
+        rec[:live, k] = U[:live]
+        k += 1
 
-    t = 0.0
-    k = 1
-    steps = 0
-    while k < params.n_rec:
-        Fv = F_at(U)
-        speed = float(sum(np.abs(Fv[..., a]) / dx[a] for a in range(box.dim)).max())
-        dt = min(params.dt_max, params.cfl / max(speed, 1e-12), dt_visc)
-        hit = False
-        if t + dt >= rec_times[k] - 1e-14:
-            dt = rec_times[k] - t
-            hit = True
-        rhs = _advection(U, Fv, dx) - G_at(U)
-        if m.lam > 0:
-            relabeled = jump_plan.apply(U).reshape(U.shape)
-            rhs = rhs + m.lam * (U - relabeled @ S)  # row u @ S == S^T u
-        if params.visc > 0:
-            rhs = rhs - params.visc * _laplacian(U, dx)
-        U = U - dt * rhs
-        steps += 1
-        if not np.abs(U).max() <= OVERFLOW_GUARD:
-            raise BlowupError(
-                f"solution exceeded the overflow guard at t={t + dt:.6g}",
-                t_last=t, partial=partial(slices, k, t))
-        t = rec_times[k] if hit else t + dt
-        if hit:
-            slices.append(U.copy())
-            k += 1
-
-    meta["steps"] = steps
-    return GridSolution(box=box, times=rec_times, values=np.stack(slices), meta=meta)
+    members = [GridSolution(box=box, times=rec_times, values=rec[e],
+                            meta=dict(meta, steps=int(steps[e]))) for e in range(live)]
+    if not single:
+        return SolutionBatch(box=box, values=rec[:live], members=members, failure=failure,
+                             meta={"steps": int(steps[:live].sum())})
+    if failure is not None:
+        raise failure
+    return members[0]
 
 
 def node_jacobians(slc: Slice) -> np.ndarray:

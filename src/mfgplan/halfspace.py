@@ -120,7 +120,7 @@ def transformed_model(hm: HalfspaceModel) -> ModelSpec:
     def straightened(name, f):
         def binder(y):
             at = bind_field(f, from_log_coordinates(y.reshape(-1, d)))
-            return lambda p: at(p.reshape(-1, d)).reshape(p.shape)
+            return lambda p: at(p.reshape(-1, y.size // d, d)).reshape(p.shape)
 
         return FieldSpec.registered(name, binder=binder)
 

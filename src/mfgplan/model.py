@@ -119,26 +119,34 @@ def eval_field(f: FieldSpec, x, p) -> np.ndarray:
 
 
 def bind_field(f: FieldSpec, x):
-    """Evaluator p -> eval_field(f, x, p) for fixed x and float arrays p, bit for bit.
+    """Evaluator (p, out=None) -> eval_field(f, x, p) for fixed x and float arrays p, bit for bit.
 
     Affine fields cache x @ Mx.T, a contiguous Mp.T and c tiled along the last
-    node axis, so adding c is one contiguous loop per row, not a d-long loop per
-    node. Caching x @ Mx.T + c instead would change rounding.
+    node axis (one contiguous loop per row, not a d-long loop per node), and add
+    both to p @ Mp.T in place, in out when given; caching x @ Mx.T + c instead
+    would change rounding. Registered evaluators ignore out.
     """
     x = np.asarray(x, dtype=float)
     if f.kind == "affine":
         xm = x @ f.Mx.T
         MpT = np.ascontiguousarray(f.Mp.T)
         c = np.broadcast_to(f.c, xm.shape[-2:]).copy()
-        return lambda p: xm + p @ MpT + c
+
+        def at(p, out=None):
+            out = np.matmul(p, MpT, out=out)
+            out += xm
+            out += c
+            return out
+        return at
     if f.kind != "registered":
         raise ConfigError(f"unknown field kind '{f.kind}'")
     if f.binder is not None:
-        return f.binder(x)
+        at = f.binder(x)
+        return lambda p, out=None: at(p)
     fn = _FIELD_REGISTRY.get(f.name)
     if fn is None:
         raise ConfigError(f"unknown registered field '{f.name}'")
-    return lambda p: np.asarray(fn(x, p), dtype=float)
+    return lambda p, out=None: np.asarray(fn(x, p), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

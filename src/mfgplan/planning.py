@@ -55,9 +55,11 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
                      t_min=0.2, delta=0.25, conv_tol=1e-2) -> PenalizationRun:
     """Solve for each eps and record sup gaps between consecutive solutions.
 
-    Gaps are taken over all recorded times >= t_min and all nodes. The run is
-    converged when the last gap is at most conv_tol. A marcher abort stops the
-    schedule; completed solutions are retained and failed_eps records where.
+    The whole schedule marches in lockstep, as one batch. Gaps are taken over
+    all recorded times >= t_min and all nodes. The run is converged when the
+    last gap is at most conv_tol. A marcher abort stops the schedule as if the
+    eps were solved in turn: the failing eps and every smaller one are
+    dropped, completed solutions are retained and failed_eps records where.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule:
@@ -69,24 +71,18 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
     run = PenalizationRun(model=m, box=box, eps_schedule=eps_schedule,
                           delta=float(delta), t_min=float(t_min),
                           conv_tol=float(conv_tol))
-    mask = None
-    for eps in eps_schedule:
-        try:
-            sol = solve_master(m, penalized_slice(m, box, eps), params)
-        except BlowupError as exc:
-            run.failed_eps = eps
-            run.failure = exc
-            return run
-        if mask is None:
-            mask = sol.times >= t_min - 1e-12
-            if not np.any(mask):
-                raise ConfigError("no recorded times at or above t_min")
-        if run.solutions:
-            prev = run.solutions[-1]
-            gap = float(np.max(np.abs(prev.values[mask] - sol.values[mask])))
-            run.gaps.append(gap)
-        run.solutions.append(sol)
-    run.converged = bool(run.gaps) and run.gaps[-1] <= conv_tol
+    batch = solve_master(m, [penalized_slice(m, box, eps) for eps in eps_schedule], params)
+    run.solutions = batch.members
+    if run.solutions:  # times >= t_min are the records from k0 on
+        k0 = int(np.searchsorted(run.solutions[0].times, t_min - 1e-12))
+        if k0 == params.n_rec:
+            raise ConfigError("no recorded times at or above t_min")
+        recs, diff = batch.values[:, k0:], np.empty_like(batch.values[0, k0:])
+        run.gaps = [float(np.abs(np.subtract(a, b, out=diff), out=diff).max())
+                    for a, b in zip(recs, recs[1:])]
+    if batch.failure is not None:
+        run.failed_eps, run.failure = eps_schedule[len(run.solutions)], batch.failure
+    run.converged = batch.failure is None and bool(run.gaps) and run.gaps[-1] <= conv_tol
     return run
 
 

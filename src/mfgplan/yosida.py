@@ -169,7 +169,6 @@ def yosida_field(base: GridSolution, delta, times=None, tol=1e-10) -> YosidaFiel
     """Regularize every requested recorded slice of a solution."""
     if times is None:
         times = base.times
-    times = np.asarray(times, dtype=float)
     nodes = base.box.node_list()
     vals = []
     for t in times:

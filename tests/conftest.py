@@ -51,6 +51,25 @@ def digest12(*arrays):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def assert_same_bits(got, want):
+    """Equal times and meta, and values equal byte for byte (signs of zeros included)."""
+    assert np.array_equal(got.times, want.times)
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.meta == want.meta
+
+
+def assert_batch_matches_single_solves(m, box, eps, params):
+    batch = solve_master(m, [penalized_slice(m, box, e) for e in eps], params)
+    assert batch.failure is None
+    assert len(batch.members) == len(eps)
+    for e, got in zip(eps, batch.members):
+        assert_same_bits(got, solve_master(m, penalized_slice(m, box, e), params))
+    assert batch.meta["steps"] == sum(s.meta["steps"] for s in batch.members)
+    assert batch.values.nbytes == sum(s.values.nbytes for s in batch.members)
+    return batch
+
+
 def box1d(n=400, lo=-1.0, hi=2.0):
     return Box(np.array([lo]), np.array([hi]), np.array([n]))
 

@@ -290,6 +290,7 @@ def test_verify_reference_config(tmp_path, capsys):
         assert f"{check}: pass" in text
     rep = json.loads((out / "report.json").read_text())
     assert all(v for v in rep["checks"].values())
+    assert rep["certificate"]["times"] == [0.8, 0.4, 0.2]  # snapped, in the order given
     curves = (out / "curves.csv").read_text().splitlines()
     assert curves[0] == "t,lipschitz,bound,diameter"
     assert len(curves) > 1
@@ -376,3 +377,24 @@ def test_yosida_2d_jump_digests(tmp_path):
         "98305c7d026e0e2ab4e9fc4d2023d504bdf5a63ff4e70238569032d747860764"
     assert _sha256(out / "v_slices.csv") == \
         "677dec17fff7d3012133a306fc7c2a8d233e8257d8fd479dafba5065775c4e03"
+
+
+# sha256 of the solutions plan keeps when its last eps blows up (F = -p: the
+# slope (x - x0)/(eps - t) blows up near t = eps, so only eps = 0.1 fails
+# before t_end = 0.3)
+PLAN_BLOWUP_SHA256 = {
+    "solution_eps_0.csv": "e23c1796fa456be9bef8a1c969633e67957640b4bf6b3b5c5a364560a7d2981d",
+    "solution_eps_1.csv": "196e9d2a8fc21471276090328bb8304f685e359a3c3d08f5039a74f77b58dd90",
+}
+
+
+def test_plan_last_eps_blowup_keeps_finished_solutions(tmp_path, capsys):
+    cfg, out = make_config(tmp_path, eps="0.8, 0.4, 0.1", n="60")
+    cfg.write_text(cfg.read_text().replace("F.Mp = 1", "F.Mp = -1")
+                   .replace("t_end = 1.0", "t_end = 0.3").replace("n_rec = 51", "n_rec = 31"))
+    assert main(["plan", "--config", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == ("numerical failure: solution exceeded the overflow "
+                                       "guard at t=0.10246 (last stable time 0.10246)\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted(PLAN_BLOWUP_SHA256)
+    for name, digest in PLAN_BLOWUP_SHA256.items():
+        assert _sha256(out / name) == digest

@@ -12,7 +12,8 @@ from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      lipschitz_norm, node_jacobians, penalized_slice, residual,
                      sample_solution, solve_master, write_solution_csv)
 from mfgplan.grid_solver import InterpPlan, write_table
-from conftest import baseline_model, box1d, closed_form, digest12, jump_model
+from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
+                      box1d, closed_form, digest12, jump_model)
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
 # logistic closed form kappa/((kappa/a0+1)e^{kappa t}-1) with kappa=0.75
@@ -237,17 +238,32 @@ MARCH_2D_SHA256 = "b6c88fa5e0a41557556a542d1a60a5a65995553e4e23a78fbfd181e7a16e8
 MARCH_3D_SHA256 = "12fa95148fce7ab457ad80586328252b592eef14d5d0a016e57a45a746ad94ac"
 
 
+def march_2d_model():
+    """Non-diagonal Mp and S, e != 0, nonzero c (one entry -0.0), lambda > 0."""
+    return ModelSpec(d=2, F=FieldSpec.affine(np.array([[0.2, 0.0], [0.1, 0.1]]),
+                                             np.array([[1.0, 0.3], [-0.2, 0.8]]),
+                                             c=np.array([0.05, -0.1])),
+                     G=FieldSpec.affine(np.array([[1.0, 0.2], [0.2, 1.0]]), 0.1,
+                                        c=np.array([0.02, -0.0]), d=2),
+                     lam=1.5, noise=AffineNoiseMap(np.array([[0.5, 0.1], [-0.1, 0.6]]),
+                                                   np.array([0.05, -0.02])),
+                     x0=np.array([0.5, 0.5]))
+
+
+def march_3d_model():
+    return ModelSpec(d=3, F=FieldSpec.affine(0.0, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.1],
+                                                            [0.1, 0.0, 1.0]]),
+                                             c=np.array([0.01, -0.02, 0.03])),
+                     G=FieldSpec.affine(1.0, 0.0, d=3), lam=1.0,
+                     noise=AffineNoiseMap(np.array([[0.5, 0.1, 0.0], [0.0, 0.6, -0.1],
+                                                    [0.1, 0.0, 0.4]]), np.array([0.1, 0.0, -0.1])),
+                     x0=np.zeros(3))
+
+
 def test_march_2d_jump_bits_pinned():
-    # non-diagonal Mp and S, nonzero c (one entry -0.0): the bound affine
-    # fields, the 2-axis speed sum, the upwind pick and the 4-corner gather
-    m = ModelSpec(d=2, F=FieldSpec.affine(np.array([[0.2, 0.0], [0.1, 0.1]]),
-                                          np.array([[1.0, 0.3], [-0.2, 0.8]]),
-                                          c=np.array([0.05, -0.1])),
-                  G=FieldSpec.affine(np.array([[1.0, 0.2], [0.2, 1.0]]), 0.1,
-                                     c=np.array([0.02, -0.0]), d=2),
-                  lam=1.5, noise=AffineNoiseMap(np.array([[0.5, 0.1], [-0.1, 0.6]]),
-                                                np.array([0.05, -0.02])),
-                  x0=np.array([0.5, 0.5]))
+    # the bound affine fields, the 2-axis speed sum, the upwind pick and the
+    # 4-corner gather
+    m = march_2d_model()
     box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40))
     sol = solve_master(m, penalized_slice(m, box, 0.2), SolverParams(t_end=0.3, n_rec=4))
     assert sol.meta["steps"] == 50
@@ -257,17 +273,73 @@ def test_march_2d_jump_bits_pinned():
 def test_march_3d_jump_bits_pinned():
     # the 8-corner gather and the 3-axis speed sum; n = 20 is the smallest
     # grid that keeps the target TARGET_MARGIN_CELLS from every face
-    m = ModelSpec(d=3, F=FieldSpec.affine(0.0, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.1],
-                                                         [0.1, 0.0, 1.0]]),
-                                          c=np.array([0.01, -0.02, 0.03])),
-                  G=FieldSpec.affine(1.0, 0.0, d=3), lam=1.0,
-                  noise=AffineNoiseMap(np.array([[0.5, 0.1, 0.0], [0.0, 0.6, -0.1],
-                                                 [0.1, 0.0, 0.4]]), np.array([0.1, 0.0, -0.1])),
-                  x0=np.zeros(3))
+    m = march_3d_model()
     box = Box(np.full(3, -1.0), np.full(3, 1.0), np.full(3, 20))
     sol = solve_master(m, penalized_slice(m, box, 0.25), SolverParams(t_end=0.1, n_rec=3))
     assert sol.meta["steps"] == 16
     assert digest12(sol.values) == MARCH_3D_SHA256
+
+
+# eps out of order, so that members short of a record are not always the last ones
+BATCH_CASES = {
+    "1d-baseline": (baseline_model(), box1d(n=200), (0.1, 0.4, 0.00625, 0.025),
+                    SolverParams(t_end=0.5, n_rec=26)),
+    "1d-jump-visc": (jump_model(lam=1.0, S=0.5), box1d(n=150), (0.4, 0.2, 0.05, 0.1),
+                     SolverParams(t_end=0.4, n_rec=21, visc=0.01)),
+    "2d-jump": (march_2d_model(), Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40)),
+                (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
+    "3d-jump": (march_3d_model(), Box(np.full(3, -1.0), np.full(3, 1.0), np.full(3, 20)),
+                (0.5, 0.25), SolverParams(t_end=0.1, n_rec=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_matches_single_solves(case):
+    assert_batch_matches_single_solves(*BATCH_CASES[case])
+
+
+def test_batch_members_wait_on_every_record():
+    # members step at different rates, yet each lands on every record time
+    m, box, eps, params = BATCH_CASES["1d-baseline"]
+    batch = assert_batch_matches_single_solves(m, box, eps, params)
+    steps = [s.meta["steps"] for s in batch.members]
+    assert len(set(steps)) == len(steps)
+    for s in batch.members:
+        assert np.shares_memory(s.values, batch.values)
+
+
+def test_waiting_member_is_not_stepped():
+    # F = -p and G = nan wherever p < -1. The constant member (U = 5) takes two
+    # steps per record and the linear one a single step, so the linear member
+    # waits on every record, also on the one where its G turns nan; it must
+    # fail in its own next step, with the records its own solve keeps
+    nan_below = FieldSpec.registered(
+        "nan_below", binder=lambda x: lambda p: np.where(p < -1.0, np.nan, 0.0))
+    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1), G=nan_below, lam=0.0,
+                  noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+    box = box1d(n=60)
+    params = SolverParams(t_end=0.3, n_rec=31)
+    fast = Slice(box, np.full((61, 1), 5.0))
+    slow = Slice.from_fn(box, lambda x: 0.6 * (x - 0.5))
+    batch = solve_master(m, [fast, slow], params)
+    assert [s.meta["steps"] for s in batch.members] == [60]
+    assert_same_bits(batch.members[0], solve_master(m, fast, params))
+    with pytest.raises(BlowupError) as exc:
+        solve_master(m, slow, params)
+    assert 0 < exc.value.t_last < 0.3
+    assert str(batch.failure) == str(exc.value)
+    assert_same_bits(batch.failure.partial, exc.value.partial)
+    assert np.all(np.isfinite(batch.failure.partial.values))
+
+
+def test_batch_needs_one_box():
+    m = baseline_model()
+    params = SolverParams(t_end=0.1, n_rec=3)
+    with pytest.raises(ConfigError, match="all on one box"):
+        solve_master(m, [penalized_slice(m, box1d(n=50), 0.1),
+                         penalized_slice(m, box1d(n=50), 0.2)], params)
+    with pytest.raises(ConfigError, match="all on one box"):
+        solve_master(m, [], params)
 
 
 def test_blowup_guard_reports_partial():
@@ -278,6 +350,49 @@ def test_blowup_guard_reports_partial():
     assert exc.value.t_last == 0.0
     assert exc.value.partial is not None
     assert exc.value.partial.meta["aborted"]
+    assert exc.value.steps == 0
+    assert exc.value.dt is None and exc.value.limit is None
+
+
+def growth_model(K):
+    """F = 0, G = K p: every node grows by the factor 1 + K dt in a step."""
+    return ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1), G=FieldSpec.affine(0.0, K, d=1),
+                     lam=0.0, noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+
+
+# (dt_max, visc, limit that sets the failing step, its dt, steps per record interval):
+# records are 0.01 apart and dx = 0.05, so visc = 1 limits dt to 0.75 dx^2 / 2
+STEP_LIMITS = [(0.01, 0.0, "record", 0.01, 1), (0.004, 0.0, "dt_max", 0.004, 3),
+               (0.01, 1.0, "visc", 0.75 * 0.05 ** 2 / 2, 11)]
+
+
+@pytest.mark.parametrize("dt_max, visc, limit, dt, per_record", STEP_LIMITS)
+def test_blowup_reports_steps_dt_and_limit(dt_max, visc, limit, dt, per_record):
+    m = growth_model(100.0)
+    params = SolverParams(t_end=1.0, n_rec=101, dt_max=dt_max, visc=visc)
+    with pytest.raises(BlowupError, match="^solution exceeded the overflow guard at t=") as exc:
+        solve_master(m, penalized_slice(m, box1d(n=60), 0.1), params)
+    err = exc.value
+    assert err.limit == limit
+    assert err.dt == pytest.approx(dt, rel=1e-12)
+    # here the failing step is the first after the last record
+    assert err.t_last == err.partial.times[-1]
+    assert err.steps == per_record * (len(err.partial.times) - 1) + 1
+
+
+def test_solution_times_must_increase():
+    box = box1d(n=4)
+    vals = np.zeros((3, *box.shape, 1))
+    for times in ([0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [[0.0, 0.1, 0.2]], [0.0, np.nan, 0.2]):
+        with pytest.raises(ConfigError, match="increase strictly"):
+            GridSolution(box=box, times=np.asarray(times), values=vals)
+
+
+def test_snap_keeps_the_order_given(lq0_solution):
+    # records every 0.01: each time goes to its nearest record, duplicates kept
+    got = lq0_solution.snap([0.8, 0.404, 0.2, 0.396, -1.0, 7.0])
+    assert got == [lq0_solution.times[k] for k in (80, 40, 20, 40, 0, 100)]
+    assert all(type(t) is float for t in got)
 
 
 def test_time_interpolation_is_linear_between_records(lq0_solution):

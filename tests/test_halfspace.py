@@ -16,6 +16,7 @@ from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError,
                      chain_rule_defect, check_factorization, check_inward_flow,
                      check_log_blowup, from_log_coordinates, integrate_backward,
                      solve_halfspace, to_log_coordinates, transformed_model)
+from conftest import assert_batch_matches_single_solves
 
 E_INV = 0.36787944117144233
 
@@ -229,3 +230,11 @@ def test_trajectories_stay_off_wall(derived_solution):
     # backward paths pull toward the target (0.5, 0)
     assert traj.final_distance(hs.hm.base.x0) < np.linalg.norm(
         np.array([0.08, 0.4]) - hs.hm.base.x0)
+
+
+def test_straightened_batch_matches_single_solves():
+    # the straightened fields' binder broadcasts over the leading member axis
+    my = transformed_model(derived_halfspace())
+    box_y = Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]), np.array([50, 20]))
+    assert_batch_matches_single_solves(my, box_y, (0.05, 0.1, 0.025),
+                                       SolverParams(t_end=0.3, n_rec=7))

@@ -68,6 +68,16 @@ def test_bind_matches_eval_bit_for_bit():
             for got, want in ((F_at(p), m.eval_F(x, p)), (G_at(p), m.eval_G(x, p))):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+        # a leading member axis, written into a given buffer as the march does
+        p = rng.uniform(-2.0, 2.0, size=(3,) + x.shape)
+        p[1, ::2] = -0.0
+        out = np.full(p.shape, np.nan)
+        assert F_at(p, out=out) is out
+        want = m.eval_F(x, p)
+        assert out.tobytes() == want.tobytes()
+        assert F_at(p).tobytes() == want.tobytes()
+        for e in range(3):
+            assert out[e].tobytes() == m.eval_F(x, p[e]).tobytes()
 
 
 def test_model_validation():

@@ -9,7 +9,7 @@ stiff model below is 1.5/|DpF| from the second compatibility inequality.
 import numpy as np
 import pytest
 
-from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError,
+from mfgplan import (AffineNoiseMap, AnalyticField, BlowupError, Box, ConfigError,
                      FieldSpec, ModelSpec, SolverParams, certificate_bound,
                      certificate_horizon, cross_monotonicity,
                      estimate_certificate, extract_limit, extracted_field,
@@ -234,3 +234,40 @@ def test_extract_limit_2d_jump_bits_pinned():
     lim = extract_limit(run, 0.4)
     assert not np.any(lim.failed)
     assert digest12(lim.values) == JUMP_2D_LIMIT_SHA256
+
+
+def focusing_model():
+    """F = -p, G = 0 in d = 1: the slope (x - x0)/(eps - t) blows up near t = eps."""
+    return ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1), G=FieldSpec.affine(0.0, 0.0, d=1),
+                     lam=0.0, noise=AffineNoiseMap.identity(1), x0=np.array([X0]))
+
+
+def test_failure_semantics_are_serial():
+    # the 0.1 member blows up near t = 0.1, before the 0.2 member does near t = 0.2;
+    # the schedule still stops at 0.2, keeping only the 0.8 solution
+    m = focusing_model()
+    box = box1d(n=60)
+    params = SolverParams(t_end=0.3, n_rec=31)
+    run = run_penalization(m, box, (0.8, 0.2, 0.1), params)
+    assert run.failed_eps == 0.2
+    assert not run.gaps and not run.converged
+    done = solve_master(m, penalized_slice(m, box, 0.8), params)
+    assert len(run.solutions) == 1
+    assert np.array_equal(run.solutions[0].times, done.times)
+    assert np.array_equal(run.solutions[0].values, done.values)
+    assert run.solutions[0].meta == done.meta
+    fails = {}
+    for eps in (0.2, 0.1):
+        with pytest.raises(BlowupError) as exc:
+            solve_master(m, penalized_slice(m, box, eps), params)
+        fails[eps] = exc.value
+    assert fails[0.1].t_last < fails[0.2].t_last
+    want = fails[0.2]
+    assert str(run.failure) == str(want)
+    assert run.failure.t_last == want.t_last
+    assert np.array_equal(run.failure.partial.times, want.partial.times)
+    assert np.array_equal(run.failure.partial.values, want.partial.values)
+    assert run.failure.partial.meta == want.partial.meta
+    assert (run.failure.steps, run.failure.dt, run.failure.limit) == \
+        (want.steps, want.dt, want.limit)
+    assert want.limit == "cfl"

@@ -260,3 +260,11 @@ def test_residual_is_the_master_equation_defect():
             assert float(np.max(np.abs(residual(m, sol, sol.times[k]) - want))) <= 1e-14
     with pytest.raises(ConfigError, match="interior"):
         residual(m, sol, sol.times[0])
+
+
+def test_yosida_field_rejects_unordered_times(lq0_solution):
+    # eqV_residual differences V across neighbouring slices, so they must be in time order
+    with pytest.raises(ConfigError, match="increase strictly"):
+        yosida_field(lq0_solution, 0.25, times=[0.5, 0.3, 0.4])
+    with pytest.raises(ConfigError, match="increase strictly"):
+        yosida_field(lq0_solution, 0.25, times=[0.3, 0.3, 0.4])
