@@ -19,8 +19,7 @@ from .grid_solver import (AnalyticField, Box, GridField, GridSolution, Slice,
                           SolutionBatch, SolverParams, lipschitz_norm, node_jacobians,
                           sample_solution, solve_master,
                           write_meta_jsonl, write_solution_csv)
-from .characteristics import (CharState, flow_forward, penalized_data,
-                              solve_by_shooting)
+from .characteristics import flow_forward, penalized_data, solve_by_shooting
 from .yosida import (ResidualField, YosidaField, eqV_residual, invert_shift,
                      resolvent, residual, yosida_apply, yosida_by_transport,
                      yosida_field)
@@ -42,7 +41,7 @@ from .halfspace import (HalfspaceModel, HalfspaceSolution, LogFit,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineNoiseMap", "AnalyticField", "BlowupError", "Box", "CharState",
+    "AffineNoiseMap", "AnalyticField", "BlowupError", "Box",
     "ConfigError", "EstimateReport", "ExtractedLimit", "FieldSpec",
     "GraphLimitDiagnostic", "GridField", "GridSolution", "HalfspaceModel",
     "HalfspaceSolution", "IntegrationError", "LogFit", "ModelSpec",

@@ -12,8 +12,6 @@ marching solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
@@ -24,15 +22,6 @@ from .yosida import _newton_batch, _require_converged
 # expansion U0(x) + t G(x, U0(x)); Newton on a nearly-identity endpoint map
 # is ill-conditioned there and the expansion is already within tolerance.
 SMALL_T = 1e-3
-
-
-@dataclass(frozen=True)
-class CharState:
-    """State of one characteristic: position x, carried value u, elapsed s."""
-
-    x: np.ndarray
-    u: np.ndarray
-    s: float
 
 
 def penalized_data(x0, eps):
@@ -47,42 +36,51 @@ def penalized_data(x0, eps):
     return U0
 
 
-def _rk4_batch(m: ModelSpec, x, u, t, steps):
-    """Classical RK4 on rows of (x, u); returns the endpoint states."""
-    h = t / steps
-    for k in range(steps):
-        k1x = m.eval_F(x, u)
-        k1u = m.eval_G(x, u)
-        k2x = m.eval_F(x + 0.5 * h * k1x, u + 0.5 * h * k1u)
-        k2u = m.eval_G(x + 0.5 * h * k1x, u + 0.5 * h * k1u)
-        k3x = m.eval_F(x + 0.5 * h * k2x, u + 0.5 * h * k2u)
-        k3u = m.eval_G(x + 0.5 * h * k2x, u + 0.5 * h * k2u)
-        k4x = m.eval_F(x + h * k3x, u + h * k3u)
-        k4u = m.eval_G(x + h * k3x, u + h * k3u)
-        x_new = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        u_new = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
-            raise IntegrationError(
-                f"characteristic blew up after step {k} of {steps}",
-                last_state=CharState(x.copy(), u.copy(), k * h))
-        x, u = x_new, u_new
-    return x, u
+def rk4_step(f, t, y, h, k1=None):
+    """One classical RK4 step of dy/dt = f(t, y) from (t, y), backward if h < 0.
+
+    k1, when given, is the known first stage f(t, y).
+    """
+    if k1 is None:
+        k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128) -> CharState:
-    """Integrate one characteristic from (z, u0) over [0, t] with RK4."""
+def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128):
+    """Characteristics from (z, u0) over [0, t] by rk_steps RK4 steps of the rows (x, u).
+
+    z and u0 are one point (d,) or a batch (N, d); returns the endpoint (x, u),
+    each of that shape. A non-finite state raises IntegrationError with
+    last_state (s, x, u), the last finite one.
+    """
     if m.lam > 0:
         raise ConfigError("characteristics require lambda = 0")
     if t < 0:
         raise ConfigError("t must be >= 0")
     if rk_steps < 1:
         raise ConfigError("rk_steps must be >= 1")
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    u0 = np.atleast_2d(np.asarray(u0, dtype=float))
+    z, u0 = np.asarray(z, dtype=float), np.asarray(u0, dtype=float)
     if t == 0:
-        return CharState(z[0].copy(), u0[0].copy(), 0.0)
-    x, u = _rk4_batch(m, z.copy(), u0.copy(), t, rk_steps)
-    return CharState(x[0], u[0], float(t))
+        return z.copy(), u0.copy()
+
+    def velocity(s, y):  # y stacks (x, u): each stage point is formed once, for F and G
+        dy = np.empty_like(y)  # filled in place: np.stack costs more than F on a few rows
+        dy[0], dy[1] = m.eval_F(*y), m.eval_G(*y)
+        return dy
+
+    y = np.stack([z.reshape(-1, m.d), u0.reshape(-1, m.d)])
+    h = t / rk_steps
+    for k in range(rk_steps):
+        y_new = rk4_step(velocity, k * h, y, h)
+        if not np.all(np.isfinite(y_new)):
+            raise IntegrationError(f"characteristic blew up after step {k} of {rk_steps}",
+                                   last_state=(k * h, *y.reshape(2, *z.shape)))
+        y = y_new
+    x, u = y.reshape(2, *z.shape)
+    return x, u
 
 
 def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
@@ -107,7 +105,7 @@ def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
             rk_steps = max(64, int(np.ceil(t / 0.005)))
 
         def flow(z):
-            return _rk4_batch(m, z, np.asarray(U0(z), dtype=float), t, rk_steps)
+            return flow_forward(m, z, U0(z), t, rk_steps)
 
         z, rn = _newton_batch(lambda z: flow(z)[0], X, X, tol, max_iter, fd_h=1e-6)
         _require_converged(rn, tol, "shooting")

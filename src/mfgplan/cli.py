@@ -235,13 +235,13 @@ def cmd_traject(cfg: RunConfig, args) -> int:
     steps = parse_number(sec.get("steps", "200"), "[trajectories] steps", int)
     starts = _points(sec.get("starts", "1.0"), cfg.model.d)
     eps, sol = _single_solve(cfg)
-    field = sol.field()
+    paths = integrate_backward(sol.field(), cfg.model, starts, t1, t_min, steps=steps)
     out = _outdir(cfg)
     d = cfg.model.d
     header = ",".join(["t"] + [f"x_{a+1}" for a in range(d)] + [f"u_{a+1}" for a in range(d)])
     report = []
     for k, x1 in enumerate(starts):
-        traj = integrate_backward(field, cfg.model, x1, t1, t_min, steps=steps)
+        traj = paths.path(k)
         write_table(out / f"trajectory_{k}.csv", header, traj.times, traj.states, traj.values)
         conv = check_planning_convergence(traj, cfg.model.x0)
         defect = check_value_consistency(traj, cfg.model)

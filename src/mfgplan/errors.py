@@ -18,7 +18,7 @@ class NewtonError(PlanningError):
 
 
 class IntegrationError(PlanningError):
-    """An ODE integration produced a non-finite state."""
+    """An ODE integration produced a non-finite state; last_state is the last finite one."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)

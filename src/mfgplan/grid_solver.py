@@ -384,7 +384,8 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
     def fail(e, message, k, t_last, **context):  # member e blew up short of record k
         nonlocal live, failure
         partial = GridSolution(box=box, times=rec_times[:k].copy(), values=rec[e, :k].copy(),
-                               meta=dict(meta, aborted=True, t_last=t_last))
+                               meta=dict(meta, aborted=True, t_last=t_last,
+                                         steps=context["steps"]))
         failure, live = BlowupError(message, t_last=t_last, partial=partial, **context), e
 
     bad = np.flatnonzero(~(np.abs(U).reshape(E, -1).max(axis=1) <= OVERFLOW_GUARD))

@@ -16,17 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characteristics import rk4_step
 from .errors import ConfigError, IntegrationError, TrajectoryExitError
 from .model import ModelSpec
+
+CONVERGENCE_SLACK = 0.25  # relative margin over the fitted linear-in-t distance
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled backward path: times descending, states and field values."""
+    """Sampled backward paths: times descending, states and field values."""
 
     times: np.ndarray
-    states: np.ndarray  # (K, d)
-    values: np.ndarray  # (K, d)
+    states: np.ndarray  # (K, *start.shape): (K, d) for one path, (K, N, d) for N
+    values: np.ndarray  # like states
+
+    def path(self, i) -> Trajectory:
+        """Path i of a batch, as a single-path Trajectory."""
+        return Trajectory(times=self.times, states=self.states[:, i], values=self.values[:, i])
 
     def final_distance(self, x0) -> float:
         return float(np.linalg.norm(self.states[-1] - np.asarray(x0, dtype=float)))
@@ -35,8 +42,11 @@ class Trajectory:
 def integrate_backward(U, m: ModelSpec, x1, t1, t_min, steps=200) -> Trajectory:
     """RK4 march of dx/dt = F(x, U(t,x)) from (t1, x1) down to t_min.
 
-    U is a time-indexed field (eval(t, pts); an attached box, if any, bounds
-    the march: leaving it raises TrajectoryExitError with the partial path).
+    x1 is one start (d,) or a batch (N, d) marched together, with one U.eval
+    per stage. U is a time-indexed field (eval(t, pts)); an attached box, if
+    any, bounds the march: when a path leaves it, TrajectoryExitError names the
+    first such start and carries every path up to the last step inside. A
+    non-finite state raises IntegrationError with last_state (t, x).
     """
     if m.lam > 0:
         raise ConfigError("trajectories require lambda = 0")
@@ -44,40 +54,39 @@ def integrate_backward(U, m: ModelSpec, x1, t1, t_min, steps=200) -> Trajectory:
         raise ConfigError("need 0 <= t_min < t1")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    x = np.atleast_2d(np.asarray(x1, dtype=float)).copy()
+    if x.ndim != 2 or x.shape[1] != m.d:
+        raise ConfigError(f"starts must be one point or rows of {m.d} coordinates")
+    shape = x.shape if np.ndim(x1) == 2 else (m.d,)
     box = getattr(U, "box", None)
-    x = np.asarray(x1, dtype=float).reshape(-1).copy()
     h = (t1 - t_min) / steps
 
-    def drift(xx, u):
-        return np.asarray(m.eval_F(xx[None, :], u[None, :]), dtype=float)[0]
+    def velocity(t, xx):
+        return np.asarray(m.eval_F(xx, U.eval(t, xx)), dtype=float)
 
-    def vel(t, xx):
-        return drift(xx, U.eval(t, xx[None, :])[0])
+    times, states, values = [t1], [x], [U.eval(t1, x)]
 
-    times = [t1]
-    states = [x.copy()]
-    values = [U.eval(t1, x[None, :])[0]]
-    t = t1
+    def trajectory():
+        return Trajectory(times=np.asarray(times),
+                          states=np.asarray(states).reshape(-1, *shape),
+                          values=np.asarray(values).reshape(-1, *shape))
+
     for k in range(steps):
-        k1 = drift(x, values[-1])  # U at (t, x) was recorded with the state
-        k2 = vel(t - 0.5 * h, x - 0.5 * h * k1)
-        k3 = vel(t - 0.5 * h, x - 0.5 * h * k2)
-        k4 = vel(t - h, x - h * k3)
-        x = x - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = np.asarray(m.eval_F(x, values[-1]), dtype=float)  # U(t, x) was recorded
+        x = rk4_step(velocity, times[-1], x, -h, k1=k1)
         t = t1 - (k + 1) * h
         if not np.all(np.isfinite(x)):
             raise IntegrationError(f"trajectory became non-finite at t={t:.6g}",
-                                   last_state=(t, states[-1]))
-        if box is not None and not bool(box.contains(x[None, :])[0]):
-            partial = Trajectory(times=np.asarray(times), states=np.asarray(states),
-                                 values=np.asarray(values))
-            raise TrajectoryExitError(f"trajectory left the box at t={t:.6g}",
-                                      t_exit=t, partial=partial)
+                                   last_state=(times[-1], states[-1].reshape(shape)))
+        if box is not None and not box.contains(x).all():
+            i = int(np.argmin(box.contains(x)))  # the first start outside
+            raise TrajectoryExitError(
+                f"trajectory {i} (start {', '.join(f'{v:.6g}' for v in states[0][i])}) "
+                f"left the box at t={t:.6g}", t_exit=t, partial=trajectory())
         times.append(t)
-        states.append(x.copy())
-        values.append(U.eval(t, x[None, :])[0])
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
-                      values=np.asarray(values))
+        states.append(x)
+        values.append(U.eval(t, x))
+    return trajectory()
 
 
 @dataclass
@@ -89,8 +98,8 @@ class PlanningConvergence:
     passed: bool
 
 
-def check_planning_convergence(traj: Trajectory, x0, slack=0.25) -> PlanningConvergence:
-    """Check |x(t_min) - x0| <= (1 + slack) * c * t_min with c fitted upstream.
+def check_planning_convergence(traj: Trajectory, x0) -> PlanningConvergence:
+    """Check |x(t_min) - x0| <= (1 + CONVERGENCE_SLACK) * c * t_min, c fitted upstream.
 
     The slope c of |x(t) - x0| ~ c t is fitted on the early (larger-t) half of
     the path, where the numerical field is most accurate.
@@ -102,7 +111,7 @@ def check_planning_convergence(traj: Trajectory, x0, slack=0.25) -> PlanningConv
     slope = float(np.sum(dist[upper] * t[upper]) / np.sum(t[upper] ** 2))
     final = float(dist[-1])
     return PlanningConvergence(distance=final, slope=slope,
-                               passed=final <= (1.0 + slack) * slope * t[-1])
+                               passed=final <= (1.0 + CONVERGENCE_SLACK) * slope * t[-1])
 
 
 def check_value_consistency(traj: Trajectory, m: ModelSpec) -> float:

@@ -232,12 +232,12 @@ def test_criterion_09_characteristics_cross_oracle(lq0_solution,
     mc = coupled_model(K=1.0)
     u0 = penalized_data(mc.x0, 0.1)
     z = np.array([1.2])
-    ref = flow_forward(mc, z, u0(z[None, :])[0], 0.4, rk_steps=256)
+    ref_x, ref_u = flow_forward(mc, z, u0(z[None, :])[0], 0.4, rk_steps=256)
     errs = []
     for steps in (2, 4, 8):
-        st = flow_forward(mc, z, u0(z[None, :])[0], 0.4, rk_steps=steps)
-        errs.append(max(float(np.max(np.abs(st.x - ref.x))),
-                        float(np.max(np.abs(st.u - ref.u)))))
+        x, u = flow_forward(mc, z, u0(z[None, :])[0], 0.4, rk_steps=steps)
+        errs.append(max(float(np.max(np.abs(x - ref_x))),
+                        float(np.max(np.abs(u - ref_u)))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = worst <= 2e-2 and min(orders) >= 3.5
     _verdict(9, "characteristics cross oracle", ok,

@@ -8,10 +8,12 @@ RK4 cross-check in tests/oracles/derive_values.py).
 import numpy as np
 import pytest
 
-from mfgplan import (Box, ConfigError, NewtonError, flow_forward, penalized_data,
+from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, IntegrationError,
+                     ModelSpec, NewtonError, flow_forward, penalized_data,
                      solve_by_shooting, solve_master, penalized_slice,
                      SolverParams)
-from conftest import baseline_model, box1d, coupled_model, jump_model
+from mfgplan.characteristics import rk4_step
+from conftest import baseline_model, box1d, coupled_model, digest12, jump_model
 
 COSH1 = 1.543080634815244
 SINH1 = 1.175201193643801
@@ -21,19 +23,19 @@ COUPLED_VALUE = 1.407614494825863
 
 def test_flow_forward_linear_system():
     m = coupled_model(K=1.0)
-    state = flow_forward(m, np.array([1.0]), np.array([0.0]), 1.0, rk_steps=256)
-    assert abs(state.x[0] - COSH1) <= 1e-9
-    assert abs(state.u[0] - SINH1) <= 1e-9
-    assert state.s == 1.0
+    x, u = flow_forward(m, np.array([1.0]), np.array([0.0]), 1.0, rk_steps=256)
+    assert x.shape == u.shape == (1,)
+    assert abs(x[0] - COSH1) <= 1e-9
+    assert abs(u[0] - SINH1) <= 1e-9
 
 
 def test_flow_forward_rk4_order():
     m = coupled_model(K=1.0)
     errs = []
     for steps in (2, 4, 8):
-        st = flow_forward(m, np.array([1.0]), np.array([0.0]), 1.0,
-                          rk_steps=steps)
-        errs.append(abs(st.x[0] - COSH1) + abs(st.u[0] - SINH1))
+        x, u = flow_forward(m, np.array([1.0]), np.array([0.0]), 1.0,
+                            rk_steps=steps)
+        errs.append(abs(x[0] - COSH1) + abs(u[0] - SINH1))
     order_a = np.log2(errs[0] / errs[1])
     order_b = np.log2(errs[1] / errs[2])
     assert order_a >= 3.5
@@ -46,8 +48,59 @@ def test_flow_forward_guards():
     m = baseline_model()
     with pytest.raises(ConfigError):
         flow_forward(m, np.array([0.5]), np.array([0.0]), -0.1)
-    st = flow_forward(m, np.array([0.5]), np.array([0.25]), 0.0)
-    assert st.x[0] == 0.5 and st.u[0] == 0.25
+    with pytest.raises(ConfigError):
+        flow_forward(m, np.array([0.5]), np.array([0.0]), 0.5, rk_steps=0)
+    z, u0 = np.array([0.5]), np.array([0.25])
+    x, u = flow_forward(m, z, u0, 0.0)
+    assert x[0] == 0.5 and u[0] == 0.25
+    assert not np.shares_memory(x, z) and not np.shares_memory(u, u0)
+
+
+def test_rk4_step_is_the_classical_step():
+    # for dy/dt = y one RK4 step multiplies by the degree-4 Taylor polynomial
+    # of e^h, forward and backward; a known first stage is used as given
+    f = lambda t, y: y
+    for h in (0.1, -0.1):
+        want = 1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24
+        assert rk4_step(f, 0.0, np.array([1.0]), h)[0] == pytest.approx(want, abs=1e-15)
+        assert rk4_step(f, 0.0, np.array([1.0]), h, k1=np.array([1.0]))[0] == \
+            rk4_step(f, 0.0, np.array([1.0]), h)[0]
+    # dy/dt = t^3 backward from t = 1: Simpson's rule, which RK4 reduces to
+    # here, is exact for cubics
+    got = rk4_step(lambda t, y: t ** 3, 1.0, np.array([0.0]), -0.5)[0]
+    assert got == pytest.approx((0.5 ** 4 - 1.0) / 4, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_flow_forward_batch_equals_rows(d):
+    m = coupled_model(K=1.0, d=d)
+    z = np.random.default_rng(5).uniform(-0.5, 1.5, size=(7, d))
+    u0 = penalized_data(m.x0, 0.1)(z)
+    x, u = flow_forward(m, z, u0, 0.37, rk_steps=40)
+    assert x.shape == u.shape == (7, d)
+    for i in range(7):
+        xi, ui = flow_forward(m, z[i], u0[i], 0.37, rk_steps=40)
+        assert xi.shape == ui.shape == (d,)
+        assert xi.tobytes() == x[i].tobytes() and ui.tobytes() == u[i].tobytes()
+        xr, ur = flow_forward(m, z[i:i + 1], u0[i:i + 1], 0.37, rk_steps=40)
+        assert xr.shape == (1, d)
+        assert xr.tobytes() == xi.tobytes() and ur.tobytes() == ui.tobytes()
+
+
+def test_flow_forward_nonfinite_keeps_last_state():
+    # dx/ds = 0, du/ds = 1 while u <= 1 and nan beyond: with h = 0.25 the
+    # first row's step from u = 1 is the first to turn non-finite
+    nan_above = FieldSpec.registered(
+        "nan_above_one", binder=lambda x: lambda p: np.where(p > 1.0, np.nan, 1.0))
+    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1), G=nan_above, lam=0.0,
+                  noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+    z, u0 = np.array([[0.3], [0.7]]), np.array([[0.0], [-5.0]])
+    with pytest.raises(IntegrationError, match="after step 4 of 8") as exc:
+        flow_forward(m, z, u0, 2.0, rk_steps=8)
+    s, x, u = exc.value.last_state
+    assert s == 1.0
+    assert np.array_equal(x, z)
+    assert np.array_equal(u, [[1.0], [-4.0]])
 
 
 def test_shooting_baseline_closed_form():
@@ -101,6 +154,9 @@ def test_shooting_batch_matches_single_points():
     pts = np.random.default_rng(3).uniform(-0.5, 1.5, size=(12, 2))
     batch = solve_by_shooting(m, U0, 0.4, pts)
     assert batch.shape == (12, 2)
+    # digest of the values the serial per-point RK4 produced
+    assert digest12(batch) == \
+        "0a0c5e9c75e10e4deb832abe3bdb634b88e3addec265c373dece27c1ed8e59c7"
     single = [solve_by_shooting(m, U0, 0.4, x) for x in pts]
     assert all(v.shape == (2,) for v in single)
     assert np.max(np.abs(batch - np.array(single))) <= 1e-9
@@ -153,6 +209,5 @@ def test_forward_map_injective():
     m = baseline_model()
     U0 = penalized_data(m.x0, 0.1)
     z = np.linspace(-0.9, 1.9, 100)[:, None]
-    from mfgplan.characteristics import _rk4_batch
-    xe, _ = _rk4_batch(m, z.copy(), np.asarray(U0(z)), 0.6, 200)
+    xe, _ = flow_forward(m, z, U0(z), 0.6, rk_steps=200)
     assert np.all(np.diff(xe[:, 0]) > 0)

@@ -255,7 +255,26 @@ def test_traject_outputs(tmp_path):
         assert rec["value_defect"] <= 0.5
     head = (out / "trajectory_0.csv").read_text().splitlines()[0]
     assert head == "t,x_1,u_1"
-    assert (out / "trajectory_1.csv").exists()
+    # digests computed when each start was marched in its own call
+    for name, digest in TRAJECT_TWO_START_SHA256.items():
+        assert _sha256(out / name) == digest, name
+
+
+TRAJECT_TWO_START_SHA256 = {
+    "trajectory_0.csv": "2a770cba1d1fc4b015fc3cd23354b350be329bcb7e7a0b0c06aaad21ab47ea2c",
+    "trajectory_1.csv": "19be8b4f794f3cb10cab8b0b3dc6311072afb90eafbbe6c78158cdd02c10b8ec",
+    "report.json": "33c4e44f3c03879a39a054e3bb40981847b5aa293843001daa42ad48e01024af",
+}
+
+
+def test_traject_exit_writes_no_trajectory(tmp_path, capsys):
+    # all starts march in one call, so a start outside the box stops the
+    # command before the first start's file is written
+    extra = "[trajectories]\nstarts = 1.0; 3.0\nt1 = 1.0\nt_min = 0.1\nsteps = 150\n"
+    cfg, out = make_config(tmp_path, extra=extra)
+    assert main(["traject", "--config", str(cfg), "--quiet"]) == 1
+    assert "trajectory 1 (start 3) left the box" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/trajectory_*.csv"))
 
 
 def test_probe_cross_oracle(tmp_path, capsys):
@@ -309,6 +328,7 @@ def test_halfspace_reference_config(tmp_path):
     assert rep["log_fit"]["residual"] <= 1e-3
     assert rep["log_fit"]["a"] > 0
     assert rep["chain_rule_defect"] <= 2e-2
+    assert rep["chain_rule_defect"] == 1.2047349784438666e-06  # as computed point by point
     assert (out / "halfspace_y.csv").exists()
     assert _sha256(out / "halfspace_y.csv") == \
         "7d9e6854576dadbd6da46c5c9382c14df57b4985293398fcab8c7123f52697f6"

@@ -354,6 +354,20 @@ def test_blowup_guard_reports_partial():
     assert exc.value.dt is None and exc.value.limit is None
 
 
+def test_blowup_partial_counts_its_steps():
+    # F = -p: the slope (x - x0)/(eps - t) blows up near t = eps
+    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1), G=FieldSpec.affine(0.0, 0.0, d=1),
+                  lam=0.0, noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+    box, params = box1d(n=60), SolverParams(t_end=0.3, n_rec=31)
+    with pytest.raises(BlowupError) as exc:
+        solve_master(m, penalized_slice(m, box, 0.1), params)
+    err = exc.value
+    assert err.steps > 0
+    assert err.partial.meta["steps"] == err.steps
+    batch = solve_master(m, [penalized_slice(m, box, e) for e in (0.8, 0.1)], params)
+    assert batch.failure.partial.meta == err.partial.meta
+
+
 def growth_model(K):
     """F = 0, G = K p: every node grows by the factor 1 + K dt in a step."""
     return ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1), G=FieldSpec.affine(0.0, K, d=1),

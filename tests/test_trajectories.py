@@ -9,9 +9,10 @@ whose paths are x(t) = x0 cosh(t) + C sinh(t).
 import numpy as np
 import pytest
 
-from mfgplan import (AnalyticField, ConfigError, Trajectory,
-                     TrajectoryExitError, check_planning_convergence,
-                     check_value_consistency, integrate_backward)
+from mfgplan import (AnalyticField, Box, ConfigError, IntegrationError, SolverParams,
+                     Trajectory, TrajectoryExitError, check_planning_convergence,
+                     check_value_consistency, integrate_backward, penalized_slice,
+                     solve_master)
 from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
                       jump_model)
 
@@ -119,18 +120,97 @@ def test_box_exit_keeps_partial_path():
 
 def test_one_field_evaluation_per_recorded_point_and_stage():
     # RK4 takes four drift stages a step; the first reuses the value recorded
-    # at the step's start, so a march costs 4 * steps + 1 evaluations
+    # at the step's start, so a march costs 4 * steps + 1 evaluations, each
+    # taking every path
     base = limit_field()
-    calls = []
-
-    class Counted:
-        def eval(self, t, pts):
-            calls.append(t)
-            return base.eval(t, pts)
-
     steps = 50
-    traj = integrate_backward(Counted(), baseline_model(), [1.0], 1.0, 0.05, steps=steps)
-    assert len(calls) == 4 * steps + 1
-    ref = integrate_backward(base, baseline_model(), [1.0], 1.0, 0.05, steps=steps)
-    assert np.array_equal(traj.states, ref.states)
-    assert np.array_equal(traj.values, ref.values)
+    for starts in ([1.0], [[1.0], [0.2], [1.4]]):
+        calls = []
+
+        class Counted:
+            def eval(self, t, pts):
+                calls.append(len(pts))
+                return base.eval(t, pts)
+
+        traj = integrate_backward(Counted(), baseline_model(), starts, 1.0, 0.05, steps=steps)
+        assert calls == [np.size(starts)] * (4 * steps + 1)
+        ref = integrate_backward(base, baseline_model(), starts, 1.0, 0.05, steps=steps)
+        assert np.array_equal(traj.states, ref.states)
+        assert np.array_equal(traj.values, ref.values)
+
+
+def assert_columns_are_serial_paths(U, m, starts, t1, t_min, steps):
+    batch = integrate_backward(U, m, starts, t1, t_min, steps=steps)
+    assert batch.states.shape == batch.values.shape == (steps + 1, *starts.shape)
+    for i, x1 in enumerate(starts):
+        one = integrate_backward(U, m, x1, t1, t_min, steps=steps)
+        assert one.states.shape == (steps + 1, m.d)
+        assert one.times.tobytes() == batch.times.tobytes()
+        path = batch.path(i)
+        assert one.states.tobytes() == np.ascontiguousarray(path.states).tobytes()
+        assert one.values.tobytes() == np.ascontiguousarray(path.values).tobytes()
+        row = integrate_backward(U, m, x1[None, :], t1, t_min, steps=steps)
+        assert row.states.shape == (steps + 1, 1, m.d)
+        assert row.states.tobytes() == one.states.tobytes()
+        assert row.values.tobytes() == one.values.tobytes()
+
+
+def test_batch_equals_serial_paths_1d(lq0_solution):
+    starts = np.array([[1.0], [-0.25], [1.7], [0.45]])
+    assert_columns_are_serial_paths(limit_field(), baseline_model(), starts, 1.0, 0.05, 60)
+    assert_columns_are_serial_paths(lq0_solution.field(), baseline_model(), starts,
+                                    1.0, 0.1, 80)
+
+
+def test_batch_equals_serial_paths_2d():
+    m = coupled_model(K=1.0, d=2)
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 30))
+    sol = solve_master(m, penalized_slice(m, box, 0.1), SolverParams(t_end=0.5, n_rec=26))
+    starts = np.array([[0.9, 0.2], [0.1, 1.1], [1.3, 1.3], [-0.2, 0.4]])
+    assert_columns_are_serial_paths(sol.field(), m, starts, 0.5, 0.05, 50)
+
+
+def test_batch_exit_names_first_start_and_keeps_every_path():
+    # repelling field: x - x0 = (x1 - x0)/t backward, so the start at 1.8
+    # reaches the lid at 2.0 first (t = 1.3/1.5), before the one at 1.5
+    m = baseline_model()
+    U = AnalyticField(lambda t, x: -(x - X0) / t, box=box1d(n=50))
+    starts = np.array([[0.6], [1.5], [1.8], [1.8], [-0.2]])
+    with pytest.raises(TrajectoryExitError, match=r"^trajectory 2 \(start 1\.8\) left") as exc:
+        integrate_backward(U, m, starts, 1.0, 0.05, steps=400)
+    err = exc.value
+    assert abs(err.t_exit - 1.3 / 1.5) <= 0.01
+    part = err.partial
+    assert part.states.shape == part.values.shape == (len(part.times), 5, 1)
+    assert np.all((part.states >= -1.0) & (part.states <= 2.0))
+    for i in (1, 2):
+        with pytest.raises(TrajectoryExitError) as one:
+            integrate_backward(U, m, starts[i], 1.0, 0.05, steps=400)
+        if i == 2:
+            assert one.value.t_exit == err.t_exit
+            assert one.value.partial.states.tobytes() == \
+                np.ascontiguousarray(part.states[:, i]).tobytes()
+        else:  # this start is still inside when the batch stops
+            assert one.value.t_exit < err.t_exit
+            k = len(part.times)
+            assert one.value.partial.states[:k].tobytes() == \
+                np.ascontiguousarray(part.states[:, i]).tobytes()
+
+
+def test_nonfinite_path_raises_with_last_state():
+    # U = 1 above x = 0.7 and nan below: backward paths move down at unit
+    # speed until a stage lands at or below 0.7
+    m = baseline_model()
+    U = AnalyticField(lambda t, x: np.where(x > 0.7, 1.0, np.nan))
+    for starts in (np.array([1.0]), np.array([[1.0], [3.0]])):
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrate_backward(U, m, starts, 1.0, 0.1, steps=9)
+        t, x = exc.value.last_state
+        assert x.shape == starts.shape
+        assert np.all(np.isfinite(x)) and np.all(x > 0.7)
+        assert t == pytest.approx(np.ravel(x)[0])  # x(t) = t on the first path
+
+
+def test_starts_must_have_d_coordinates():
+    with pytest.raises(ConfigError, match="coordinates"):
+        integrate_backward(limit_field(), baseline_model(d=2), [[1.0, 0.5, 0.2]], 1.0, 0.1)
