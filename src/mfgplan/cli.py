@@ -91,11 +91,7 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     lo = np.asarray(parse_numbers(bsec.get("lo", "-1"), "[box] lo"))
     hi = np.asarray(parse_numbers(bsec.get("hi", "2"), "[box] hi"))
     n = np.asarray(parse_numbers(bsec.get("n", "400"), "[box] n", int))
-    if lo.size == 1 and model.d > 1:
-        lo = np.full(model.d, lo[0])
-    if hi.size == 1 and model.d > 1:
-        hi = np.full(model.d, hi[0])
-    box = Box(lo, hi, n)
+    box = Box(*(np.full(model.d, v[0]) if v.size == 1 else v for v in (lo, hi)), n)
 
     ssec = dict(cp["solver"]) if cp.has_section("solver") else {}
     params = SolverParams(
@@ -115,6 +111,8 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     rsec = dict(cp["run"]) if cp.has_section("run") else {}
     seed = parse_number(rsec.get("seed", "0"), "[run] seed", int) if seed_override is None \
         else seed_override
+    if seed < 0:
+        raise ConfigError(f"[run] seed (or --seed) must be >= 0, got {seed}")
     out = Path(rsec.get("out", "out")) if out_override is None else Path(out_override)
     return RunConfig(model=model, box=box, params=params, eps_schedule=eps_schedule,
                      delta=delta, t_min=t_min, conv_tol=conv_tol, seed=seed,
@@ -143,6 +141,14 @@ def _write_json(obj, path):
         fh.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
+def _time(cfg: RunConfig, text, name) -> float:
+    """The time in text, which must lie in [0, t_end]: no field is recorded outside it."""
+    t = parse_number(text, name)
+    if not 0.0 <= t <= cfg.params.t_end:
+        raise ConfigError(f"{name} = {t:.12g} lies outside [0, t_end = {cfg.params.t_end:.12g}]")
+    return t
+
+
 def _outdir(cfg: RunConfig) -> Path:
     cfg.out.mkdir(parents=True, exist_ok=True)
     return cfg.out
@@ -162,9 +168,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     eps, sol = _single_solve(cfg)
     out = _outdir(cfg)
     write_solution_csv(sol, out / "solution.csv")
-    rec = meta_record(sol)
-    rec["eps"] = eps
-    write_meta_jsonl(rec, out / "meta.json")
+    write_meta_jsonl([dict(meta_record(sol), eps=eps)], out / "meta.json")
     cfg.say(f"solved to t={cfg.params.t_end:.12g} with eps={eps:.12g} "
             f"({sol.meta['steps']} steps)")
     cfg.say(f"wrote {out / 'solution.csv'} and {out / 'meta.json'}")
@@ -230,7 +234,7 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
 
 def cmd_traject(cfg: RunConfig, args) -> int:
     sec = cfg.section("trajectories")
-    t1 = parse_number(sec.get("t1", cfg.params.t_end), "[trajectories] t1")
+    t1 = _time(cfg, sec.get("t1", cfg.params.t_end), "[trajectories] t1")
     t_min = parse_number(sec.get("t_min", "0.05"), "[trajectories] t_min")
     steps = parse_number(sec.get("steps", "200"), "[trajectories] steps", int)
     starts = _points(sec.get("starts", "1.0"), cfg.model.d)
@@ -257,10 +261,12 @@ def cmd_traject(cfg: RunConfig, args) -> int:
 
 def cmd_halfspace(cfg: RunConfig, args) -> int:
     sec = cfg.section("halfspace")
-    t_fit = parse_number(sec.get("t_fit", "0.25"), "[halfspace] t_fit")
+    t_fit = _time(cfg, sec.get("t_fit", "0.25"), "[halfspace] t_fit")
     x1_lo = parse_number(sec.get("x1_min", "0.02"), "[halfspace] x1_min")
     x1_hi = parse_number(sec.get("x1_max", "0.9"), "[halfspace] x1_max")
     n_tail = parse_number(sec.get("n_tail", "12"), "[halfspace] n_tail", int)
+    if not (0.0 < x1_lo < x1_hi < 1.0 and n_tail >= 2):
+        raise ConfigError("[halfspace] tail needs 0 < x1_min < x1_max < 1 and n_tail >= 2")
     ftilde = _parse_field(sec, "ftilde", cfg.model.d)
     hm = HalfspaceModel(base=cfg.model, ftilde=ftilde)
     fact = check_factorization(hm, rng_seed=cfg.seed)
@@ -272,9 +278,7 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
     x_rest = cfg.model.x0[1:]
     tail = np.geomspace(x1_lo, x1_hi, n_tail)
     fit = check_log_blowup(hsol.u_field().eval, t_fit, tail, x_rest)
-    probes = np.column_stack([np.geomspace(max(x1_lo, 0.05), x1_hi, 10),
-                              np.tile(x_rest, (10, 1))]) if cfg.model.d > 1 \
-        else np.geomspace(max(x1_lo, 0.05), x1_hi, 10)[:, None]
+    probes = np.column_stack([np.geomspace(max(x1_lo, 0.05), x1_hi, 10), np.tile(x_rest, (10, 1))])
     chain = chain_rule_defect(hsol, t_fit, probes)
     out = _outdir(cfg)
     write_solution_csv(hsol.run.smallest_eps_solution, out / "halfspace_y.csv")
@@ -294,6 +298,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     sec = cfg.section("verify")
     M = parse_number(sec.get("M", "2.0"), "[verify] M")
     n_pairs = parse_number(sec.get("n_pairs", "2000"), "[verify] n_pairs", int)
+    if n_pairs < 1:
+        raise ConfigError(f"[verify] n_pairs must be >= 1, got {n_pairs}")
     tol_mono = parse_number(sec.get("tol_mono", "1e-4"), "[verify] tol_mono")
     cross_tol = parse_number(sec.get("cross_tol", "1e-3"), "[verify] cross_tol")
     times = parse_numbers(sec.get("times", "0.8, 0.4, 0.2"), "[verify] times")
@@ -301,20 +307,20 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if not times:
         raise ConfigError("[verify] times must intersect [t_min, t_end]")
 
-    mono = check_couple_monotone(cfg.model, cfg.box, rng_seed=cfg.seed)
+    mono = check_couple_monotone(cfg.model, cfg.box, rng_seed=cfg.seed, tol_mono=tol_mono)
     run = run_penalization(cfg.model, cfg.box, cfg.eps_schedule, cfg.params,
                            t_min=cfg.t_min, delta=cfg.delta, conv_tol=cfg.conv_tol)
     if run.failed_eps is not None:
         raise run.failure
     sol = run.smallest_eps_solution
-    snap = sol.snap(times)
+    snap = list(dict.fromkeys(sol.snap(times)))  # distinct records, in the order given
     cert = estimate_certificate(cfg.model, sol, snap)
     ext = extracted_field(run, snap)
     diag = graph_limit_diagnostic(ext.field(), cfg.model.x0, M, snap)
     cross = cross_monotonicity(sol.field(), ext.field(), max(snap),
                                n_pairs=n_pairs, rng_seed=cfg.seed)
     checks = {
-        "couple_monotonicity": mono.min_pairing >= -tol_mono,
+        "couple_monotonicity": mono.passed,
         "penalization_cauchy": run.converged,
         "certificate": bool(cert.passed) if cert.applicable else None,
         "graph_limit": diag.passed,
@@ -354,8 +360,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_probe(cfg: RunConfig, args) -> int:
     sec = cfg.section("probe")
-    t = parse_number(args.t, "--t") if args.t is not None \
-        else parse_number(sec.get("t", "0.4"), "[probe] t")
+    t = _time(cfg, args.t, "--t") if args.t is not None \
+        else _time(cfg, sec.get("t", "0.4"), "[probe] t")
     x_text = args.x if args.x is not None else sec.get("x", None)
     if x_text is None:
         raise ConfigError("probe needs x (flag --x or [probe] x)")

@@ -322,13 +322,15 @@ def _laplacian(dx, w):
 
 
 def _workspace(E, shape, d):
-    """The step buffers of a march of E members, allocated once."""
+    """Step buffers for a march of E members, allocated once: returns n -> views of the first n."""
     full, grown = (E, *shape, d), lambda a, by: (E, *shape[:a], shape[a] + by, *shape[a + 1:], d)
-    return SimpleNamespace(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick", "lap")},
-                           speed=np.empty(full[:-1]), term=np.empty(full[:-1]),
-                           pos=np.empty(full[:-1], dtype=bool),
-                           pad=[np.empty(grown(a, 2)) for a in range(len(shape))],
-                           diff=[np.empty(grown(a, 1)) for a in range(len(shape))])
+    ws = dict(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick", "lap")},
+              speed=np.empty(full[:-1]), term=np.empty(full[:-1]),
+              pos=np.empty(full[:-1], dtype=bool),
+              pad=[np.empty(grown(a, 2)) for a in range(len(shape))],
+              diff=[np.empty(grown(a, 1)) for a in range(len(shape))])
+    return lambda n: SimpleNamespace(**{k: [b[:n] for b in v] if isinstance(v, list) else v[:n]
+                                        for k, v in ws.items()})
 
 
 class SolutionBatch(SimpleNamespace):
@@ -346,10 +348,10 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
     partial solution and the last stable time) if any |U| exceeds the guard.
 
     Given a sequence of slices on one box it returns a SolutionBatch: they
-    march in lockstep as one (E, *nodes, d) array, each member with its own dt
-    and waiting, unchanged, on record k until all have landed there. A member
-    that blows up is dropped with every later one; the first such failure is
-    reported, not raised.
+    march as one (E, *nodes, d) array, each member on its own clock and dt,
+    recording each record time as it lands there. A member that blows up is
+    dropped with every later one; the first such failure is reported, not
+    raised.
     """
     single = isinstance(u0, Slice)
     slices = [u0] if single else list(u0)
@@ -368,7 +370,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
     E = U.shape[0]
     rec = np.empty((E, params.n_rec) + U.shape[1:])
     rec[:, 0] = U
-    ws, spans = _workspace(E, box.shape, U.shape[-1]), {}  # spans: ws viewed at members lo:live
+    workspace = _workspace(E, box.shape, U.shape[-1])
 
     # relabeled probe points are fixed in time; build the gather plan once
     jump_plan = InterpPlan(box, m.noise(box.node_list())) if m.lam > 0 else None
@@ -394,50 +396,49 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
 
     dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * box.dim * params.visc) \
         if params.visc > 0 else np.inf
-    t, steps, k = np.zeros(E), np.zeros(E, dtype=np.int64), 1
-    while k < params.n_rec and live:
-        todo = np.ones(live, dtype=bool)  # members short of record k
-        while todo.any():
-            lo = int(np.argmax(todo))
-            act, Us, ts = todo[lo:], U[lo:live], t[lo:live].copy()
-            w = spans.get((lo, live)) or spans.setdefault((lo, live), SimpleNamespace(**{
-                key: [b[lo:live] for b in buf] if isinstance(buf, list) else buf[lo:live]
-                for key, buf in vars(ws).items()}))
-            Fv = F_at(Us, w.F)
-            speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
-            for a in range(1, box.dim):
-                speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
-            dt_cfl = params.cfl / np.maximum(speed.reshape(len(act), -1).max(axis=1), 1e-12)
-            dt = np.fmin(np.fmin(params.dt_max, dt_cfl), dt_visc)  # fmin: min() skips nan too
-            hit = ts + dt >= rec_times[k] - 1e-14  # also true for members waiting there
-            dt = np.where(hit, rec_times[k] - ts, dt)
-            rhs = _advection(Us, Fv, dx, w)
-            rhs -= G_at(Us, w.G)
-            if jump_plan is not None:
-                flat = (len(act), -1, Us.shape[-1])
-                relabeled = jump_plan.apply(Us, out=w.G.reshape(flat),
-                                            tmp=w.pick.reshape(flat)).reshape(Us.shape)
-                jump = np.matmul(relabeled, m.noise.S, out=w.pick)  # row u @ S == S^T u
-                rhs += np.multiply(np.subtract(Us, jump, out=jump), m.lam, out=jump)
-            if params.visc > 0:
-                rhs -= np.multiply(_laplacian(dx, w), params.visc, out=w.lap)
-            per_member = (len(act),) + (1,) * (Us.ndim - 1)
-            rhs *= dt.reshape(per_member)
-            np.subtract(Us, rhs, out=Us, where=act.reshape(per_member))
-            steps[lo:live] += act
-            peak = np.abs(Us, out=w.pick).reshape(len(act), -1).max(axis=1)
-            blown = np.flatnonzero(act & ~(peak <= OVERFLOW_GUARD))  # 'not <=' catches nan
-            t[lo:live] = np.where(act, np.where(hit, rec_times[k], ts + dt), ts)
-            todo[lo:] &= ~hit
-            if blown.size:
-                i = int(blown[0])
-                limit = "record" if hit[i] else "dt_max" if dt[i] == params.dt_max \
-                    else "cfl" if dt[i] == dt_cfl[i] else "visc"
-                fail(lo + i, f"solution exceeded the overflow guard at t={ts[i] + dt[i]:.6g}",
-                     k, float(ts[i]), steps=int(steps[lo + i]), dt=float(dt[i]), limit=limit)
-                todo = todo[:live]
-        rec[:live, k] = U[:live]
-        k += 1
+    # row r of U is member rows[r] at time t[r], short of record k[r]; rows leave, and
+    # are compacted, only when a member lands on its last record or blows up
+    U, rows, n, it, steps = U[:live], np.arange(live), live, 0, np.zeros(E, dtype=np.int64)
+    t, k, w = np.zeros(live), np.ones(live, dtype=np.int64), workspace(live)
+    while n:
+        it += 1
+        Fv = F_at(U, w.F)
+        speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
+        for a in range(1, box.dim):
+            speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
+        dt_cfl = params.cfl / np.maximum(speed.reshape(n, -1).max(axis=1), 1e-12)
+        dt = np.fmin(np.fmin(params.dt_max, dt_cfl), dt_visc)  # fmin: min() skips nan too
+        target = rec_times[k]
+        hit = t + dt >= target - 1e-14
+        dt = np.where(hit, target - t, dt)
+        rhs = _advection(U, Fv, dx, w)
+        rhs -= G_at(U, w.G)
+        if jump_plan is not None:
+            flat = (n, -1, U.shape[-1])
+            relabeled = jump_plan.apply(U, out=w.G.reshape(flat),
+                                        tmp=w.pick.reshape(flat)).reshape(U.shape)
+            jump = np.matmul(relabeled, m.noise.S, out=w.pick)  # row u @ S == S^T u
+            rhs += np.multiply(np.subtract(U, jump, out=jump), m.lam, out=jump)
+        if params.visc > 0:
+            rhs -= np.multiply(_laplacian(dx, w), params.visc, out=w.lap)
+        U -= np.multiply(rhs, dt.reshape((n,) + (1,) * (U.ndim - 1)), out=rhs)
+        ok = np.abs(U, out=w.pick).reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD  # nan: False
+        if not ok.all():
+            r = int(np.argmin(ok))
+            limit = "record" if hit[r] else "dt_max" if dt[r] == params.dt_max \
+                else "cfl" if dt[r] == dt_cfl[r] else "visc"
+            fail(int(rows[r]), f"solution exceeded the overflow guard at t={t[r] + dt[r]:.6g}",
+                 int(k[r]), float(t[r]), steps=it, dt=float(dt[r]), limit=limit)
+            ok[r:] = False  # rows hold members in order: every later one is dropped too
+        t = np.where(hit, target, t + dt)
+        for r in np.flatnonzero(hit & ok):
+            rec[rows[r], k[r]] = U[r]
+        k += hit & ok
+        stay = ok & (k < params.n_rec)
+        if not stay.all():
+            steps[rows[~stay]] = it
+            U, t, k, rows = U[stay], t[stay], k[stay], rows[stay]
+            n, w = rows.size, workspace(rows.size)
 
     members = [GridSolution(box=box, times=rec_times, values=rec[e],
                             meta=dict(meta, steps=int(steps[e]))) for e in range(live)]
@@ -514,9 +515,7 @@ def meta_record(sol: GridSolution) -> dict:
 
 
 def write_meta_jsonl(records, path):
-    """Write one JSON object per line; records is a dict or a list of dicts."""
-    if isinstance(records, dict):
-        records = [records]
+    """Write each of the records (dicts) as one JSON object per line."""
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

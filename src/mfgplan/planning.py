@@ -137,7 +137,7 @@ class GraphLimitDiagnostic:
     passed: bool
 
 
-def graph_limit_diagnostic(U, x0, M, times, box=None) -> GraphLimitDiagnostic:
+def graph_limit_diagnostic(U, x0, M, times) -> GraphLimitDiagnostic:
     """Measure how the M-sublevel set of |U(t, .)| shrinks onto the target.
 
     For fields converging to the planning limit the diameter decays linearly
@@ -146,7 +146,7 @@ def graph_limit_diagnostic(U, x0, M, times, box=None) -> GraphLimitDiagnostic:
     """
     if M <= 0:
         raise ConfigError("level M must be > 0")
-    box = box if box is not None else getattr(U, "box", None)
+    box = getattr(U, "box", None)
     if box is None:
         raise ConfigError("a box is required (field has none attached)")
     x0 = np.asarray(x0, dtype=float)
@@ -286,15 +286,13 @@ def estimate_certificate(m: ModelSpec, sol: GridSolution, times) -> EstimateRepo
                           bound=bound, measured=measured, checked=checked, ok=ok)
 
 
-def cross_monotonicity(U, V, t, n_pairs=10000, rng_seed=0, box=None) -> float:
+def cross_monotonicity(U, V, t, n_pairs=10000, rng_seed=0) -> float:
     """Minimum of <U(t,x) - V(t,y), x - y> over sampled pairs.
 
     Nonnegative for two fields that are selections of one monotone graph; a
     systematic negative value witnesses genuinely different fields.
     """
-    box = box if box is not None else getattr(U, "box", None)
-    if box is None:
-        box = getattr(V, "box", None)
+    box = getattr(U, "box", None) or getattr(V, "box", None)
     if box is None:
         raise ConfigError("a box is required (neither field has one attached)")
     rng = np.random.default_rng(rng_seed)

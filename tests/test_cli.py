@@ -103,6 +103,7 @@ def test_bad_cfl_names_field(tmp_path, capsys):
     assert "cfl" in capsys.readouterr().err
 
 
+# (command, section, key): each gets a malformed number
 BAD_NUMBERS = [
     ("solve", "box", "n"), ("solve", "solver", "cfl"), ("solve", "solver", "n_rec"),
     ("solve", "planning", "delta"), ("solve", "run", "seed"), ("solve", "solve", "eps"),
@@ -118,15 +119,26 @@ BAD_NUMBERS = [
 ]
 
 
-@pytest.mark.parametrize("command,section,key", BAD_NUMBERS)
-def test_malformed_number_is_config_error(tmp_path, capsys, command, section, key):
+# (command, section, key, value): numbers out of their range, checked before any solve
+OUT_OF_RANGE = [
+    ("halfspace", "halfspace", "x1_min", "0"), ("halfspace", "halfspace", "x1_max", "1"),
+    ("halfspace", "halfspace", "x1_min", "0.95"), ("halfspace", "halfspace", "n_tail", "0"),
+    ("halfspace", "halfspace", "n_tail", "1"), ("solve", "run", "seed", "-1"),
+    ("verify", "verify", "n_pairs", "0"),
+]
+BAD_INPUTS = [(*case, "abc") for case in BAD_NUMBERS] + OUT_OF_RANGE
+
+
+@pytest.mark.parametrize("command,section,key,value", BAD_INPUTS, ids=[
+    "-".join(case[:3]) + ("" if case[3] == "abc" else f"={case[3]}") for case in BAD_INPUTS])
+def test_malformed_number_is_config_error(tmp_path, capsys, command, section, key, value):
     cfg, _ = make_config(tmp_path)
     text = cfg.read_text()
     if f"[{section}]" in text:
-        text, hits = re.subn(rf"^{key} = .*$", f"{key} = abc", text, flags=re.M)
+        text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         assert hits == 1
     else:
-        text += f"\n[{section}]\n{key} = abc\n"
+        text += f"\n[{section}]\n{key} = {value}\n"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -137,6 +149,39 @@ def test_probe_malformed_time_flag(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
     assert main(["probe", "--config", str(cfg), "--t", "soon", "--x", "1.2"]) == 2
     assert "--t" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    cfg, _ = make_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+# (command, config text added or replaced, extra flags, the key the error names):
+# a field is only recorded on [0, t_end], so no time outside it is answered
+OUT_OF_HORIZON = {
+    "probe-flag": ("probe", "[solve]\neps = 0.1\n", ["--t", "5", "--x", "1.2"], "--t"),
+    "probe-negative": ("probe", "[solve]\neps = 0.1\n", ["--t", "-0.1", "--x", "1.2"], "--t"),
+    "probe-config": ("probe", "[solve]\neps = 0.1\n[probe]\nt = 5\nx = 1.2\n", [],
+                     "[probe] t"),
+    "traject-t1": ("traject", "[trajectories]\nt1 = 3\n", [], "t1"),
+    "halfspace-t_fit": ("halfspace", "t_fit = 5", [], "t_fit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_HORIZON))
+def test_time_outside_the_horizon_is_config_error(tmp_path, capsys, case):
+    command, text, flags, key = OUT_OF_HORIZON[case]
+    if command == "halfspace":
+        cfg = tmp_path / "halfspace.cfg"
+        cfg.write_text(re.sub(r"^t_fit = .*$", text,
+                              (CONFIGS / "halfspace.cfg").read_text(), flags=re.M))
+    else:
+        cfg, _ = make_config(tmp_path, extra=text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "t_end" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_yosida_needs_three_records(tmp_path, capsys):
@@ -315,6 +360,18 @@ def test_verify_reference_config(tmp_path, capsys):
     assert len(curves) > 1
     assert _sha256(out / "curves.csv") == \
         "f128ed5f8fade2754fbd7cc69278c641a94780b902eb63f52a04263f8680c513"
+
+
+def test_verify_drops_times_snapping_to_one_record(tmp_path):
+    # records every 0.02: 0.404 snaps to the record 0.4 as well
+    outputs = {}
+    for times in ("0.8, 0.4, 0.2", "0.8, 0.4, 0.404, 0.2"):
+        cfg, out = make_config(tmp_path, name=f"{len(times)}.cfg",
+                               extra=f"[verify]\ntimes = {times}\n")
+        assert main(["verify", "--config", str(cfg), "--quiet", "--out", str(out)]) in (0, 1)
+        outputs[times] = [(out / name).read_bytes() for name in ("report.json", "curves.csv")]
+    assert outputs["0.8, 0.4, 0.404, 0.2"] == outputs["0.8, 0.4, 0.2"]
+    assert json.loads(outputs["0.8, 0.4, 0.2"][0])["certificate"]["times"] == [0.8, 0.4, 0.2]
 
 
 def test_halfspace_reference_config(tmp_path):

@@ -299,7 +299,8 @@ def test_batch_matches_single_solves(case):
 
 
 def test_batch_members_wait_on_every_record():
-    # members step at different rates, yet each lands on every record time
+    # members step at different rates, each on its own clock, yet each lands
+    # on every record time and takes its own serial step count
     m, box, eps, params = BATCH_CASES["1d-baseline"]
     batch = assert_batch_matches_single_solves(m, box, eps, params)
     steps = [s.meta["steps"] for s in batch.members]
@@ -310,9 +311,10 @@ def test_batch_members_wait_on_every_record():
 
 def test_waiting_member_is_not_stepped():
     # F = -p and G = nan wherever p < -1. The constant member (U = 5) takes two
-    # steps per record and the linear one a single step, so the linear member
-    # waits on every record, also on the one where its G turns nan; it must
-    # fail in its own next step, with the records its own solve keeps
+    # steps per record and the linear one a single step, so the two land on
+    # the records at different iterations of the batch, also on the one where
+    # the linear member's G turns nan; it must fail in its own next step, with
+    # the records its own solve keeps, and the constant member run on
     nan_below = FieldSpec.registered(
         "nan_below", binder=lambda x: lambda p: np.where(p < -1.0, np.nan, 0.0))
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1), G=nan_below, lam=0.0,
@@ -366,6 +368,19 @@ def test_blowup_partial_counts_its_steps():
     assert err.partial.meta["steps"] == err.steps
     batch = solve_master(m, [penalized_slice(m, box, e) for e in (0.8, 0.1)], params)
     assert batch.failure.partial.meta == err.partial.meta
+    # eps 0.1 blows up first (t near 0.1), 0.2 later (t near 0.2): the later
+    # failure of the larger eps replaces the earlier one and drops 0.1 with it
+    with pytest.raises(BlowupError) as exc:
+        solve_master(m, penalized_slice(m, box, 0.2), params)
+    want = exc.value
+    assert err.steps < want.steps and err.t_last < want.t_last
+    batch = solve_master(m, [penalized_slice(m, box, e) for e in (0.5, 0.2, 0.1)], params)
+    assert len(batch.members) == 1
+    assert_same_bits(batch.members[0], solve_master(m, penalized_slice(m, box, 0.5), params))
+    assert str(batch.failure) == str(want)
+    assert (batch.failure.steps, batch.failure.dt, batch.failure.limit) == \
+        (want.steps, want.dt, want.limit)
+    assert batch.failure.partial.meta == want.partial.meta
 
 
 def growth_model(K):
