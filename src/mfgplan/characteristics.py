@@ -66,16 +66,16 @@ def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128):
     if t == 0:
         return z.copy(), u0.copy()
 
-    def velocity(s, y):  # y stacks (x, u): each stage point is formed once, for F and G
-        dy = np.empty_like(y)  # filled in place: np.stack costs more than F on a few rows
-        dy[0], dy[1] = m.eval_F(*y), m.eval_G(*y)
-        return dy
+    fg = m.bind_stacked()  # y stacks (x, u): each stage point is formed once, for F and G
+
+    def velocity(s, y):
+        return fg(y)
 
     y = np.stack([z.reshape(-1, m.d), u0.reshape(-1, m.d)])
     h = t / rk_steps
     for k in range(rk_steps):
         y_new = rk4_step(velocity, k * h, y, h)
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise IntegrationError(f"characteristic blew up after step {k} of {rk_steps}",
                                    last_state=(k * h, *y.reshape(2, *z.shape)))
         y = y_new
@@ -104,10 +104,9 @@ def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
         if rk_steps is None:
             rk_steps = max(64, int(np.ceil(t / 0.005)))
 
-        def flow(z):
+        def flow(z):  # endpoint x as the value, u as the payload
             return flow_forward(m, z, U0(z), t, rk_steps)
 
-        z, rn = _newton_batch(lambda z: flow(z)[0], X, X, tol, max_iter, fd_h=1e-6)
+        _, rn, u = _newton_batch(flow, X, X, tol, max_iter, fd_h=1e-6)
         _require_converged(rn, tol, "shooting")
-        u = flow(z)[1]
     return u.reshape(x.shape)

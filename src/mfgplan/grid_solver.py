@@ -22,6 +22,7 @@ cell. The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -100,6 +101,17 @@ class Box:
         return int(np.floor(np.min(per_axis)))
 
 
+@functools.lru_cache(maxsize=None)
+def _corner_layout(shape):
+    """Flat-index strides of a node shape, its 2**dim cell corners and each corner's offset."""
+    dim = len(shape)
+    strides = np.array([int(np.prod(shape[a + 1:])) for a in range(dim)], dtype=np.int64)
+    strides.setflags(write=False)
+    corners = tuple(itertools.product((0, 1), repeat=dim))
+    offsets = tuple(int(np.dot(corner, strides)) for corner in corners)
+    return strides, corners, offsets
+
+
 class InterpPlan:
     """Corner indices and weights for repeated interpolation, shape (2**dim, N)."""
 
@@ -109,15 +121,13 @@ class InterpPlan:
         cell = np.clip(np.floor(w), 0, box.n - 1)
         w -= cell  # outside [0,1] beyond the box: linear extrapolation
         self.dim = dim = box.dim
-        shape = box.shape
-        strides = np.array([int(np.prod(shape[a + 1:])) for a in range(dim)], dtype=np.int64)
+        strides, corners, offsets = _corner_layout(box.shape)
         base = cell.astype(np.int64) @ strides
         factors = (1.0 - w.T, w.T)  # per-axis weight rows of the low and the high corner
-        corners = list(itertools.product((0, 1), repeat=dim))
         self.idx = np.empty((len(corners), pts.shape[0]), dtype=np.int64)
         self.wts = np.empty((len(corners), pts.shape[0]))
         for c, corner in enumerate(corners):
-            self.idx[c] = base + int(np.dot(corner, strides))
+            self.idx[c] = base + offsets[c]
             self.wts[c] = factors[corner[0]][0]
             for a in range(1, dim):
                 self.wts[c] *= factors[corner[a]][a]
@@ -236,16 +246,26 @@ class GridField:
         self.box = sol.box
 
     def eval(self, t, pts) -> np.ndarray:
+        """U(t, pts), linear in t between recorded slices and multilinear in space.
+
+        t must lie in [times[0], times[-1]] up to 4 ulps of the span, which a
+        backward march down to times[0] may overshoot by; anything further out
+        raises ConfigError rather than returning an end slice.
+        """
         times = self.sol.times
+        slack = 4 * np.spacing(times[-1] - times[0])
+        if not times[0] - slack <= t <= times[-1] + slack:
+            raise ConfigError(f"t={t:.6g} is outside the recorded times "
+                              f"[{times[0]:.6g}, {times[-1]:.6g}]")
         t = float(np.clip(t, times[0], times[-1]))
         k = int(np.searchsorted(times, t, side="right") - 1)
-        k = min(max(k, 0), len(times) - 2)
+        k = min(max(k, 0), len(times) - 2)  # -1 for a single recorded slice
         t0, t1 = times[k], times[k + 1]
         w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
-        plan = InterpPlan(self.box, np.atleast_2d(pts))
-        out = (1.0 - w) * plan.apply(self.sol.values[k]) + w * plan.apply(self.sol.values[k + 1])
+        pair = InterpPlan(self.box, np.atleast_2d(pts)).apply(self.sol.values[k:k + 2])
+        out = (1.0 - w) * pair[0] + w * pair[-1]  # pair holds one slice when k = -1
         return out[0] if single else out
 
 

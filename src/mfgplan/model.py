@@ -223,6 +223,32 @@ class ModelSpec:
         """p-only evaluators (F_at, G_at) of F and G at the fixed nodes x."""
         return bind_field(self.F, x), bind_field(self.G, x)
 
+    def bind_stacked(self):
+        """Evaluator y -> (F(x, p), G(x, p)) of float rows y = (x, p) stacked as (2, N, d).
+
+        Affine F and G take one matmul of y against the (2, 2, d, d) block of
+        their transposed Mx and Mp, then sum x @ Mx.T + p @ Mp.T + c in
+        eval_field's order. Registered fields fill the two rows by eval_F and
+        eval_G.
+        """
+        F, G = self.F, self.G
+        if F.kind == G.kind == "affine":
+            W = np.stack([[F.Mx.T, G.Mx.T], [F.Mp.T, G.Mp.T]])  # contiguous blocks
+            c = np.stack([F.c, G.c])[:, None]
+
+            def at(y):
+                P = np.matmul(y[:, None], W)  # P[i, j] = y[i] @ W[i, j]
+                P[0] += P[1]
+                P[0] += c
+                return P[0]
+            return at
+
+        def at(y):
+            out = np.empty_like(y)  # filled in place: np.stack costs more than F on a few rows
+            out[0], out[1] = self.eval_F(*y), self.eval_G(*y)
+            return out
+        return at
+
 
 @dataclass
 class MonotonicityReport:

@@ -37,15 +37,18 @@ def _as_eval(U):
 def _newton_batch(f, target, y0, tol, max_iter, fd_h=1e-7):
     """Damped Newton for f(y) = target on every row of y0, f vectorized over rows.
 
-    Returns (y, residual_norms). Jacobians are centered finite differences,
-    all 2*d perturbed copies of y evaluated in one call of f; steps are halved
-    until the row residual does not increase, and a row whose halving fails
-    keeps its point. Iteration stops once every row is within tol or no row
-    above tol improved.
+    f returns (value, payload), payload holding a row of what the caller needs
+    at that point (the resolvent's U(y), the shooting endpoint's u). Returns
+    (y, residual_norms, payload) at the accepted points. Jacobians are
+    centered finite differences, all 2*d perturbed copies of y evaluated in
+    one call of f; steps are halved until the row residual does not increase,
+    and a row whose halving fails keeps its point and its payload. Iteration
+    stops once every row is within tol or no row above tol improved.
     """
     y = np.atleast_2d(np.asarray(y0, dtype=float)).copy()
     n, d = y.shape
-    r = f(y) - target
+    r, pay = f(y)
+    r = r - target
     rn = np.linalg.norm(r, axis=1)
     eye = np.eye(d)
     for _ in range(max_iter):
@@ -56,7 +59,7 @@ def _newton_batch(f, target, y0, tol, max_iter, fd_h=1e-7):
         for j in range(d):
             probes[j, :, j] += h[:, j]
             probes[d + j, :, j] -= h[:, j]
-        fp = f(probes.reshape(-1, d)).reshape(2 * d, n, d) - target
+        fp = f(probes.reshape(-1, d))[0].reshape(2 * d, n, d) - target
         J = np.moveaxis(fp[:d] - fp[d:], 0, -1) / (2.0 * h[:, None, :])
         try:
             step = np.linalg.solve(J, -r[..., None])[..., 0]
@@ -65,18 +68,19 @@ def _newton_batch(f, target, y0, tol, max_iter, fd_h=1e-7):
         alpha = np.ones(n)
         for _ in range(30):
             y_try = y + alpha[:, None] * step
-            r_try = f(y_try) - target
+            r_try, pay_try = f(y_try)
+            r_try = r_try - target
             rn_try = np.linalg.norm(r_try, axis=1)
             bad = (rn_try > rn) & (rn > tol)
             if not np.any(bad):
                 break
             alpha = np.where(bad, alpha * 0.5, alpha)
-        y_try[bad], r_try[bad], rn_try[bad] = y[bad], r[bad], rn[bad]
+        y_try[bad], r_try[bad], rn_try[bad], pay_try[bad] = y[bad], r[bad], rn[bad], pay[bad]
         improved = np.any((rn_try < rn) & (rn > tol))
-        y, r, rn = y_try, r_try, rn_try
+        y, r, rn, pay = y_try, r_try, rn_try, pay_try
         if not improved:
             break
-    return y, rn
+    return y, rn, pay
 
 
 def _require_converged(rn, tol, what):
@@ -98,7 +102,11 @@ def resolvent(U, delta, x, tol=1e-10, max_iter=60) -> np.ndarray:
     if delta == 0:
         return x.copy()
 
-    y, rn = _newton_batch(lambda y: y + delta * ue(y), X, X, tol, max_iter)
+    def f(y):
+        u = ue(y)
+        return y + delta * u, u
+
+    y, rn, _ = _newton_batch(f, X, X, tol, max_iter)
     _require_converged(rn, tol, "resolvent Newton")
     return y[0] if single else y
 
@@ -188,7 +196,12 @@ def invert_shift(v: Slice, delta, targets, tol=1e-10, max_iter=60):
     T = np.atleast_2d(np.asarray(targets, dtype=float))
 
     w0 = T + delta * ve(T)
-    w, rn = _newton_batch(lambda w: w - delta * ve(w), T, w0, tol, max_iter)
+
+    def f(w):
+        v = ve(w)
+        return w - delta * v, v
+
+    w, rn, _ = _newton_batch(f, T, w0, tol, max_iter)
     return w, rn <= max(tol, 1e-8)
 
 

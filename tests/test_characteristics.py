@@ -5,9 +5,12 @@ after unit time, from the matrix exponential of [[0,1],[1,0]] (independent
 RK4 cross-check in tests/oracles/derive_values.py).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from mfgplan import characteristics
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, IntegrationError,
                      ModelSpec, NewtonError, flow_forward, penalized_data,
                      solve_by_shooting, solve_master, penalized_slice,
@@ -71,9 +74,24 @@ def test_rk4_step_is_the_classical_step():
     assert got == pytest.approx((0.5 ** 4 - 1.0) / 4, abs=1e-15)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_flow_forward_batch_equals_rows(d):
-    m = coupled_model(K=1.0, d=d)
+def nondiagonal_model(d):
+    """Affine F and G with full Mx and Mp and a -0.0 in each c."""
+    rng = np.random.default_rng(d)
+    c = rng.uniform(-0.5, 0.5, d)
+    c[0] = -0.0
+    F = FieldSpec.affine(rng.uniform(-0.3, 0.3, (d, d)),
+                         np.eye(d) + rng.uniform(-0.2, 0.2, (d, d)), c=c, d=d)
+    G = FieldSpec.affine(0.5 * np.eye(d) + rng.uniform(-0.2, 0.2, (d, d)),
+                         rng.uniform(-0.1, 0.1, (d, d)), c=-c, d=d)
+    return ModelSpec(d=d, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(d),
+                     x0=np.full(d, 0.5))
+
+
+@pytest.mark.parametrize("d, kind", [(1, "coupled"), (2, "coupled"),
+                                     (2, "nondiagonal"), (3, "nondiagonal")],
+                         ids=["1", "2", "nondiagonal-2", "nondiagonal-3"])
+def test_flow_forward_batch_equals_rows(d, kind):
+    m = coupled_model(K=1.0, d=d) if kind == "coupled" else nondiagonal_model(d)
     z = np.random.default_rng(5).uniform(-0.5, 1.5, size=(7, d))
     u0 = penalized_data(m.x0, 0.1)(z)
     x, u = flow_forward(m, z, u0, 0.37, rk_steps=40)
@@ -85,6 +103,49 @@ def test_flow_forward_batch_equals_rows(d):
         xr, ur = flow_forward(m, z[i:i + 1], u0[i:i + 1], 0.37, rk_steps=40)
         assert xr.shape == (1, d)
         assert xr.tobytes() == xi.tobytes() and ur.tobytes() == ui.tobytes()
+
+
+def test_registered_flow_goes_through_eval_and_keeps_its_bits(monkeypatch):
+    # capped_x1_burgers takes the eval_F/eval_G fill, four stages a step; the
+    # digest of the endpoint bytes was computed before the stacked affine stage
+    calls = []
+    orig = ModelSpec.eval_F
+    monkeypatch.setattr(ModelSpec, "eval_F",
+                        lambda self, x, p: calls.append(len(x)) or orig(self, x, p))
+    rng = np.random.default_rng(11)
+    G = FieldSpec.affine(np.array([[0.4, -0.3], [0.2, 0.1]]),
+                         np.array([[0.0, 0.5], [-0.25, 0.0]]), c=np.array([-0.0, 0.3]), d=2)
+    m = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"), G=G, lam=0.0,
+                  noise=AffineNoiseMap.identity(2), x0=np.zeros(2))
+    z = rng.uniform(0.0, 1.5, size=(5, 2))
+    u0 = rng.uniform(-1.0, 1.0, size=(5, 2))
+    x, u = flow_forward(m, z, u0, 0.3, rk_steps=20)
+    assert calls == [5] * (4 * 20)
+    assert hashlib.sha256(x.tobytes() + u.tobytes()).hexdigest() == \
+        "729061a38ffc5c34e1118fbc7f1a5ebd876a3f2323a8567928741a4782321ef4"
+    # affine F and G take the stacked stage and never call eval_F
+    calls.clear()
+    flow_forward(coupled_model(K=1.0, d=2), z, u0, 0.3, rk_steps=20)
+    assert calls == []
+
+
+def test_shooting_flows_three_times_on_a_linear_model(monkeypatch):
+    # the endpoint map is affine in z: here one Newton step converges, so
+    # shooting flows the start, its finite-difference probes and one trial,
+    # and takes u from the accepted trial instead of flowing its foot again
+    calls, ends = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        ends.append(flow_forward(*args, **kwargs))
+        return ends[-1]
+
+    monkeypatch.setattr(characteristics, "flow_forward", counted)
+    m = coupled_model(K=1.0)
+    got = solve_by_shooting(m, penalized_data(m.x0, 0.1), 0.4, np.array([0.6]))
+    assert calls == [(1, 1), (2, 1), (1, 1)]
+    assert ends[-1][0].tobytes() != ends[0][0].tobytes()  # the trial moved the foot
+    assert got.tobytes() == ends[-1][1][0].tobytes()
 
 
 def test_flow_forward_nonfinite_keeps_last_state():

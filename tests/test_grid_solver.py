@@ -434,6 +434,40 @@ def test_time_interpolation_is_linear_between_records(lq0_solution):
     assert np.allclose(field.eval(mid, pts), avg, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim, d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3)])
+def test_field_eval_is_the_blend_of_two_gathers(dim, d):
+    # one gather of both slices, blended in time, equals two separate
+    # InterpPlan.apply calls byte for byte; signed zeros included
+    rng = np.random.default_rng(10 * dim + d)
+    box = Box(np.full(dim, -1.0), np.full(dim, 2.0), np.full(dim, 5))
+    times = np.array([0.0, 0.3, 0.7, 1.0])
+    vals = rng.normal(size=(len(times),) + box.shape + (d,))
+    vals.reshape(-1)[::4] = -0.0
+    field = GridSolution(box=box, times=times, values=vals).field()
+    pts = rng.uniform(-1.5, 2.5, size=(40, dim))
+    for t in (0.0, 0.1, 0.3, 0.55, 0.7, 0.95, 1.0):
+        k = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        plan = InterpPlan(box, pts)
+        want = (1.0 - w) * plan.apply(vals[k]) + w * plan.apply(vals[k + 1])
+        got = field.eval(t, pts)
+        assert got.tobytes() == want.tobytes()
+        assert field.eval(t, pts[3]).tobytes() == field.eval(t, pts[3:4])[0].tobytes()
+
+
+def test_field_eval_refuses_times_outside_the_records(lq0_solution):
+    # t_end = 1: t = 5 used to return the t = 1 slice (0.6324 at x = 1.2,
+    # where the closed form at t = 5 is 0.137)
+    field = lq0_solution.field()
+    for t in (5.0, 1.0 + 1e-9, -1e-9):
+        with pytest.raises(ConfigError, match="outside the recorded times"):
+            field.eval(t, [1.2])
+    # an overshoot of an ulp or two, as a march landing on an end makes, is an end
+    ulp = np.spacing(1.0)
+    assert field.eval(1.0 + 2 * ulp, [1.2]).tobytes() == field.eval(1.0, [1.2]).tobytes()
+    assert field.eval(-ulp, [1.2]).tobytes() == field.eval(0.0, [1.2]).tobytes()
+
+
 def test_node_jacobians_exact_on_linear():
     box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([6, 6]))
     A = np.array([[1.5, -0.5], [2.0, 0.25]])

@@ -80,6 +80,55 @@ def test_bind_matches_eval_bit_for_bit():
             assert out[e].tobytes() == m.eval_F(x, p[e]).tobytes()
 
 
+def test_bind_stacked_matches_eval_bit_for_bit():
+    # random non-diagonal affine F and G, d = 1, 2, 3, signed zeros in x, p
+    # and c: the stacked rows are eval_F and eval_G byte for byte, sign bits
+    # included, on batches of rows (a single row may round differently)
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3):
+        c = rng.uniform(-1.0, 1.0, size=(2, d))
+        c[0, 0], c[1, -1] = -0.0, 0.0
+        F, G = (FieldSpec.affine(rng.uniform(-2.0, 2.0, size=(d, d)),
+                                 rng.uniform(-2.0, 2.0, size=(d, d)) / 3.0, c=c[i], d=d)
+                for i in range(2))
+        m = ModelSpec(d=d, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(d), x0=np.zeros(d))
+        fg = m.bind_stacked()
+        for rows in (2, 7):
+            y = rng.uniform(-2.0, 2.0, size=(2, rows, d))
+            y[0, ::2] = -0.0
+            y[1, 1::3] = -0.0
+            got = fg(y)
+            want = np.stack([m.eval_F(*y), m.eval_G(*y)])
+            assert got.shape == y.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        # x = p = -0 and c = -0 on every component: the sum keeps the sign
+        zero = FieldSpec.affine(rng.uniform(-2.0, 2.0, size=(d, d)),
+                                rng.uniform(-2.0, 2.0, size=(d, d)), c=-0.0, d=d)
+        mz = ModelSpec(d=d, F=zero, G=zero, lam=0.0, noise=AffineNoiseMap.identity(d),
+                       x0=np.zeros(d))
+        y = np.full((2, 3, d), -0.0)
+        want = np.stack([mz.eval_F(*y), mz.eval_G(*y)])
+        assert mz.bind_stacked()(y).tobytes() == want.tobytes()
+
+
+def test_bind_stacked_registered_fields_fill_by_eval(monkeypatch):
+    # a registered F keeps the eval_F/eval_G path: one call of each per use
+    calls = []
+    for name in ("eval_F", "eval_G"):
+        orig = getattr(ModelSpec, name)
+        monkeypatch.setattr(ModelSpec, name,
+                            lambda self, x, p, orig=orig, name=name: calls.append(name) or
+                            orig(self, x, p))
+    m = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
+                  G=FieldSpec.affine(0.5, np.array([[0.0, 1.0], [-1.0, 0.0]]), d=2),
+                  lam=0.0, noise=AffineNoiseMap.identity(2), x0=np.zeros(2))
+    y = np.random.default_rng(2).uniform(-1.0, 2.0, size=(2, 5, 2))
+    got = m.bind_stacked()(y)
+    assert calls == ["eval_F", "eval_G"]
+    assert got.tobytes() == np.stack([m.eval_F(*y), m.eval_G(*y)]).tobytes()
+
+
 def test_model_validation():
     good = baseline_model()
     assert good.d == 1

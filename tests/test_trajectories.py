@@ -102,6 +102,17 @@ def test_guards():
         check_value_consistency(short, m)
 
 
+def test_grid_field_path_stays_in_the_recorded_times(lq0_solution):
+    m = baseline_model()
+    field = lq0_solution.field()  # recorded on [0, 1]
+    with pytest.raises(ConfigError, match="outside the recorded times"):
+        integrate_backward(field, m, [1.0], 1.5, 0.1, steps=20)
+    # 0.9 - 7 * (0.9 / 7) is -1.1e-16: the last step still lands on t = 0
+    traj = integrate_backward(field, m, [1.0], 0.9, 0.0, steps=7)
+    assert -1e-15 < traj.times[-1] < 0.0
+    assert traj.values[-1].tobytes() == field.eval(0.0, traj.states[-1]).tobytes()
+
+
 def test_box_exit_keeps_partial_path():
     # a repelling field: backward paths blow outward like 1/t
     m = baseline_model()

@@ -143,11 +143,27 @@ def test_newton_batch_keeps_best_point_and_stops_early():
         out = y ** 2 + 1.0
         if len(y) == 2:  # the iterates and line-search trials, not the FD probes
             seen.append(out[:, 0].copy())
-        return out
+        return out, y.copy()
 
-    y, rn = _newton_batch(f, 0.0, np.array([[0.7], [3.0]]), 1e-10, 60)
+    y, rn, _ = _newton_batch(f, 0.0, np.array([[0.7], [3.0]]), 1e-10, 60)
     assert np.array_equal(rn, np.min(seen, axis=0))
     assert len(seen) < 400  # 60 iterations of 30 failed halvings would be 1800
+
+
+def test_newton_batch_reverted_row_keeps_its_payload():
+    # y^2 + 1 = 0 has no root, so the line search reverts rows; each row must
+    # return the payload computed at the point it kept, not at its last trial
+    trials = []
+
+    def f(y):
+        if len(y) == 2:
+            trials.append(y[:, 0].copy())
+        return y ** 2 + 1.0, np.sin(y) + 2.0 * y
+
+    y, rn, pay = _newton_batch(f, 0.0, np.array([[0.7], [3.0]]), 1e-10, 60)
+    assert np.any(trials[-1] != y[:, 0])  # a row kept a point from before its last trial
+    assert pay.tobytes() == (np.sin(y) + 2.0 * y).tobytes()
+    assert rn.tobytes() == np.linalg.norm(y ** 2 + 1.0, axis=1).tobytes()
 
 
 def _analytic_V_field(box, times, delta, slope_fn):
