@@ -113,7 +113,13 @@ def _corner_layout(shape):
 
 
 class InterpPlan:
-    """Corner indices and weights for repeated interpolation, shape (2**dim, N)."""
+    """Corner indices and weights for repeated interpolation, shape (2**dim, N).
+
+    apply multiplies each corner's (..., N, d) term by that corner's weights,
+    which are the (N, 1) view wts[..., None] unless widen(d) has repeated them
+    into a contiguous (2**dim, N, d) array: then the product is one contiguous
+    loop, not N loops d elements long, for the same products in the same order.
+    """
 
     def __init__(self, box: Box, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -131,19 +137,28 @@ class InterpPlan:
             self.wts[c] = factors[corner[0]][0]
             for a in range(1, dim):
                 self.wts[c] *= factors[corner[a]][a]
+        self.d, self.value_wts = None, self.wts[..., None]
+
+    def widen(self, d: int) -> "InterpPlan":
+        """Keep per-value weights for values with d components; apply then takes no other d."""
+        self.d, self.value_wts = d, np.repeat(self.wts[..., None], d, axis=-1)
+        return self
 
     def apply(self, values: np.ndarray, out=None, tmp=None) -> np.ndarray:
         """Weighted sum of the corner values, one corner at a time, as (*lead, N, d).
 
         Leading axes (batch members) gather along their own nodes; out and tmp,
         when given, receive the result and each corner's term."""
+        if self.d is not None and values.shape[-1] != self.d:
+            raise ValueError(f"plan widened for d={self.d} applied to values with "
+                             f"d={values.shape[-1]}")
         flat = values.reshape(values.shape[:values.ndim - 1 - self.dim] + (-1, values.shape[-1]))
         if out is None:
             out = np.empty(flat.shape[:-2] + self.idx.shape[1:] + flat.shape[-1:])
         out.fill(0.0)
-        for idx, wts in zip(self.idx, self.wts):  # cells are clamped: no bounds check
+        for idx, wts in zip(self.idx, self.value_wts):  # cells are clamped: no bounds check
             term = flat.take(idx, axis=-2, mode="clip", out=tmp)
-            term *= wts[:, None]
+            term *= wts
             out += term
         return out
 
@@ -392,8 +407,10 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
     rec[:, 0] = U
     workspace = _workspace(E, box.shape, U.shape[-1])
 
-    # relabeled probe points are fixed in time; build the gather plan once
-    jump_plan = InterpPlan(box, m.noise(box.node_list())) if m.lam > 0 else None
+    # relabeled probe points are fixed in time; build the gather plan and its
+    # per-value weights once
+    jump_plan = InterpPlan(box, m.noise(box.node_list())).widen(U.shape[-1]) \
+        if m.lam > 0 else None
 
     meta = {
         "cfl": params.cfl, "visc": params.visc, "dt_max": params.dt_max,

@@ -131,9 +131,21 @@ def bind_field(f: FieldSpec, x):
         xm = x @ f.Mx.T
         MpT = np.ascontiguousarray(f.Mp.T)
         c = np.broadcast_to(f.c, xm.shape[-2:]).copy()
+        # For d = 1, p @ Mp.T is one product per element, and np.multiply
+        # skips matmul's per-member BLAS call. The two can differ only in the
+        # sign of a zero: a BLAS that accumulates onto +0 turns a -0 product
+        # into +0, and otherwise they agree already. The next operation adds
+        # xm = x @ Mx.T, from the same kind of call, so in the first case xm
+        # is never -0 when its product is normalized; -0 + y equals +0 + y for
+        # every y that is not -0, so out is the same either way. (The jump's
+        # relabeled @ S is followed by U - jump, where the sign of a zero
+        # shows: it stays matmul.)
+        product = np.matmul
+        if MpT.shape == (1, 1):
+            product, MpT = np.multiply, MpT.reshape(1)  # (..., 1) times (1,): matmul's shape
 
         def at(p, out=None):
-            out = np.matmul(p, MpT, out=out)
+            out = product(p, MpT, out=out)
             out += xm
             out += c
             return out

@@ -63,6 +63,31 @@ def test_interp_apply_matches_einsum_gather(dim):
     got = plan.apply(vals)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    # per-value weights (widen) give the same bytes, for d = 1 and d = dim, with
+    # a leading member axis, into given buffers as the march does, and at
+    # points far off the box
+    pts = np.concatenate([rng.uniform(-1.5, 2.5, size=(300, dim)),
+                          rng.uniform(-1e6, 1e6, size=(20, dim)), np.full((1, dim), -1e12)])
+    for d in sorted({1, dim}):
+        members = rng.normal(size=(3,) + box.shape + (d,)) \
+            * 10.0 ** rng.integers(-6, 6, (3,) + box.shape + (d,))
+        members.reshape(-1)[::5] = -0.0
+        members[1] = -0.0
+        plain = InterpPlan(box, pts)
+        want = plain.apply(members)
+        wide = InterpPlan(box, pts).widen(d)
+        out, tmp = np.full(want.shape, np.nan), np.empty(want.shape)
+        for got in (wide.apply(members), wide.apply(members, out=out, tmp=tmp)):
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        for e in range(3):
+            assert wide.apply(members[e]).tobytes() == want[e].tobytes()
+        # a widened plan refuses values with another d instead of broadcasting
+        with pytest.raises(ValueError, match="widened"):
+            wide.apply(np.zeros(box.shape + (d + 1,)))
+        if d > 1:
+            with pytest.raises(ValueError, match="widened"):
+                wide.apply(members[..., :1])
 
 
 def test_interp_apply_scalar_field_on_2d_box():
@@ -296,6 +321,45 @@ BATCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batch_matches_single_solves(case):
     assert_batch_matches_single_solves(*BATCH_CASES[case])
+
+
+def test_jump_plan_widened_once_per_solve(monkeypatch):
+    # one plan and one widen per λ > 0 solve, whatever its step count; none
+    # for λ = 0; queries build their plans but never widen them
+    calls = {"init": 0, "widen": 0}
+    init, widen = InterpPlan.__init__, InterpPlan.widen
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(InterpPlan, "__init__", counted("init", init))
+    monkeypatch.setattr(InterpPlan, "widen", counted("widen", widen))
+
+    def count(fn, *args):
+        calls.update(init=0, widen=0)
+        result = fn(*args)
+        return result, dict(calls)
+
+    m, box, eps, _ = BATCH_CASES["2d-jump"]
+    slices = [penalized_slice(m, box, e) for e in eps]
+    steps = set()
+    for t_end in (0.1, 0.3):
+        batch, n = count(solve_master, m, slices, SolverParams(t_end=t_end, n_rec=3))
+        assert batch.failure is None and len(batch.members) == 3
+        assert n == {"init": 1, "widen": 1}
+        steps.add(batch.meta["steps"])
+    assert len(steps) == 2
+    m0, box0, eps0, params0 = BATCH_CASES["1d-baseline"]
+    batch, n = count(solve_master, m0, [penalized_slice(m0, box0, e) for e in eps0], params0)
+    assert batch.meta["steps"] > 0 and n == {"init": 0, "widen": 0}
+    sol = batch.members[0]
+    pts = np.array([[0.1], [0.7], [5.0]])
+    for query in (sol.field().eval, lambda t, x: sol.slice_at(t).eval(x)):
+        _, n = count(query, 0.5, pts)
+        assert n == {"init": 1, "widen": 0}
 
 
 def test_batch_members_wait_on_every_record():

@@ -78,6 +78,39 @@ def test_bind_matches_eval_bit_for_bit():
         assert F_at(p).tobytes() == want.tobytes()
         for e in range(3):
             assert out[e].tobytes() == m.eval_F(x, p[e]).tobytes()
+    # d = 1 binds an elementwise product in place of matmul, whose BLAS may
+    # turn a -0 product into +0: lq0's F and G (Mx = 0, Mp = 1 and 0, c = 0) on
+    # its (12, 201, 1) member stack with -0 in p, a product that underflows to
+    # -0 (with c = -0, which keeps a -0 sum), and Mx != 0 at the x = 0 node
+    lq0_x = np.linspace(-1.0, 2.0, 201)[:, None]
+    zero_x = np.linspace(-1.0, 1.0, 201)[:, None]
+    assert zero_x[100, 0] == 0.0 and not np.signbit(zero_x[100, 0])
+    neg_zero_x = zero_x.copy()
+    neg_zero_x[100] = -0.0
+    tiny = FieldSpec.affine(0.0, 1e-200, c=-0.0, d=1)
+    cases = [(FieldSpec.affine(0.0, 1.0, d=1), FieldSpec.affine(0.0, 0.0, d=1), lq0_x),
+             (tiny, FieldSpec.affine(0.5, 1e-200, c=-0.0, d=1), lq0_x),
+             (FieldSpec.affine(0.7, 1.0, d=1), FieldSpec.affine(-1.3, 0.0, d=1), zero_x),
+             (FieldSpec.affine(0.7, 1.0, d=1), FieldSpec.affine(-1.3, 0.0, d=1), neg_zero_x)]
+    for F, G, x in cases:
+        p = rng.uniform(-2.0, 2.0, size=(12,) + x.shape)
+        p[:, ::3] = -0.0
+        p[1::2, 1::4] = 0.0
+        if F is tiny:
+            p[:, 2::3] = -1e-200  # (-1e-200) (1e-200) underflows to -0
+        p[:, 100] = [[v] for v in ([-0.0, 0.0, -1.0, 1.0] * 3)]  # at the x = 0 node
+        m = ModelSpec(d=1, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(1),
+                      x0=np.zeros(1))
+        for at, ev in zip(m.bind(x), (m.eval_F, m.eval_G)):
+            out = np.full(p.shape, np.nan)
+            want = ev(x, p)
+            for got in (at(p), at(p, out=out)):
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            for e in range(len(p)):
+                one = ev(x, p[e])
+                assert at(p[e]).tobytes() == one.tobytes() == want[e].tobytes()
+                assert np.array_equal(np.signbit(at(p[e])), np.signbit(one))
 
 
 def test_bind_stacked_matches_eval_bit_for_bit():
