@@ -22,9 +22,9 @@ cell. The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -39,9 +39,28 @@ OVERFLOW_GUARD = 1e12
 TARGET_MARGIN_CELLS = 10
 
 
+def _interp_layout(shape, n):
+    """What every InterpPlan on a box shares: the node strides (dim,), each of the
+    2**dim cell corners' flat offset as a (2**dim, 1) column, the corners as
+    (0, 1) tuples, and the highest cell index per axis, n - 1, as floats."""
+    dim = len(shape)
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(dim)], dtype=np.int64)
+    corners = tuple(itertools.product((0, 1), repeat=dim))
+    offsets = (np.array(corners, dtype=np.int64) @ strides).reshape(-1, 1)
+    cell_max = (n - 1).astype(float)
+    for arr in (strides, offsets, cell_max):
+        arr.setflags(write=False)
+    return strides, offsets, corners, cell_max
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box [lo, hi] with n cells (n+1 nodes) per axis."""
+    """Axis-aligned box [lo, hi] with n cells (n+1 nodes) per axis.
+
+    dx (the cell widths), shape (the node counts) and layout (what its
+    interpolation plans share) are computed once, when the box is made; the
+    arrays among them are read-only, like lo, hi and n.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -59,21 +78,17 @@ class Box:
             raise ConfigError("box needs hi > lo on every axis")
         if np.any(n < 2):
             raise ConfigError("box needs at least 2 cells per axis")
-        for name, arr in (("lo", lo), ("hi", hi), ("n", n)):
+        dx = (hi - lo) / n
+        for name, arr in (("lo", lo), ("hi", hi), ("n", n), ("dx", dx)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        shape = tuple(int(k) + 1 for k in n)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "layout", _interp_layout(shape, n))
 
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    @property
-    def dx(self) -> np.ndarray:
-        return (self.hi - self.lo) / self.n
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(int(k) + 1 for k in self.n)
 
     def axes(self):
         return [np.linspace(self.lo[a], self.hi[a], self.n[a] + 1)
@@ -101,17 +116,6 @@ class Box:
         return int(np.floor(np.min(per_axis)))
 
 
-@functools.lru_cache(maxsize=None)
-def _corner_layout(shape):
-    """Flat-index strides of a node shape, its 2**dim cell corners and each corner's offset."""
-    dim = len(shape)
-    strides = np.array([int(np.prod(shape[a + 1:])) for a in range(dim)], dtype=np.int64)
-    strides.setflags(write=False)
-    corners = tuple(itertools.product((0, 1), repeat=dim))
-    offsets = tuple(int(np.dot(corner, strides)) for corner in corners)
-    return strides, corners, offsets
-
-
 class InterpPlan:
     """Corner indices and weights for repeated interpolation, shape (2**dim, N).
 
@@ -123,20 +127,20 @@ class InterpPlan:
 
     def __init__(self, box: Box, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        strides, offsets, corners, cell_max = box.layout
         w = (pts - box.lo) / box.dx
-        cell = np.clip(np.floor(w), 0, box.n - 1)
+        cell = np.floor(w)
+        np.maximum(cell, 0.0, out=cell)  # cell first: a -0.0 cell becomes +0.0, so w keeps its sign
+        np.minimum(cell, cell_max, out=cell)
         w -= cell  # outside [0,1] beyond the box: linear extrapolation
         self.dim = dim = box.dim
-        strides, corners, offsets = _corner_layout(box.shape)
-        base = cell.astype(np.int64) @ strides
+        self.idx = cell.astype(np.int64) @ strides + offsets
         factors = (1.0 - w.T, w.T)  # per-axis weight rows of the low and the high corner
-        self.idx = np.empty((len(corners), pts.shape[0]), dtype=np.int64)
-        self.wts = np.empty((len(corners), pts.shape[0]))
-        for c, corner in enumerate(corners):
-            self.idx[c] = base + offsets[c]
-            self.wts[c] = factors[corner[0]][0]
-            for a in range(1, dim):
-                self.wts[c] *= factors[corner[a]][a]
+        self.wts = np.empty(self.idx.shape)
+        for row, corner in zip(self.wts, corners):  # the weights' product, left to right
+            np.multiply(factors[corner[0]][0], factors[corner[1]][1] if dim > 1 else 1.0, out=row)
+            for a in range(2, dim):
+                row *= factors[corner[a]][a]
         self.d, self.value_wts = None, self.wts[..., None]
 
     def widen(self, d: int) -> "InterpPlan":
@@ -272,8 +276,8 @@ class GridField:
         if not times[0] - slack <= t <= times[-1] + slack:
             raise ConfigError(f"t={t:.6g} is outside the recorded times "
                               f"[{times[0]:.6g}, {times[-1]:.6g}]")
-        t = float(np.clip(t, times[0], times[-1]))
-        k = int(np.searchsorted(times, t, side="right") - 1)
+        t = float(min(times[-1], max(times[0], t)))  # bounds first: a tie returns the bound
+        k = int(times.searchsorted(t, side="right")) - 1
         k = min(max(k, 0), len(times) - 2)  # -1 for a single recorded slice
         t0, t1 = times[k], times[k + 1]
         w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)

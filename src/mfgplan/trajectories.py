@@ -35,7 +35,14 @@ class Trajectory:
         """Path i of a batch, as a single-path Trajectory."""
         return Trajectory(times=self.times, states=self.states[:, i], values=self.values[:, i])
 
+    def _require_one_path(self, what):
+        """Raise ConfigError naming what when this is a batch of paths."""
+        if self.states.ndim != 2:
+            raise ConfigError(f"{what} takes one path, not a batch of {self.states.shape[1]}: "
+                              "pass path(i)")
+
     def final_distance(self, x0) -> float:
+        self._require_one_path("final_distance")
         return float(np.linalg.norm(self.states[-1] - np.asarray(x0, dtype=float)))
 
 
@@ -104,6 +111,7 @@ def check_planning_convergence(traj: Trajectory, x0) -> PlanningConvergence:
     The slope c of |x(t) - x0| ~ c t is fitted on the early (larger-t) half of
     the path, where the numerical field is most accurate.
     """
+    traj._require_one_path("check_planning_convergence")
     x0 = np.asarray(x0, dtype=float)
     dist = np.linalg.norm(traj.states - x0, axis=1)
     t = traj.times
@@ -116,6 +124,7 @@ def check_planning_convergence(traj: Trajectory, x0) -> PlanningConvergence:
 
 def check_value_consistency(traj: Trajectory, m: ModelSpec) -> float:
     """Max defect |du/dt - G(x, u)| along the path (centered differences)."""
+    traj._require_one_path("check_value_consistency")
     t = traj.times
     if len(t) < 3:
         raise ConfigError("need at least 3 samples along the trajectory")

@@ -41,26 +41,38 @@ def _newton_batch(f, target, y0, tol, max_iter, fd_h=1e-7):
     at that point (the resolvent's U(y), the shooting endpoint's u). Returns
     (y, residual_norms, payload) at the accepted points. Jacobians are
     centered finite differences, all 2*d perturbed copies of y evaluated in
-    one call of f; steps are halved until the row residual does not increase,
-    and a row whose halving fails keeps its point and its payload. Iteration
-    stops once every row is within tol or no row above tol improved.
+    one call of f; the start y0 rides in the call of its own copies, so f
+    must treat each row on its own. Steps are halved until the row residual
+    does not increase, and a row whose halving fails keeps its point and its
+    payload. Iteration stops once every row is within tol or no row above tol
+    improved.
     """
     y = np.atleast_2d(np.asarray(y0, dtype=float)).copy()
     n, d = y.shape
-    r, pay = f(y)
-    r = r - target
-    rn = np.linalg.norm(r, axis=1)
     eye = np.eye(d)
+
+    def probes(y, lead):
+        """lead copies of y, then its 2*d finite-difference copies, as rows; and the steps h."""
+        h = fd_h * (1.0 + np.abs(y))
+        rows = np.repeat(y[None], lead + 2 * d, axis=0)
+        for j in range(d):
+            rows[lead + j, :, j] += h[:, j]
+            rows[lead + d + j, :, j] -= h[:, j]
+        return rows.reshape(-1, d), h
+
+    rows, h = probes(y, 1)
+    val, pay = f(rows)
+    val = val.reshape(1 + 2 * d, n, d) - target
+    r, fp, pay = val[0], val[1:], pay[:n]
+    rn = np.linalg.norm(r, axis=1)
     for _ in range(max_iter):
         if np.all(rn <= tol):
             break
-        h = fd_h * (1.0 + np.abs(y))
-        probes = np.repeat(y[None], 2 * d, axis=0)
-        for j in range(d):
-            probes[j, :, j] += h[:, j]
-            probes[d + j, :, j] -= h[:, j]
-        fp = f(probes.reshape(-1, d))[0].reshape(2 * d, n, d) - target
+        if fp is None:
+            rows, h = probes(y, 0)
+            fp = f(rows)[0].reshape(2 * d, n, d) - target
         J = np.moveaxis(fp[:d] - fp[d:], 0, -1) / (2.0 * h[:, None, :])
+        fp = None
         try:
             step = np.linalg.solve(J, -r[..., None])[..., 0]
         except np.linalg.LinAlgError:

@@ -4,6 +4,8 @@ Frozen constants derive from tests/oracles/derive_values.py (closed forms
 cross-checked there by independent fine-step RK4 integration).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      GridSolution, ModelSpec, Slice, SolverParams, check_monotone_map,
                      lipschitz_norm, node_jacobians, penalized_slice, residual,
                      sample_solution, solve_master, write_solution_csv)
+from mfgplan import grid_solver
 from mfgplan.grid_solver import InterpPlan, write_table
 from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
                       box1d, closed_form, digest12, jump_model)
@@ -35,6 +38,76 @@ def test_box_geometry():
         Box(np.array([1.0]), np.array([0.0]), np.array([4]))
     with pytest.raises(ConfigError):
         Box(np.array([0.0]), np.array([1.0]), np.array([0]))
+
+
+def test_box_dx_is_read_only_and_its_layout_built_once(monkeypatch):
+    # plans read the box's cached dx and layout: a write to dx would move
+    # every later query, and a rebuilt layout would cost every query again
+    builds = []
+    build = grid_solver._interp_layout
+    monkeypatch.setattr(grid_solver, "_interp_layout",
+                        lambda *args: builds.append(args) or build(*args))
+    box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), np.array([4, 8]))
+    with pytest.raises(ValueError, match="read-only"):
+        box.dx *= 2
+    layout = box.layout
+    strides, offsets, _, cell_max = layout
+    for arr in (box.dx, strides, offsets, cell_max):
+        assert not arr.flags.writeable
+    assert np.array_equal(box.dx, [0.5, 0.25])
+    lin = lambda t, x: x @ np.array([[2.0, -1.0], [0.5, 3.0]]).T + t
+    slc = Slice.from_fn(box, lambda x: lin(0.0, x))
+    field = sample_solution(box, [0.0, 0.5, 1.0], lin).field()
+    pts = np.random.default_rng(0).uniform(-1.5, 2.5, size=(20, 2))
+    for i, x in enumerate(pts):
+        assert np.allclose(slc.eval(x), lin(0.0, x[None])[0], atol=1e-12)
+        assert np.allclose(field.eval(i / 19, pts), lin(i / 19, pts), atol=1e-12)
+    assert len(builds) == 1 and box.layout is layout
+
+
+def _reference_plan(box, pts):
+    """Corner indices and weights of each point, axis by axis in Python floats."""
+    dim, lo, n = box.dim, box.lo.tolist(), box.n.tolist()
+    dx = [(h - l) / k for l, h, k in zip(lo, box.hi.tolist(), n)]
+    stride = [int(np.prod([k + 1 for k in n[a + 1:]])) for a in range(dim)]
+    idx = np.empty((2 ** dim, len(pts)), dtype=np.int64)
+    wts = np.empty((2 ** dim, len(pts)))
+    for i, x in enumerate(pts.tolist()):
+        w = [(x[a] - lo[a]) / dx[a] for a in range(dim)]
+        cell = [float(min(max(math.floor(w[a]), 0), n[a] - 1)) for a in range(dim)]
+        frac = [w[a] - cell[a] for a in range(dim)]
+        for c in range(2 ** dim):  # corner c has bit dim-1-a set when high on axis a
+            high = [(c >> (dim - 1 - a)) & 1 for a in range(dim)]
+            idx[c, i] = sum((int(cell[a]) + high[a]) * stride[a] for a in range(dim))
+            prod = frac[0] if high[0] else 1.0 - frac[0]
+            for a in range(1, dim):
+                prod *= frac[a] if high[a] else 1.0 - frac[a]
+            wts[c, i] = prod
+    return idx, wts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interp_plan_bits_match_a_per_axis_reference(dim):
+    # points on the top face (the cell clamps to n - 1), 1e12 off the box and
+    # -0.0 on an axis starting at 0 (the weight keeps its sign) included
+    rng = np.random.default_rng(30 + dim)
+    box = Box(np.array([0.0, -1.0, 0.5])[:dim], np.array([1.0, 2.0, 1.75])[:dim],
+              np.array([5, 7, 3])[:dim])
+    pts = rng.uniform(-1.5, 2.5, size=(60, dim))
+    top = rng.uniform(box.lo, box.hi, size=(3 * dim, dim))
+    for a in range(dim):
+        top[3 * a:3 * a + 3, a] = box.hi[a]
+    far = np.array([1e12, -1e12, 1e12])[:dim] * np.array([[1.0], [-1.0]])
+    zeros = np.tile(box.lo, (4, 1))
+    zeros[:, 0] = -0.0
+    zeros[1:, 1:] = rng.uniform(box.lo[1:], box.hi[1:], size=(3, dim - 1))
+    pts = np.concatenate([pts, top, far, zeros, box.lo[None], box.hi[None]])
+    plan = InterpPlan(box, pts)
+    want_idx, want_wts = _reference_plan(box, pts)
+    assert plan.idx.dtype == np.int64 and plan.idx.tobytes() == want_idx.tobytes()
+    assert plan.wts.tobytes() == want_wts.tobytes()
+    assert np.array_equal(np.signbit(plan.wts), np.signbit(want_wts))
+    assert np.signbit(plan.wts[-1, -6:-2]).all()  # the zeros rows: -0.0 on the high side of axis 0
 
 
 def test_interp_exact_on_linear_including_extrapolation():

@@ -208,6 +208,27 @@ def test_batch_exit_names_first_start_and_keeps_every_path():
                 np.ascontiguousarray(part.states[:, i]).tobytes()
 
 
+def test_single_path_checks_refuse_a_batch():
+    # on (K, N, d) states final_distance used to return the norm over every
+    # path together, and the two checks broadcast the batch against x0 or G
+    m = baseline_model()
+    starts = np.array([[1.0], [0.2], [0.8]])
+    paths = integrate_backward(limit_field(), m, starts, 1.0, 0.05, steps=40)
+    for call, what in ((lambda: paths.final_distance([X0]), "final_distance"),
+                       (lambda: check_planning_convergence(paths, [X0]),
+                        "check_planning_convergence"),
+                       (lambda: check_value_consistency(paths, m), "check_value_consistency")):
+        with pytest.raises(ConfigError, match=rf"^{what} takes one path, not a batch of 3: "
+                                              r"pass path\(i\)"):
+            call()
+    for i, x1 in enumerate(starts):
+        one = integrate_backward(limit_field(), m, x1, 1.0, 0.05, steps=40)
+        assert paths.path(i).final_distance([X0]) == one.final_distance([X0])
+        assert check_planning_convergence(paths.path(i), [X0]) == \
+            check_planning_convergence(one, [X0])
+        assert check_value_consistency(paths.path(i), m) == check_value_consistency(one, m)
+
+
 def test_nonfinite_path_raises_with_last_state():
     # U = 1 above x = 0.7 and nan below: backward paths move down at unit
     # speed until a stage lands at or below 0.7

@@ -141,8 +141,8 @@ def test_newton_batch_keeps_best_point_and_stops_early():
 
     def f(y):
         out = y ** 2 + 1.0
-        if len(y) == 2:  # the iterates and line-search trials, not the FD probes
-            seen.append(out[:, 0].copy())
+        if len(y) in (2, 6):  # the start (leading its FD probes), the iterates and the trials
+            seen.append(out[:2, 0].copy())
         return out, y.copy()
 
     y, rn, _ = _newton_batch(f, 0.0, np.array([[0.7], [3.0]]), 1e-10, 60)
@@ -164,6 +164,81 @@ def test_newton_batch_reverted_row_keeps_its_payload():
     assert np.any(trials[-1] != y[:, 0])  # a row kept a point from before its last trial
     assert pay.tobytes() == (np.sin(y) + 2.0 * y).tobytes()
     assert rn.tobytes() == np.linalg.norm(y ** 2 + 1.0, axis=1).tobytes()
+
+
+def _unmerged_newton(f, target, y0, tol, max_iter, fd_h=1e-7):
+    """Reference damped Newton: the start and its finite-difference copies in separate calls."""
+    y = np.atleast_2d(np.asarray(y0, dtype=float)).copy()
+    n, d = y.shape
+    r, pay = f(y)
+    r = r - target
+    rn = np.linalg.norm(r, axis=1)
+    for _ in range(max_iter):
+        if np.all(rn <= tol):
+            break
+        h = fd_h * (1.0 + np.abs(y))
+        probes = np.repeat(y[None], 2 * d, axis=0)
+        for j in range(d):
+            probes[j, :, j] += h[:, j]
+            probes[d + j, :, j] -= h[:, j]
+        fp = f(probes.reshape(-1, d))[0].reshape(2 * d, n, d) - target
+        J = np.moveaxis(fp[:d] - fp[d:], 0, -1) / (2.0 * h[:, None, :])
+        step = np.linalg.solve(J, -r[..., None])[..., 0]
+        alpha = np.ones(n)
+        for _ in range(30):
+            y_try = y + alpha[:, None] * step
+            r_try, pay_try = f(y_try)
+            r_try = r_try - target
+            rn_try = np.linalg.norm(r_try, axis=1)
+            bad = (rn_try > rn) & (rn > tol)
+            if not np.any(bad):
+                break
+            alpha = np.where(bad, alpha * 0.5, alpha)
+        y_try[bad], r_try[bad], rn_try[bad], pay_try[bad] = y[bad], r[bad], rn[bad], pay[bad]
+        improved = np.any((rn_try < rn) & (rn > tol))
+        y, r, rn, pay = y_try, r_try, rn_try, pay_try
+        if not improved:
+            break
+    return y, rn, pay
+
+
+def test_resolvent_and_invert_shift_match_an_unmerged_newton():
+    # the start rides in the call of its probes; on a 2-D slice, where the
+    # field is interpolated row by row, every byte stays as in separate calls
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 24))
+    v = Slice.from_fn(box, lambda x: np.stack([x[:, 0] ** 3 + x[:, 0] + 0.2 * x[:, 1],
+                                               np.sinh(x[:, 1]) - 0.1 * x[:, 0]], axis=1))
+    x = np.concatenate([box.node_list()[::7],
+                        np.random.default_rng(4).uniform(-1.5, 2.5, size=(40, 2))])
+    for delta in (0.1, 0.5):
+        y, rn, u = _unmerged_newton(lambda y: (y + delta * v.eval(y), v.eval(y)),
+                                    x, x, 1e-10, 60)
+        assert np.all(rn <= 1e-10)
+        assert resolvent(v, delta, x).tobytes() == y.tobytes()
+        assert yosida_apply(v, delta, x).tobytes() == v.eval(y).tobytes()
+        w0 = x + delta * v.eval(x)
+        w, rn, _ = _unmerged_newton(lambda w: (w - delta * v.eval(w), v.eval(w)),
+                                    x, w0, 1e-10, 60)
+        got, ok = invert_shift(v, delta, x)
+        assert got.tobytes() == w.tobytes()
+        assert ok.tobytes() == (rn <= 1e-8).tobytes()
+
+
+def test_newton_batch_converged_start_returns_it_unchanged():
+    # every row of the start already solves f(y) = target: one call of f (the
+    # start and its probes), and y0 and its payload come back as they were
+    y0 = np.array([[0.3, -1.2], [2.0, 0.0], [-0.0, 5e-3]])
+    calls = []
+
+    def f(y):
+        calls.append(len(y))
+        return 2.0 * y, np.sin(y) + y
+
+    y, rn, pay = _newton_batch(f, 2.0 * y0, y0, 1e-10, 60)
+    assert calls == [5 * len(y0)]
+    assert y.tobytes() == y0.tobytes() and not np.shares_memory(y, y0)
+    assert rn.tobytes() == np.zeros(len(y0)).tobytes()
+    assert pay.tobytes() == (np.sin(y0) + y0).tobytes()
 
 
 def _analytic_V_field(box, times, delta, slope_fn):
