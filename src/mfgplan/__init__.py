@@ -20,9 +20,8 @@ from .grid_solver import (AnalyticField, Box, GridField, GridSolution, Slice,
                           sample_solution, solve_master,
                           write_meta_jsonl, write_solution_csv)
 from .characteristics import flow_forward, penalized_data, solve_by_shooting
-from .yosida import (ResidualField, YosidaField, eqV_residual, invert_shift,
-                     resolvent, residual, yosida_apply, yosida_by_transport,
-                     yosida_field)
+from .yosida import (ResidualField, eqV_residual, invert_shift, resolvent,
+                     residual, yosida_apply, yosida_by_transport, yosida_field)
 from .planning import (EstimateReport, ExtractedLimit, GraphLimitDiagnostic,
                        PenalizationRun, certificate_bound,
                        certificate_horizon, cross_monotonicity,
@@ -48,7 +47,7 @@ __all__ = [
     "MonotonicityReport", "NewtonError", "PenalizationRun",
     "PlanningConvergence", "PlanningError", "PullbackField", "ResidualField",
     "Slice", "SolutionBatch", "SolverParams", "Trajectory", "TrajectoryExitError",
-    "YosidaField", "affine_couple_eigenvalue", "certificate_bound",
+    "affine_couple_eigenvalue", "certificate_bound",
     "certificate_horizon", "chain_rule_defect", "check_couple_monotone",
     "check_factorization", "check_inward_flow", "check_log_blowup",
     "check_monotone_map", "check_planning_convergence",

@@ -33,12 +33,40 @@ from .trajectories import (check_planning_convergence, check_value_consistency,
 from .yosida import eqV_residual, yosida_field
 
 
-def _points(text, d):
+class _Section(dict):
+    """The keys of one config section, none if it is absent. number, numbers and
+    time read a key, or its default, and name it '[section] key' in errors."""
+
+    def __init__(self, cp, name):
+        super().__init__(cp[name] if cp.has_section(name) else {})
+        self.name = name
+
+    def label(self, key) -> str:
+        return f"[{self.name}] {key}"
+
+    def number(self, key, default=None, kind=float):
+        return parse_number(self.get(key, default), self.label(key), kind)
+
+    def numbers(self, key, default=None, kind=float) -> list:
+        return parse_numbers(self.get(key, default), self.label(key), kind)
+
+    def time(self, key, default, t_end) -> float:
+        return _in_horizon(self.number(key, default), self.label(key), t_end)
+
+
+def _in_horizon(t, name, t_end) -> float:
+    """t, which must lie in [0, t_end]: no field is recorded outside it."""
+    if not 0.0 <= t <= t_end:
+        raise ConfigError(f"{name} = {t:.12g} lies outside [0, t_end = {t_end:.12g}]")
+    return t
+
+
+def _points(sec, key, default, d):
     pts = []
-    for chunk in text.split(";"):
+    for chunk in sec.get(key, default).split(";"):
         if not chunk.strip():
             continue
-        vals = parse_numbers(chunk, "[trajectories] starts")
+        vals = parse_numbers(chunk, sec.label(key))
         if len(vals) != d:
             raise ConfigError(f"point '{chunk.strip()}' does not have {d} coordinates")
         pts.append(vals)
@@ -63,9 +91,6 @@ class RunConfig:
     quiet: bool
     cp: configparser.ConfigParser
 
-    def section(self, name) -> dict:
-        return dict(self.cp[name]) if self.cp.has_section(name) else {}
-
     def say(self, msg):
         if not self.quiet:
             print(msg)
@@ -87,30 +112,29 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     else:
         model = model_from_items(msec)
 
-    bsec = dict(cp["box"]) if cp.has_section("box") else {}
-    lo = np.asarray(parse_numbers(bsec.get("lo", "-1"), "[box] lo"))
-    hi = np.asarray(parse_numbers(bsec.get("hi", "2"), "[box] hi"))
-    n = np.asarray(parse_numbers(bsec.get("n", "400"), "[box] n", int))
+    bsec = _Section(cp, "box")
+    lo = np.asarray(bsec.numbers("lo", "-1"))
+    hi = np.asarray(bsec.numbers("hi", "2"))
+    n = np.asarray(bsec.numbers("n", "400", int))
     box = Box(*(np.full(model.d, v[0]) if v.size == 1 else v for v in (lo, hi)), n)
 
-    ssec = dict(cp["solver"]) if cp.has_section("solver") else {}
+    ssec = _Section(cp, "solver")
     params = SolverParams(
-        cfl=parse_number(ssec.get("cfl", "0.75"), "[solver] cfl"),
-        visc=parse_number(ssec.get("visc", "0"), "[solver] visc"),
-        t_end=parse_number(ssec.get("t_end", "1.0"), "[solver] t_end"),
-        dt_max=parse_number(ssec.get("dt_max", "0.01"), "[solver] dt_max"),
-        n_rec=parse_number(ssec.get("n_rec", "101"), "[solver] n_rec", int),
+        cfl=ssec.number("cfl", "0.75"),
+        visc=ssec.number("visc", "0"),
+        t_end=ssec.number("t_end", "1.0"),
+        dt_max=ssec.number("dt_max", "0.01"),
+        n_rec=ssec.number("n_rec", "101", int),
     )
 
-    psec = dict(cp["planning"]) if cp.has_section("planning") else {}
-    eps_schedule = tuple(parse_numbers(psec.get("eps", "0.4, 0.2, 0.1"), "[planning] eps"))
-    delta = parse_number(psec.get("delta", "0.25"), "[planning] delta")
-    t_min = parse_number(psec.get("t_min", "0.2"), "[planning] t_min")
-    conv_tol = parse_number(psec.get("conv_tol", "1e-2"), "[planning] conv_tol")
+    psec = _Section(cp, "planning")
+    eps_schedule = tuple(psec.numbers("eps", "0.4, 0.2, 0.1"))
+    delta = psec.number("delta", "0.25")
+    t_min = psec.number("t_min", "0.2")
+    conv_tol = psec.number("conv_tol", "1e-2")
 
-    rsec = dict(cp["run"]) if cp.has_section("run") else {}
-    seed = parse_number(rsec.get("seed", "0"), "[run] seed", int) if seed_override is None \
-        else seed_override
+    rsec = _Section(cp, "run")
+    seed = rsec.number("seed", "0", int) if seed_override is None else seed_override
     if seed < 0:
         raise ConfigError(f"[run] seed (or --seed) must be >= 0, got {seed}")
     out = Path(rsec.get("out", "out")) if out_override is None else Path(out_override)
@@ -141,27 +165,15 @@ def _write_json(obj, path):
         fh.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
-def _time(cfg: RunConfig, text, name) -> float:
-    """The time in text, which must lie in [0, t_end]: no field is recorded outside it."""
-    t = parse_number(text, name)
-    if not 0.0 <= t <= cfg.params.t_end:
-        raise ConfigError(f"{name} = {t:.12g} lies outside [0, t_end = {cfg.params.t_end:.12g}]")
-    return t
-
-
 def _outdir(cfg: RunConfig) -> Path:
     cfg.out.mkdir(parents=True, exist_ok=True)
     return cfg.out
 
 
-def _single_solve(cfg: RunConfig, eps=None):
-    if eps is None:
-        eps = cfg.eps_schedule[-1]
-        sec = cfg.section("solve")
-        if "eps" in sec:
-            eps = parse_number(sec["eps"], "[solve] eps")
-    return float(eps), solve_master(cfg.model, penalized_slice(cfg.model, cfg.box, eps),
-                                    cfg.params)
+def _single_solve(cfg: RunConfig):
+    """Solve for [solve] eps, by default the schedule's smallest; returns (eps, solution)."""
+    eps = _Section(cfg.cp, "solve").number("eps", cfg.eps_schedule[-1])
+    return eps, solve_master(cfg.model, penalized_slice(cfg.model, cfg.box, eps), cfg.params)
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
@@ -202,13 +214,13 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 
 
 def cmd_yosida(cfg: RunConfig, args) -> int:
-    sec = cfg.section("yosida")
-    delta = parse_number(sec.get("delta", cfg.delta), "[yosida] delta")
+    sec = _Section(cfg.cp, "yosida")
+    delta = sec.number("delta", cfg.delta)
     if "times" not in sec and cfg.params.n_rec < 3:
         raise ConfigError("[solver] n_rec must be >= 3 for yosida without [yosida] times")
     eps, sol = _single_solve(cfg)
     if "times" in sec:
-        wanted = parse_numbers(sec["times"], "[yosida] times")
+        wanted = sec.numbers("times")
     else:
         k = len(sol.times) // 2
         wanted = [sol.times[k - 1], sol.times[k], sol.times[k + 1]]
@@ -217,10 +229,10 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
     if len(times) < 3:
         raise ConfigError(f"[yosida] times must snap to at least 3 distinct recorded "
                           f"times, got {', '.join(f'{t:.12g}' for t in snapped)}")
-    V = yosida_field(sol, delta, times=times)
-    res = eqV_residual(cfg.model, V, times[len(times) // 2])
+    V = yosida_field(sol, delta, times)
+    res = eqV_residual(cfg.model, V, delta, times[len(times) // 2])
     out = _outdir(cfg)
-    write_solution_csv(V.sol, out / "v_slices.csv")
+    write_solution_csv(V, out / "v_slices.csv")
     header = [f"x_{a+1}" for a in range(cfg.box.dim)] + ["residual", "excluded"]
     write_table(out / "eqv_residual.csv", ",".join(header), cfg.box.node_list(),
                 res.values.reshape(-1), res.excluded.reshape(-1))
@@ -233,11 +245,11 @@ def cmd_yosida(cfg: RunConfig, args) -> int:
 
 
 def cmd_traject(cfg: RunConfig, args) -> int:
-    sec = cfg.section("trajectories")
-    t1 = _time(cfg, sec.get("t1", cfg.params.t_end), "[trajectories] t1")
-    t_min = parse_number(sec.get("t_min", "0.05"), "[trajectories] t_min")
-    steps = parse_number(sec.get("steps", "200"), "[trajectories] steps", int)
-    starts = _points(sec.get("starts", "1.0"), cfg.model.d)
+    sec = _Section(cfg.cp, "trajectories")
+    t1 = sec.time("t1", cfg.params.t_end, cfg.params.t_end)
+    t_min = sec.number("t_min", "0.05")
+    steps = sec.number("steps", "200", int)
+    starts = _points(sec, "starts", "1.0", cfg.model.d)
     eps, sol = _single_solve(cfg)
     paths = integrate_backward(sol.field(), cfg.model, starts, t1, t_min, steps=steps)
     out = _outdir(cfg)
@@ -260,11 +272,11 @@ def cmd_traject(cfg: RunConfig, args) -> int:
 
 
 def cmd_halfspace(cfg: RunConfig, args) -> int:
-    sec = cfg.section("halfspace")
-    t_fit = _time(cfg, sec.get("t_fit", "0.25"), "[halfspace] t_fit")
-    x1_lo = parse_number(sec.get("x1_min", "0.02"), "[halfspace] x1_min")
-    x1_hi = parse_number(sec.get("x1_max", "0.9"), "[halfspace] x1_max")
-    n_tail = parse_number(sec.get("n_tail", "12"), "[halfspace] n_tail", int)
+    sec = _Section(cfg.cp, "halfspace")
+    t_fit = sec.time("t_fit", "0.25", cfg.params.t_end)
+    x1_lo = sec.number("x1_min", "0.02")
+    x1_hi = sec.number("x1_max", "0.9")
+    n_tail = sec.number("n_tail", "12", int)
     if not (0.0 < x1_lo < x1_hi < 1.0 and n_tail >= 2):
         raise ConfigError("[halfspace] tail needs 0 < x1_min < x1_max < 1 and n_tail >= 2")
     ftilde = _parse_field(sec, "ftilde", cfg.model.d)
@@ -295,14 +307,14 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    sec = cfg.section("verify")
-    M = parse_number(sec.get("M", "2.0"), "[verify] M")
-    n_pairs = parse_number(sec.get("n_pairs", "2000"), "[verify] n_pairs", int)
+    sec = _Section(cfg.cp, "verify")
+    M = sec.number("M", "2.0")
+    n_pairs = sec.number("n_pairs", "2000", int)
     if n_pairs < 1:
         raise ConfigError(f"[verify] n_pairs must be >= 1, got {n_pairs}")
-    tol_mono = parse_number(sec.get("tol_mono", "1e-4"), "[verify] tol_mono")
-    cross_tol = parse_number(sec.get("cross_tol", "1e-3"), "[verify] cross_tol")
-    times = parse_numbers(sec.get("times", "0.8, 0.4, 0.2"), "[verify] times")
+    tol_mono = sec.number("tol_mono", "1e-4")
+    cross_tol = sec.number("cross_tol", "1e-3")
+    times = sec.numbers("times", "0.8, 0.4, 0.2")
     times = [t for t in times if cfg.t_min - 1e-12 <= t <= cfg.params.t_end + 1e-12]
     if not times:
         raise ConfigError("[verify] times must intersect [t_min, t_end]")
@@ -359,9 +371,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_probe(cfg: RunConfig, args) -> int:
-    sec = cfg.section("probe")
-    t = _time(cfg, args.t, "--t") if args.t is not None \
-        else _time(cfg, sec.get("t", "0.4"), "[probe] t")
+    sec = _Section(cfg.cp, "probe")
+    t = _in_horizon(parse_number(args.t, "--t"), "--t", cfg.params.t_end) \
+        if args.t is not None else sec.time("t", "0.4", cfg.params.t_end)
     x_text = args.x if args.x is not None else sec.get("x", None)
     if x_text is None:
         raise ConfigError("probe needs x (flag --x or [probe] x)")

@@ -38,6 +38,11 @@ OVERFLOW_GUARD = 1e12
 # Minimum number of cells between the planning target and any box face.
 TARGET_MARGIN_CELLS = 10
 
+# GridSolution.index_of takes a time within this of a recorded one as that
+# record: it absorbs a time computed by another route, and lies far below
+# any record spacing.
+TIME_MATCH_TOL = 1e-9
+
 
 def _interp_layout(shape, n):
     """What every InterpPlan on a box shares: the node strides (dim,), each of the
@@ -195,8 +200,6 @@ class Slice:
         out = InterpPlan(self.box, np.atleast_2d(pts)).apply(self.values)
         return out[0] if single else out
 
-    __call__ = eval
-
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -244,10 +247,12 @@ class GridSolution:
         times = np.asarray(times, dtype=float).reshape(-1, 1)
         return self.times[np.argmin(np.abs(self.times - times), axis=1)].tolist()
 
-    def index_of(self, t, tol=1e-9) -> int:
-        hits = np.nonzero(np.abs(self.times - t) <= tol)[0]
+    def index_of(self, t) -> int:
+        gap = np.abs(self.times - t)
+        hits = np.nonzero(gap <= TIME_MATCH_TOL)[0]
         if hits.size == 0:
-            raise ValueError(f"t={t} is not a recorded time")
+            raise ConfigError(f"t={t:.6g} is not a recorded time; the nearest is "
+                              f"{self.times[np.argmin(gap)]:.6g}")
         return int(hits[0])
 
     def slice_at(self, t) -> Slice:
@@ -307,7 +312,7 @@ def sample_solution(box: Box, times, fn) -> GridSolution:
     nodes = box.node_list()
     vals = np.stack([np.asarray(fn(t, nodes), dtype=float).reshape(*box.shape, -1)
                      for t in times])
-    return GridSolution(box=box, times=times, values=vals, meta={"kind": "analytic"})
+    return GridSolution(box=box, times=times, values=vals)
 
 
 def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:

@@ -26,6 +26,16 @@ from .grid_solver import Box, GridField, SolverParams
 from .model import FieldSpec, ModelSpec, bind_field, eval_field
 from .planning import PenalizationRun, run_penalization
 
+# check_factorization and check_inward_flow take no box: they sample
+# N_SAMPLES pairs (x, p), each coordinate but x_1 uniform in
+# [-SAMPLE_HALFWIDTH, SAMPLE_HALFWIDTH], a cube around the unit seam.
+N_SAMPLES, SAMPLE_HALFWIDTH = 2000, 2.0
+
+# chain_rule_defect's centered-difference step: relative to x_1 on the
+# half-space side, where the ln(x_1) profile varies on the scale of x_1, and
+# absolute on the straightened side.
+CHAIN_RULE_STEP = 1e-3
+
 
 def to_log_coordinates(x) -> np.ndarray:
     """Straightening map; requires x_1 > 0."""
@@ -76,14 +86,13 @@ class HalfspaceModel:
                                   "diag(1, T') and e_1 = 0")
 
 
-def check_factorization(hm: HalfspaceModel, n_samples=2000, rng_seed=0,
-                        halfwidth=2.0) -> float:
+def check_factorization(hm: HalfspaceModel, rng_seed=0) -> float:
     """Max defect of F_1 = x_1 Ftilde_1 (x_1 in (0,1]) and F_j = Ftilde_j (j>=2)."""
     m = hm.base
     rng = np.random.default_rng(rng_seed)
-    x = rng.uniform(-halfwidth, halfwidth, size=(n_samples, m.d))
-    x[:, 0] = rng.uniform(1e-6, 1.0, size=n_samples)
-    p = rng.uniform(-halfwidth, halfwidth, size=(n_samples, m.d))
+    x = rng.uniform(-SAMPLE_HALFWIDTH, SAMPLE_HALFWIDTH, size=(N_SAMPLES, m.d))
+    x[:, 0] = rng.uniform(1e-6, 1.0, size=N_SAMPLES)
+    p = rng.uniform(-SAMPLE_HALFWIDTH, SAMPLE_HALFWIDTH, size=(N_SAMPLES, m.d))
     F = m.eval_F(x, p)
     Ft = eval_field(hm.ftilde, x, p)
     defect = np.abs(F[:, 0] - x[:, 0] * Ft[:, 0])
@@ -92,16 +101,16 @@ def check_factorization(hm: HalfspaceModel, n_samples=2000, rng_seed=0,
     return float(np.max(defect))
 
 
-def check_inward_flow(m: ModelSpec, n_samples=2000, rng_seed=0, halfwidth=2.0) -> float:
+def check_inward_flow(m: ModelSpec, rng_seed=0) -> float:
     """Min of F_1(x, p) over samples on the wall {x_1 = 0}.
 
     The inward-pointing condition <F, n> <= 0 with outward normal n = -e_1
     reads F_1 >= 0 there.
     """
     rng = np.random.default_rng(rng_seed)
-    x = rng.uniform(-halfwidth, halfwidth, size=(n_samples, m.d))
+    x = rng.uniform(-SAMPLE_HALFWIDTH, SAMPLE_HALFWIDTH, size=(N_SAMPLES, m.d))
     x[:, 0] = 0.0
-    p = rng.uniform(-halfwidth, halfwidth, size=(n_samples, m.d))
+    p = rng.uniform(-SAMPLE_HALFWIDTH, SAMPLE_HALFWIDTH, size=(N_SAMPLES, m.d))
     return float(np.min(m.eval_F(x, p)[:, 0]))
 
 
@@ -156,15 +165,13 @@ class HalfspaceSolution:
     """Straightened penalization run plus half-space evaluation helpers."""
 
     hm: HalfspaceModel
-    model_y: ModelSpec
-    box_y: Box
-    run: PenalizationRun
+    run: PenalizationRun  # on the straightened model and box
 
     def v_field(self) -> GridField:
         return self.run.smallest_eps_solution.field()
 
     def u_field(self) -> PullbackField:
-        return PullbackField(self.v_field(), self.box_y)
+        return PullbackField(self.v_field(), self.run.box)
 
     def u_eval(self, t, pts) -> np.ndarray:
         return self.u_field().eval(t, pts)
@@ -174,10 +181,9 @@ def solve_halfspace(hm: HalfspaceModel, box_y: Box, eps_schedule,
                     params: SolverParams, t_min=0.2, delta=0.25,
                     conv_tol=1e-2) -> HalfspaceSolution:
     """Run the penalization pipeline on the straightened model."""
-    model_y = transformed_model(hm)
-    run = run_penalization(model_y, box_y, eps_schedule, params, t_min=t_min,
+    run = run_penalization(transformed_model(hm), box_y, eps_schedule, params, t_min=t_min,
                            delta=delta, conv_tol=conv_tol)
-    return HalfspaceSolution(hm=hm, model_y=model_y, box_y=box_y, run=run)
+    return HalfspaceSolution(hm=hm, run=run)
 
 
 @dataclass
@@ -207,11 +213,11 @@ def check_log_blowup(u_eval, t, x1_samples, x_rest) -> LogFit:
     return LogFit(a=float(coef[0]), b=float(coef[1]), residual=resid)
 
 
-def chain_rule_defect(hsol: HalfspaceSolution, t, probes, h=1e-3) -> float:
+def chain_rule_defect(hsol: HalfspaceSolution, t, probes) -> float:
     """Max defect of x_1 d/dx_1 U^1 = d/dy_1 V^1 at probe points with x_1 < 1.
 
-    Both sides use centered differences (relative step h*x_1 on the half-space
-    side, step h on the straightened side).
+    Both sides use centered differences (relative step CHAIN_RULE_STEP * x_1
+    on the half-space side, step CHAIN_RULE_STEP on the straightened side).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if np.any(probes[:, 0] >= 1) or np.any(probes[:, 0] <= 0):
@@ -223,6 +229,6 @@ def chain_rule_defect(hsol: HalfspaceSolution, t, probes, h=1e-3) -> float:
         minus[:, 0] -= step
         return (field.eval(t, plus)[:, 0] - field.eval(t, minus)[:, 0]) / (2 * step)
 
-    du = d1(hsol.u_field(), probes, h * probes[:, 0])
-    dv = d1(hsol.v_field(), to_log_coordinates(probes), h)
+    du = d1(hsol.u_field(), probes, CHAIN_RULE_STEP * probes[:, 0])
+    dv = d1(hsol.v_field(), to_log_coordinates(probes), CHAIN_RULE_STEP)
     return float(np.max(np.abs(probes[:, 0] * du - dv), initial=0.0))

@@ -24,6 +24,11 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Sampled pairs behind the monotonicity checks. A sampled minimum only bounds
+# the infimum from above, and more pairs tighten it; check_couple_monotone,
+# whose pairs span (x, p) and (y, q), takes twice check_monotone_map's (x, y).
+COUPLE_SAMPLES, MAP_SAMPLES = 4000, 2000
+
 # Registry of named drift/source evaluators usable from model files.
 # An evaluator takes arrays x, p of shape (..., d) and returns (..., d).
 _FIELD_REGISTRY: dict[str, object] = {}
@@ -270,7 +275,6 @@ class MonotonicityReport:
     min_second_modulus: float
     min_first_modulus: float
     alpha: float
-    n_samples: int
     tol: float
 
     @property
@@ -286,8 +290,7 @@ class MonotonicityReport:
         return self.min_first_modulus >= -self.tol
 
 
-def check_couple_monotone(m: ModelSpec, box, n_samples=4000, rng_seed=0,
-                          tol_mono=1e-8) -> MonotonicityReport:
+def check_couple_monotone(m: ModelSpec, box, rng_seed=0, tol_mono=1e-8) -> MonotonicityReport:
     """Sample the pairing D over box x box and report its minima.
 
     The second/first modulus entries subtract alpha |p-q|^2 resp. alpha |x-y|^2
@@ -295,10 +298,7 @@ def check_couple_monotone(m: ModelSpec, box, n_samples=4000, rng_seed=0,
     monotonicity at the declared alpha.
     """
     rng = np.random.default_rng(rng_seed)
-    x = box.sample_points(rng, n_samples)
-    p = box.sample_points(rng, n_samples)
-    y = box.sample_points(rng, n_samples)
-    q = box.sample_points(rng, n_samples)
+    x, p, y, q = (box.sample_points(rng, COUPLE_SAMPLES) for _ in range(4))
     dG = m.eval_G(x, p) - m.eval_G(y, q)
     dF = m.eval_F(x, p) - m.eval_F(y, q)
     D = np.sum(dG * (x - y), axis=-1) + np.sum(dF * (p - q), axis=-1)
@@ -309,20 +309,19 @@ def check_couple_monotone(m: ModelSpec, box, n_samples=4000, rng_seed=0,
         min_second_modulus=float(np.min(D - m.alpha * pq2)),
         min_first_modulus=float(np.min(D - m.alpha * xy2)),
         alpha=m.alpha,
-        n_samples=n_samples,
         tol=tol_mono,
     )
 
 
-def check_monotone_map(U, box, n_samples=2000, rng_seed=0) -> float:
+def check_monotone_map(U, box, rng_seed=0) -> float:
     """Minimum of <U(x)-U(y), x-y>/|x-y|^2 over sampled pairs in the box.
 
     Degenerate pairs (|x-y| below 1e-12) are skipped. U is any vectorized
     map accepting (N, d) points.
     """
     rng = np.random.default_rng(rng_seed)
-    x = box.sample_points(rng, n_samples)
-    y = box.sample_points(rng, n_samples)
+    x = box.sample_points(rng, MAP_SAMPLES)
+    y = box.sample_points(rng, MAP_SAMPLES)
     diff = x - y
     d2 = np.sum(diff ** 2, axis=-1)
     keep = d2 > 1e-24

@@ -98,7 +98,7 @@ class ExtractedLimit:
         return self.slice.values
 
 
-def extract_limit(run: PenalizationRun, t, delta=None, tol=1e-10) -> ExtractedLimit:
+def extract_limit(run: PenalizationRun, t, delta=None) -> ExtractedLimit:
     """Undo the regularization of the smallest-eps solution at time t.
 
     With V the regularized slice, the field is recovered as
@@ -110,19 +110,18 @@ def extract_limit(run: PenalizationRun, t, delta=None, tol=1e-10) -> ExtractedLi
     base = run.smallest_eps_solution
     u_slice = base.slice_at(t)
     nodes = base.box.node_list()
-    V = yosida_apply(u_slice, d, nodes, tol=tol)
+    V = yosida_apply(u_slice, d, nodes)
     v_slice = Slice(base.box, V.reshape(*base.box.shape, -1))
-    w, ok = invert_shift(v_slice, d, nodes, tol=tol)
+    w, ok = invert_shift(v_slice, d, nodes)
     U = v_slice.eval(w).reshape(*base.box.shape, -1)
     return ExtractedLimit(slice=Slice(base.box, U), failed=(~ok).reshape(base.box.shape))
 
 
-def extracted_field(run: PenalizationRun, times, delta=None) -> GridSolution:
+def extracted_field(run: PenalizationRun, times) -> GridSolution:
     """Assemble extracted limit slices at several times into one solution."""
     times = np.asarray(sorted(float(t) for t in times))
-    vals = [extract_limit(run, t, delta=delta).values for t in times]
-    return GridSolution(box=run.box, times=times, values=np.stack(vals),
-                        meta={"kind": "extracted", "delta": run.delta if delta is None else delta})
+    vals = [extract_limit(run, t).values for t in times]
+    return GridSolution(box=run.box, times=times, values=np.stack(vals))
 
 
 @dataclass(eq=False)
@@ -238,12 +237,8 @@ class EstimateReport:
     """Outcome of checking measured gradient norms against the certificate."""
 
     applicable: bool
-    alpha: float
-    norm_S: float
     t_f: float
     times: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
     bound: np.ndarray
     measured: np.ndarray
     checked: np.ndarray
@@ -267,23 +262,20 @@ def estimate_certificate(m: ModelSpec, sol: GridSolution, times) -> EstimateRepo
     """
     times = np.asarray([float(t) for t in times])
     if m.alpha <= 0:
-        z = np.zeros_like(times)
-        return EstimateReport(applicable=False, alpha=m.alpha, norm_S=m.noise.norm_S,
-                              t_f=0.0, times=times, beta=z, gamma=z, bound=z,
+        return EstimateReport(applicable=False, t_f=0.0, times=times,
+                              bound=np.zeros_like(times),
                               measured=np.full_like(times, np.nan),
                               checked=np.zeros_like(times, dtype=bool),
                               ok=np.zeros_like(times, dtype=bool))
     horizon = float(sol.times[-1])
     t_f = certificate_horizon(m, horizon)
-    beta, gamma = _beta_gamma(m, times)
-    bound = _bound(times, beta, gamma)
+    bound = _bound(times, *_beta_gamma(m, times))
     measured = np.full_like(times, np.nan)
     checked = (times > 0) & (times <= t_f + 1e-12) & (times <= horizon + 1e-12)
     measured[checked] = [lipschitz_norm(sol, t) for t in times[checked]]
     ok = measured <= bound * (1.0 + CERT_REL_SLACK)  # False where unchecked (nan)
-    return EstimateReport(applicable=True, alpha=m.alpha, norm_S=m.noise.norm_S,
-                          t_f=t_f, times=times, beta=beta, gamma=gamma,
-                          bound=bound, measured=measured, checked=checked, ok=ok)
+    return EstimateReport(applicable=True, t_f=t_f, times=times, bound=bound,
+                          measured=measured, checked=checked, ok=ok)
 
 
 def cross_monotonicity(U, V, t, n_pairs=10000, rng_seed=0) -> float:

@@ -63,19 +63,71 @@ def test_child_attributes_resolve():
         _resolve(_module(root), attr)
 
 
-def test_child_calls_bind_to_signatures():
-    # p.attempt(label, fn, *args, **kwargs) calls fn(*args, **kwargs)
-    tree = ast.parse((PERFBENCH / "child.py").read_text())
-    checked = 0
+def _mfgplan_calls(tree):
+    """(name, positional args, keyword names) of every mfgplan call in tree.
+
+    p.attempt(label, fn, *args, **kwargs) counts as the call fn(*args, **kwargs).
+    """
     for call in ast.walk(tree):
-        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "attempt" and len(call.args) >= 2):
+        if not isinstance(call, ast.Call):
             continue
-        name = _chain(call.args[1])
-        if not name or name.partition(".")[0] not in MODULES:
-            continue
+        name, args = _chain(call.func), call.args
+        if name and name.endswith(".attempt") and len(args) >= 2:
+            name, args = _chain(args[1]), args[2:]
+        if name and "." in name and name.partition(".")[0] in MODULES:
+            yield name, args, [k.arg for k in call.keywords]
+
+
+def test_child_calls_bind_to_signatures():
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    checked = set()
+    for name, args, keywords in _mfgplan_calls(tree):
         root, _, attr = name.partition(".")
         fn = _resolve(_module(root), attr)
-        inspect.signature(fn).bind(*call.args[2:], **{k.arg: None for k in call.keywords})
-        checked += 1
-    assert checked
+        inspect.signature(fn).bind(*args, **dict.fromkeys(keywords))
+        checked.add(name)
+    # the direct calls as well as the ones made through p.attempt
+    assert {"yosida.yosida_apply", "yosida.yosida_by_transport", "cli.load_config",
+            "planning.extract_limit", "cli.main"} <= checked
+
+
+# The parameter each count hook in tracing.py reads by position: (target, slot) -> name.
+HOOK_SLOTS = {
+    ("yosida.resolvent", 2): "x",
+    ("yosida.invert_shift", 2): "targets",
+    ("grid_solver.write_solution_csv", 0): "sol",
+    ("grid_solver.write_solution_csv", 1): "path",
+    ("model.ModelSpec.eval_F", 0): "self",
+    ("model.ModelSpec.eval_F", 1): "x",
+    ("model.ModelSpec.eval_G", 0): "self",
+    ("model.ModelSpec.eval_G", 1): "x",
+}
+
+
+def _slots_read(hook):
+    """The indices i of every args[i] the hook reads."""
+    tree = ast.parse(inspect.getsource(hook))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and isinstance(node.slice, ast.Constant)}
+
+
+def test_count_hooks_read_the_parameters_they_count(tracing):
+    read = {(f"{mod}.{attr}", i) for mod, attr, hook in tracing.TARGETS if hook
+            for i in _slots_read(hook)}
+    assert read == set(HOOK_SLOTS)
+    for (target, i), want in HOOK_SLOTS.items():
+        root, _, attr = target.partition(".")
+        params = list(inspect.signature(_resolve(_module(root), attr)).parameters.values())
+        assert params[i].name == want, f"{target} slot {i}"
+        assert params[i].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD, f"{target} slot {i}"
+    # the package's own calls pass those slots by position
+    funcs = {}  # function name -> highest slot read
+    for target, i in HOOK_SLOTS:
+        if target.count(".") == 1:
+            name = target.rpartition(".")[2]
+            funcs[name] = max(i, funcs.get(name, i))
+    for path in (PERFBENCH.parent / "src" / "mfgplan").glob("*.py"):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in funcs:
+                assert len(call.args) > funcs[call.func.id], f"{path.name}:{call.lineno}"

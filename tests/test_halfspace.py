@@ -121,6 +121,18 @@ def test_factorization_and_inward_flow():
     assert check_inward_flow(bad) == pytest.approx(-1.0)
 
 
+def test_factorization_and_inward_flow_pinned():
+    # a drift that neither factors nor points inward: both checks are nonzero,
+    # and their exact values at the default seed fix the sample count and the
+    # sampling cube's half-width
+    F = FieldSpec.affine([[0.5, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], c=[0.1, 0.0], d=2)
+    base = ModelSpec(d=2, F=F, G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
+                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]), alpha=1.0)
+    hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))
+    assert check_factorization(hm) == 2.0819171219479764
+    assert check_inward_flow(base) == -1.8910839699884785
+
+
 def test_halfspace_model_validation():
     with pytest.raises(ConfigError, match="x0_1"):
         derived_halfspace(x0_1=-0.5)

@@ -236,7 +236,7 @@ def test_affine_eigenvalue_agrees_with_sampling():
         m = ModelSpec(d=2, F=F, G=G, lam=0.0,
                       noise=AffineNoiseMap.identity(2), x0=np.zeros(2),
                       alpha=0.0)
-        rep = check_couple_monotone(m, box, n_samples=4000, rng_seed=11)
+        rep = check_couple_monotone(m, box, rng_seed=11)
         if lam_min >= 0:
             assert rep.min_pairing >= -1e-9
         elif lam_min < -0.05:
@@ -256,6 +256,21 @@ def test_monotone_map_minimum():
     box = box1d(n=10)
     assert abs(check_monotone_map(lambda x: 2.0 * x, box) - 2.0) < 1e-9
     assert check_monotone_map(lambda x: -x, box) < -0.99
+
+
+def test_sampled_monotonicity_minima_are_pinned():
+    # exact minima over a non-diagonal 2-D couple and a fixed 2-D map at the
+    # default seed: they fix the sample counts and the order of the draws
+    box = Box(np.array([-1.0, -0.5]), np.array([1.5, 2.0]), np.array([10, 10]))
+    F = FieldSpec.affine([[0.2, 0.1], [-0.3, 0.1]], [[1.0, 0.4], [0.1, 0.8]], d=2)
+    G = FieldSpec.affine([[0.9, -0.2], [0.3, 0.5]], [[0.1, 0.0], [0.2, 0.0]], d=2)
+    m = ModelSpec(d=2, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(2),
+                  x0=np.zeros(2), alpha=0.3)
+    rep = check_couple_monotone(m, box)
+    assert (rep.min_pairing, rep.min_second_modulus, rep.min_first_modulus) == (
+        0.02646809899585814, 0.023149303862614615, 0.019718884284129636)
+    U = lambda x: np.column_stack([2.0 * x[:, 0] + 0.5 * x[:, 1], x[:, 1] ** 3 - 0.3 * x[:, 0]])
+    assert check_monotone_map(U, box) == 0.03952050923676891
 
 
 def test_model_file_round_trip(tmp_path):

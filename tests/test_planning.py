@@ -13,8 +13,8 @@ from mfgplan import (AffineNoiseMap, AnalyticField, BlowupError, Box, ConfigErro
                      FieldSpec, ModelSpec, SolverParams, certificate_bound,
                      certificate_horizon, cross_monotonicity,
                      estimate_certificate, extract_limit, extracted_field,
-                     graph_limit_diagnostic, penalized_slice, run_penalization,
-                     solve_master, yosida_apply)
+                     graph_limit_diagnostic, penalized_slice, residual,
+                     run_penalization, solve_master, yosida_apply, yosida_field)
 from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
                       digest12, jump_model)
 
@@ -109,6 +109,20 @@ def test_extraction_approaches_closed_form(lq0_run):
 def test_extract_below_t_min_rejected(lq0_run):
     with pytest.raises(ConfigError):
         extract_limit(lq0_run, 0.05)
+
+
+def test_unrecorded_time_is_config_error_naming_the_nearest_record():
+    # every entry point that reads a recorded slice refuses a time between two
+    # records with the package's own error, and points to the nearest record
+    m = baseline_model()
+    run = run_penalization(m, box1d(n=50), (0.2, 0.1), SolverParams(t_end=1.0, n_rec=11))
+    sol = run.smallest_eps_solution
+    for call in (lambda: extract_limit(run, 0.57), lambda: residual(m, sol, 0.57),
+                 lambda: estimate_certificate(m, sol, [0.57]),
+                 lambda: yosida_field(sol, 0.25, [0.5, 0.57, 0.7])):
+        with pytest.raises(ConfigError,
+                           match=r"^t=0\.57 is not a recorded time; the nearest is 0\.6$"):
+            call()
 
 
 def test_extracted_field_assembly(lq0_run):

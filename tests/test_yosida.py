@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
-                     NewtonError, Slice, SolverParams, YosidaField, eqV_residual,
+                     NewtonError, Slice, SolverParams, eqV_residual,
                      invert_shift, node_jacobians, penalized_slice, residual,
                      resolvent, sample_solution, solve_master, yosida_apply,
                      yosida_by_transport, yosida_field)
@@ -242,8 +242,7 @@ def test_newton_batch_converged_start_returns_it_unchanged():
 
 
 def _analytic_V_field(box, times, delta, slope_fn):
-    sol = sample_solution(box, times, slope_fn)
-    return YosidaField(delta=delta, sol=sol)
+    return sample_solution(box, times, slope_fn)
 
 
 def test_eqv_residual_refines_on_analytic_field():
@@ -255,7 +254,7 @@ def test_eqv_residual_refines_on_analytic_field():
         times = np.linspace(0.2, 0.7, n_rec)
         V = _analytic_V_field(box1d(n=n), times, delta,
                               lambda t, x: (x - X0) / (t + delta))
-        res[n] = eqV_residual(m, V, times[n_rec // 2]).max()
+        res[n] = eqV_residual(m, V, delta, times[n_rec // 2]).max()
     assert res[200] <= 0.1
     assert res[200] / res[400] >= 1.8
 
@@ -272,8 +271,8 @@ def test_eqv_residual_identity_relabeling_bracket_vanishes():
     times = np.linspace(0.2, 0.6, 21)
     V = _analytic_V_field(box1d(n=100), times, delta,
                           lambda t, x: (x - X0) / (t + delta))
-    r0 = eqV_residual(m0, V, times[10])
-    r1 = eqV_residual(m1, V, times[10])
+    r0 = eqV_residual(m0, V, delta, times[10])
+    r1 = eqV_residual(m1, V, delta, times[10])
     assert not np.any(r1.excluded)
     assert float(np.max(np.abs(r0.values - r1.values))) <= 1e-7
 
@@ -300,7 +299,7 @@ def test_eqv_residual_with_scalar_relabeling():
         b = Box(np.array([-2.0]), np.array([2.0]), np.array([n]))
         times = np.linspace(0.2, 0.7, n_rec)
         V = _analytic_V_field(b, times, delta, V_fn)
-        r = eqV_residual(m, V, times[n_rec // 2])
+        r = eqV_residual(m, V, delta, times[n_rec // 2])
         assert not np.any(r.excluded)
         res[n] = r.max()
     assert res[200] <= 0.1
@@ -313,7 +312,7 @@ def test_eqv_residual_boundary_time_rejected():
     V = _analytic_V_field(box1d(n=50), times, 0.25,
                           lambda t, x: (x - X0) / (t + 0.25))
     with pytest.raises(ConfigError):
-        eqV_residual(m, V, 0.2)
+        eqV_residual(m, V, 0.25, 0.2)
 
 
 def test_yosida_field_on_numeric_solution(lq0_solution):
@@ -321,7 +320,7 @@ def test_yosida_field_on_numeric_solution(lq0_solution):
     times = [0.4, 0.5, 0.6]
     V = yosida_field(lq0_solution, delta, times=times)
     m = baseline_model()
-    r = eqV_residual(m, V, 0.5)
+    r = eqV_residual(m, V, delta, 0.5)
     assert r.max() <= 0.1
 
 
