@@ -83,6 +83,30 @@ def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128):
     return x, u
 
 
+def _affine_endpoint_map(m: ModelSpec, t, rk_steps):
+    """Endpoint map of rk_steps RK4 steps over [0, t] for affine F and G.
+
+    Returns (M, b) taking rows y = (x, u) to y @ M + b, or (None, None) for a
+    registered F or G or a map that is not finite. One step of y' = A y + c
+    is affine in y, so rk4_step on the zero row and the 2d unit rows gives
+    it, and the steps compose as one augmented matrix.
+    """
+    if not m.F.kind == m.G.kind == "affine":
+        return None, None
+    n = 2 * m.d
+    fg = m.bind_stacked()
+    basis = np.vstack([np.zeros(n), np.eye(n)]).reshape(n + 1, 2, m.d).transpose(1, 0, 2)
+    img = rk4_step(lambda s, y: fg(y), 0.0, basis, t / rk_steps)
+    img = img.transpose(1, 0, 2).reshape(n + 1, n)  # row k: the image of basis row k
+    step = np.zeros((n + 1, n + 1))  # [1, y] @ step = [1, y @ R + r]
+    step[0, 0], step[0, 1:], step[1:, 1:] = 1.0, img[0], img[1:] - img[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        endpoint = np.linalg.matrix_power(step, rk_steps)
+    if not np.isfinite(endpoint).all():
+        return None, None
+    return endpoint[1:, 1:], endpoint[0, 1:]
+
+
 def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
                       max_iter=50) -> np.ndarray:
     """Values U(t, x) obtained by shooting characteristics onto the rows of x.
@@ -91,10 +115,16 @@ def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
     is the initial map (vectorized, (N,d) -> (N,d)). The foot points z solve
     x(t; z) = x by the resolvent's batched damped Newton with finite-difference
     Jacobians (step 1e-6*(1+|z|)); below t = SMALL_T the first-order expansion
-    in t is returned directly. Raises NewtonError when a row stays above tol.
+    in t is returned directly. Affine F and G flow through the composed RK4
+    endpoint map; a registered field, or a map or endpoint that is not finite,
+    takes flow_forward. Raises NewtonError when a row stays above tol.
     """
     if m.lam > 0:
         raise ConfigError("shooting requires lambda = 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ConfigError(f"shooting needs a finite t >= 0, got {t}")
+    if rk_steps is not None and rk_steps < 1:
+        raise ConfigError("rk_steps must be >= 1")
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, m.d)
     if t < SMALL_T:
@@ -103,9 +133,15 @@ def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
     else:
         if rk_steps is None:
             rk_steps = max(64, int(np.ceil(t / 0.005)))
+        M, b = _affine_endpoint_map(m, t, rk_steps)
 
         def flow(z):  # endpoint x as the value, u as the payload
-            return flow_forward(m, z, U0(z), t, rk_steps)
+            u0 = U0(z)
+            if M is not None:
+                y = np.concatenate([z, u0], axis=1) @ M + b
+                if np.isfinite(y).all():
+                    return y[:, :m.d], y[:, m.d:]
+            return flow_forward(m, z, u0, t, rk_steps)
 
         _, rn, u = _newton_batch(flow, X, X, tol, max_iter, fd_h=1e-6)
         _require_converged(rn, tol, "shooting")

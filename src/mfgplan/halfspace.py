@@ -43,7 +43,7 @@ def to_log_coordinates(x) -> np.ndarray:
     single = x.ndim == 1
     X = np.atleast_2d(x).copy()
     if np.any(X[:, 0] <= 0):
-        raise ValueError("log coordinates need x_1 > 0")
+        raise ConfigError("log coordinates need x_1 > 0")
     low = X[:, 0] < 1.0
     X[low, 0] = 1.0 + np.log(X[low, 0])
     return X[0] if single else X

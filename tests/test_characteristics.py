@@ -5,6 +5,7 @@ after unit time, from the matrix exponential of [[0,1],[1,0]] (independent
 RK4 cross-check in tests/oracles/derive_values.py).
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -129,24 +130,98 @@ def test_registered_flow_goes_through_eval_and_keeps_its_bits(monkeypatch):
     assert calls == []
 
 
-def test_shooting_flows_twice_on_a_linear_model(monkeypatch):
-    # the endpoint map is affine in z: here one Newton step converges, so
-    # shooting flows the start with its finite-difference probes in one call,
-    # then one trial, and takes u from the accepted trial instead of flowing
-    # its foot again
-    calls, ends = [], []
+def shifted_model():
+    """d = 1 affine F and G, each with a nonzero c."""
+    return ModelSpec(d=1, F=FieldSpec.affine(0.3, 1.0, c=0.2, d=1),
+                     G=FieldSpec.affine(1.0, -0.5, c=-0.4, d=1), lam=0.0,
+                     noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[1]))
-        ends.append(flow_forward(*args, **kwargs))
-        return ends[-1]
 
-    monkeypatch.setattr(characteristics, "flow_forward", counted)
-    m = coupled_model(K=1.0)
-    got = solve_by_shooting(m, penalized_data(m.x0, 0.1), 0.4, np.array([0.6]))
-    assert calls == [(3, 1), (1, 1)]
-    assert ends[-1][0].tobytes() != ends[0][0][:1].tobytes()  # the trial moved the foot
-    assert got.tobytes() == ends[-1][1][0].tobytes()
+@pytest.mark.parametrize("kind, d", [("coupled", 1), ("coupled", 2), ("coupled", 3),
+                                     ("nondiagonal", 2), ("nondiagonal", 3), ("shifted", 1)])
+def test_composed_endpoint_map_matches_flow_forward(kind, d):
+    m = {"coupled": lambda: coupled_model(K=1.0, d=d), "nondiagonal": lambda: nondiagonal_model(d),
+         "shifted": shifted_model}[kind]()
+    z = np.random.default_rng(d).uniform(-0.5, 1.5, size=(9, d))
+    u0 = penalized_data(m.x0, 0.1)(z)
+    M, b = characteristics._affine_endpoint_map(m, 0.4, 80)
+    assert M.shape == (2 * d, 2 * d) and b.shape == (2 * d,)
+    y = np.concatenate([z, u0], axis=1) @ M + b
+    want = np.concatenate(flow_forward(m, z, u0, 0.4, rk_steps=80), axis=1)
+    assert np.all(np.abs(y - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_affine_shooting_takes_one_rk4_step(monkeypatch):
+    # the endpoint map is built from one RK4 step of the basis rows, and
+    # Newton never flows a row step by step
+    steps, flows = [], []
+    orig_step, orig_flow = rk4_step, flow_forward
+    monkeypatch.setattr(characteristics, "rk4_step",
+                        lambda *a, **k: steps.append(1) or orig_step(*a, **k))
+    monkeypatch.setattr(characteristics, "flow_forward",
+                        lambda *a, **k: flows.append(1) or orig_flow(*a, **k))
+    m = nondiagonal_model(2)
+    pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(6, 2))
+    got = solve_by_shooting(m, penalized_data(m.x0, 0.1), 0.4, pts)
+    assert steps == [1] and flows == []
+    assert np.isfinite(got).all()
+
+
+def test_registered_shooting_flows_forward(monkeypatch):
+    flows = []
+    orig = flow_forward
+    monkeypatch.setattr(characteristics, "flow_forward",
+                        lambda *a, **k: flows.append(np.shape(a[1])) or orig(*a, **k))
+    m = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
+                  G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
+                  noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.5]))
+    U0 = penalized_data(m.x0, 0.2)
+    x = np.array([[2.0, 0.7], [2.5, 0.2]])
+    got = solve_by_shooting(m, U0, 0.3, x)
+    assert flows[0] == (10, 2) and len(flows) >= 2
+    # these feet have z_1 > 1, where the drift is p and G = 0 keeps it
+    # constant, so U(t, x) = (x - x0)/(eps + t)
+    assert np.allclose(got, (x - m.x0) / 0.5, rtol=0, atol=1e-9)
+
+
+def exploding_model():
+    """G = 5000 p: e^(5000 t) overflows long before t = 0.4."""
+    return ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
+                     G=FieldSpec.affine(0.0, 5000.0, d=1), lam=0.0,
+                     noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+
+
+def test_exploding_affine_shooting_raises(monkeypatch):
+    # the composed map overflows, so the call flows its rows step by step and
+    # raises where flow_forward does, with its last finite state
+    m = exploding_model()
+    assert characteristics._affine_endpoint_map(m, 0.4, 80) == (None, None)
+    flows = []
+    orig = flow_forward
+    monkeypatch.setattr(characteristics, "flow_forward",
+                        lambda *a, **k: flows.append(a[1:]) or orig(*a, **k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="after step 71 of 80") as exc:
+            solve_by_shooting(m, penalized_data(m.x0, 0.1), 0.4, np.array([0.6]))
+        with pytest.raises(IntegrationError) as want:
+            orig(m, *flows[0])
+    assert len(flows) == 1 and np.shape(flows[0][0]) == (3, 1)
+    s, x, u = exc.value.last_state
+    assert s == want.value.last_state[0] == pytest.approx(0.355)
+    assert np.array_equal(x, want.value.last_state[1])
+    assert np.array_equal(u, want.value.last_state[2])
+    assert np.isfinite(u).all() and np.all(u > 1e300)
+
+
+def test_overflowing_endpoint_flows_step_by_step():
+    # G = 500 p keeps the composed map finite (about 1e83), but start values
+    # near 1e228 overflow the endpoint, so the call flows its rows instead
+    m = dataclasses.replace(exploding_model(), G=FieldSpec.affine(0.0, 500.0, d=1))
+    M, b = characteristics._affine_endpoint_map(m, 0.4, 80)
+    assert np.isfinite(M).all() and 1e80 < np.abs(M).max() < 1e90
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="characteristic blew up"):
+            solve_by_shooting(m, penalized_data(m.x0, 1e-228), 0.4, np.array([0.6]))
 
 
 def test_flow_forward_nonfinite_keeps_last_state():
@@ -261,9 +336,24 @@ def test_shooting_guards_and_failure():
         solve_by_shooting(jump_model(), penalized_data(np.zeros(1), 0.1), 0.5,
                           np.array([0.2]))
     m = baseline_model()
+    for t in (0.5, 1e-4):  # zero steps would make the composed map the identity
+        with pytest.raises(ConfigError, match="rk_steps"):
+            solve_by_shooting(m, penalized_data(m.x0, 0.1), t, np.array([0.2]), rk_steps=0)
     with pytest.raises(NewtonError):
         solve_by_shooting(m, penalized_data(m.x0, 0.1), 0.5, np.array([1.8]),
                           tol=1e-14, max_iter=1)
+
+
+@pytest.mark.parametrize("t", [-0.5, -1e-4, np.nan, np.inf])
+def test_shooting_refuses_a_bad_horizon(t):
+    # refused before U0 is called, so a negative t never reaches the small-t
+    # expansion and a non-finite one never reaches the step count
+    calls = []
+    m = baseline_model()
+    U0 = penalized_data(m.x0, 0.1)
+    with pytest.raises(ConfigError, match="finite t >= 0"):
+        solve_by_shooting(m, lambda z: calls.append(1) or U0(z), t, np.array([1.0]))
+    assert calls == []
 
 
 def test_forward_map_injective():

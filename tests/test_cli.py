@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 numerical failure, 2 configuration error,
 3 I/O failure.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -342,6 +343,19 @@ def test_probe_rejects_jumps(tmp_path, capsys):
                     "[probe]\nt = 0.4\nx = 1.0\n")
     assert main(["probe", "--config", str(path)]) == 2
     assert "lambda" in capsys.readouterr().err
+
+
+def test_probe_exploding_characteristic_exits_1(tmp_path, capsys, monkeypatch):
+    # G = 5000 p overflows on the grid and along the characteristics alike; the
+    # grid is solved without the source so that shooting is what fails
+    cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
+    cfg.write_text(cfg.read_text().replace("F.Mp = 1\n", "F.Mp = 1\nG.Mp = 5000\n"))
+    solve = mfgplan.cli.solve_master
+    monkeypatch.setattr(mfgplan.cli, "solve_master", lambda m, data, params: solve(
+        dataclasses.replace(m, G=mfgplan.FieldSpec.affine(0.0, 0.0, d=1)), data, params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["probe", "--config", str(cfg), "--t", "0.4", "--x", "0.6"]) == 1
+    assert "numerical failure: characteristic blew up" in capsys.readouterr().err
 
 
 def test_verify_reference_config(tmp_path, capsys):

@@ -103,11 +103,14 @@ def test_log_map_round_trip():
     assert float(np.max(np.abs(back - x))) <= 1e-12
 
 
-def test_log_map_rejects_wall():
-    with pytest.raises(ValueError, match="x_1 > 0"):
+def test_log_map_rejects_wall(derived_solution):
+    with pytest.raises(ConfigError, match="x_1 > 0"):
         to_log_coordinates(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="x_1 > 0"):
+    with pytest.raises(ConfigError, match="x_1 > 0"):
         to_log_coordinates(np.array([[0.5, 0.0], [-0.1, 0.0]]))
+    # the half-space view reaches the map at points on or past the wall
+    with pytest.raises(ConfigError, match="x_1 > 0"):
+        derived_solution.u_eval(0.2, np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 def test_factorization_and_inward_flow():
