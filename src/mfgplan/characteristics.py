@@ -49,6 +49,15 @@ def rk4_step(f, t, y, h, k1=None):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _velocity(m: ModelSpec):
+    """Right-hand side (s, y) -> (F, G) of the rows y = (x, u) stacked as (2, N, d)."""
+    def f(s, y):
+        out = np.empty_like(y)  # filled in place: np.stack costs more than F on a few rows
+        out[0], out[1] = m.eval_F(*y), m.eval_G(*y)
+        return out
+    return f
+
+
 def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128):
     """Characteristics from (z, u0) over [0, t] by rk_steps RK4 steps of the rows (x, u).
 
@@ -58,27 +67,23 @@ def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128):
     """
     if m.lam > 0:
         raise ConfigError("characteristics require lambda = 0")
-    if t < 0:
-        raise ConfigError("t must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ConfigError(f"characteristics need a finite t >= 0, got {t}")
     if rk_steps < 1:
         raise ConfigError("rk_steps must be >= 1")
     z, u0 = np.asarray(z, dtype=float), np.asarray(u0, dtype=float)
     if t == 0:
         return z.copy(), u0.copy()
 
-    fg = m.bind_stacked()  # y stacks (x, u): each stage point is formed once, for F and G
-
-    def velocity(s, y):
-        return fg(y)
-
-    y = np.stack([z.reshape(-1, m.d), u0.reshape(-1, m.d)])
-    h = t / rk_steps
-    for k in range(rk_steps):
-        y_new = rk4_step(velocity, k * h, y, h)
-        if not np.isfinite(y_new).all():
-            raise IntegrationError(f"characteristic blew up after step {k} of {rk_steps}",
-                                   last_state=(k * h, *y.reshape(2, *z.shape)))
-        y = y_new
+    y = np.stack([z.reshape(-1, m.d), u0.reshape(-1, m.d)])  # each stage point is formed once
+    h, velocity = t / rk_steps, _velocity(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked each step
+        for k in range(rk_steps):
+            y_new = rk4_step(velocity, k * h, y, h)
+            if not np.isfinite(y_new).all():
+                raise IntegrationError(f"characteristic blew up after step {k} of {rk_steps}",
+                                       last_state=(k * h, *y.reshape(2, *z.shape)))
+            y = y_new
     x, u = y.reshape(2, *z.shape)
     return x, u
 
@@ -94,9 +99,8 @@ def _affine_endpoint_map(m: ModelSpec, t, rk_steps):
     if not m.F.kind == m.G.kind == "affine":
         return None, None
     n = 2 * m.d
-    fg = m.bind_stacked()
     basis = np.vstack([np.zeros(n), np.eye(n)]).reshape(n + 1, 2, m.d).transpose(1, 0, 2)
-    img = rk4_step(lambda s, y: fg(y), 0.0, basis, t / rk_steps)
+    img = rk4_step(_velocity(m), 0.0, basis, t / rk_steps)
     img = img.transpose(1, 0, 2).reshape(n + 1, n)  # row k: the image of basis row k
     step = np.zeros((n + 1, n + 1))  # [1, y] @ step = [1, y @ R + r]
     step[0, 0], step[0, 1:], step[1:, 1:] = 1.0, img[0], img[1:] - img[0]
@@ -138,7 +142,8 @@ def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
         def flow(z):  # endpoint x as the value, u as the payload
             u0 = U0(z)
             if M is not None:
-                y = np.concatenate([z, u0], axis=1) @ M + b
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    y = np.concatenate([z, u0], axis=1) @ M + b
                 if np.isfinite(y).all():
                     return y[:, :m.d], y[:, m.d:]
             return flow_forward(m, z, u0, t, rk_steps)

@@ -421,11 +421,10 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
     jump_plan = InterpPlan(box, m.noise(box.node_list())).widen(U.shape[-1]) \
         if m.lam > 0 else None
 
-    meta = {
+    meta = {  # meta_record adds the box and d
         "cfl": params.cfl, "visc": params.visc, "dt_max": params.dt_max,
-        "t_end": params.t_end, "n_rec": params.n_rec, "d": m.d,
-        "lambda": m.lam, "box_lo": box.lo.tolist(), "box_hi": box.hi.tolist(),
-        "box_n": box.n.tolist(), "aborted": False, "steps": 0,
+        "t_end": params.t_end, "n_rec": params.n_rec, "lambda": m.lam,
+        "aborted": False, "steps": 0,
     }
     live, failure = E, None  # members from index live on are dropped
 

@@ -82,7 +82,12 @@ def _as_vector(value, d):
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
     """One coupling map, either affine (Mx x + Mp p + c) or registered: the
-    registry evaluator of that name, or binder(x) -> p-only evaluator when given."""
+    registry evaluator of that name, or binder(x) -> p-only evaluator when given.
+
+    An affine field builds its transposed blocks MxT and MpT once, contiguous
+    and read-only; every affine product multiplies by them, so one row rounds
+    like its row of a batch.
+    """
 
     kind: str
     Mx: np.ndarray | None = None
@@ -90,6 +95,15 @@ class FieldSpec:
     c: np.ndarray | None = None
     name: str = ""
     binder: object = None
+    MxT: np.ndarray | None = field(default=None, init=False, repr=False)
+    MpT: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "affine":
+            for name, M in (("MxT", self.Mx), ("MpT", self.Mp)):
+                M = np.ascontiguousarray(M.T)
+                M.flags.writeable = False
+                object.__setattr__(self, name, M)
 
     @staticmethod
     def affine(Mx, Mp, c=0.0, d=None):
@@ -110,42 +124,38 @@ class FieldSpec:
             raise ConfigError(f"unknown registered field '{name}'; known: {registered_names()}")
         return FieldSpec(kind="registered", name=name, binder=binder)
 
-    def __call__(self, x, p):
-        return eval_field(self, x, p)
-
 
 def eval_field(f: FieldSpec, x, p) -> np.ndarray:
     """Evaluate a coupling map at (x, p); both arguments broadcast as (..., d)."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if f.kind == "affine":
-        return x @ f.Mx.T + p @ f.Mp.T + f.c
+        return x @ f.MxT + p @ f.MpT + f.c
     return bind_field(f, x)(p)
 
 
 def bind_field(f: FieldSpec, x):
     """Evaluator (p, out=None) -> eval_field(f, x, p) for fixed x and float arrays p, bit for bit.
 
-    Affine fields cache x @ Mx.T, a contiguous Mp.T and c tiled along the last
-    node axis (one contiguous loop per row, not a d-long loop per node), and add
-    both to p @ Mp.T in place, in out when given; caching x @ Mx.T + c instead
-    would change rounding. Registered evaluators ignore out.
+    Affine fields cache x @ MxT and c tiled along the last node axis (one
+    contiguous loop per row, not a d-long loop per node), and add both to
+    p @ MpT in place, in out when given; caching x @ MxT + c instead would
+    change rounding. Registered evaluators ignore out.
     """
     x = np.asarray(x, dtype=float)
     if f.kind == "affine":
-        xm = x @ f.Mx.T
-        MpT = np.ascontiguousarray(f.Mp.T)
+        xm = x @ f.MxT
         c = np.broadcast_to(f.c, xm.shape[-2:]).copy()
-        # For d = 1, p @ Mp.T is one product per element, and np.multiply
+        # For d = 1, p @ MpT is one product per element, and np.multiply
         # skips matmul's per-member BLAS call. The two can differ only in the
         # sign of a zero: a BLAS that accumulates onto +0 turns a -0 product
         # into +0, and otherwise they agree already. The next operation adds
-        # xm = x @ Mx.T, from the same kind of call, so in the first case xm
+        # xm = x @ MxT, from the same kind of call, so in the first case xm
         # is never -0 when its product is normalized; -0 + y equals +0 + y for
         # every y that is not -0, so out is the same either way. (The jump's
         # relabeled @ S is followed by U - jump, where the sign of a zero
         # shows: it stays matmul.)
-        product = np.matmul
+        product, MpT = np.matmul, f.MpT
         if MpT.shape == (1, 1):
             product, MpT = np.multiply, MpT.reshape(1)  # (..., 1) times (1,): matmul's shape
 
@@ -239,32 +249,6 @@ class ModelSpec:
     def bind(self, x):
         """p-only evaluators (F_at, G_at) of F and G at the fixed nodes x."""
         return bind_field(self.F, x), bind_field(self.G, x)
-
-    def bind_stacked(self):
-        """Evaluator y -> (F(x, p), G(x, p)) of float rows y = (x, p) stacked as (2, N, d).
-
-        Affine F and G take one matmul of y against the (2, 2, d, d) block of
-        their transposed Mx and Mp, then sum x @ Mx.T + p @ Mp.T + c in
-        eval_field's order. Registered fields fill the two rows by eval_F and
-        eval_G.
-        """
-        F, G = self.F, self.G
-        if F.kind == G.kind == "affine":
-            W = np.stack([[F.Mx.T, G.Mx.T], [F.Mp.T, G.Mp.T]])  # contiguous blocks
-            c = np.stack([F.c, G.c])[:, None]
-
-            def at(y):
-                P = np.matmul(y[:, None], W)  # P[i, j] = y[i] @ W[i, j]
-                P[0] += P[1]
-                P[0] += c
-                return P[0]
-            return at
-
-        def at(y):
-            out = np.empty_like(y)  # filled in place: np.stack costs more than F on a few rows
-            out[0], out[1] = self.eval_F(*y), self.eval_G(*y)
-            return out
-        return at
 
 
 @dataclass

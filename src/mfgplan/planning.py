@@ -190,8 +190,8 @@ def _bound(t, beta, gamma):
     return np.where(t > 0, np.sqrt(1.0 + 4.0 * beta * gamma) / np.maximum(beta, 1e-300), np.inf)
 
 
-def _condition_values(m: ModelSpec, t, nS2):
-    """Both inequality left-hand sides at t; nS2 is |S|^2."""
+def _violated(m: ModelSpec, t, nS2):
+    """Whether a certificate inequality fails at t (elementwise); nS2 is |S|^2."""
     beta, gamma = _beta_gamma(m, t)
     dbeta = 0.5 * m.alpha
     dgamma = 2.0 * m.lip_Gx * m.alpha * t
@@ -199,7 +199,7 @@ def _condition_values(m: ModelSpec, t, nS2):
         - dbeta - gamma * m.lip_Fp
     i2 = dgamma + gamma * (m.lam * (1.0 - nS2) - m.lip_Fp - 2.0 * m.lip_Gp) \
         - beta * m.lip_Gx
-    return i1, i2
+    return (i1 < 0) | (i2 < -1e-14)
 
 
 def certificate_bound(m: ModelSpec, t) -> float:
@@ -215,21 +215,17 @@ def certificate_horizon(m: ModelSpec, t_max) -> float:
         raise ConfigError("certificate requires alpha > 0")
     nS2 = m.noise.norm_S ** 2
     ts = np.linspace(0.0, t_max, CERT_SCAN + 1)
-    ok_prev = 0.0
-    for t in ts[1:]:
-        i1, i2 = _condition_values(m, t, nS2)
-        if i1 < 0 or i2 < -1e-14:
-            lo, hi = ok_prev, t
-            for _ in range(CERT_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                j1, j2 = _condition_values(m, mid, nS2)
-                if j1 < 0 or j2 < -1e-14:
-                    hi = mid
-                else:
-                    lo = mid
-            return float(lo)
-        ok_prev = t
-    return float(t_max)
+    bad = np.flatnonzero(_violated(m, ts[1:], nS2))
+    if not bad.size:
+        return float(t_max)
+    lo, hi = ts[bad[0]], ts[bad[0] + 1]
+    for _ in range(CERT_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if _violated(m, mid, nS2):
+            hi = mid
+        else:
+            lo = mid
+    return float(lo)
 
 
 @dataclass(eq=False)

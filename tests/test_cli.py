@@ -13,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import mfgplan
@@ -77,6 +76,8 @@ def test_solve_happy_path(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["eps"] == 0.0125
     assert not meta["aborted"]
+    assert set(meta) == {"box", "n_times", "d", "cfl", "visc", "dt_max", "t_end", "n_rec",
+                         "lambda", "aborted", "steps", "eps"}  # the box once, not as box_*
     assert "wrote" in capsys.readouterr().out
 
 
@@ -353,9 +354,10 @@ def test_probe_exploding_characteristic_exits_1(tmp_path, capsys, monkeypatch):
     solve = mfgplan.cli.solve_master
     monkeypatch.setattr(mfgplan.cli, "solve_master", lambda m, data, params: solve(
         dataclasses.replace(m, G=mfgplan.FieldSpec.affine(0.0, 0.0, d=1)), data, params))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["probe", "--config", str(cfg), "--t", "0.4", "--x", "0.6"]) == 1
-    assert "numerical failure: characteristic blew up" in capsys.readouterr().err
+    assert main(["probe", "--config", str(cfg), "--t", "0.4", "--x", "0.6"]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: characteristic blew up" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_verify_reference_config(tmp_path, capsys):

@@ -14,7 +14,7 @@ import mfgplan.halfspace
 from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError,
                      FieldSpec, HalfspaceModel, ModelSpec, SolverParams,
                      chain_rule_defect, check_factorization, check_inward_flow,
-                     check_log_blowup, from_log_coordinates, integrate_backward,
+                     check_log_blowup, eval_field, from_log_coordinates, integrate_backward,
                      solve_halfspace, to_log_coordinates, transformed_model)
 from conftest import assert_batch_matches_single_solves
 
@@ -58,7 +58,7 @@ def test_transformed_model_bind_matches_eval():
         assert np.array_equal(G_at(p), my.eval_G(y, p))
         # the factored maps evaluated at x(y)
         for got, f in ((F_at(p), hm.ftilde), (G_at(p), hm.base.G)):
-            assert np.array_equal(got, f(x, p.reshape(-1, 2)).reshape(p.shape))
+            assert np.array_equal(got, eval_field(f, x, p.reshape(-1, 2)).reshape(p.shape))
 
 
 def test_straightening_not_repeated_per_step(monkeypatch):

@@ -113,10 +113,11 @@ def test_bind_matches_eval_bit_for_bit():
                 assert np.array_equal(np.signbit(at(p[e])), np.signbit(one))
 
 
-def test_bind_stacked_matches_eval_bit_for_bit():
+def test_one_row_evaluates_like_its_batch_row():
     # random non-diagonal affine F and G, d = 1, 2, 3, signed zeros in x, p
-    # and c: the stacked rows are eval_F and eval_G byte for byte, sign bits
-    # included, on batches of rows (a single row may round differently)
+    # and c: one row of eval_F and eval_G is its row of a batch byte for
+    # byte, sign bits included (the products multiply by contiguous blocks;
+    # a transposed view would round a single row differently from many)
     rng = np.random.default_rng(9)
     for d in (1, 2, 3):
         c = rng.uniform(-1.0, 1.0, size=(2, d))
@@ -125,41 +126,21 @@ def test_bind_stacked_matches_eval_bit_for_bit():
                                  rng.uniform(-2.0, 2.0, size=(d, d)) / 3.0, c=c[i], d=d)
                 for i in range(2))
         m = ModelSpec(d=d, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(d), x0=np.zeros(d))
-        fg = m.bind_stacked()
-        for rows in (2, 7):
-            y = rng.uniform(-2.0, 2.0, size=(2, rows, d))
-            y[0, ::2] = -0.0
-            y[1, 1::3] = -0.0
-            got = fg(y)
-            want = np.stack([m.eval_F(*y), m.eval_G(*y)])
-            assert got.shape == y.shape
-            assert got.tobytes() == want.tobytes()
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-        # x = p = -0 and c = -0 on every component: the sum keeps the sign
+        # x = p = -0 and c = -0 on every component
         zero = FieldSpec.affine(rng.uniform(-2.0, 2.0, size=(d, d)),
                                 rng.uniform(-2.0, 2.0, size=(d, d)), c=-0.0, d=d)
         mz = ModelSpec(d=d, F=zero, G=zero, lam=0.0, noise=AffineNoiseMap.identity(d),
                        x0=np.zeros(d))
-        y = np.full((2, 3, d), -0.0)
-        want = np.stack([mz.eval_F(*y), mz.eval_G(*y)])
-        assert mz.bind_stacked()(y).tobytes() == want.tobytes()
-
-
-def test_bind_stacked_registered_fields_fill_by_eval(monkeypatch):
-    # a registered F keeps the eval_F/eval_G path: one call of each per use
-    calls = []
-    for name in ("eval_F", "eval_G"):
-        orig = getattr(ModelSpec, name)
-        monkeypatch.setattr(ModelSpec, name,
-                            lambda self, x, p, orig=orig, name=name: calls.append(name) or
-                            orig(self, x, p))
-    m = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
-                  G=FieldSpec.affine(0.5, np.array([[0.0, 1.0], [-1.0, 0.0]]), d=2),
-                  lam=0.0, noise=AffineNoiseMap.identity(2), x0=np.zeros(2))
-    y = np.random.default_rng(2).uniform(-1.0, 2.0, size=(2, 5, 2))
-    got = m.bind_stacked()(y)
-    assert calls == ["eval_F", "eval_G"]
-    assert got.tobytes() == np.stack([m.eval_F(*y), m.eval_G(*y)]).tobytes()
+        x, p = rng.uniform(-2.0, 2.0, size=(2, 9, d))
+        x[::2] = -0.0
+        p[1::3] = -0.0
+        for model, (xs, ps) in ((m, (x, p)), (mz, np.full((2, 3, d), -0.0))):
+            for ev in (model.eval_F, model.eval_G):
+                batch = ev(xs, ps)
+                for i in range(len(xs)):
+                    for one in (ev(xs[i], ps[i]), ev(xs[i:i + 1], ps[i:i + 1])[0]):
+                        assert one.tobytes() == batch[i].tobytes()
+                        assert np.array_equal(np.signbit(one), np.signbit(batch[i]))
 
 
 def test_model_validation():

@@ -173,6 +173,15 @@ def test_certificate_horizon_stiff_model():
     assert t_f < STIFF_INEQ1_ROOT  # the second inequality binds first
 
 
+def test_certificate_horizon_pinned_on_the_stress_model():
+    # perfbench's 2-D stress model (F = p, G = x, lambda = 1, S = 0.5 I): the
+    # first violation of the scan and 60 bisections of its bracket, exactly
+    m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
+                  lam=1.0, noise=AffineNoiseMap(0.5 * np.eye(2), np.zeros(2)),
+                  x0=np.full(2, 0.5), alpha=1.0, lip_Fp=1.0, lip_Gx=1.0)
+    assert certificate_horizon(m, 1.0) == 0.6473635432250342
+
+
 def test_certificate_requires_alpha():
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
                   G=FieldSpec.affine(0.0, 0.0, d=1), lam=0.0,

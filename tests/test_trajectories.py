@@ -9,10 +9,10 @@ whose paths are x(t) = x0 cosh(t) + C sinh(t).
 import numpy as np
 import pytest
 
-from mfgplan import (AnalyticField, Box, ConfigError, IntegrationError, SolverParams,
-                     Trajectory, TrajectoryExitError, check_planning_convergence,
-                     check_value_consistency, integrate_backward, penalized_slice,
-                     solve_master)
+from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError, FieldSpec,
+                     IntegrationError, ModelSpec, SolverParams, Trajectory,
+                     TrajectoryExitError, check_planning_convergence, check_value_consistency,
+                     integrate_backward, penalized_slice, solve_master)
 from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
                       jump_model)
 
@@ -179,6 +179,14 @@ def test_batch_equals_serial_paths_2d():
     sol = solve_master(m, penalized_slice(m, box, 0.1), SolverParams(t_end=0.5, n_rec=26))
     starts = np.array([[0.9, 0.2], [0.1, 1.1], [1.3, 1.3], [-0.2, 0.4]])
     assert_columns_are_serial_paths(sol.field(), m, starts, 0.5, 0.05, 50)
+    # a non-diagonal affine F in 3-D: one row of its product rounds like many
+    rng = np.random.default_rng(3)
+    F = FieldSpec.affine(rng.uniform(-0.3, 0.3, (3, 3)),
+                         np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3)), c=rng.uniform(-0.5, 0.5, 3), d=3)
+    m3 = ModelSpec(d=3, F=F, G=FieldSpec.affine(0.0, 0.0, d=3), lam=0.0,
+                   noise=AffineNoiseMap.identity(3), x0=np.full(3, 0.5))
+    U = AnalyticField(lambda t, x: (x - m3.x0) / (t + 0.5))
+    assert_columns_are_serial_paths(U, m3, rng.uniform(-0.5, 1.5, (9, 3)), 1.0, 0.05, 40)
 
 
 def test_batch_exit_names_first_start_and_keeps_every_path():
