@@ -22,6 +22,7 @@ cell. The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -43,19 +44,28 @@ TARGET_MARGIN_CELLS = 10
 # any record spacing.
 TIME_MATCH_TOL = 1e-9
 
+# An InterpPlan.apply whose gathered block (lead x 2**dim x N x d values) is at
+# most this large takes every corner in one `take` and sums the block in one
+# reduce. The block is a copy of all 2**dim terms, so only small gathers take
+# it: oracle2d's one-point path queries (2 x 4 x 1 x 2) are far below, while
+# stress2d_jump's march gather (3 x 4 x 6561 x 2) and the whole-grid Newton
+# queries of both workloads (4 x 32805 x 2) keep one corner at a time in the
+# caller's buffers, which a single block would add to the peak memory.
+ONE_TAKE_MAX = 8192
 
-def _interp_layout(shape, n):
+
+def _interp_layout(shape, lo, dx, n):
     """What every InterpPlan on a box shares: the node strides (dim,), each of the
-    2**dim cell corners' flat offset as a (2**dim, 1) column, the corners as
-    (0, 1) tuples, and the highest cell index per axis, n - 1, as floats."""
+    2**dim cell corners' flat offset as a (2**dim, 1) column, and lo, dx and the
+    highest cell index per axis, n - 1, as (dim, 1) float columns."""
     dim = len(shape)
     strides = np.array([math.prod(shape[a + 1:]) for a in range(dim)], dtype=np.int64)
-    corners = tuple(itertools.product((0, 1), repeat=dim))
-    offsets = (np.array(corners, dtype=np.int64) @ strides).reshape(-1, 1)
-    cell_max = (n - 1).astype(float)
-    for arr in (strides, offsets, cell_max):
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)), dtype=np.int64)
+    offsets = (corners @ strides).reshape(-1, 1)
+    lo, dx, cell_max = (np.array(v, dtype=float).reshape(-1, 1) for v in (lo, dx, n - 1))
+    for arr in (strides, offsets, lo, dx, cell_max):
         arr.setflags(write=False)
-    return strides, offsets, corners, cell_max
+    return strides, offsets, lo, dx, cell_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +74,8 @@ class Box:
 
     dx (the cell widths), shape (the node counts) and layout (what its
     interpolation plans share) are computed once, when the box is made; the
-    arrays among them are read-only, like lo, hi and n.
+    arrays among them are read-only, like lo, hi and n, which are the box's
+    own copies.
     """
 
     lo: np.ndarray
@@ -72,9 +83,9 @@ class Box:
     n: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        n = np.atleast_1d(np.asarray(self.n, dtype=int))
+        lo = np.array(self.lo, dtype=float, ndmin=1)  # copies: the caller's arrays stay theirs
+        hi = np.array(self.hi, dtype=float, ndmin=1)
+        n = np.array(self.n, dtype=int, ndmin=1)
         if n.shape == (1,) and lo.shape != (1,):
             n = np.full(lo.shape, n[0])
         if not (lo.shape == hi.shape == n.shape):
@@ -89,7 +100,7 @@ class Box:
             object.__setattr__(self, name, arr)
         shape = tuple(int(k) + 1 for k in n)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "layout", _interp_layout(shape, n))
+        object.__setattr__(self, "layout", _interp_layout(shape, lo, dx, n))
 
     @property
     def dim(self) -> int:
@@ -132,20 +143,20 @@ class InterpPlan:
 
     def __init__(self, box: Box, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        strides, offsets, corners, cell_max = box.layout
-        w = (pts - box.lo) / box.dx
+        strides, offsets, lo, dx, cell_max = box.layout
+        self.dim = dim = box.dim
+        factors = np.empty((2, dim, len(pts)))  # per axis, the low and the high corner's weights
+        w = np.subtract(pts.T, lo, out=factors[1])
+        w /= dx
         cell = np.floor(w)
         np.maximum(cell, 0.0, out=cell)  # cell first: a -0.0 cell becomes +0.0, so w keeps its sign
         np.minimum(cell, cell_max, out=cell)
         w -= cell  # outside [0,1] beyond the box: linear extrapolation
-        self.dim = dim = box.dim
-        self.idx = cell.astype(np.int64) @ strides + offsets
-        factors = (1.0 - w.T, w.T)  # per-axis weight rows of the low and the high corner
-        self.wts = np.empty(self.idx.shape)
-        for row, corner in zip(self.wts, corners):  # the weights' product, left to right
-            np.multiply(factors[corner[0]][0], factors[corner[1]][1] if dim > 1 else 1.0, out=row)
-            for a in range(2, dim):
-                row *= factors[corner[a]][a]
+        np.subtract(1.0, w, out=factors[0])
+        self.idx = strides @ cell.astype(np.int64) + offsets
+        self.wts = factors[:, 0]
+        for a in range(1, dim):  # the weights' product, left to right, corners in C order
+            self.wts = (self.wts[:, None] * factors[:, a]).reshape(-1, len(pts))
         self.d, self.value_wts = None, self.wts[..., None]
 
     def widen(self, d: int) -> "InterpPlan":
@@ -154,16 +165,24 @@ class InterpPlan:
         return self
 
     def apply(self, values: np.ndarray, out=None, tmp=None) -> np.ndarray:
-        """Weighted sum of the corner values, one corner at a time, as (*lead, N, d).
+        """Weighted sum of the corner values, added from +0.0 in corner order, as (*lead, N, d).
 
-        Leading axes (batch members) gather along their own nodes; out and tmp,
-        when given, receive the result and each corner's term."""
+        Leading axes (batch members) gather along their own nodes; out receives
+        the result when given. On a 1-D or 2-D box a gather of at most
+        ONE_TAKE_MAX values takes every corner at once; any other takes one
+        corner at a time, into tmp when given."""
         if self.d is not None and values.shape[-1] != self.d:
             raise ValueError(f"plan widened for d={self.d} applied to values with "
                              f"d={values.shape[-1]}")
         flat = values.reshape(values.shape[:values.ndim - 1 - self.dim] + (-1, values.shape[-1]))
         if out is None:
             out = np.empty(flat.shape[:-2] + self.idx.shape[1:] + flat.shape[-1:])
+        # add.reduce adds fewer than 8 terms in order but 8 or more pairwise, so a
+        # 3-D plan's 8 corners always take the loop below
+        if len(self.idx) < 8 and out.size * len(self.idx) <= ONE_TAKE_MAX:
+            terms = flat.take(self.idx, axis=-2, mode="clip")  # (*lead, 2**dim, N, d)
+            terms *= self.value_wts
+            return np.add.reduce(terms, axis=-3, initial=0.0, out=out)
         out.fill(0.0)
         for idx, wts in zip(self.idx, self.value_wts):  # cells are clamped: no bounds check
             term = flat.take(idx, axis=-2, mode="clip", out=tmp)
@@ -234,9 +253,10 @@ class GridSolution:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = np.array(self.times, dtype=float)  # its own copy, read-only below
         if self.times.ndim != 1 or not np.all(np.diff(self.times) > 0):
             raise ConfigError("solution times must increase strictly")
+        self.times.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -263,11 +283,19 @@ class GridSolution:
 
 
 class GridField:
-    """Space-time multilinear view of a GridSolution."""
+    """Space-time multilinear view of a GridSolution.
+
+    The accepted time range and the record times are kept as Python floats,
+    computed once: a query finds its time bracket without numpy scalars.
+    """
 
     def __init__(self, sol: GridSolution):
         self.sol = sol
         self.box = sol.box
+        times = sol.times  # read-only: the floats below cannot go stale
+        slack = 4 * np.spacing(times[-1] - times[0])
+        self.t_range = (float(times[0] - slack), float(times[-1] + slack))
+        self.times = tuple(times.tolist())
 
     def eval(self, t, pts) -> np.ndarray:
         """U(t, pts), linear in t between recorded slices and multilinear in space.
@@ -276,19 +304,18 @@ class GridField:
         backward march down to times[0] may overshoot by; anything further out
         raises ConfigError rather than returning an end slice.
         """
-        times = self.sol.times
-        slack = 4 * np.spacing(times[-1] - times[0])
-        if not times[0] - slack <= t <= times[-1] + slack:
+        times = self.times
+        if not self.t_range[0] <= t <= self.t_range[1]:
             raise ConfigError(f"t={t:.6g} is outside the recorded times "
                               f"[{times[0]:.6g}, {times[-1]:.6g}]")
         t = float(min(times[-1], max(times[0], t)))  # bounds first: a tie returns the bound
-        k = int(times.searchsorted(t, side="right")) - 1
+        k = bisect.bisect_right(times, t) - 1
         k = min(max(k, 0), len(times) - 2)  # -1 for a single recorded slice
         t0, t1 = times[k], times[k + 1]
         w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
-        pair = InterpPlan(self.box, np.atleast_2d(pts)).apply(self.sol.values[k:k + 2])
+        pair = InterpPlan(self.box, pts).apply(self.sol.values[k:k + 2])
         out = (1.0 - w) * pair[0] + w * pair[-1]  # pair holds one slice when k = -1
         return out[0] if single else out
 
@@ -430,7 +457,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
 
     def fail(e, message, k, t_last, **context):  # member e blew up short of record k
         nonlocal live, failure
-        partial = GridSolution(box=box, times=rec_times[:k].copy(), values=rec[e, :k].copy(),
+        partial = GridSolution(box=box, times=rec_times[:k], values=rec[e, :k].copy(),
                                meta=dict(meta, aborted=True, t_last=t_last,
                                          steps=context["steps"]))
         failure, live = BlowupError(message, t_last=t_last, partial=partial, **context), e

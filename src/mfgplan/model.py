@@ -84,9 +84,9 @@ class FieldSpec:
     """One coupling map, either affine (Mx x + Mp p + c) or registered: the
     registry evaluator of that name, or binder(x) -> p-only evaluator when given.
 
-    An affine field builds its transposed blocks MxT and MpT once, contiguous
-    and read-only; every affine product multiplies by them, so one row rounds
-    like its row of a batch.
+    An affine field keeps read-only copies of Mx, Mp and c and builds its
+    transposed blocks MxT and MpT once, contiguous and read-only; every affine
+    product multiplies by them, so one row rounds like its row of a batch.
     """
 
     kind: str
@@ -99,7 +99,11 @@ class FieldSpec:
     MpT: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind == "affine":
+        if self.kind == "affine":  # own read-only copies: MxT and MpT cannot go stale
+            for name in ("Mx", "Mp", "c"):
+                M = np.array(getattr(self, name), dtype=float)
+                M.flags.writeable = False
+                object.__setattr__(self, name, M)
             for name, M in (("MxT", self.Mx), ("MpT", self.Mp)):
                 M = np.ascontiguousarray(M.T)
                 M.flags.writeable = False

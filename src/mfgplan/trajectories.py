@@ -82,11 +82,13 @@ def integrate_backward(U, m: ModelSpec, x1, t1, t_min, steps=200) -> Trajectory:
         k1 = np.asarray(m.eval_F(x, values[-1]), dtype=float)  # U(t, x) was recorded
         x = rk4_step(velocity, times[-1], x, -h, k1=k1)
         t = t1 - (k + 1) * h
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError(f"trajectory became non-finite at t={t:.6g}",
-                                   last_state=(times[-1], states[-1].reshape(shape)))
-        if box is not None and not box.contains(x).all():
-            i = int(np.argmin(box.contains(x)))  # the first start outside
+        # inside a box means finite (nan compares False), so one test per step
+        ok = np.isfinite(x) if box is None else (x >= box.lo) & (x <= box.hi)
+        if not ok.all():
+            if not np.isfinite(x).all():
+                raise IntegrationError(f"trajectory became non-finite at t={t:.6g}",
+                                       last_state=(times[-1], states[-1].reshape(shape)))
+            i = int(np.argmin(ok.all(axis=1)))  # the first start outside
             raise TrajectoryExitError(
                 f"trajectory {i} (start {', '.join(f'{v:.6g}' for v in states[0][i])}) "
                 f"left the box at t={t:.6g}", t_exit=t, partial=trajectory())

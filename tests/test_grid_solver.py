@@ -51,7 +51,7 @@ def test_box_dx_is_read_only_and_its_layout_built_once(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         box.dx *= 2
     layout = box.layout
-    strides, offsets, _, cell_max = layout
+    strides, offsets, *_, cell_max = layout
     for arr in (box.dx, strides, offsets, cell_max):
         assert not arr.flags.writeable
     assert np.array_equal(box.dx, [0.5, 0.25])
@@ -63,6 +63,35 @@ def test_box_dx_is_read_only_and_its_layout_built_once(monkeypatch):
         assert np.allclose(slc.eval(x), lin(0.0, x[None])[0], atol=1e-12)
         assert np.allclose(field.eval(i / 19, pts), lin(i / 19, pts), atol=1e-12)
     assert len(builds) == 1 and box.layout is layout
+
+
+def test_box_and_solution_copy_the_callers_arrays():
+    # a Box freezes its own lo/hi/n, not the caller's; a GridSolution keeps
+    # its own read-only times, so a field's cached time bracket cannot go
+    # stale, and no two members of a batch share them
+    lo, hi, n = np.array([-1.0, 0.0]), np.array([1.0, 2.0]), np.array([4, 8])
+    box = Box(lo, hi, n)
+    for mine, its in ((lo, box.lo), (hi, box.hi), (n, box.n)):
+        assert mine.flags.writeable and not its.flags.writeable
+        mine[0] += 1
+    assert box.lo.tolist() == [-1.0, 0.0] and box.hi.tolist() == [1.0, 2.0]
+    assert box.n.tolist() == [4, 8]
+    times = np.array([0.0, 0.5, 1.0])
+    lin = lambda t, x: x @ np.array([[2.0, -1.0], [0.5, 3.0]]).T + t
+    sol = sample_solution(box, times, lin)
+    field = sol.field()
+    want = field.eval(0.75, [0.3, 0.4])
+    times[1] = 0.25
+    assert times.flags.writeable and not sol.times.flags.writeable
+    assert sol.times.tolist() == [0.0, 0.5, 1.0]
+    assert field.eval(0.75, [0.3, 0.4]).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        sol.times[1] = 0.25
+    m, box = baseline_model(), box1d(n=40)
+    batch = solve_master(m, [penalized_slice(m, box, e) for e in (0.4, 0.2)],
+                         SolverParams(t_end=0.2, n_rec=5))
+    a, b = (s.times for s in batch.members)
+    assert not np.shares_memory(a, b) and not a.flags.writeable
 
 
 def _reference_plan(box, pts):
@@ -161,6 +190,43 @@ def test_interp_apply_matches_einsum_gather(dim):
         if d > 1:
             with pytest.raises(ValueError, match="widened"):
                 wide.apply(members[..., :1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interp_apply_both_gather_branches_match_a_per_corner_sum(dim):
+    # on a 1-D or 2-D box a gather of at most ONE_TAKE_MAX values takes every
+    # corner at once and reduces; a larger one, or any 3-D one, takes a corner
+    # at a time. Both must equal the per-corner sum from +0.0 byte for byte:
+    # an all -0.0 block is +0.0, not the -0.0 a sum from the first term gives
+    rng = np.random.default_rng(dim)
+    box = Box(np.full(dim, -1.0), np.full(dim, 2.0), np.full(dim, 4))
+    for d in (1, 2, 3):
+        values = rng.normal(size=(3,) + box.shape + (d,)) \
+            * 10.0 ** rng.integers(-6, 6, size=(3,) + box.shape + (d,))
+        values.reshape(-1)[::3] = -0.0
+        values[1] = -0.0
+        for lead in ((), (2,), (3,)):
+            vals = values[0] if lead == () else values[:lead[0]]
+            fit = grid_solver.ONE_TAKE_MAX // (math.prod(lead) * 2 ** dim * d)
+            # one point at a time too: with no other axis, the reduce runs
+            # along the corners alone, where 8 of them would be summed pairwise
+            nodes = box.node_list()
+            for N in (1,) * 12 + (fit, fit + 1):
+                pts = rng.uniform(-2.0, 3.0, size=(N, dim))
+                pts[1::4] = nodes[rng.integers(0, len(nodes), size=len(pts[1::4]))]
+                pts[2::5] = -0.0
+                pts[3::7] = 1e12 * np.sign(rng.normal(size=(dim,)))
+                for plan in (InterpPlan(box, pts), InterpPlan(box, pts).widen(d)):
+                    flat = vals.reshape(lead + (-1, d))
+                    want = np.empty(lead + (N, d))
+                    want.fill(0.0)
+                    for idx, wts in zip(plan.idx, plan.value_wts):
+                        want += flat[..., idx, :] * wts
+                    out, tmp = np.full(want.shape, np.nan), np.empty(want.shape)
+                    got = plan.apply(vals, out=out, tmp=tmp)
+                    assert got is out and got.tobytes() == want.tobytes()
+                    assert plan.apply(vals).tobytes() == want.tobytes()
+                    assert (want.size * 2 ** dim <= grid_solver.ONE_TAKE_MAX) == (N <= fit)
 
 
 def test_interp_apply_scalar_field_on_2d_box():
@@ -603,6 +669,12 @@ def test_field_eval_refuses_times_outside_the_records(lq0_solution):
     ulp = np.spacing(1.0)
     assert field.eval(1.0 + 2 * ulp, [1.2]).tobytes() == field.eval(1.0, [1.2]).tobytes()
     assert field.eval(-ulp, [1.2]).tobytes() == field.eval(0.0, [1.2]).tobytes()
+    # the slack bound itself is accepted, and the next float beyond it refused
+    slack = 4 * np.spacing(1.0 - 0.0)
+    for end, bound, away in ((1.0, 1.0 + slack, np.inf), (0.0, 0.0 - slack, -np.inf)):
+        assert field.eval(bound, [1.2]).tobytes() == field.eval(end, [1.2]).tobytes()
+        with pytest.raises(ConfigError, match="outside the recorded times"):
+            field.eval(np.nextafter(bound, away), [1.2])
 
 
 def test_node_jacobians_exact_on_linear():

@@ -143,6 +143,25 @@ def test_one_row_evaluates_like_its_batch_row():
                         assert np.array_equal(np.signbit(one), np.signbit(batch[i]))
 
 
+def test_affine_field_keeps_read_only_copies():
+    # MxT and MpT are built once from Mx and Mp: a write into Mx, Mp or c
+    # in place would leave them on the old blocks, so none is writable, and
+    # the caller's arrays are copied, not frozen
+    Mx, Mp, c = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5, 0.0], [0.25, 1.0]]), \
+        np.array([1.0, -1.0])
+    f = FieldSpec(kind="affine", Mx=Mx, Mp=Mp, c=c)
+    x, p = np.array([[1.0, -2.0]]), np.array([[0.5, 3.0]])
+    want = eval_field(f, x, p)
+    for name in ("Mx", "Mp", "c", "MxT", "MpT"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(f, name)[0] += 1.0
+    for mine in (Mx, Mp, c):
+        assert mine.flags.writeable
+        mine[0] += 1.0
+    assert eval_field(f, x, p).tobytes() == want.tobytes()
+    assert np.array_equal(f.Mx, [[1.0, 2.0], [3.0, 4.0]]) and np.array_equal(f.c, [1.0, -1.0])
+
+
 def test_model_validation():
     good = baseline_model()
     assert good.d == 1

@@ -12,7 +12,7 @@ import pytest
 from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError, FieldSpec,
                      IntegrationError, ModelSpec, SolverParams, Trajectory,
                      TrajectoryExitError, check_planning_convergence, check_value_consistency,
-                     integrate_backward, penalized_slice, solve_master)
+                     integrate_backward, penalized_slice, sample_solution, solve_master)
 from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
                       jump_model)
 
@@ -249,6 +249,19 @@ def test_nonfinite_path_raises_with_last_state():
         assert x.shape == starts.shape
         assert np.all(np.isfinite(x)) and np.all(x > 0.7)
         assert t == pytest.approx(np.ravel(x)[0])  # x(t) = t on the first path
+
+
+def test_nonfinite_path_on_a_boxed_grid_field_is_not_an_exit():
+    # a nan state compares False against the box like a state outside it:
+    # on a grid field, whose box bounds the march, it must still raise
+    # IntegrationError and not TrajectoryExitError
+    m, box = baseline_model(), box1d(n=30)
+    U = sample_solution(box, [0.0, 0.5, 1.0], lambda t, x: np.where(x > 0.7, 1.0, np.nan))
+    for starts in (np.array([1.5]), np.array([[1.5], [1.8]])):
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrate_backward(U.field(), m, starts, 1.0, 0.1, steps=9)
+        t, x = exc.value.last_state
+        assert x.shape == starts.shape and np.all(np.isfinite(x)) and np.all(x > 0.7)
 
 
 def test_starts_must_have_d_coordinates():
