@@ -18,10 +18,12 @@ from .errors import ConfigError, IntegrationError
 from .model import ModelSpec
 from .yosida import _newton_batch, _require_converged
 
-# Below this horizon the shooting solve is replaced by the first-order
-# expansion U0(x) + t G(x, U0(x)); Newton on a nearly-identity endpoint map
-# is ill-conditioned there and the expansion is already within tolerance.
-SMALL_T = 1e-3
+# Shooting's Newton stops at a residual of SHOOT_TOL; the iteration cap only
+# stops a row that stalls, as on a singular endpoint map.
+SHOOT_TOL, SHOOT_MAX_ITER = 1e-10, 50
+# Shooting flows [0, t] in max(SHOOT_MIN_STEPS, ceil(t/SHOOT_MAX_H)) RK4 steps:
+# at least SHOOT_MIN_STEPS however short t is, none longer than SHOOT_MAX_H.
+SHOOT_MIN_STEPS, SHOOT_MAX_H = 64, 0.005
 
 
 def penalized_data(x0, eps):
@@ -58,7 +60,7 @@ def _velocity(m: ModelSpec):
     return f
 
 
-def flow_forward(m: ModelSpec, z, u0, t, rk_steps=128):
+def flow_forward(m: ModelSpec, z, u0, t, rk_steps):
     """Characteristics from (z, u0) over [0, t] by rk_steps RK4 steps of the rows (x, u).
 
     z and u0 are one point (d,) or a batch (N, d); returns the endpoint (x, u),
@@ -111,43 +113,35 @@ def _affine_endpoint_map(m: ModelSpec, t, rk_steps):
     return endpoint[1:, 1:], endpoint[0, 1:]
 
 
-def solve_by_shooting(m: ModelSpec, U0, t, x, tol=1e-10, rk_steps=None,
-                      max_iter=50) -> np.ndarray:
+def solve_by_shooting(m: ModelSpec, U0, t, x) -> np.ndarray:
     """Values U(t, x) obtained by shooting characteristics onto the rows of x.
 
     x is one point (d,) or a batch (N, d); the result has the same shape. U0
     is the initial map (vectorized, (N,d) -> (N,d)). The foot points z solve
     x(t; z) = x by the resolvent's batched damped Newton with finite-difference
-    Jacobians (step 1e-6*(1+|z|)); below t = SMALL_T the first-order expansion
-    in t is returned directly. Affine F and G flow through the composed RK4
-    endpoint map; a registered field, or a map or endpoint that is not finite,
-    takes flow_forward. Raises NewtonError when a row stays above tol.
+    Jacobians (step 1e-6*(1+|z|)), at every t >= 0. Affine F and G flow
+    through the composed RK4 endpoint map; a registered field, or a map or
+    endpoint that is not finite, takes flow_forward. Raises NewtonError when a
+    row stays above SHOOT_TOL.
     """
     if m.lam > 0:
         raise ConfigError("shooting requires lambda = 0")
     if not (np.isfinite(t) and t >= 0):
         raise ConfigError(f"shooting needs a finite t >= 0, got {t}")
-    if rk_steps is not None and rk_steps < 1:
-        raise ConfigError("rk_steps must be >= 1")
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, m.d)
-    if t < SMALL_T:
-        u0 = np.asarray(U0(X), dtype=float)
-        u = u0 + t * np.asarray(m.eval_G(X, u0), dtype=float)
-    else:
-        if rk_steps is None:
-            rk_steps = max(64, int(np.ceil(t / 0.005)))
-        M, b = _affine_endpoint_map(m, t, rk_steps)
+    rk_steps = max(SHOOT_MIN_STEPS, int(np.ceil(t / SHOOT_MAX_H)))
+    M, b = _affine_endpoint_map(m, t, rk_steps)
 
-        def flow(z):  # endpoint x as the value, u as the payload
-            u0 = U0(z)
-            if M is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                    y = np.concatenate([z, u0], axis=1) @ M + b
-                if np.isfinite(y).all():
-                    return y[:, :m.d], y[:, m.d:]
-            return flow_forward(m, z, u0, t, rk_steps)
+    def flow(z):  # endpoint x as the value, u as the payload
+        u0 = U0(z)
+        if M is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                y = np.concatenate([z, u0], axis=1) @ M + b
+            if np.isfinite(y).all():
+                return y[:, :m.d], y[:, m.d:]
+        return flow_forward(m, z, u0, t, rk_steps)
 
-        _, rn, u = _newton_batch(flow, X, X, tol, max_iter, fd_h=1e-6)
-        _require_converged(rn, tol, "shooting")
+    _, rn, u = _newton_batch(flow, X, X, SHOOT_TOL, SHOOT_MAX_ITER, fd_h=1e-6)
+    _require_converged(rn, SHOOT_TOL, "shooting")
     return u.reshape(x.shape)

@@ -121,10 +121,6 @@ class Box:
     def sample_points(self, rng, count) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(count, self.dim))
 
-    def contains(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
-
     def margin_cells(self, x) -> int:
         """Distance from x to the nearest face, counted in whole cells."""
         x = np.asarray(x, dtype=float).reshape(-1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import penalized_data
-from .errors import BlowupError, ConfigError
+from .errors import BlowupError, ConfigError, NewtonError
 from .grid_solver import (Box, GridSolution, Slice, SolverParams, lipschitz_norm,
                           solve_master)
 from .model import ModelSpec
@@ -118,10 +118,17 @@ def extract_limit(run: PenalizationRun, t, delta=None) -> ExtractedLimit:
 
 
 def extracted_field(run: PenalizationRun, times) -> GridSolution:
-    """Assemble extracted limit slices at several times into one solution."""
+    """Assemble extracted limit slices at several times into one solution.
+
+    Raises NewtonError at the first time with a node whose inversion failed.
+    """
     times = np.asarray(sorted(float(t) for t in times))
-    vals = [extract_limit(run, t).values for t in times]
-    return GridSolution(box=run.box, times=times, values=np.stack(vals))
+    lims = [extract_limit(run, t) for t in times]
+    for t, lim in zip(times, lims):
+        if lim.failed.any():
+            raise NewtonError(f"extraction at t={t:g} left {lim.failed.sum()} of {lim.failed.size}"
+                              " nodes whose shift inversion did not converge")
+    return GridSolution(box=run.box, times=times, values=np.stack([e.values for e in lims]))
 
 
 @dataclass(eq=False)

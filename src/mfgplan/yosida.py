@@ -28,11 +28,12 @@ from .model import ModelSpec
 # of NEWTON_TOL, well below the 1e-8 at which the two regularization routes
 # are compared; the iteration cap only stops a row that stalls.
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 60
-# invert_shift counts a row converged within this looser residual; the
-# extraction flags the other rows as failed nodes instead of raising.
+# invert_shift counts a row converged within this looser residual; extract_limit
+# flags the other rows as failed nodes, and extracted_field refuses them.
 SHIFT_ACCEPT_TOL = 1e-8
-# yosida_by_transport's contraction stops once no foot point moves further.
-TRANSPORT_TOL = 1e-12
+# yosida_by_transport's contraction stops once no foot point moves further
+# than TRANSPORT_TOL; the iteration cap only stops one that does not contract.
+TRANSPORT_TOL, TRANSPORT_MAX_ITER = 1e-12, 500
 
 
 def _as_eval(U):
@@ -142,7 +143,7 @@ def yosida_apply(U, delta, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def yosida_by_transport(u: Slice, delta, burgers_steps=1, max_iter=500) -> Slice:
+def yosida_by_transport(u: Slice, delta, burgers_steps=1) -> Slice:
     """Regularized slice via the Burgers characteristic construction.
 
     Each substep of length s = delta/burgers_steps rebuilds the slice on the
@@ -164,7 +165,7 @@ def yosida_by_transport(u: Slice, delta, burgers_steps=1, max_iter=500) -> Slice
         cur = Slice(u.box, values)
         z = nodes - s * cur.eval(nodes)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(TRANSPORT_MAX_ITER):
             z_new = nodes - s * cur.eval(z)
             gap = float(np.max(np.abs(z_new - z)))
             z = z_new

@@ -48,7 +48,7 @@ def test_flow_forward_rk4_order():
 
 def test_flow_forward_guards():
     with pytest.raises(ConfigError):
-        flow_forward(jump_model(), np.array([0.5]), np.array([0.0]), 0.5)
+        flow_forward(jump_model(), np.array([0.5]), np.array([0.0]), 0.5, rk_steps=8)
     m = baseline_model()
     for t in (-0.1, -1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite t >= 0"):
@@ -56,7 +56,7 @@ def test_flow_forward_guards():
     with pytest.raises(ConfigError):
         flow_forward(m, np.array([0.5]), np.array([0.0]), 0.5, rk_steps=0)
     z, u0 = np.array([0.5]), np.array([0.25])
-    x, u = flow_forward(m, z, u0, 0.0)
+    x, u = flow_forward(m, z, u0, 0.0, rk_steps=8)
     assert x[0] == 0.5 and u[0] == 0.25
     assert not np.shares_memory(x, z) and not np.shares_memory(u, u0)
 
@@ -249,19 +249,23 @@ def test_shooting_baseline_closed_form():
 
 
 def test_shooting_small_time_expansion():
+    # small t is shot like any other: G = 0 but F = p carries U0 along, so
+    # U(t, x) = (x - x0)/(eps + t), where the expansion U0(x) + t G(x, U0(x))
+    # would read (x - x0)/eps, off by about t |F| / eps
     m = baseline_model()
-    U0 = penalized_data(m.x0, 0.1)
-    t = 1e-4
-    got = solve_by_shooting(m, U0, t, np.array([1.0]))
-    # below the shooting threshold the first-order expansion U0 + t G is exact
-    # for this model (G = 0)
-    assert got[0] == pytest.approx((1.0 - 0.5) / 0.1, abs=1e-12)
+    x = np.array([1.0])
+    for eps in (0.1, 0.0125, 0.0001953125):
+        U0 = penalized_data(m.x0, eps)
+        assert np.array_equal(solve_by_shooting(m, U0, 0.0, x), U0(x))
+        for t in (1e-9, 1e-6, 1e-4, 9e-4, 1e-3):
+            got = solve_by_shooting(m, U0, t, x)
+            assert got[0] == pytest.approx((1.0 - 0.5) / (eps + t), rel=1e-10, abs=0)
 
 
 def test_shooting_matches_coupled_closed_form():
     m = coupled_model(K=1.0)
     U0 = penalized_data(m.x0, 0.1)
-    got = solve_by_shooting(m, U0, 0.3, np.array([1.0]), rk_steps=400)
+    got = solve_by_shooting(m, U0, 0.3, np.array([1.0]))
     assert abs(got[0] - COUPLED_VALUE) <= 1e-6
 
 
@@ -296,9 +300,11 @@ def test_shooting_batch_matches_single_points():
     single = [solve_by_shooting(m, U0, 0.4, x) for x in pts]
     assert all(v.shape == (2,) for v in single)
     assert np.max(np.abs(batch - np.array(single))) <= 1e-9
-    # below SMALL_T the expansion takes batches too
-    small = solve_by_shooting(m, U0, 1e-4, pts)
-    assert np.allclose(small, U0(pts) + 1e-4 * pts, rtol=0, atol=1e-12)
+    # short horizons shoot too: flowing the points forward in 4000 fine steps
+    # and shooting back onto the endpoints gives the flowed u
+    for t in (1e-4, 5e-4):
+        x, u = flow_forward(m, pts, U0(pts), t, rk_steps=4000)
+        assert np.max(np.abs(solve_by_shooting(m, U0, t, x) - u)) <= 1e-10
 
 
 def _whole_grid_gaps(m, boxes, lo, hi, t=0.4, eps=0.1):
@@ -334,19 +340,18 @@ def test_shooting_guards_and_failure():
     with pytest.raises(ConfigError):
         solve_by_shooting(jump_model(), penalized_data(np.zeros(1), 0.1), 0.5,
                           np.array([0.2]))
+    # F = p, G = 0 and U0(z) = -10 z send every foot point to x(0.1) = 0, so
+    # the endpoint map is singular and no foot point lands on x = 0.2
     m = baseline_model()
-    for t in (0.5, 1e-4):  # zero steps would make the composed map the identity
-        with pytest.raises(ConfigError, match="rk_steps"):
-            solve_by_shooting(m, penalized_data(m.x0, 0.1), t, np.array([0.2]), rk_steps=0)
-    with pytest.raises(NewtonError):
-        solve_by_shooting(m, penalized_data(m.x0, 0.1), 0.5, np.array([1.8]),
-                          tol=1e-14, max_iter=1)
+    with pytest.raises(NewtonError, match=r"shooting left 1 points above tolerance "
+                                          r"\(worst residual 2\.000e-01\)"):
+        solve_by_shooting(m, lambda z: -10.0 * z, 0.1, np.array([0.2]))
 
 
 @pytest.mark.parametrize("t", [-0.5, -1e-4, np.nan, np.inf])
 def test_shooting_refuses_a_bad_horizon(t):
-    # refused before U0 is called, so a negative t never reaches the small-t
-    # expansion and a non-finite one never reaches the step count
+    # refused before U0 is called, so a bad t never reaches the step count or
+    # the flow
     calls = []
     m = baseline_model()
     U0 = penalized_data(m.x0, 0.1)

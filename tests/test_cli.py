@@ -332,6 +332,16 @@ def test_probe_cross_oracle(tmp_path, capsys):
     assert float(diff_line.split(":")[1]) <= 2e-2
 
 
+def test_probe_shoots_short_horizons(tmp_path, capsys):
+    # t = 0.0009 on lq0.cfg's smallest eps 0.0001953125: the characteristics
+    # give the closed form (x - x0)/(eps + t), transport included
+    out = tmp_path / "probe"
+    assert main(["probe", "--config", str(CONFIGS / "lq0.cfg"), "--out", str(out),
+                 "--t", "0.0009", "--x", "1.2"]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if "characteristics" in l][0]
+    assert float(line.split(":")[1]) == pytest.approx(639.0870185, rel=1e-6)
+
+
 def test_probe_malformed_point(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
     assert main(["probe", "--config", str(cfg), "--t", "0.4", "--x", "1.2,bogus"]) == 2

@@ -30,8 +30,8 @@ def test_box_geometry():
     assert box.shape == (5, 9)
     assert box.nodes().shape == (5, 9, 2)
     assert box.node_list().shape == (45, 2)
-    assert box.contains(np.array([[0.0, 1.0]]))[0]
-    assert not box.contains(np.array([[1.5, 1.0]]))[0]
+    assert np.array_equal(box.lo, [-1.0, 0.0])
+    assert np.array_equal(box.hi, [1.0, 2.0])
     # margin in cells to the nearest face
     assert box.margin_cells(np.array([0.0, 1.0])) == pytest.approx(2.0)
     with pytest.raises(ConfigError):

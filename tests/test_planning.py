@@ -6,15 +6,19 @@ max|x-x0| * (1/(t_min+e2) - 1/(t_min+e1)) and the certificate horizon of the
 stiff model below is 1.5/|DpF| from the second compatibility inequality.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mfgplan import planning
 from mfgplan import (AffineNoiseMap, AnalyticField, BlowupError, Box, ConfigError,
-                     FieldSpec, ModelSpec, SolverParams, certificate_bound,
+                     FieldSpec, ModelSpec, NewtonError, SolverParams, certificate_bound,
                      certificate_horizon, cross_monotonicity,
                      estimate_certificate, extract_limit, extracted_field,
                      graph_limit_diagnostic, penalized_slice, residual,
                      run_penalization, solve_master, yosida_apply, yosida_field)
+from mfgplan.cli import main
 from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
                       digest12, jump_model)
 
@@ -23,6 +27,7 @@ GAP_LAW = (1.25, 1.25, 1.0)
 # horizon of the stiff certificate model: second inequality root 1.5/1000
 STIFF_T_F = 1.5e-3
 STIFF_INEQ1_ROOT = 0.02211207727381336
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_schedule_validation():
@@ -133,6 +138,27 @@ def test_extracted_field_assembly(lq0_run):
         gap = float(np.max(np.abs(field.slice_at(t).values
                                   - sol.slice_at(t).values)))
         assert gap <= 1e-6
+
+
+def test_extracted_field_refuses_failed_nodes(lq0_run, tmp_path, capsys, monkeypatch):
+    # a node whose shift inversion did not converge must not reach verify's
+    # graph-limit and cross-monotonicity checks
+    invert = planning.invert_shift
+
+    def fail_one_node(v, delta, targets):
+        w, ok = invert(v, delta, targets)
+        ok = ok.copy()
+        ok[3] = False
+        return w, ok
+
+    monkeypatch.setattr(planning, "invert_shift", fail_one_node)
+    with pytest.raises(NewtonError, match=r"^extraction at t=0\.2 left 1 of 401 nodes"):
+        extracted_field(lq0_run, [0.4, 0.2])
+    assert main(["verify", "--config", str(CONFIGS / "lq0.cfg"), "--quiet",
+                 "--out", str(tmp_path / "verify")]) == 1
+    assert "numerical failure: extraction at t=0.2 left 1 of 201 nodes" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "verify" / "report.json").exists()
 
 
 def test_graph_diagnostic_exact_on_limit_field():

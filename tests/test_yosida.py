@@ -95,7 +95,7 @@ def test_transport_needs_contraction():
     box = box1d(n=100)
     steep = Slice.from_fn(box, lambda x: (x - X0) / 0.1)
     with pytest.raises(NewtonError):
-        yosida_by_transport(steep, 0.2, burgers_steps=1, max_iter=50)
+        yosida_by_transport(steep, 0.2, burgers_steps=1)
     out = yosida_by_transport(steep, 0.2, burgers_steps=4)
     want = (box.nodes() - X0) / 0.3
     assert float(np.max(np.abs(out.values - want))) <= 1e-8
