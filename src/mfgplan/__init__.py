@@ -21,7 +21,7 @@ from .grid_solver import (AnalyticField, Box, GridField, GridSolution, Slice,
                           write_meta_jsonl, write_solution_csv)
 from .characteristics import flow_forward, penalized_data, solve_by_shooting
 from .yosida import (ResidualField, eqV_residual, invert_shift, resolvent,
-                     residual, yosida_apply, yosida_by_transport, yosida_field)
+                     yosida_apply, yosida_by_transport, yosida_field)
 from .planning import (EstimateReport, ExtractedLimit, GraphLimitDiagnostic,
                        PenalizationRun, certificate_bound,
                        certificate_horizon, cross_monotonicity,
@@ -31,11 +31,11 @@ from .planning import (EstimateReport, ExtractedLimit, GraphLimitDiagnostic,
 from .trajectories import (PlanningConvergence, Trajectory,
                            check_planning_convergence,
                            check_value_consistency, integrate_backward)
-from .halfspace import (HalfspaceModel, HalfspaceSolution, LogFit,
-                        PullbackField, chain_rule_defect, check_factorization,
+from .halfspace import (HalfspaceModel, LogFit, PullbackField,
+                        chain_rule_defect, check_factorization,
                         check_inward_flow, check_log_blowup,
-                        from_log_coordinates, solve_halfspace,
-                        to_log_coordinates, transformed_model)
+                        from_log_coordinates, to_log_coordinates,
+                        transformed_model)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "AffineNoiseMap", "AnalyticField", "BlowupError", "Box",
     "ConfigError", "EstimateReport", "ExtractedLimit", "FieldSpec",
     "GraphLimitDiagnostic", "GridField", "GridSolution", "HalfspaceModel",
-    "HalfspaceSolution", "IntegrationError", "LogFit", "ModelSpec",
+    "IntegrationError", "LogFit", "ModelSpec",
     "MonotonicityReport", "NewtonError", "PenalizationRun",
     "PlanningConvergence", "PlanningError", "PullbackField", "ResidualField",
     "Slice", "SolutionBatch", "SolverParams", "Trajectory", "TrajectoryExitError",
@@ -56,9 +56,9 @@ __all__ = [
     "flow_forward", "from_log_coordinates", "graph_limit_diagnostic",
     "integrate_backward", "invert_shift", "lipschitz_norm", "load_model",
     "model_from_items", "node_jacobians", "penalized_data", "penalized_slice",
-    "register_field", "registered_names", "resolvent", "residual",
+    "register_field", "registered_names", "resolvent",
     "run_penalization", "sample_solution", "save_model", "solve_by_shooting",
-    "solve_halfspace", "solve_master", "to_log_coordinates",
+    "solve_master", "to_log_coordinates",
     "transformed_model", "write_meta_jsonl", "write_solution_csv",
     "yosida_apply", "yosida_by_transport", "yosida_field",
 ]

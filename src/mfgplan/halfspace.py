@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid_solver import Box, GridField, SolverParams
+from .grid_solver import Box, GridField
 from .model import FieldSpec, ModelSpec, bind_field, eval_field
-from .planning import PenalizationRun, run_penalization
 
 # check_factorization and check_inward_flow take no box: they sample
 # N_SAMPLES pairs (x, p), each coordinate but x_1 uniform in
@@ -38,24 +37,23 @@ CHAIN_RULE_STEP = 1e-3
 
 
 def to_log_coordinates(x) -> np.ndarray:
-    """Straightening map; requires x_1 > 0."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x).copy()
-    if np.any(X[:, 0] <= 0):
+    """Straightening map on any (..., d) array; requires x_1 > 0."""
+    y = np.array(x, dtype=float)
+    y1 = y[..., 0]  # a view: the writes below land in y
+    if np.any(y1 <= 0):
         raise ConfigError("log coordinates need x_1 > 0")
-    low = X[:, 0] < 1.0
-    X[low, 0] = 1.0 + np.log(X[low, 0])
-    return X[0] if single else X
+    low = y1 < 1.0
+    y1[low] = 1.0 + np.log(y1[low])
+    return y
 
 
 def from_log_coordinates(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    Y = np.atleast_2d(y).copy()
-    low = Y[:, 0] < 1.0
-    Y[low, 0] = np.exp(Y[low, 0] - 1.0)
-    return Y[0] if single else Y
+    """Inverse of to_log_coordinates on any (..., d) array."""
+    x = np.array(y, dtype=float)
+    x1 = x[..., 0]
+    low = x1 < 1.0
+    x1[low] = np.exp(x1[low] - 1.0)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,46 +142,15 @@ def transformed_model(hm: HalfspaceModel) -> ModelSpec:
 
 
 class PullbackField:
-    """Half-space view U(t, x) = V(t, y(x)) of a straightened field."""
+    """Half-space view U(t, x) = V(t, y(x)) of a straightened grid field."""
 
-    def __init__(self, v_field, box_y: Box):
+    def __init__(self, v_field: GridField):
         self.v_field = v_field
-        lo = from_log_coordinates(box_y.lo)
-        hi = from_log_coordinates(box_y.hi)
-        self.box = Box(lo, hi, box_y.n)  # the straightening is monotone per axis
+        box_y = v_field.box  # the straightening is monotone per axis
+        self.box = Box(from_log_coordinates(box_y.lo), from_log_coordinates(box_y.hi), box_y.n)
 
     def eval(self, t, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        y = to_log_coordinates(np.atleast_2d(pts))
-        out = self.v_field.eval(t, y)
-        return out[0] if single else out
-
-
-@dataclass(eq=False)
-class HalfspaceSolution:
-    """Straightened penalization run plus half-space evaluation helpers."""
-
-    hm: HalfspaceModel
-    run: PenalizationRun  # on the straightened model and box
-
-    def v_field(self) -> GridField:
-        return self.run.smallest_eps_solution.field()
-
-    def u_field(self) -> PullbackField:
-        return PullbackField(self.v_field(), self.run.box)
-
-    def u_eval(self, t, pts) -> np.ndarray:
-        return self.u_field().eval(t, pts)
-
-
-def solve_halfspace(hm: HalfspaceModel, box_y: Box, eps_schedule,
-                    params: SolverParams, t_min=0.2, delta=0.25,
-                    conv_tol=1e-2) -> HalfspaceSolution:
-    """Run the penalization pipeline on the straightened model."""
-    run = run_penalization(transformed_model(hm), box_y, eps_schedule, params, t_min=t_min,
-                           delta=delta, conv_tol=conv_tol)
-    return HalfspaceSolution(hm=hm, run=run)
+        return self.v_field.eval(t, to_log_coordinates(pts))
 
 
 @dataclass
@@ -198,22 +165,22 @@ class LogFit:
         return self.residual <= fit_tol and self.a != 0.0
 
 
-def check_log_blowup(u_eval, t, x1_samples, x_rest) -> LogFit:
-    """Fit the first field component against ln(x_1) at fixed x_2..x_d."""
+def check_log_blowup(U, t, x1_samples, x_rest) -> LogFit:
+    """Fit the first component of U(t, pts) -> (N, d) against ln(x_1) at fixed x_2..x_d."""
     x1 = np.asarray(x1_samples, dtype=float)
     if np.any(x1 <= 0) or np.any(x1 >= 1):
         raise ConfigError("tail samples must satisfy 0 < x_1 < 1")
     x_rest = np.asarray(x_rest, dtype=float).reshape(-1)
     pts = np.column_stack([x1, np.tile(x_rest, (len(x1), 1))]) if x_rest.size \
         else x1[:, None]
-    vals = np.asarray(u_eval(t, pts), dtype=float)[:, 0]
+    vals = np.asarray(U(t, pts), dtype=float)[:, 0]
     A = np.column_stack([np.log(x1), np.ones_like(x1)])
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     resid = float(np.sqrt(np.mean((A @ coef - vals) ** 2)))
     return LogFit(a=float(coef[0]), b=float(coef[1]), residual=resid)
 
 
-def chain_rule_defect(hsol: HalfspaceSolution, t, probes) -> float:
+def chain_rule_defect(u: PullbackField, t, probes) -> float:
     """Max defect of x_1 d/dx_1 U^1 = d/dy_1 V^1 at probe points with x_1 < 1.
 
     Both sides use centered differences (relative step CHAIN_RULE_STEP * x_1
@@ -229,6 +196,6 @@ def chain_rule_defect(hsol: HalfspaceSolution, t, probes) -> float:
         minus[:, 0] -= step
         return (field.eval(t, plus)[:, 0] - field.eval(t, minus)[:, 0]) / (2 * step)
 
-    du = d1(hsol.u_field(), probes, CHAIN_RULE_STEP * probes[:, 0])
-    dv = d1(hsol.v_field(), to_log_coordinates(probes), CHAIN_RULE_STEP)
+    du = d1(u, probes, CHAIN_RULE_STEP * probes[:, 0])
+    dv = d1(u.v_field, to_log_coordinates(probes), CHAIN_RULE_STEP)
     return float(np.max(np.abs(probes[:, 0] * du - dv), initial=0.0))

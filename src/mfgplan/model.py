@@ -370,6 +370,20 @@ def _parse_matrix(text, d, what):
     return _as_matrix(np.array(rows), d)
 
 
+# The keys a field reads after its prefix ('F.', 'G.', 'ftilde.'); the keys of [model].
+FIELD_KEYS = ("kind", "Mx", "Mp", "c", "name")
+MODEL_KEYS = ("d", "lambda", "x0", "S", "e", "alpha", "lip_Fx", "lip_Fp", "lip_Gx",
+              "lip_Gp", *(f"{f}.{k}" for f in ("F", "G") for k in FIELD_KEYS))
+
+
+def check_keys(items, known, section):
+    """ConfigError naming the first key of items that is not in known, and the known ones."""
+    for key in items:
+        if key not in known:
+            raise ConfigError(f"[{section}] {key} is not a known key "
+                              f"(known: {', '.join(known) or 'none'})")
+
+
 def _parse_field(items, prefix, d):
     kind = items.get(f"{prefix}.kind", "affine").strip()
     if kind == "affine":
@@ -385,6 +399,7 @@ def _parse_field(items, prefix, d):
 
 def model_from_items(items: dict) -> ModelSpec:
     """Build a ModelSpec from the key/value pairs of a [model] section."""
+    check_keys(items, MODEL_KEYS, "model")
     if "d" not in items:
         raise ConfigError("model section is missing 'd'")
     d = parse_number(items["d"], "[model] d", int)

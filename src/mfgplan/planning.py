@@ -98,7 +98,7 @@ class ExtractedLimit:
         return self.slice.values
 
 
-def extract_limit(run: PenalizationRun, t, delta=None) -> ExtractedLimit:
+def extract_limit(run: PenalizationRun, t) -> ExtractedLimit:
     """Undo the regularization of the smallest-eps solution at time t.
 
     With V the regularized slice, the field is recovered as
@@ -106,13 +106,12 @@ def extract_limit(run: PenalizationRun, t, delta=None) -> ExtractedLimit:
     """
     if t < run.t_min - 1e-12:
         raise ConfigError(f"t={t} is below the run's t_min={run.t_min}")
-    d = run.delta if delta is None else float(delta)
     base = run.smallest_eps_solution
     u_slice = base.slice_at(t)
     nodes = base.box.node_list()
-    V = yosida_apply(u_slice, d, nodes)
+    V = yosida_apply(u_slice, run.delta, nodes)
     v_slice = Slice(base.box, V.reshape(*base.box.shape, -1))
-    w, ok = invert_shift(v_slice, d, nodes)
+    w, ok = invert_shift(v_slice, run.delta, nodes)
     U = v_slice.eval(w).reshape(*base.box.shape, -1)
     return ExtractedLimit(slice=Slice(base.box, U), failed=(~ok).reshape(base.box.shape))
 

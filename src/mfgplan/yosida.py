@@ -32,7 +32,8 @@ NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 60
 # flags the other rows as failed nodes, and extracted_field refuses them.
 SHIFT_ACCEPT_TOL = 1e-8
 # yosida_by_transport's contraction stops once no foot point moves further
-# than TRANSPORT_TOL; the iteration cap only stops one that does not contract.
+# than TRANSPORT_TOL; the iteration cap, or a non-finite move, stops one that
+# does not contract, and the NewtonError reports its last finite move.
 TRANSPORT_TOL, TRANSPORT_MAX_ITER = 1e-12, 500
 
 
@@ -164,15 +165,18 @@ def yosida_by_transport(u: Slice, delta, burgers_steps=1) -> Slice:
     for _ in range(burgers_steps):
         cur = Slice(u.box, values)
         z = nodes - s * cur.eval(nodes)
-        converged = False
-        for _ in range(TRANSPORT_MAX_ITER):
-            z_new = nodes - s * cur.eval(z)
-            gap = float(np.max(np.abs(z_new - z)))
-            z = z_new
-            if gap <= TRANSPORT_TOL:
-                converged = True
-                break
-        if not converged:
+        gap = np.inf
+        # a diverging iteration overflows: it stops at its first non-finite move
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(TRANSPORT_MAX_ITER):
+                z_new = nodes - s * cur.eval(z)
+                move = float(np.max(np.abs(z_new - z)))
+                if not np.isfinite(move):
+                    break
+                z, gap = z_new, move
+                if gap <= TRANSPORT_TOL:
+                    break
+        if not gap <= TRANSPORT_TOL:
             raise NewtonError(
                 "transport inversion did not contract; increase burgers_steps",
                 residual=gap)
@@ -257,12 +261,3 @@ def eqV_residual(m: ModelSpec, V: GridSolution, delta, t) -> ResidualField:
     vals = np.linalg.norm(dVdt + adv - rhs, axis=-1)
     return ResidualField(values=vals, excluded=excluded)
 
-
-def residual(m: ModelSpec, sol: GridSolution, t) -> np.ndarray:
-    """Pointwise norm of the master-equation defect of a recorded solution at time t.
-
-    The transported equation at delta = 0 is the master equation itself: the
-    regularized field is the solution, y = x and w = S x + e. So this is
-    eqV_residual of the unregularized field, with its interior-time rule.
-    """
-    return eqV_residual(m, sol, 0.0, t).values

@@ -6,20 +6,21 @@ produced along the way are registered and swept by the final monotonicity
 check, which also adds a jump-driven two-dimensional run of its own.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, AnalyticField, Box, FieldSpec, ModelSpec,
-                     SolverParams, chain_rule_defect,
+                     PullbackField, SolverParams, chain_rule_defect,
                      check_inward_flow, check_log_blowup, check_monotone_map,
                      check_value_consistency, cross_monotonicity, eqV_residual,
                      extract_limit, extracted_field, flow_forward,
                      graph_limit_diagnostic, integrate_backward,
                      lipschitz_norm, node_jacobians, penalized_data,
                      penalized_slice, run_penalization, sample_solution,
-                     solve_by_shooting, solve_halfspace, solve_master,
+                     solve_by_shooting, solve_master, transformed_model,
                      yosida_apply, yosida_by_transport, HalfspaceModel)
 from conftest import X0, baseline_model, box1d, closed_form, coupled_model
 
@@ -193,8 +194,8 @@ def test_criterion_07_uniqueness_cross_checks(lq0_run):
     ext = extracted_field(lq0_run, [0.3, 0.5, 0.8])
     cross = cross_monotonicity(sol.field(), ext.field(), 0.5, n_pairs=10000,
                                rng_seed=0)
-    a = extract_limit(lq0_run, 0.5, delta=0.1)
-    b = extract_limit(lq0_run, 0.5, delta=0.25)
+    a = extract_limit(dataclasses.replace(lq0_run, delta=0.1), 0.5)
+    b = extract_limit(dataclasses.replace(lq0_run, delta=0.25), 0.5)
     dgap = float(np.max(np.abs(a.values - b.values)))
     ok = cross >= -1e-3 and dgap <= 1e-3
     _verdict(7, "uniqueness cross checks", ok,
@@ -253,23 +254,24 @@ def test_criterion_10_halfspace_straightening():
     hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))
     box_y = Box(np.array([-5.0, -1.0]), np.array([2.0, 1.0]),
                 np.array([100, 20]))
-    hs = solve_halfspace(hm, box_y, (0.1, 0.025, 0.00625),
-                         SolverParams(t_end=0.6, n_rec=31, dt_max=0.01),
-                         t_min=T_MIN, conv_tol=10.0)
-    for k, s in enumerate(hs.run.solutions):
+    run = run_penalization(transformed_model(hm), box_y, (0.1, 0.025, 0.00625),
+                           SolverParams(t_end=0.6, n_rec=31, dt_max=0.01),
+                           t_min=T_MIN, conv_tol=10.0)
+    u = PullbackField(run.smallest_eps_solution.field())
+    for k, s in enumerate(run.solutions):
         _register(f"straightened eps index {k}", box_y, s)
     tail = np.geomspace(0.02, 0.9, 12)
     fit_ok = True
     fits = []
     for t in (0.5, 0.25):
-        fit = check_log_blowup(hs.u_eval, t, tail, [0.0])
+        fit = check_log_blowup(u.eval, t, tail, [0.0])
         fit_ok = fit_ok and abs(fit.a * t - 1.0) <= 0.05 and fit.residual <= 1e-3
         fits.append(f"a({t:g})={fit.a:.3f}")
     inflow = check_inward_flow(base)
     rng = np.random.default_rng(4)
     probes = np.column_stack([rng.uniform(0.05, 0.9, 50),
                               rng.uniform(-0.5, 0.5, 50)])
-    chain = chain_rule_defect(hs, 0.25, probes)
+    chain = chain_rule_defect(u, 0.25, probes)
     ok = fit_ok and inflow >= -1e-9 and chain <= 2e-2
     _verdict(10, "half-space straightening", ok,
              ", ".join(fits) + f", wall flux {inflow:.1e}, "

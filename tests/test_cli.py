@@ -147,6 +147,51 @@ def test_malformed_number_is_config_error(tmp_path, capsys, command, section, ke
     assert "config error" in err and key in err
 
 
+# (command, section, key): a misspelled key, or a section the CLI does not
+# know, is refused instead of silently leaving its default in place
+UNKNOWN_KEYS = [
+    ("solve", "solver", "dt_mx"), ("solve", "box", "N"), ("solve", "run", "outdir"),
+    ("solve", "model", "lamda"), ("solve", "model", "F.Mq"), ("plan", "planning", "epsilon"),
+    ("solve", "solve", "eps_"), ("yosida", "yosida", "time"),
+    ("traject", "trajectories", "start"), ("halfspace", "halfspace", "ftilde.M"),
+    ("verify", "verify", "tolmono"), ("probe", "probe", "xx"), ("solve", "sovler", "cfl"),
+    ("solve", "DEFAULT", "seed"),
+]
+
+
+@pytest.mark.parametrize("command,section,key", UNKNOWN_KEYS,
+                         ids=["-".join(case) for case in UNKNOWN_KEYS])
+def test_unknown_key_is_config_error(tmp_path, capsys, command, section, key):
+    cfg, out = make_config(tmp_path)
+    text = cfg.read_text()
+    if f"[{section}]" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    else:
+        text += f"\n[{section}]\n{key} = 1\n"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert (f"[{section}]" if section == "sovler" else f"[{section}] {key}") in err
+    assert not out.exists()
+
+
+def test_model_file_with_other_keys_is_config_error(tmp_path, capsys):
+    # a [model] section naming a file reads nothing else from the config
+    (tmp_path / "m.model").write_text((CONFIGS / "lq0.model").read_text())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "lq0.cfg").read_text().replace(
+        "file = lq0.model", "file = m.model\nx0 = 0.7"))
+    flags = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(["solve", *flags]) == 2
+    assert "[model] x0" in capsys.readouterr().err
+    # a misspelled key inside the model file is refused too
+    (tmp_path / "m.model").write_text((CONFIGS / "lq0.model").read_text() + "lip_FX = 1\n")
+    cfg.write_text((CONFIGS / "lq0.cfg").read_text().replace("file = lq0.model", "file = m.model"))
+    assert main(["solve", *flags]) == 2
+    assert "[model] lip_FX" in capsys.readouterr().err
+
+
 def test_probe_malformed_time_flag(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
     assert main(["probe", "--config", str(cfg), "--t", "soon", "--x", "1.2"]) == 2
@@ -203,6 +248,12 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2  # argparse: a command is required
     assert "usage: mfgplan" in done.stderr
+
+
+def test_every_export_resolves():
+    # a name dropped from a module but left in __all__ breaks `from mfgplan import *`
+    assert [name for name in mfgplan.__all__ if not hasattr(mfgplan, name)] == []
+    assert len(set(mfgplan.__all__)) == len(mfgplan.__all__)
 
 
 def test_missing_config_file(tmp_path, capsys):

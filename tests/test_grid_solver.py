@@ -11,7 +11,7 @@ import pytest
 
 from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      GridSolution, ModelSpec, Slice, SolverParams, check_monotone_map,
-                     lipschitz_norm, node_jacobians, penalized_slice, residual,
+                     eqV_residual, lipschitz_norm, node_jacobians, penalized_slice,
                      sample_solution, solve_master, write_solution_csv)
 from mfgplan import grid_solver
 from mfgplan.grid_solver import InterpPlan, write_table
@@ -340,7 +340,7 @@ def test_residual_small_and_refining_on_analytic_solution():
     res = {}
     for n, n_rec in ((200, 51), (400, 101)):
         sol = sample_solution(box1d(n=n), np.linspace(0.0, 0.5, n_rec), fn)
-        res[n] = float(np.max(residual(m, sol, 0.25)))
+        res[n] = float(np.max(eqV_residual(m, sol, 0.0, 0.25).values))
     assert res[200] <= 0.1
     assert res[200] / res[400] >= 1.5
 
@@ -349,8 +349,8 @@ def test_residual_of_numeric_solution_refines(lq0_solution):
     m = baseline_model()
     params = SolverParams(t_end=1.0, n_rec=101)
     coarse = solve_master(m, penalized_slice(m, box1d(n=200), 0.1), params)
-    r_fine = float(np.max(residual(m, lq0_solution, 0.5)))
-    r_coarse = float(np.max(residual(m, coarse, 0.5)))
+    r_fine = float(np.max(eqV_residual(m, lq0_solution, 0.0, 0.5).values))
+    r_coarse = float(np.max(eqV_residual(m, coarse, 0.0, 0.5).values))
     assert r_fine <= 0.1
     assert r_coarse / r_fine >= 1.5
 

@@ -12,10 +12,10 @@ import pytest
 
 import mfgplan.halfspace
 from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError,
-                     FieldSpec, HalfspaceModel, ModelSpec, SolverParams,
+                     FieldSpec, HalfspaceModel, ModelSpec, PullbackField, SolverParams,
                      chain_rule_defect, check_factorization, check_inward_flow,
                      check_log_blowup, eval_field, from_log_coordinates, integrate_backward,
-                     solve_halfspace, to_log_coordinates, transformed_model)
+                     run_penalization, to_log_coordinates, transformed_model)
 from conftest import assert_batch_matches_single_solves
 
 E_INV = 0.36787944117144233
@@ -37,12 +37,14 @@ def derived_halfspace(d=2, x0_1=0.5, lam=0.0, noise=None):
 
 @pytest.fixture(scope="module")
 def derived_solution():
+    """The half-space view of the derived model's smallest-eps straightened solution."""
     hm = derived_halfspace()
     box_y = Box(np.array([-5.0, -1.0]), np.array([2.0, 1.0]),
                 np.array([100, 20]))
     params = SolverParams(t_end=0.6, n_rec=31, dt_max=0.01)
-    return solve_halfspace(hm, box_y, (0.05, 0.0125), params, t_min=0.2,
+    run = run_penalization(transformed_model(hm), box_y, (0.05, 0.0125), params, t_min=0.2,
                            conv_tol=10.0)
+    return PullbackField(run.smallest_eps_solution.field())
 
 
 def test_transformed_model_bind_matches_eval():
@@ -74,9 +76,9 @@ def test_straightening_not_repeated_per_step(monkeypatch):
     counts = []
     for t_end in (0.1, 0.6):
         calls.clear()
-        hsol = solve_halfspace(hm, box_y, (0.1,), SolverParams(t_end=t_end, n_rec=5),
-                               t_min=0.0, conv_tol=10.0)
-        counts.append((len(calls), hsol.run.solutions[0].meta["steps"]))
+        run = run_penalization(transformed_model(hm), box_y, (0.1,),
+                               SolverParams(t_end=t_end, n_rec=5), t_min=0.0, conv_tol=10.0)
+        counts.append((len(calls), run.solutions[0].meta["steps"]))
     (short_calls, short_steps), (long_calls, long_steps) = counts
     assert long_steps > 2 * short_steps
     assert long_calls == short_calls <= 4
@@ -96,11 +98,17 @@ def test_log_map_pointwise():
 
 
 def test_log_map_round_trip():
+    # both maps take any (..., d), return its shape and leave their input alone
     rng = np.random.default_rng(3)
-    x = rng.uniform(-2.0, 2.0, size=(100, 3))
-    x[:, 0] = rng.uniform(1e-4, 5.0, size=100)
-    back = from_log_coordinates(to_log_coordinates(x))
-    assert float(np.max(np.abs(back - x))) <= 1e-12
+    for shape in ((100, 3), (3,), (10, 4, 3)):
+        x = rng.uniform(-2.0, 2.0, size=shape)
+        x[..., 0] = rng.uniform(1e-4, 5.0, size=shape[:-1])
+        given = x.copy()
+        y = to_log_coordinates(x)
+        back = from_log_coordinates(y)
+        assert y.shape == back.shape == shape
+        assert np.array_equal(x, given)
+        assert float(np.max(np.abs(back - x))) <= 1e-12
 
 
 def test_log_map_rejects_wall(derived_solution):
@@ -110,7 +118,7 @@ def test_log_map_rejects_wall(derived_solution):
         to_log_coordinates(np.array([[0.5, 0.0], [-0.1, 0.0]]))
     # the half-space view reaches the map at points on or past the wall
     with pytest.raises(ConfigError, match="x_1 > 0"):
-        derived_solution.u_eval(0.2, np.array([[0.5, 0.0], [0.0, 0.0]]))
+        derived_solution.eval(0.2, np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 def test_factorization_and_inward_flow():
@@ -159,14 +167,14 @@ def test_transformed_model_is_plain_drift():
 
 
 def test_pullback_matches_closed_form(derived_solution):
-    hs = derived_solution
+    u = derived_solution
     eps = 0.0125
-    y0 = to_log_coordinates(hs.hm.base.x0)
+    y0 = to_log_coordinates(derived_halfspace().base.x0)
     rng = np.random.default_rng(1)
     x = np.column_stack([rng.uniform(0.02, 0.9, 40),
                          rng.uniform(-0.5, 0.5, 40)])
     for t in (0.3, 0.5):
-        got = hs.u_eval(t, x)
+        got = u.eval(t, x)
         want1 = (1.0 + np.log(x[:, 0]) - y0[0]) / (t + eps)
         want2 = (x[:, 1] - y0[1]) / (t + eps)
         assert float(np.max(np.abs(got[:, 0] - want1))) <= 2e-2 * np.max(np.abs(want1))
@@ -174,15 +182,15 @@ def test_pullback_matches_closed_form(derived_solution):
 
 
 def test_log_fit_recovers_coefficient(derived_solution):
-    hs = derived_solution
+    u = derived_solution
     eps = 0.0125
     tail = np.geomspace(0.02, 0.9, 12)
     for t in (0.5, 0.25):
-        fit = check_log_blowup(hs.u_eval, t, tail, [0.0])
+        fit = check_log_blowup(u.eval, t, tail, [0.0])
         assert fit.passed(1e-3)
         assert abs(fit.a - 1.0 / (t + eps)) <= 0.02 / t
-    a_half = check_log_blowup(hs.u_eval, 0.25, tail, [0.0]).a
-    a_full = check_log_blowup(hs.u_eval, 0.5, tail, [0.0]).a
+    a_half = check_log_blowup(u.eval, 0.25, tail, [0.0]).a
+    a_full = check_log_blowup(u.eval, 0.5, tail, [0.0]).a
     assert abs(a_half / a_full - (0.5 + eps) / (0.25 + eps)) <= 0.05
 
 
@@ -196,9 +204,9 @@ def test_log_fit_flat_without_straightening():
 
 def test_log_fit_rejects_bad_tail(derived_solution):
     with pytest.raises(ConfigError):
-        check_log_blowup(derived_solution.u_eval, 0.5, [0.5, 1.5], [0.0])
+        check_log_blowup(derived_solution.eval, 0.5, [0.5, 1.5], [0.0])
     with pytest.raises(ConfigError):
-        check_log_blowup(derived_solution.u_eval, 0.5, [-0.1, 0.5], [0.0])
+        check_log_blowup(derived_solution.eval, 0.5, [-0.1, 0.5], [0.0])
 
 
 def test_chain_rule_identity(derived_solution):
@@ -214,37 +222,37 @@ def test_seam_region_matches_direct_solve():
     # target above the seam: on {x_1 >= 1} the straightening is the identity,
     # so the pulled-back field and a plain x-space solve of the same capped
     # model must agree there to grid tolerance
-    from mfgplan import run_penalization
     hm = derived_halfspace(d=1, x0_1=1.3)
     params = SolverParams(t_end=0.6, n_rec=31, dt_max=0.01)
     box_y = Box(np.array([-2.0]), np.array([3.0]), np.array([150]))
-    hs = solve_halfspace(hm, box_y, (0.1, 0.05), params, t_min=0.2,
-                         conv_tol=10.0)
+    run = run_penalization(transformed_model(hm), box_y, (0.1, 0.05), params, t_min=0.2,
+                           conv_tol=10.0)
+    u = PullbackField(run.smallest_eps_solution.field())
     box_x = Box(np.array([0.05]), np.array([3.0]), np.array([150]))
     direct = run_penalization(hm.base, box_x, (0.1, 0.05), params, t_min=0.2,
                               conv_tol=10.0)
     dfield = direct.smallest_eps_solution.field()
     x = np.linspace(1.1, 2.5, 15)[:, None]
     for t in (0.3, 0.5):
-        gap = float(np.max(np.abs(hs.u_eval(t, x) - dfield.eval(t, x))))
+        gap = float(np.max(np.abs(u.eval(t, x) - dfield.eval(t, x))))
         assert gap <= 2e-2
         # both sit on the affine closed form (x - x0)/(t + eps) up there
         want = (x[:, 0] - 1.3) / (t + 0.05)
-        rel = float(np.max(np.abs(hs.u_eval(t, x)[:, 0] - want)))
+        rel = float(np.max(np.abs(u.eval(t, x)[:, 0] - want)))
         assert rel <= 2e-2 * float(np.max(np.abs(want)))
 
 
 def test_trajectories_stay_off_wall(derived_solution):
-    hs = derived_solution
-    m_flow = ModelSpec(d=2, F=hs.hm.base.F, G=hs.hm.base.G, lam=0.0,
-                       noise=AffineNoiseMap.identity(2), x0=hs.hm.base.x0,
+    base = derived_halfspace().base
+    m_flow = ModelSpec(d=2, F=base.F, G=base.G, lam=0.0,
+                       noise=AffineNoiseMap.identity(2), x0=base.x0,
                        alpha=1.0)
-    traj = integrate_backward(hs.u_field(), m_flow, [0.08, 0.4], 0.6, 0.05,
+    traj = integrate_backward(derived_solution, m_flow, [0.08, 0.4], 0.6, 0.05,
                               steps=300)
     assert float(np.min(traj.states[:, 0])) > 0.0
     # backward paths pull toward the target (0.5, 0)
-    assert traj.final_distance(hs.hm.base.x0) < np.linalg.norm(
-        np.array([0.08, 0.4]) - hs.hm.base.x0)
+    assert traj.final_distance(base.x0) < np.linalg.norm(
+        np.array([0.08, 0.4]) - base.x0)
 
 
 def test_straightened_batch_matches_single_solves():

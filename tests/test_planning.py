@@ -6,6 +6,7 @@ max|x-x0| * (1/(t_min+e2) - 1/(t_min+e1)) and the certificate horizon of the
 stiff model below is 1.5/|DpF| from the second compatibility inequality.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from mfgplan import (AffineNoiseMap, AnalyticField, BlowupError, Box, ConfigErro
                      FieldSpec, ModelSpec, NewtonError, SolverParams, certificate_bound,
                      certificate_horizon, cross_monotonicity,
                      estimate_certificate, extract_limit, extracted_field,
-                     graph_limit_diagnostic, penalized_slice, residual,
+                     eqV_residual, graph_limit_diagnostic, penalized_slice,
                      run_penalization, solve_master, yosida_apply, yosida_field)
 from mfgplan.cli import main
 from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
@@ -96,8 +97,8 @@ def test_extraction_round_trip(lq0_run):
 
 
 def test_extraction_delta_independent(lq0_run):
-    a = extract_limit(lq0_run, 0.5, delta=0.1)
-    b = extract_limit(lq0_run, 0.5, delta=0.25)
+    a = extract_limit(dataclasses.replace(lq0_run, delta=0.1), 0.5)
+    b = extract_limit(dataclasses.replace(lq0_run, delta=0.25), 0.5)
     assert float(np.max(np.abs(a.values - b.values))) <= 1e-6
 
 
@@ -122,7 +123,7 @@ def test_unrecorded_time_is_config_error_naming_the_nearest_record():
     m = baseline_model()
     run = run_penalization(m, box1d(n=50), (0.2, 0.1), SolverParams(t_end=1.0, n_rec=11))
     sol = run.smallest_eps_solution
-    for call in (lambda: extract_limit(run, 0.57), lambda: residual(m, sol, 0.57),
+    for call in (lambda: extract_limit(run, 0.57), lambda: eqV_residual(m, sol, 0.0, 0.57).values,
                  lambda: estimate_certificate(m, sol, [0.57]),
                  lambda: yosida_field(sol, 0.25, [0.5, 0.57, 0.7])):
         with pytest.raises(ConfigError,

@@ -9,8 +9,8 @@ import pytest
 
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      NewtonError, Slice, SolverParams, eqV_residual,
-                     invert_shift, node_jacobians, penalized_slice, residual,
-                     resolvent, sample_solution, solve_master, yosida_apply,
+                     invert_shift, node_jacobians, penalized_slice, resolvent,
+                     sample_solution, solve_master, yosida_apply,
                      yosida_by_transport, yosida_field)
 from mfgplan.yosida import _newton_batch
 from conftest import baseline_model, box1d, closed_form, jump_model
@@ -90,12 +90,23 @@ def test_transport_multistep_exact_on_affine():
         assert float(np.max(np.abs(out.values - want))) <= 1e-9
 
 
+@pytest.mark.parametrize("slope", [10, 25, 100])
+def test_transport_divergence_fails_cleanly(slope):
+    # s * Lip = delta * slope > 1 with one substep: the iteration diverges.
+    # At slopes 25 and 100 it overflows before the iteration cap; that must
+    # raise no numpy warning (pyproject turns warnings into errors) and still
+    # report a finite last gap.
+    steep = Slice.from_fn(box1d(n=100), lambda x: (x - X0) * slope)
+    with pytest.raises(NewtonError) as err:
+        yosida_by_transport(steep, 0.2, burgers_steps=1)
+    assert np.isfinite(err.value.residual)
+
+
 def test_transport_needs_contraction():
-    # s * Lip = delta * 10 > 1 with one substep; four substeps contract
+    # s * Lip = delta * 10 > 1 with one substep (test_transport_divergence_fails_cleanly);
+    # four substeps contract
     box = box1d(n=100)
     steep = Slice.from_fn(box, lambda x: (x - X0) / 0.1)
-    with pytest.raises(NewtonError):
-        yosida_by_transport(steep, 0.2, burgers_steps=1)
     out = yosida_by_transport(steep, 0.2, burgers_steps=4)
     want = (box.nodes() - X0) / 0.3
     assert float(np.max(np.abs(out.values - want))) <= 1e-8
@@ -326,7 +337,7 @@ def test_yosida_field_on_numeric_solution(lq0_solution):
 
 def test_residual_is_the_master_equation_defect():
     # the defect written out directly: centered dU/dt + (F . grad) U - G
-    # + lambda (U - S^T U(S x + e)); residual reaches it as the delta = 0
+    # + lambda (U - S^T U(S x + e)); eqV_residual reaches it as the delta = 0
     # regularized defect
     S2 = np.array([[0.5, 0.1], [-0.1, 0.5]])
     models = [
@@ -347,9 +358,10 @@ def test_residual_is_the_master_equation_defect():
             relabeled = Slice(box, U).eval(m.noise(box.node_list())).reshape(U.shape)
             want = np.linalg.norm(dUdt + adv - m.eval_G(X, U)
                                   + m.lam * (U - relabeled @ m.noise.S), axis=-1)
-            assert float(np.max(np.abs(residual(m, sol, sol.times[k]) - want))) <= 1e-14
+            got = eqV_residual(m, sol, 0.0, sol.times[k]).values
+            assert float(np.max(np.abs(got - want))) <= 1e-14
     with pytest.raises(ConfigError, match="interior"):
-        residual(m, sol, sol.times[0])
+        eqV_residual(m, sol, 0.0, sol.times[0]).values
 
 
 def test_yosida_field_rejects_unordered_times(lq0_solution):
