@@ -187,6 +187,15 @@ class InterpPlan:
         return out
 
 
+def _point_rows(box: Box, pts):
+    """Points (..., dim) as float rows (N, dim), and the leading shape (...) they had."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1:] != (box.dim,):
+        raise ConfigError(f"points of shape {pts.shape} do not end in the box "
+                          f"dimension {box.dim}")
+    return pts.reshape(-1, box.dim), pts.shape[:-1]
+
+
 class Slice:
     """A d-vector field sampled on box nodes.
 
@@ -210,10 +219,10 @@ class Slice:
         return Slice(box, vals.reshape(*box.shape, -1))
 
     def eval(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        out = InterpPlan(self.box, np.atleast_2d(pts)).apply(self.values)
-        return out[0] if single else out
+        """U at points (..., dim), as (..., d)."""
+        rows, lead = _point_rows(self.box, pts)
+        out = InterpPlan(self.box, rows).apply(self.values)
+        return out.reshape(lead + out.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -294,7 +303,8 @@ class GridField:
         self.times = tuple(times.tolist())
 
     def eval(self, t, pts) -> np.ndarray:
-        """U(t, pts), linear in t between recorded slices and multilinear in space.
+        """U(t, pts) for points (..., dim), as (..., d): linear in t between
+        recorded slices and multilinear in space.
 
         t must lie in [times[0], times[-1]] up to 4 ulps of the span, which a
         backward march down to times[0] may overshoot by; anything further out
@@ -309,11 +319,10 @@ class GridField:
         k = min(max(k, 0), len(times) - 2)  # -1 for a single recorded slice
         t0, t1 = times[k], times[k + 1]
         w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pair = InterpPlan(self.box, pts).apply(self.sol.values[k:k + 2])
+        rows, lead = _point_rows(self.box, pts)
+        pair = InterpPlan(self.box, rows).apply(self.sol.values[k:k + 2])
         out = (1.0 - w) * pair[0] + w * pair[-1]  # pair holds one slice when k = -1
-        return out[0] if single else out
+        return out.reshape(lead + out.shape[-1:])
 
 
 class AnalyticField:
@@ -344,37 +353,32 @@ def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
 
 
 # The march keeps a leading member axis on every array, so node axis a is
-# array axis a + 1, and writes every step into the buffers of one workspace.
-
-def _pad_linear(U: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """U plus one linear-extrapolation ghost node on both ends of axis, in out."""
-    _along(out, axis, 1, -1)[...] = U
-    lo, hi = _along(out, axis, 0, 1), _along(out, axis, -1)
-    np.subtract(np.multiply(_along(U, axis, 0, 1), 2.0, out=lo), _along(U, axis, 1, 2), out=lo)
-    np.subtract(np.multiply(_along(U, axis, -1), 2.0, out=hi), _along(U, axis, -2, -1), out=hi)
-    return out
-
+# array axis a + 1, and writes every step into the buffers of one workspace
+# through views that are built once per compaction, never in a step.
 
 def _advection(U, Fv, dx, w):
     """Upwind (F . grad) applied to every component of U, into w.rhs.
 
-    One difference per axis over the padded nodes (kept in w.pad): node i's
-    backward difference is D[i] and its forward difference is D[i+1]. The
-    upwind pick runs per component of U, so no inner loop is only d long.
+    Per axis, U is padded with one linear-extrapolation ghost node on both ends
+    (in w.pad) and differenced over the padded nodes: node i's backward
+    difference is D[i] and its forward difference is D[i+1]. The upwind pick
+    runs per component of U, so no inner loop is only d long.
     """
-    adv = w.rhs
-    adv.fill(0.0)
-    for a in range(len(dx)):
-        P = _pad_linear(U, a + 1, w.pad[a])
-        D = np.subtract(_along(P, a + 1, 1), _along(P, a + 1, None, -1), out=w.diff[a])
+    w.rhs.fill(0.0)
+    for a, (inner, lo, hi, edges, right, left, D, comps) in enumerate(w.stencil):
+        np.copyto(inner, U)
+        first, second, last, before_last = edges
+        np.subtract(np.multiply(first, 2.0, out=lo), second, out=lo)
+        np.subtract(np.multiply(last, 2.0, out=hi), before_last, out=hi)
+        np.subtract(right, left, out=D)
         D /= dx[a]
-        Dm, Dp = _along(D, a + 1, None, -1), _along(D, a + 1, 1)
-        pos = np.greater(Fv[..., a], 0, out=w.pos)
-        for i in range(U.shape[-1]):
-            np.copyto(w.pick[..., i], Dp[..., i])
-            np.copyto(w.pick[..., i], Dm[..., i], where=pos)
-            adv[..., i] += np.multiply(w.pick[..., i], Fv[..., a], out=w.pick[..., i])
-    return adv
+        Fa = Fv[..., a]
+        pos = np.greater(Fa, 0, out=w.pos)
+        for pick, Dm, Dp, adv in comps:
+            np.copyto(pick, Dp)
+            np.copyto(pick, Dm, where=pos)
+            adv += np.multiply(pick, Fa, out=pick)
+    return w.rhs
 
 
 def _laplacian(dx, w):
@@ -389,15 +393,40 @@ def _laplacian(dx, w):
 
 
 def _workspace(E, shape, d):
-    """Step buffers for a march of E members, allocated once: returns n -> views of the first n."""
+    """Step buffers for a march of E members, allocated once per solve."""
     full, grown = (E, *shape, d), lambda a, by: (E, *shape[:a], shape[a] + by, *shape[a + 1:], d)
-    ws = dict(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick", "lap")},
-              speed=np.empty(full[:-1]), term=np.empty(full[:-1]),
-              pos=np.empty(full[:-1], dtype=bool),
-              pad=[np.empty(grown(a, 2)) for a in range(len(shape))],
-              diff=[np.empty(grown(a, 1)) for a in range(len(shape))])
-    return lambda n: SimpleNamespace(**{k: [b[:n] for b in v] if isinstance(v, list) else v[:n]
-                                        for k, v in ws.items()})
+    return dict(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick", "lap")},
+                speed=np.empty(full[:-1]), term=np.empty(full[:-1]),
+                pos=np.empty(full[:-1], dtype=bool),
+                pad=[np.empty(grown(a, 2)) for a in range(len(shape))],
+                diff=[np.empty(grown(a, 1)) for a in range(len(shape))])
+
+
+def _step_views(ws, U):
+    """The buffers of ws viewed at the n members of U, and the views a step writes through.
+
+    stencil holds, per axis, the pad's interior and its two ghost faces, the edge
+    nodes of U they extrapolate, the pad's two shifted halves, their difference
+    D, and per component of U its (pick, Dm, Dp, rhs) views, Dm and Dp being
+    D's backward and forward halves. col spreads a per-member dt over a member's
+    values; G_flat and pick_flat are G and pick shaped (n, nodes, d) for the
+    jump gather. U is updated in place between compactions, so its views hold.
+    """
+    n, d = U.shape[0], U.shape[-1]
+    w = SimpleNamespace(**{k: [b[:n] for b in v] if isinstance(v, list) else v[:n]
+                           for k, v in ws.items()})
+    w.stencil = []
+    for ax, (P, D) in enumerate(zip(w.pad, w.diff), start=1):
+        Dm, Dp = _along(D, ax, None, -1), _along(D, ax, 1)
+        edges = (_along(U, ax, 0, 1), _along(U, ax, 1, 2),
+                 _along(U, ax, -1), _along(U, ax, -2, -1))
+        comps = [(w.pick[..., i], Dm[..., i], Dp[..., i], w.rhs[..., i]) for i in range(d)]
+        w.stencil.append((_along(P, ax, 1, -1), _along(P, ax, 0, 1), _along(P, ax, -1), edges,
+                          _along(P, ax, 1), _along(P, ax, None, -1), D, comps))
+    w.col = (n,) + (1,) * (U.ndim - 1)
+    flat = (n, math.prod(U.shape[1:-1]), d)
+    w.G_flat, w.pick_flat = w.G.reshape(flat), w.pick.reshape(flat)
+    return w
 
 
 class SolutionBatch(SimpleNamespace):
@@ -437,7 +466,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
     E = U.shape[0]
     rec = np.empty((E, params.n_rec) + U.shape[1:])
     rec[:, 0] = U
-    workspace = _workspace(E, box.shape, U.shape[-1])
+    ws = _workspace(E, box.shape, U.shape[-1])
 
     # relabeled probe points are fixed in time; build the gather plan and its
     # per-value weights once
@@ -464,49 +493,61 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
 
     dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * box.dim * params.visc) \
         if params.visc > 0 else np.inf
-    # row r of U is member rows[r] at time t[r], short of record k[r]; rows leave, and
-    # are compacted, only when a member lands on its last record or blows up
+    cfl, visc, n_rec, dt_cap = params.cfl, params.visc, params.n_rec, min(params.dt_max, dt_visc)
+    # row r of U is member rows[r] at time t[r], short of record k[r]. An iteration
+    # in which no member lands on a record and none blows up only marches; records
+    # are written, and rows leave and are compacted, in its event branch alone
     U, rows, n, it, steps = U[:live], np.arange(live), live, 0, np.zeros(E, dtype=np.int64)
-    t, k, w = np.zeros(live), np.ones(live, dtype=np.int64), workspace(live)
+    t, k, w = np.zeros(live), np.ones(live, dtype=np.int64), _step_views(ws, U)
+    target = rec_times[k]
+    reach = target - 1e-14  # a step ending this close to its record lands on it
     while n:
         it += 1
         Fv = F_at(U, w.F)
         speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
         for a in range(1, box.dim):
             speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
-        dt_cfl = params.cfl / np.maximum(speed.reshape(n, -1).max(axis=1), 1e-12)
-        dt = np.fmin(np.fmin(params.dt_max, dt_cfl), dt_visc)  # fmin: min() skips nan too
-        target = rec_times[k]
-        hit = t + dt >= target - 1e-14
-        dt = np.where(hit, target - t, dt)
+        dt_cfl = cfl / np.maximum(speed.reshape(n, -1).max(axis=1), 1e-12)
+        dt = np.fmin(dt_cfl, dt_cap)  # fmin: min() skips nan too
+        t_next = t + dt
+        hit = t_next >= reach
+        event = hit.any()
+        if event:
+            dt = np.where(hit, target - t, dt)
         rhs = _advection(U, Fv, dx, w)
         rhs -= G_at(U, w.G)
         if jump_plan is not None:
-            flat = (n, -1, U.shape[-1])
-            relabeled = jump_plan.apply(U, out=w.G.reshape(flat),
-                                        tmp=w.pick.reshape(flat)).reshape(U.shape)
+            relabeled = jump_plan.apply(U, out=w.G_flat, tmp=w.pick_flat).reshape(U.shape)
             jump = np.matmul(relabeled, m.noise.S, out=w.pick)  # row u @ S == S^T u
             rhs += np.multiply(np.subtract(U, jump, out=jump), m.lam, out=jump)
-        if params.visc > 0:
-            rhs -= np.multiply(_laplacian(dx, w), params.visc, out=w.lap)
-        U -= np.multiply(rhs, dt.reshape((n,) + (1,) * (U.ndim - 1)), out=rhs)
-        ok = np.abs(U, out=w.pick).reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD  # nan: False
-        if not ok.all():
+        if visc > 0:
+            rhs -= np.multiply(_laplacian(dx, w), visc, out=w.lap)
+        U -= np.multiply(rhs, dt.reshape(w.col), out=rhs)
+        if not np.abs(U, out=w.pick).max() <= OVERFLOW_GUARD:  # nan fails too
+            ok = w.pick.reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD
             r = int(np.argmin(ok))
             limit = "record" if hit[r] else "dt_max" if dt[r] == params.dt_max \
                 else "cfl" if dt[r] == dt_cfl[r] else "visc"
             fail(int(rows[r]), f"solution exceeded the overflow guard at t={t[r] + dt[r]:.6g}",
                  int(k[r]), float(t[r]), steps=it, dt=float(dt[r]), limit=limit)
             ok[r:] = False  # rows hold members in order: every later one is dropped too
-        t = np.where(hit, target, t + dt)
-        for r in np.flatnonzero(hit & ok):
+            hit &= ok
+        elif event:
+            ok = True
+        else:
+            t = t_next
+            continue
+        t = np.where(hit, target, t_next)
+        for r in hit.nonzero()[0]:
             rec[rows[r], k[r]] = U[r]
-        k += hit & ok
-        stay = ok & (k < params.n_rec)
+        k += hit
+        stay = ok & (k < n_rec)
         if not stay.all():
             steps[rows[~stay]] = it
             U, t, k, rows = U[stay], t[stay], k[stay], rows[stay]
-            n, w = rows.size, workspace(rows.size)
+            n, w = rows.size, _step_views(ws, U)
+        target = rec_times[k]
+        reach = target - 1e-14
 
     members = [GridSolution(box=box, times=rec_times, values=rec[e],
                             meta=dict(meta, steps=int(steps[e]))) for e in range(live)]

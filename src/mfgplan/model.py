@@ -424,6 +424,9 @@ def load_model(path) -> ModelSpec:
         raise ConfigError(f"cannot read model file '{path}'")
     if "model" not in cp:
         raise ConfigError(f"model file '{path}' has no [model] section")
+    for name in cp.sections():
+        if name != "model":
+            raise ConfigError(f"[{name}] is not a section of a model file ('{path}')")
     return model_from_items(dict(cp["model"]))
 
 

@@ -454,6 +454,13 @@ BATCH_CASES = {
                 (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
     "3d-jump": (march_3d_model(), Box(np.full(3, -1.0), np.full(3, 1.0), np.full(3, 20)),
                 (0.5, 0.25), SolverParams(t_end=0.1, n_rec=3)),
+    # a registered F ignores out=, so the march must read F from what it returns,
+    # before and after each compaction
+    "2d-registered": (ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
+                                G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
+                                noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0])),
+                      Box(np.array([0.0, -1.0]), np.array([2.0, 1.0]), np.array([40, 20])),
+                      (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
 }
 
 
@@ -499,6 +506,32 @@ def test_jump_plan_widened_once_per_solve(monkeypatch):
     for query in (sol.field().eval, lambda t, x: sol.slice_at(t).eval(x)):
         _, n = count(query, 0.5, pts)
         assert n == {"init": 1, "widen": 0}
+
+
+def test_step_views_built_once_per_compaction(monkeypatch):
+    # the step's views are built when the march starts and again each time
+    # members leave, whatever the step count; 1d-baseline's members leave one
+    # at a time, each at its own step
+    builds = []
+    step_views = grid_solver._step_views
+
+    def counted(ws, U):
+        builds.append(len(U))
+        return step_views(ws, U)
+
+    monkeypatch.setattr(grid_solver, "_step_views", counted)
+    m, box, eps, _ = BATCH_CASES["1d-baseline"]
+    slices = [penalized_slice(m, box, e) for e in eps]
+    steps = set()
+    for t_end, n_rec in ((0.25, 14), (0.5, 26)):
+        builds.clear()
+        batch = solve_master(m, slices, SolverParams(t_end=t_end, n_rec=n_rec))
+        assert batch.failure is None
+        compactions = len({s.meta["steps"] for s in batch.members})
+        assert len(builds) == 1 + compactions
+        assert builds == list(range(len(eps), -1, -1))
+        steps.add(batch.meta["steps"])
+    assert len(steps) == 2
 
 
 def test_batch_members_wait_on_every_record():
@@ -586,21 +619,24 @@ def test_blowup_partial_counts_its_steps():
     assert batch.failure.partial.meta == want.partial.meta
 
 
-def growth_model(K):
-    """F = 0, G = K p: every node grows by the factor 1 + K dt in a step."""
-    return ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1), G=FieldSpec.affine(0.0, K, d=1),
+def growth_model(K, speed=0.0):
+    """F = speed, G = K p: carried at a constant speed, U grows by the factor 1 + K dt a step."""
+    return ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, c=speed, d=1),
+                     G=FieldSpec.affine(0.0, K, d=1),
                      lam=0.0, noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
 
 
 # (dt_max, visc, limit that sets the failing step, its dt, steps per record interval):
-# records are 0.01 apart and dx = 0.05, so visc = 1 limits dt to 0.75 dx^2 / 2
+# records are 0.01 apart and dx = 0.05, so visc = 1 limits dt to 0.75 dx^2 / 2; the
+# cfl row's model moves at speed F = 5, which limits dt to 0.75 dx / 5
 STEP_LIMITS = [(0.01, 0.0, "record", 0.01, 1), (0.004, 0.0, "dt_max", 0.004, 3),
-               (0.01, 1.0, "visc", 0.75 * 0.05 ** 2 / 2, 11)]
+               (0.01, 1.0, "visc", 0.75 * 0.05 ** 2 / 2, 11),
+               (0.01, 0.0, "cfl", 0.75 * 0.05 / 5, 2)]
 
 
 @pytest.mark.parametrize("dt_max, visc, limit, dt, per_record", STEP_LIMITS)
 def test_blowup_reports_steps_dt_and_limit(dt_max, visc, limit, dt, per_record):
-    m = growth_model(100.0)
+    m = growth_model(100.0, speed=5.0 if limit == "cfl" else 0.0)
     params = SolverParams(t_end=1.0, n_rec=101, dt_max=dt_max, visc=visc)
     with pytest.raises(BlowupError, match="^solution exceeded the overflow guard at t=") as exc:
         solve_master(m, penalized_slice(m, box1d(n=60), 0.1), params)
@@ -675,6 +711,22 @@ def test_field_eval_refuses_times_outside_the_records(lq0_solution):
         assert field.eval(bound, [1.2]).tobytes() == field.eval(end, [1.2]).tobytes()
         with pytest.raises(ConfigError, match="outside the recorded times"):
             field.eval(np.nextafter(bound, away), [1.2])
+
+
+def test_field_and_slice_eval_take_any_leading_shape(lq0_solution):
+    # (..., dim) points give (..., d) values, the bits of the same points as rows;
+    # a last axis that is not the box dimension is a ConfigError, not a numpy error
+    pts = np.linspace(-1.5, 2.5, 8).reshape(4, 2, 1)
+    field, slc = lq0_solution.field(), lq0_solution.slice_at(0.5)
+    for at in (lambda p: field.eval(0.5, p), slc.eval):
+        got = at(pts)
+        assert got.shape == (4, 2, 1)
+        assert got.tobytes() == at(pts.reshape(-1, 1)).tobytes()
+        assert at(np.full((4, 2, 1), 0.5)).shape == (4, 2, 1)
+        assert at(pts[0, 0]).shape == (1,)
+        for bad in (np.zeros((4, 2)), np.zeros((4, 2, 3)), 0.5):
+            with pytest.raises(ConfigError, match="do not end in the box dimension 1"):
+                at(bad)
 
 
 def test_node_jacobians_exact_on_linear():

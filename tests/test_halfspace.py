@@ -181,6 +181,13 @@ def test_pullback_matches_closed_form(derived_solution):
         assert float(np.max(np.abs(got[:, 1] - want2))) <= 2e-2
 
 
+def test_pullback_takes_any_leading_shape(derived_solution):
+    pts = np.stack(np.meshgrid([0.3, 0.6, 1.4], [-0.2, 0.1], indexing="ij"), axis=-1)
+    got = derived_solution.eval(0.3, pts)
+    assert got.shape == (3, 2, 2)
+    assert got.tobytes() == derived_solution.eval(0.3, pts.reshape(-1, 2)).tobytes()
+
+
 def test_log_fit_recovers_coefficient(derived_solution):
     u = derived_solution
     eps = 0.0125

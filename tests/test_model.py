@@ -1,5 +1,7 @@
 """Model container, field evaluation, monotonicity checks, file round trip."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      check_monotone_map, eval_field, load_model,
                      registered_names, save_model)
 from conftest import baseline_model, box1d
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_affine_field_hand_values():
@@ -334,3 +338,11 @@ def test_load_model_errors(tmp_path):
     bad.write_text("[model]\nd = 1\nlambda = not_a_number\n")
     with pytest.raises(ConfigError):
         load_model(bad)
+
+
+def test_model_file_refuses_other_sections(tmp_path):
+    # these lines were read as if absent: a model file holds [model] alone
+    path = tmp_path / "lq0.model"
+    path.write_text((CONFIGS / "lq0.model").read_text() + "\n[solver]\ndt_max = 0.5\n")
+    with pytest.raises(ConfigError, match=r"\[solver\] is not a section of a model file"):
+        load_model(path)
