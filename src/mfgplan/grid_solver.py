@@ -26,6 +26,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -262,6 +263,12 @@ class GridSolution:
         if self.times.ndim != 1 or not np.all(np.diff(self.times) > 0):
             raise ConfigError("solution times must increase strictly")
         self.times.setflags(write=False)
+        # no copy: a batch member stays a view of the batch's record array
+        self.values = np.asarray(self.values, dtype=float)
+        lead = (len(self.times), *self.box.shape)
+        if self.values.shape[:-1] != lead:
+            raise ConfigError(f"solution values have shape {self.values.shape}, not "
+                              f"({', '.join(map(str, lead))}, d) for its times and box")
 
     @property
     def d(self) -> int:
@@ -599,6 +606,13 @@ def write_table(path, header, *columns):
 
 
 def write_solution_csv(sol: GridSolution, path):
+    """Write sol as CSV, one record at a time.
+
+    A record with at most half of its values distinct (by bits, so -0.0 and
+    each nan payload stay apart) formats each distinct value once and fills
+    the rows with the texts; any other record formats every value. Both
+    give the same bytes.
+    """
     d = sol.d
     dim = sol.box.dim
     header = "t," + ",".join(f"x_{a+1}" for a in range(dim)) \
@@ -606,13 +620,25 @@ def write_solution_csv(sol: GridSolution, path):
     # The node columns repeat in every slice, so they are rendered once, into
     # the format of each row.
     node_fmt = ",".join([_CELL] * dim)
-    vals_fmt = ",".join([_CELL] * d)
-    tails = [f",{node_fmt % tuple(x)},{vals_fmt}\n" for x in sol.box.node_list().tolist()]
+    nodes = [node_fmt % tuple(x) for x in sol.box.node_list().tolist()]
+    cell_tails = [f",{x},{','.join([_CELL] * d)}\n" for x in nodes]
+    text_tails = [f",{x},{','.join(['%s'] * d)}\n" for x in nodes]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for t, vals in zip(sol.times, sol.values):
             t_txt = _CELL % t
-            fh.write((t_txt + t_txt.join(tails)) % tuple(vals.ravel().tolist()))
+            flat = np.ascontiguousarray(vals, dtype=np.float64).reshape(-1)
+            bits = flat.view(np.int64)
+            keys = np.sort(bits)
+            change = keys[1:] != keys[:-1]
+            if 2 * (1 + int(np.count_nonzero(change))) <= keys.size:
+                keys = keys[np.concatenate(([True], change))]
+                texts = (",".join([_CELL] * keys.size)
+                         % tuple(keys.view(np.float64).tolist())).split(",")
+                cells = operator.itemgetter(*np.searchsorted(keys, bits).tolist())(texts)
+                fh.write((t_txt + t_txt.join(text_tails)) % cells)
+            else:
+                fh.write((t_txt + t_txt.join(cell_tails)) % tuple(flat.tolist()))
 
 
 def meta_record(sol: GridSolution) -> dict:

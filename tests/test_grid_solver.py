@@ -5,6 +5,7 @@ cross-checked there by independent fine-step RK4 integration).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,6 +657,21 @@ def test_solution_times_must_increase():
             GridSolution(box=box, times=np.asarray(times), values=vals)
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 1), (3, 6, 1)], ids=["records", "nodes"])
+def test_solution_values_must_fit_times_and_box(tmp_path, shape):
+    # two records for three times used to write a short CSV without a word,
+    # and six nodes on a 5-node box a bare TypeError from the writer
+    box, times = box1d(n=4), np.array([0.0, 0.1, 0.2])
+    with pytest.raises(ConfigError, match=r"not \(3, 5, d\) for its times and box"):
+        write_solution_csv(GridSolution(box=box, times=times, values=np.zeros(shape)),
+                           tmp_path / "sol.csv")
+    # values are held as float64, and float64 values without a copy
+    vals = np.zeros((3, 5, 1))
+    assert GridSolution(box=box, times=times, values=vals).values is vals
+    held = GridSolution(box=box, times=times, values=vals.astype(int)).values
+    assert held.dtype == np.float64 and np.array_equal(held, vals)
+
+
 def test_snap_keeps_the_order_given(lq0_solution):
     # records every 0.01: each time goes to its nearest record, duplicates kept
     got = lq0_solution.snap([0.8, 0.404, 0.2, 0.396, -1.0, 7.0])
@@ -768,6 +784,35 @@ def _per_cell_csv(sol, path):
                 fh.write(",".join(cells) + "\n")
 
 
+def _csv_value_cases(rng, K, shape):
+    """(name, values) inputs for the solution writer: records that repeat,
+    records at and just past half of their values distinct, distinct ones,
+    and values that are not contiguous or not float."""
+    m = int(np.prod(shape))
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000002]).view(np.float64)
+    pool = np.array([0.0, -0.0, nan_a, nan_b, 0.1 + 0.2, -2.5, 1e16, 5e-324])
+
+    def with_distinct(n):  # a record of m values, n of them distinct
+        values = rng.normal(size=n)
+        return rng.permutation(np.concatenate([values, rng.choice(values, m - n)]))
+
+    def records(*rows):
+        return np.stack(rows).reshape(K, *shape)
+
+    def pooled():  # every record holds both zeros and both nan payloads
+        return rng.permutation(np.concatenate([pool[:4], rng.choice(pool[:m // 2], m - 4)]))
+
+    yield "signed zeros and nan payloads", records(*[pooled() for _ in range(K)])
+    yield "half distinct", records(*[with_distinct(m // 2) for _ in range(K)])
+    yield "one past half", records(*[with_distinct(m // 2 + 1) for _ in range(K)])
+    yield "all distinct", rng.normal(size=(K, *shape))
+    yield "mixed records", records(with_distinct(m // 2), rng.normal(size=m), pooled())
+    wide = records(*[rng.choice(pool[:5], m) for _ in range(K)]).repeat(2, axis=-1)
+    yield "not contiguous", wide[..., ::2]
+    ints = rng.integers(-3, 3, size=(K, *shape))
+    yield "integers", ints * 10 ** rng.integers(0, 15, ints.shape)
+
+
 @pytest.mark.parametrize("dim, d", [(1, 1), (1, 2), (2, 2)])
 def test_solution_csv_matches_per_cell_format(tmp_path, dim, d):
     special = np.array([-0.0, 5e-324, 1e-300, np.inf, -np.inf, np.nan,
@@ -780,6 +825,39 @@ def test_solution_csv_matches_per_cell_format(tmp_path, dim, d):
     write_solution_csv(sol, tmp_path / "bulk.csv")
     _per_cell_csv(sol, tmp_path / "cells.csv")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    # 8**dim * d values per record: exactly half can be distinct, and half
+    # holds both zeros and both nan payloads
+    box = Box(np.full(dim, -0.3), np.full(dim, 1.0 / 3.0), np.full(dim, 7))
+    rng = np.random.default_rng(10 * dim + d)
+    for name, vals in _csv_value_cases(rng, len(times), (*box.shape, d)):
+        sol = GridSolution(box=box, times=times, values=vals)
+        write_solution_csv(sol, tmp_path / "bulk.csv")
+        _per_cell_csv(sol, tmp_path / "cells.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes(), name
+
+
+@pytest.mark.parametrize("repeating", [True, False], ids=["repeating", "distinct"])
+def test_solution_csv_holds_one_record_at_a_time(tmp_path, repeating):
+    # the size of the halfspace run's solution: 61 records of 121 x 41 x 2 values.
+    # Separable records hold 162 distinct values each; the writer's peak stays
+    # near one record's worth, far from the 4.8 MB of one index per value
+    box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), np.array([120, 40]))
+    times = np.linspace(0.0, 1.0, 61)
+    if repeating:
+        vals = np.empty((61, *box.shape, 2))
+        vals[..., 0] = np.sin(box.nodes()[..., 0]) * np.exp(-times)[:, None, None]
+        vals[..., 1] = np.cos(box.nodes()[..., 1] + times[:, None, None])
+    else:
+        vals = np.random.default_rng(5).normal(size=(61, *box.shape, 2))
+    sol = GridSolution(box=box, times=times, values=vals)
+    tracemalloc.start()
+    try:
+        write_solution_csv(sol, tmp_path / "sol.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert (tmp_path / "sol.csv").stat().st_size > 61 * 121 * 41 * 20
 
 
 def test_table_matches_per_cell_format(tmp_path):
