@@ -223,8 +223,9 @@ def cmd_plan(cfg: RunConfig, args) -> int:
         raise run.failure
     sol = run.smallest_eps_solution
     write_solution_csv(sol, out / "solution.csv")
-    write_meta_jsonl([dict(meta_record(s), eps=e) for e, s in
-                      zip(run.eps_schedule, run.solutions)], out / "meta.json")
+    # every eps shares the box, record times and d of the smallest eps's solution
+    write_meta_jsonl([dict(meta_record(sol), **meta, eps=e) for e, meta in
+                      zip(run.eps_schedule, run.metas)], out / "meta.json")
     write_table(out / "convergence.csv", "eps_coarse,eps_fine,gap",
                 run.eps_schedule[:-1], run.eps_schedule[1:], run.gaps)
     _write_json({"eps": list(run.eps_schedule), "gaps": run.gaps,

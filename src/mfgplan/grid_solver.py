@@ -248,6 +248,10 @@ class SolverParams:
         if self.n_rec < 2:
             raise ConfigError("solver.n_rec must be >= 2")
 
+    def record_times(self) -> np.ndarray:
+        """The n_rec uniformly spaced record times, 0 and t_end included."""
+        return np.linspace(0.0, self.t_end, self.n_rec)
+
 
 @dataclass(eq=False)
 class GridSolution:
@@ -437,12 +441,14 @@ def _step_views(ws, U):
 
 
 class SolutionBatch(SimpleNamespace):
-    """solve_master's result for a sequence of slices: box; members, a GridSolution per
-    finished member; values, their records (len(members), K, *box.shape, d), which they
-    view; failure, the first member's BlowupError or None; meta["steps"], their total."""
+    """solve_master's result for a sequence of slices: box; metas, the meta of each
+    finished member; members, a GridSolution per finished member whose records the
+    batch keeps (every one, or with on_record the last member alone); values, those
+    records (len(members), K, *box.shape, d), which the members view; failure, the
+    first member's BlowupError or None; meta["steps"], the finished members' total."""
 
 
-def solve_master(m: ModelSpec, u0, params: SolverParams):
+def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     """March the system from the initial slice u0 to params.t_end.
 
     Slices are recorded at n_rec uniformly spaced times including 0 and t_end;
@@ -455,6 +461,12 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
     recording each record time as it lands there. A member that blows up is
     dropped with every later one; the first such failure is reported, not
     raised.
+
+    on_record(e, k, row), when given, is called with each record k that member
+    e lands on within the overflow guard: record 0 at the start, every later
+    one as it is written. row holds the member's values there and is valid
+    only during the call. The batch then keeps the records of its last member
+    alone, so the failure of any other member carries no partial solution.
     """
     single = isinstance(u0, Slice)
     slices = [u0] if single else list(u0)
@@ -468,11 +480,12 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
             f"box must contain x0 with a margin of at least {TARGET_MARGIN_CELLS} cells")
     F_at, G_at = m.bind(box.nodes())
     dx = box.dx
-    rec_times = np.linspace(0.0, params.t_end, params.n_rec)
+    rec_times = params.record_times()
     U = np.stack([s.values for s in slices])
     E = U.shape[0]
-    rec = np.empty((E, params.n_rec) + U.shape[1:])
-    rec[:, 0] = U
+    keep = 0 if on_record is None else E - 1  # members from keep on have their records kept
+    rec = np.empty((E - keep, params.n_rec) + U.shape[1:])
+    rec[:, 0] = U[keep:]
     ws = _workspace(E, box.shape, U.shape[-1])
 
     # relabeled probe points are fixed in time; build the gather plan and its
@@ -489,14 +502,17 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
 
     def fail(e, message, k, t_last, **context):  # member e blew up short of record k
         nonlocal live, failure
-        partial = GridSolution(box=box, times=rec_times[:k], values=rec[e, :k].copy(),
+        partial = GridSolution(box=box, times=rec_times[:k], values=rec[e - keep, :k].copy(),
                                meta=dict(meta, aborted=True, t_last=t_last,
-                                         steps=context["steps"]))
+                                         steps=context["steps"])) if e >= keep else None
         failure, live = BlowupError(message, t_last=t_last, partial=partial, **context), e
 
     bad = np.flatnonzero(~(np.abs(U).reshape(E, -1).max(axis=1) <= OVERFLOW_GUARD))
     if bad.size:
         fail(int(bad[0]), "initial data exceeds the overflow guard", 1, 0.0, steps=0)
+    if on_record is not None:
+        for e in range(live):
+            on_record(e, 0, U[e])
 
     dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * box.dim * params.visc) \
         if params.visc > 0 else np.inf
@@ -546,7 +562,11 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
             continue
         t = np.where(hit, target, t_next)
         for r in hit.nonzero()[0]:
-            rec[rows[r], k[r]] = U[r]
+            e, kr = int(rows[r]), int(k[r])
+            if e >= keep:
+                rec[e - keep, kr] = U[r]
+            if on_record is not None:
+                on_record(e, kr, U[r])
         k += hit
         stay = ok & (k < n_rec)
         if not stay.all():
@@ -556,11 +576,12 @@ def solve_master(m: ModelSpec, u0, params: SolverParams):
         target = rec_times[k]
         reach = target - 1e-14
 
-    members = [GridSolution(box=box, times=rec_times, values=rec[e],
-                            meta=dict(meta, steps=int(steps[e]))) for e in range(live)]
+    metas = [dict(meta, steps=int(steps[e])) for e in range(live)]
+    members = [GridSolution(box=box, times=rec_times, values=rec[e - keep], meta=metas[e])
+               for e in range(keep, live)]
     if not single:
-        return SolutionBatch(box=box, values=rec[:live], members=members, failure=failure,
-                             meta={"steps": int(steps[:live].sum())})
+        return SolutionBatch(box=box, values=rec[:len(members)], members=members, metas=metas,
+                             failure=failure, meta={"steps": int(steps[:live].sum())})
     if failure is not None:
         raise failure
     return members[0]

@@ -25,7 +25,13 @@ from .yosida import invert_shift, yosida_apply
 
 @dataclass(eq=False)
 class PenalizationRun:
-    """Solutions along an eps schedule plus the Cauchy-gap table."""
+    """Solutions along an eps schedule plus the Cauchy-gap table.
+
+    metas holds the solver meta of every completed eps. solutions holds the
+    completed solutions a caller reads: after a success only the smallest
+    eps's, whose records are the only ones kept; after a failure every
+    completed one, as solving the eps in turn leaves them.
+    """
 
     model: ModelSpec
     box: Box
@@ -34,6 +40,7 @@ class PenalizationRun:
     t_min: float
     conv_tol: float
     solutions: list = field(default_factory=list)
+    metas: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     converged: bool = False
     failed_eps: float | None = None
@@ -51,15 +58,61 @@ def penalized_slice(m: ModelSpec, box: Box, eps) -> Slice:
     return Slice(box, penalized_data(m.x0, eps)(box.nodes()))
 
 
+class _CauchyFold:
+    """The Cauchy gaps of a schedule of E members, folded as their records land.
+
+    Called as on_record(e, k, row). Gap i is the max of |a - b| over the
+    records k >= k0 of members i and i + 1; it is folded at record k as soon
+    as both members have landed there, through one reused one-record buffer.
+    A row is copied only if a neighbour has not landed on its record yet, and
+    the copy is dropped once both neighbours have. Records land in order for
+    each member, so landed[e] counts member e's.
+    """
+
+    def __init__(self, E, k0, shape):
+        self.k0, self.gaps, self.landed = k0, [0.0] * (E - 1), [0] * E
+        self.held, self.diff = {}, np.empty(shape)
+
+    def __call__(self, e, k, row):
+        landed = self.landed
+        landed[e] = k + 1
+        if k < self.k0:
+            return
+        held, diff, E = self.held, self.diff, len(landed)
+        waits = False
+        for n in (e - 1, e + 1):
+            if n < 0 or n == E:
+                continue
+            if landed[n] <= k:
+                waits = True
+                continue
+            # n landed first, so its row was held; it goes once n's far neighbour has landed too
+            far = 2 * n - e
+            other = held.pop((n, k)) if far < 0 or far == E or landed[far] > k else held[n, k]
+            if n < e:
+                np.subtract(other, row, out=diff)
+            else:
+                np.subtract(row, other, out=diff)
+            gap = float(np.maximum.reduce(np.abs(diff, out=diff), axis=None))
+            i = min(n, e)
+            self.gaps[i] = max(self.gaps[i], gap)
+        if waits:
+            held[e, k] = row.copy()
+
+
 def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
                      t_min=0.2, delta=0.25, conv_tol=1e-2) -> PenalizationRun:
     """Solve for each eps and record sup gaps between consecutive solutions.
 
     The whole schedule marches in lockstep, as one batch. Gaps are taken over
-    all recorded times >= t_min and all nodes. The run is converged when the
-    last gap is at most conv_tol. A marcher abort stops the schedule as if the
-    eps were solved in turn: the failing eps and every smaller one are
-    dropped, completed solutions are retained and failed_eps records where.
+    all recorded times >= t_min and all nodes, each folded as the records of
+    its two members land, so the run holds the records of the smallest eps
+    alone. The run is converged when the last gap is at most conv_tol. A
+    marcher abort stops the schedule as if the eps were solved in turn: the
+    failing eps and every smaller one are dropped, completed solutions are
+    retained and failed_eps records where. To keep those solutions and the
+    failure's partial solution, a failing schedule is marched a second time,
+    keeping every record.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule:
@@ -68,20 +121,23 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
         raise ConfigError("eps values must be > 0")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ConfigError("eps schedule must be strictly decreasing")
+    k0 = int(np.searchsorted(params.record_times(), t_min - 1e-12))  # records >= t_min
+    if k0 == params.n_rec:
+        raise ConfigError("no recorded times at or above t_min")
     run = PenalizationRun(model=m, box=box, eps_schedule=eps_schedule,
                           delta=float(delta), t_min=float(t_min),
                           conv_tol=float(conv_tol))
-    batch = solve_master(m, [penalized_slice(m, box, eps) for eps in eps_schedule], params)
-    run.solutions = batch.members
-    if run.solutions:  # times >= t_min are the records from k0 on
-        k0 = int(np.searchsorted(run.solutions[0].times, t_min - 1e-12))
-        if k0 == params.n_rec:
-            raise ConfigError("no recorded times at or above t_min")
-        recs, diff = batch.values[:, k0:], np.empty_like(batch.values[0, k0:])
-        run.gaps = [float(np.abs(np.subtract(a, b, out=diff), out=diff).max())
-                    for a, b in zip(recs, recs[1:])]
+    slices = [penalized_slice(m, box, eps) for eps in eps_schedule]
+    fold = _CauchyFold(len(slices), k0, slices[0].values.shape)
+    batch = solve_master(m, slices, params, on_record=fold)
     if batch.failure is not None:
-        run.failed_eps, run.failure = eps_schedule[len(run.solutions)], batch.failure
+        batch = solve_master(m, slices, params)
+        fold = _CauchyFold(len(batch.members), k0, slices[0].values.shape)
+        for k in range(k0, params.n_rec):
+            for e, values in enumerate(batch.values):
+                fold(e, k, values[k])
+        run.failed_eps, run.failure = eps_schedule[len(batch.members)], batch.failure
+    run.solutions, run.metas, run.gaps = batch.members, batch.metas, fold.gaps
     run.converged = batch.failure is None and bool(run.gaps) and run.gaps[-1] <= conv_tol
     return run
 

@@ -87,13 +87,15 @@ def lq0_solution():
     return solve_master(m, penalized_slice(m, box, 0.1), params)
 
 
+# the controls of lq0_run
+LQ0_RUN_PARAMS = SolverParams(t_end=1.0, n_rec=101)
+
+
 @pytest.fixture(scope="session")
 def lq0_run():
     """Baseline penalization run with the textbook 4-term schedule."""
-    m = baseline_model()
-    box = box1d()
-    params = SolverParams(t_end=1.0, n_rec=101)
-    return run_penalization(m, box, (0.4, 0.2, 0.1, 0.05), params, t_min=0.2)
+    return run_penalization(baseline_model(), box1d(), (0.4, 0.2, 0.1, 0.05), LQ0_RUN_PARAMS,
+                            t_min=0.2)
 
 
 @pytest.fixture(scope="session")

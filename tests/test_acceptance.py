@@ -22,7 +22,7 @@ from mfgplan import (AffineNoiseMap, AnalyticField, Box, FieldSpec, ModelSpec,
                      penalized_slice, run_penalization, sample_solution,
                      solve_by_shooting, solve_master, transformed_model,
                      yosida_apply, yosida_by_transport, HalfspaceModel)
-from conftest import X0, baseline_model, box1d, closed_form, coupled_model
+from conftest import LQ0_RUN_PARAMS, X0, baseline_model, box1d, closed_form, coupled_model
 
 T_MIN = 0.2
 
@@ -33,6 +33,16 @@ _REGISTRY = []
 def _register(label, box, sol):
     if not any(s is sol for _, _, s in _REGISTRY):
         _REGISTRY.append((label, box, sol))
+
+
+def _register_schedule(label, run, params):
+    """Register every eps solution of run's schedule. A run keeps the smallest
+    eps's alone; the keep-all batch of the schedule gives each one's bits."""
+    m, box = run.model, run.box
+    batch = solve_master(m, [penalized_slice(m, box, e) for e in run.eps_schedule], params)
+    assert batch.values[-1].tobytes() == run.smallest_eps_solution.values.tobytes()
+    for k, sol in enumerate(batch.members):
+        _register(f"{label} {k}", box, sol)
 
 
 def _verdict(num, name, ok, detail=""):
@@ -176,11 +186,10 @@ def test_criterion_05_graph_limit_diameters():
 def test_criterion_06_penalization_cauchy_gaps():
     m = coupled_model(K=0.2)
     box = box1d(n=200)
-    run = run_penalization(m, box, tuple(0.2 * 0.5 ** k for k in range(12)),
-                           SolverParams(t_end=0.5, n_rec=26, dt_max=0.01),
+    params = SolverParams(t_end=0.5, n_rec=26, dt_max=0.01)
+    run = run_penalization(m, box, tuple(0.2 * 0.5 ** k for k in range(12)), params,
                            t_min=T_MIN, conv_tol=1e-2)
-    for k, sol in enumerate(run.solutions):
-        _register(f"cauchy eps index {k}", box, sol)
+    _register_schedule("cauchy eps index", run, params)
     gaps = np.asarray(run.gaps)
     ok = bool(np.all(np.diff(gaps) < 0)) and gaps[-1] <= 1e-2
     _verdict(6, "penalization Cauchy gaps", ok,
@@ -189,8 +198,7 @@ def test_criterion_06_penalization_cauchy_gaps():
 
 def test_criterion_07_uniqueness_cross_checks(lq0_run):
     sol = lq0_run.smallest_eps_solution
-    for k, s in enumerate(lq0_run.solutions):
-        _register(f"reference schedule index {k}", lq0_run.box, s)
+    _register_schedule("reference schedule index", lq0_run, LQ0_RUN_PARAMS)
     ext = extracted_field(lq0_run, [0.3, 0.5, 0.8])
     cross = cross_monotonicity(sol.field(), ext.field(), 0.5, n_pairs=10000,
                                rng_seed=0)
@@ -254,12 +262,11 @@ def test_criterion_10_halfspace_straightening():
     hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))
     box_y = Box(np.array([-5.0, -1.0]), np.array([2.0, 1.0]),
                 np.array([100, 20]))
-    run = run_penalization(transformed_model(hm), box_y, (0.1, 0.025, 0.00625),
-                           SolverParams(t_end=0.6, n_rec=31, dt_max=0.01),
+    params = SolverParams(t_end=0.6, n_rec=31, dt_max=0.01)
+    run = run_penalization(transformed_model(hm), box_y, (0.1, 0.025, 0.00625), params,
                            t_min=T_MIN, conv_tol=10.0)
     u = PullbackField(run.smallest_eps_solution.field())
-    for k, s in enumerate(run.solutions):
-        _register(f"straightened eps index {k}", box_y, s)
+    _register_schedule("straightened eps index", run, params)
     tail = np.geomspace(0.02, 0.9, 12)
     fit_ok = True
     fits = []

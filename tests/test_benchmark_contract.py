@@ -2,16 +2,23 @@
 
 perfbench/tracing.py wraps its targets by module and attribute name, and
 perfbench/child.py calls mfgplan attributes directly; a renamed or deleted
-name fails every benchmark pass. Both files are only read here.
+name fails every benchmark pass. Both files are only read here, apart from
+the count hooks of tracing.py, which run on real results without wrapping
+anything.
 """
 
 import ast
 import importlib
 import inspect
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from mfgplan import SolverParams, penalized_slice, run_penalization, solve_master
+from conftest import baseline_model, box1d
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # names child.py binds to mfgplan or one of its modules
@@ -131,3 +138,28 @@ def test_count_hooks_read_the_parameters_they_count(tracing):
         for call in ast.walk(ast.parse(path.read_text())):
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) in funcs:
                 assert len(call.args) > funcs[call.func.id], f"{path.name}:{call.lineno}"
+
+
+def test_count_hooks_run_on_real_results(tracing):
+    # the hooks read meta["steps"], box.shape and values.nbytes of each
+    # solve_master result and the values of each run's solutions; a recorder
+    # stand-in takes their counts, so nothing in the package is wrapped
+    rec = SimpleNamespace(counts=dict.fromkeys(tracing.COUNT_KEYS, 0), retained_bytes=0)
+    m, box, params = baseline_model(), box1d(n=60), SolverParams(t_end=0.3, n_rec=7)
+    slices = [penalized_slice(m, box, e) for e in (0.4, 0.2)]
+    single = solve_master(m, slices[1], params)
+    keep_all = solve_master(m, slices, params)
+    hooked = solve_master(m, slices, params, on_record=lambda e, k, row: None)
+    for result in (single, keep_all, hooked):
+        tracing._count_solve(rec, (m, slices, params), {}, result)
+    steps = single.meta["steps"] + 2 * keep_all.meta["steps"]
+    assert hooked.meta == keep_all.meta
+    assert rec.counts["grid_solver.steps"] == steps
+    assert rec.counts["grid_solver.node_steps"] == steps * math.prod(box.shape)
+    assert rec.retained_bytes == keep_all.values.nbytes == 2 * hooked.values.nbytes
+    for eps in ((0.4, 0.2), (0.4, 1e-15)):  # the second fails on its initial data
+        run = run_penalization(m, box, eps, params)
+        rec.retained_bytes = 0
+        tracing._count_run(rec, (m, box, eps, params), {}, run)
+        assert rec.retained_bytes == single.values.nbytes
+        assert (run.failed_eps is None) == (eps[-1] == 0.2)

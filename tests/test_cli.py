@@ -468,10 +468,13 @@ def test_halfspace_reference_config(tmp_path):
         "7d9e6854576dadbd6da46c5c9382c14df57b4985293398fcab8c7123f52697f6"
 
 
-# sha256 of the tables each command writes from configs/lq0.cfg
+# sha256 of the tables each command writes from configs/lq0.cfg; plan's
+# meta.json holds one line for each of the 12 eps
 LQ0_TABLES = {
     "plan": {"convergence.csv":
-             "a9609c1d7ea01e3fb17d9a64ae8da9fc493156393719d4a80a8abfdfd986a28f"},
+             "a9609c1d7ea01e3fb17d9a64ae8da9fc493156393719d4a80a8abfdfd986a28f",
+             "meta.json":
+             "538c729f9e5f8576f311c1cf902b8d0bc03e63aa8778966ce64c1087298a2d2f"},
     "yosida": {"eqv_residual.csv":
                "334695bf0d0e1e7dae2cda1ef9f20d8eabff21d990e13e5151f61a2f225a7f17",
                "v_slices.csv":

@@ -470,6 +470,30 @@ def test_batch_matches_single_solves(case):
     assert_batch_matches_single_solves(*BATCH_CASES[case])
 
 
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_on_record_sees_every_record_once(case):
+    # the hook sees each member's records in order as they land, bit for bit
+    # those a keep-all batch keeps; the hooked batch keeps its last member's alone
+    m, box, eps, params = BATCH_CASES[case]
+    slices = [penalized_slice(m, box, e) for e in eps]
+    keep_all = solve_master(m, slices, params)
+    seen = {}
+
+    def on_record(e, k, row):
+        assert (e, k) not in seen
+        seen[e, k] = row.copy()
+
+    batch = solve_master(m, slices, params, on_record=on_record)
+    for e in range(len(eps)):
+        assert [k for f, k in seen if f == e] == list(range(params.n_rec))
+    for (e, k), row in seen.items():
+        assert row.tobytes() == keep_all.values[e, k].tobytes()
+    assert len(batch.members) == 1 and batch.values.shape == (1, *keep_all.values.shape[1:])
+    assert_same_bits(batch.members[0], keep_all.members[-1])
+    assert batch.metas == [s.meta for s in keep_all.members] == keep_all.metas
+    assert batch.meta == keep_all.meta and batch.failure is None
+
+
 def test_jump_plan_widened_once_per_solve(monkeypatch):
     # one plan and one widen per λ > 0 solve, whatever its step count; none
     # for λ = 0; queries build their plans but never widen them
@@ -618,6 +642,15 @@ def test_blowup_partial_counts_its_steps():
     assert (batch.failure.steps, batch.failure.dt, batch.failure.limit) == \
         (want.steps, want.dt, want.limit)
     assert batch.failure.partial.meta == want.partial.meta
+    # a hooked batch keeps the last member's records alone: the failure of the
+    # middle one carries no partial solution, and no member's records are kept
+    seen = []
+    hooked = solve_master(m, [penalized_slice(m, box, e) for e in (0.5, 0.2, 0.1)], params,
+                          on_record=lambda e, k, row: seen.append(e))
+    assert str(hooked.failure) == str(want) and hooked.failure.partial is None
+    assert hooked.members == [] and hooked.values.shape[0] == 0
+    assert hooked.metas == batch.metas and hooked.meta == batch.meta
+    assert seen.count(0) == params.n_rec and set(seen) == {0, 1, 2}
 
 
 def growth_model(K, speed=0.0):

@@ -78,7 +78,7 @@ def test_straightening_not_repeated_per_step(monkeypatch):
         calls.clear()
         run = run_penalization(transformed_model(hm), box_y, (0.1,),
                                SolverParams(t_end=t_end, n_rec=5), t_min=0.0, conv_tol=10.0)
-        counts.append((len(calls), run.solutions[0].meta["steps"]))
+        counts.append((len(calls), run.metas[0]["steps"]))
     (short_calls, short_steps), (long_calls, long_steps) = counts
     assert long_steps > 2 * short_steps
     assert long_calls == short_calls <= 4

@@ -7,6 +7,8 @@ stiff model below is 1.5/|DpF| from the second compatibility inequality.
 """
 
 import dataclasses
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +16,15 @@ import pytest
 
 from mfgplan import planning
 from mfgplan import (AffineNoiseMap, AnalyticField, BlowupError, Box, ConfigError,
-                     FieldSpec, ModelSpec, NewtonError, SolverParams, certificate_bound,
-                     certificate_horizon, cross_monotonicity,
+                     FieldSpec, HalfspaceModel, ModelSpec, NewtonError, SolverParams,
+                     certificate_bound, certificate_horizon, cross_monotonicity,
                      estimate_certificate, extract_limit, extracted_field,
                      eqV_residual, graph_limit_diagnostic, penalized_slice,
-                     run_penalization, solve_master, yosida_apply, yosida_field)
-from mfgplan.cli import main
-from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
-                      digest12, jump_model)
+                     run_penalization, solve_master, transformed_model, yosida_apply,
+                     yosida_field)
+from mfgplan.cli import load_config, main
+from conftest import (X0, assert_same_bits, baseline_model, box1d, closed_form,
+                      coupled_model, digest12, jump_model)
 
 # gap law for the 4-term schedule at t_min = 0.2 (box [-1, 2], x0 = 0.5)
 GAP_LAW = (1.25, 1.25, 1.0)
@@ -45,6 +48,8 @@ def test_schedule_validation():
         run_penalization(m, box, (0.4, 0.2, 0.3), params)
     with pytest.raises(ConfigError):
         run_penalization(m, box, (0.4, -0.1), params)
+    with pytest.raises(ConfigError, match="no recorded times"):  # checked before any march
+        run_penalization(m, box, (0.4, 1e-15), params, t_min=0.5)
 
 
 def test_gap_law(lq0_run):
@@ -274,11 +279,15 @@ def test_coupled_two_dimensional_gaps_decrease():
 JUMP_2D_LIMIT_SHA256 = "acde6d7d6d5d4e94a019ebe420ddf69c6cdea1b9e7ece3764536cb86ec2c92e4"
 
 
+def jump_2d_model():
+    """F = p, G = x, relabeling x -> 0.5 x at rate 1, on R^2."""
+    return ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
+                     lam=1.0, noise=AffineNoiseMap(0.5 * np.eye(2), np.zeros(2)),
+                     x0=np.array([0.5, 0.5]), alpha=1.0, lip_Fp=1.0, lip_Gx=1.0)
+
+
 def test_extract_limit_2d_jump_bits_pinned():
-    # F = p, G = x, relabeling x -> 0.5 x at rate 1
-    m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
-                  lam=1.0, noise=AffineNoiseMap(0.5 * np.eye(2), np.zeros(2)),
-                  x0=np.array([0.5, 0.5]), alpha=1.0, lip_Fp=1.0, lip_Gx=1.0)
+    m = jump_2d_model()
     box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40))
     run = run_penalization(m, box, (0.2, 0.1), SolverParams(t_end=0.5, n_rec=6), t_min=0.2)
     lim = extract_limit(run, 0.4)
@@ -321,3 +330,104 @@ def test_failure_semantics_are_serial():
     assert (run.failure.steps, run.failure.dt, run.failure.limit) == \
         (want.steps, want.dt, want.limit)
     assert want.limit == "cfl"
+
+
+def test_failure_of_the_first_eps_leaves_no_survivor():
+    m = focusing_model()
+    box = box1d(n=60)
+    params = SolverParams(t_end=0.3, n_rec=31)
+    run = run_penalization(m, box, (0.2, 0.1), params)
+    assert run.failed_eps == 0.2
+    assert run.solutions == [] and run.metas == [] and run.gaps == []
+    assert not run.converged
+    with pytest.raises(ConfigError, match="no completed solutions"):
+        run.smallest_eps_solution
+    with pytest.raises(BlowupError) as exc:
+        solve_master(m, penalized_slice(m, box, 0.2), params)
+    assert str(run.failure) == str(exc.value)
+    assert_same_bits(run.failure.partial, exc.value.partial)
+
+
+def test_failure_of_a_middle_eps_in_2d_is_serial():
+    # F = -p in 2-D: eps 0.2 and 0.1 blow up before t_end, 1.0 and 0.8 do not
+    m = ModelSpec(d=2, F=FieldSpec.affine(0.0, -1.0, d=2), G=FieldSpec.affine(0.0, 0.0, d=2),
+                  lam=0.0, noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.5]))
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 20))
+    params = SolverParams(t_end=0.3, n_rec=16)
+    run = run_penalization(m, box, (1.0, 0.8, 0.2, 0.1), params, t_min=0.1)
+    assert run.failed_eps == 0.2 and not run.converged
+    singles = [solve_master(m, penalized_slice(m, box, e), params) for e in (1.0, 0.8)]
+    assert len(run.solutions) == 2
+    for got, want in zip(run.solutions, singles):
+        assert_same_bits(got, want)
+    assert run.metas == [s.meta for s in singles]
+    k0 = int(np.searchsorted(singles[0].times, 0.1 - 1e-12))
+    assert run.gaps == [float(np.max(np.abs(singles[0].values[k0:] - singles[1].values[k0:])))]
+    with pytest.raises(BlowupError) as exc:
+        solve_master(m, penalized_slice(m, box, 0.2), params)
+    assert str(run.failure) == str(exc.value)
+    assert run.failure.t_last == exc.value.t_last
+    assert_same_bits(run.failure.partial, exc.value.partial)
+
+
+def _lq0_case():
+    cfg = load_config(CONFIGS / "lq0.cfg")
+    return cfg.model, cfg.box, cfg.eps_schedule, cfg.params, cfg.t_min
+
+
+def _jump_2d_case():
+    return (jump_2d_model(), Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 24)),
+            (0.2, 0.1, 0.05), SolverParams(t_end=0.5, n_rec=11), 0.2)
+
+
+def _halfspace_case():
+    base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
+                     G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
+                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]),
+                     alpha=1.0, lip_Fx=1.0, lip_Fp=1.0)
+    hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))
+    return (transformed_model(hm), Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]),
+                                       np.array([50, 20])),
+            (0.1, 0.05, 0.025), SolverParams(t_end=0.6, n_rec=13), 0.2)
+
+
+@pytest.mark.parametrize("case", [_lq0_case, _jump_2d_case, _halfspace_case],
+                         ids=["lq0-12-eps", "2d-jump", "halfspace"])
+def test_streamed_gaps_are_those_of_the_keep_all_batch(case):
+    m, box, eps, params, t_min = case()
+    run = run_penalization(m, box, eps, params, t_min=t_min)
+    batch = solve_master(m, [penalized_slice(m, box, e) for e in eps], params)
+    k0 = int(np.searchsorted(params.record_times(), t_min - 1e-12))
+    want = [float(np.max(np.abs(a[k0:] - b[k0:]))) for a, b in zip(batch.values, batch.values[1:])]
+    assert len(run.gaps) == len(eps) - 1
+    assert np.array(run.gaps).tobytes() == np.array(want).tobytes()
+    assert len(run.solutions) == 1
+    assert_same_bits(run.smallest_eps_solution, batch.members[-1])
+    assert run.metas == batch.metas
+
+
+def _traced_peak(fn):
+    """tracemalloc's peak, in bytes, of the memory allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_continuation_retains_few_records():
+    # a 2-D 3-eps run holds the smallest eps's records, the rows a slower
+    # member has not reached yet and the step workspace: 0.65 of the keep-all
+    # records when measured (a keep-all run peaks at 1.27 of them)
+    m, box, eps = jump_2d_model(), Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 20)), \
+        (0.2, 0.1, 0.05)
+    params = SolverParams(t_end=1.0, n_rec=101)
+    record_bytes = len(eps) * params.n_rec * math.prod(box.shape) * m.d * 8
+    peak = _traced_peak(lambda: run_penalization(m, box, eps, params))
+    assert peak <= 0.8 * record_bytes
+    # lq0 from 4 to 12 eps: the peak grew 1.40 times when measured (keep-all: 2.82)
+    m, box, eps, params, t_min = _lq0_case()
+    peaks = [_traced_peak(lambda: run_penalization(m, box, eps[:E], params, t_min=t_min))
+             for E in (4, 12)]
+    assert peaks[1] <= 1.75 * peaks[0]
