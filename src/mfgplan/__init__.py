@@ -11,20 +11,16 @@ straightening of half-space models.
 from .errors import (BlowupError, ConfigError, IntegrationError, NewtonError,
                      PlanningError, TrajectoryExitError)
 from .model import (AffineNoiseMap, FieldSpec, ModelSpec, MonotonicityReport,
-                    affine_couple_eigenvalue, check_couple_monotone,
-                    check_monotone_map, eval_field, load_model,
-                    model_from_items, register_field, registered_names,
-                    save_model)
-from .grid_solver import (AnalyticField, Box, GridField, GridSolution, Slice,
-                          SolutionBatch, SolverParams, lipschitz_norm, node_jacobians,
-                          sample_solution, solve_master,
-                          write_meta_jsonl, write_solution_csv)
+                    check_couple_monotone, eval_field, load_model,
+                    model_from_items, register_field, registered_names)
+from .grid_solver import (Box, GridField, GridSolution, Slice, SolutionBatch,
+                          SolverParams, lipschitz_norm, node_jacobians,
+                          solve_master, write_meta_jsonl, write_solution_csv)
 from .characteristics import flow_forward, penalized_data, solve_by_shooting
 from .yosida import (ResidualField, eqV_residual, invert_shift, resolvent,
                      yosida_apply, yosida_by_transport, yosida_field)
 from .planning import (EstimateReport, ExtractedLimit, GraphLimitDiagnostic,
-                       PenalizationRun, certificate_bound,
-                       certificate_horizon, cross_monotonicity,
+                       PenalizationRun, certificate_horizon, cross_monotonicity,
                        estimate_certificate, extract_limit, extracted_field,
                        graph_limit_diagnostic, penalized_slice,
                        run_penalization)
@@ -40,25 +36,21 @@ from .halfspace import (HalfspaceModel, LogFit, PullbackField,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineNoiseMap", "AnalyticField", "BlowupError", "Box",
-    "ConfigError", "EstimateReport", "ExtractedLimit", "FieldSpec",
-    "GraphLimitDiagnostic", "GridField", "GridSolution", "HalfspaceModel",
-    "IntegrationError", "LogFit", "ModelSpec",
+    "AffineNoiseMap", "BlowupError", "Box", "ConfigError", "EstimateReport",
+    "ExtractedLimit", "FieldSpec", "GraphLimitDiagnostic", "GridField",
+    "GridSolution", "HalfspaceModel", "IntegrationError", "LogFit", "ModelSpec",
     "MonotonicityReport", "NewtonError", "PenalizationRun",
     "PlanningConvergence", "PlanningError", "PullbackField", "ResidualField",
-    "Slice", "SolutionBatch", "SolverParams", "Trajectory", "TrajectoryExitError",
-    "affine_couple_eigenvalue", "certificate_bound",
-    "certificate_horizon", "chain_rule_defect", "check_couple_monotone",
-    "check_factorization", "check_inward_flow", "check_log_blowup",
-    "check_monotone_map", "check_planning_convergence",
-    "check_value_consistency", "cross_monotonicity", "eqV_residual",
-    "estimate_certificate", "eval_field", "extract_limit", "extracted_field",
-    "flow_forward", "from_log_coordinates", "graph_limit_diagnostic",
-    "integrate_backward", "invert_shift", "lipschitz_norm", "load_model",
-    "model_from_items", "node_jacobians", "penalized_data", "penalized_slice",
-    "register_field", "registered_names", "resolvent",
-    "run_penalization", "sample_solution", "save_model", "solve_by_shooting",
-    "solve_master", "to_log_coordinates",
-    "transformed_model", "write_meta_jsonl", "write_solution_csv",
-    "yosida_apply", "yosida_by_transport", "yosida_field",
+    "Slice", "SolutionBatch", "SolverParams", "Trajectory",
+    "TrajectoryExitError", "certificate_horizon", "chain_rule_defect",
+    "check_couple_monotone", "check_factorization", "check_inward_flow",
+    "check_log_blowup", "check_planning_convergence", "check_value_consistency",
+    "cross_monotonicity", "eqV_residual", "estimate_certificate", "eval_field",
+    "extract_limit", "extracted_field", "flow_forward", "from_log_coordinates",
+    "graph_limit_diagnostic", "integrate_backward", "invert_shift",
+    "lipschitz_norm", "load_model", "model_from_items", "node_jacobians",
+    "penalized_data", "penalized_slice", "register_field", "registered_names",
+    "resolvent", "run_penalization", "solve_by_shooting", "solve_master",
+    "to_log_coordinates", "transformed_model", "write_meta_jsonl",
+    "write_solution_csv", "yosida_apply", "yosida_by_transport", "yosida_field",
 ]

@@ -336,28 +336,6 @@ class GridField:
         return out.reshape(lead + out.shape[-1:])
 
 
-class AnalyticField:
-    """Wraps a closed-form field fn(t, pts) -> (N, d); box is used for probes."""
-
-    def __init__(self, fn, box: Box | None = None):
-        self.fn = fn
-        self.box = box
-
-    def eval(self, t, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        out = np.asarray(self.fn(t, np.atleast_2d(pts)), dtype=float)
-        return out[0] if single else out
-
-
-def sample_solution(box: Box, times, fn) -> GridSolution:
-    """Inject a closed-form field fn(t, pts) on box nodes at the given times."""
-    nodes = box.node_list()
-    vals = np.stack([np.asarray(fn(t, nodes), dtype=float).reshape(*box.shape, -1)
-                     for t in times])
-    return GridSolution(box=box, times=times, values=vals)
-
-
 def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
     """View A[start:stop] taken along one axis (axis >= 0)."""
     return A[(slice(None),) * axis + (slice(start, stop),)]
@@ -649,14 +627,11 @@ def write_solution_csv(sol: GridSolution, path):
         for t, vals in zip(sol.times, sol.values):
             t_txt = _CELL % t
             flat = np.ascontiguousarray(vals, dtype=np.float64).reshape(-1)
-            bits = flat.view(np.int64)
-            keys = np.sort(bits)
-            change = keys[1:] != keys[:-1]
-            if 2 * (1 + int(np.count_nonzero(change))) <= keys.size:
-                keys = keys[np.concatenate(([True], change))]
+            keys, inv = np.unique(flat.view(np.int64), return_inverse=True)
+            if 2 * keys.size <= flat.size:
                 texts = (",".join([_CELL] * keys.size)
                          % tuple(keys.view(np.float64).tolist())).split(",")
-                cells = operator.itemgetter(*np.searchsorted(keys, bits).tolist())(texts)
+                cells = operator.itemgetter(*inv.tolist())(texts)
                 fh.write((t_txt + t_txt.join(text_tails)) % cells)
             else:
                 fh.write((t_txt + t_txt.join(cell_tails)) % tuple(flat.tolist()))

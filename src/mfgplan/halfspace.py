@@ -161,9 +161,6 @@ class LogFit:
     b: float
     residual: float  # rms misfit
 
-    def passed(self, fit_tol) -> bool:
-        return self.residual <= fit_tol and self.a != 0.0
-
 
 def check_log_blowup(U, t, x1_samples, x_rest) -> LogFit:
     """Fit the first component of U(t, pts) -> (N, d) against ln(x_1) at fixed x_2..x_d."""

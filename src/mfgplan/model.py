@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Sampled pairs behind the monotonicity checks. A sampled minimum only bounds
-# the infimum from above, and more pairs tighten it; check_couple_monotone,
-# whose pairs span (x, p) and (y, q), takes twice check_monotone_map's (x, y).
-COUPLE_SAMPLES, MAP_SAMPLES = 4000, 2000
+# Sampled pairs ((x, p), (y, q)) behind check_couple_monotone. A sampled
+# minimum only bounds the infimum from above, and more pairs tighten it.
+COUPLE_SAMPLES = 4000
 
 # Registry of named drift/source evaluators usable from model files.
 # An evaluator takes arrays x, p of shape (..., d) and returns (..., d).
@@ -261,7 +260,6 @@ class MonotonicityReport:
 
     min_pairing: float
     min_second_modulus: float
-    min_first_modulus: float
     alpha: float
     tol: float
 
@@ -269,21 +267,12 @@ class MonotonicityReport:
     def passed(self) -> bool:
         return self.min_pairing >= -self.tol
 
-    @property
-    def passed_second_modulus(self) -> bool:
-        return self.min_second_modulus >= -self.tol
-
-    @property
-    def passed_first_modulus(self) -> bool:
-        return self.min_first_modulus >= -self.tol
-
 
 def check_couple_monotone(m: ModelSpec, box, rng_seed=0, tol_mono=1e-8) -> MonotonicityReport:
     """Sample the pairing D over box x box and report its minima.
 
-    The second/first modulus entries subtract alpha |p-q|^2 resp. alpha |x-y|^2
-    so that a nonnegative minimum certifies the corresponding strengthened
-    monotonicity at the declared alpha.
+    The second-modulus entry subtracts alpha |p-q|^2, so that a nonnegative
+    minimum certifies monotonicity with modulus alpha in the second variable.
     """
     rng = np.random.default_rng(rng_seed)
     x, p, y, q = (box.sample_points(rng, COUPLE_SAMPLES) for _ in range(4))
@@ -291,47 +280,12 @@ def check_couple_monotone(m: ModelSpec, box, rng_seed=0, tol_mono=1e-8) -> Monot
     dF = m.eval_F(x, p) - m.eval_F(y, q)
     D = np.sum(dG * (x - y), axis=-1) + np.sum(dF * (p - q), axis=-1)
     pq2 = np.sum((p - q) ** 2, axis=-1)
-    xy2 = np.sum((x - y) ** 2, axis=-1)
     return MonotonicityReport(
         min_pairing=float(np.min(D)),
         min_second_modulus=float(np.min(D - m.alpha * pq2)),
-        min_first_modulus=float(np.min(D - m.alpha * xy2)),
         alpha=m.alpha,
         tol=tol_mono,
     )
-
-
-def check_monotone_map(U, box, rng_seed=0) -> float:
-    """Minimum of <U(x)-U(y), x-y>/|x-y|^2 over sampled pairs in the box.
-
-    Degenerate pairs (|x-y| below 1e-12) are skipped. U is any vectorized
-    map accepting (N, d) points.
-    """
-    rng = np.random.default_rng(rng_seed)
-    x = box.sample_points(rng, MAP_SAMPLES)
-    y = box.sample_points(rng, MAP_SAMPLES)
-    diff = x - y
-    d2 = np.sum(diff ** 2, axis=-1)
-    keep = d2 > 1e-24
-    if not np.any(keep):
-        raise ConfigError("all sampled pairs were degenerate")
-    ux = np.asarray(U(x[keep]), dtype=float)
-    uy = np.asarray(U(y[keep]), dtype=float)
-    vals = np.sum((ux - uy) * diff[keep], axis=-1) / d2[keep]
-    return float(np.min(vals))
-
-
-def affine_couple_eigenvalue(F: FieldSpec, G: FieldSpec) -> float:
-    """Smallest eigenvalue of the symmetric part of [[Gx, Gp], [Fx, Fp]].
-
-    Exact monotonicity test for affine couples: the couple is monotone iff
-    this eigenvalue is >= 0.
-    """
-    if F.kind != "affine" or G.kind != "affine":
-        raise ConfigError("eigenvalue test requires affine F and G")
-    M = np.block([[G.Mx, G.Mp], [F.Mx, F.Mp]])
-    sym = 0.5 * (M + M.T)
-    return float(np.linalg.eigvalsh(sym)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +382,3 @@ def load_model(path) -> ModelSpec:
         if name != "model":
             raise ConfigError(f"[{name}] is not a section of a model file ('{path}')")
     return model_from_items(dict(cp["model"]))
-
-
-def _fmt_matrix(M):
-    return "; ".join(",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(M))
-
-
-def save_model(m: ModelSpec, path):
-    lines = ["[model]", f"d = {m.d}", f"lambda = {m.lam:.12g}",
-             "x0 = " + ",".join(f"{v:.12g}" for v in m.x0),
-             "S = " + _fmt_matrix(m.noise.S),
-             "e = " + ",".join(f"{v:.12g}" for v in m.noise.e)]
-    for tag, fs in (("F", m.F), ("G", m.G)):
-        if fs.kind == "affine":
-            lines += [f"{tag}.kind = affine", f"{tag}.Mx = " + _fmt_matrix(fs.Mx),
-                      f"{tag}.Mp = " + _fmt_matrix(fs.Mp),
-                      f"{tag}.c = " + ",".join(f"{v:.12g}" for v in fs.c)]
-        else:
-            lines += [f"{tag}.kind = registered", f"{tag}.name = {fs.name}"]
-    lines += [f"alpha = {m.alpha:.12g}", f"lip_Fx = {m.lip_Fx:.12g}",
-              f"lip_Fp = {m.lip_Fp:.12g}", f"lip_Gx = {m.lip_Gx:.12g}",
-              f"lip_Gp = {m.lip_Gp:.12g}", ""]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))

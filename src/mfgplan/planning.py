@@ -112,7 +112,7 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
     failing eps and every smaller one are dropped, completed solutions are
     retained and failed_eps records where. To keep those solutions and the
     failure's partial solution, a failing schedule is marched a second time,
-    keeping every record.
+    keeping every record; its gaps are the first march's between completed eps.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule:
@@ -130,14 +130,12 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
     slices = [penalized_slice(m, box, eps) for eps in eps_schedule]
     fold = _CauchyFold(len(slices), k0, slices[0].values.shape)
     batch = solve_master(m, slices, params, on_record=fold)
+    gaps = fold.gaps
     if batch.failure is not None:
         batch = solve_master(m, slices, params)
-        fold = _CauchyFold(len(batch.members), k0, slices[0].values.shape)
-        for k in range(k0, params.n_rec):
-            for e, values in enumerate(batch.values):
-                fold(e, k, values[k])
+        gaps = gaps[:max(len(batch.members) - 1, 0)]  # between members that both completed
         run.failed_eps, run.failure = eps_schedule[len(batch.members)], batch.failure
-    run.solutions, run.metas, run.gaps = batch.members, batch.metas, fold.gaps
+    run.solutions, run.metas, run.gaps = batch.members, batch.metas, gaps
     run.converged = batch.failure is None and bool(run.gaps) and run.gaps[-1] <= conv_tol
     return run
 
@@ -262,10 +260,6 @@ def _violated(m: ModelSpec, t, nS2):
     i2 = dgamma + gamma * (m.lam * (1.0 - nS2) - m.lip_Fp - 2.0 * m.lip_Gp) \
         - beta * m.lip_Gx
     return (i1 < 0) | (i2 < -1e-14)
-
-
-def certificate_bound(m: ModelSpec, t) -> float:
-    return float(_bound(t, *_beta_gamma(m, t)))
 
 
 def certificate_horizon(m: ModelSpec, t_max) -> float:

@@ -10,8 +10,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfgplan import (AffineNoiseMap, Box, FieldSpec, ModelSpec, SolverParams,
-                     penalized_slice, run_penalization, solve_master)
+from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, GridSolution, ModelSpec,
+                     SolverParams, penalized_slice, run_penalization, solve_master)
 
 X0 = 0.5
 
@@ -68,6 +68,69 @@ def assert_batch_matches_single_solves(m, box, eps, params):
     assert batch.meta["steps"] == sum(s.meta["steps"] for s in batch.members)
     assert batch.values.nbytes == sum(s.values.nbytes for s in batch.members)
     return batch
+
+
+# Reference oracles: closed-form fields, sampled map monotonicity and the exact
+# eigenvalue test of an affine couple, which tests compare the package against.
+
+class AnalyticField:
+    """Wraps a closed-form field fn(t, pts) -> (N, d); box is used for probes."""
+
+    def __init__(self, fn, box: Box | None = None):
+        self.fn = fn
+        self.box = box
+
+    def eval(self, t, pts) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        single = pts.ndim == 1
+        out = np.asarray(self.fn(t, np.atleast_2d(pts)), dtype=float)
+        return out[0] if single else out
+
+
+def sample_solution(box: Box, times, fn) -> GridSolution:
+    """Inject a closed-form field fn(t, pts) on box nodes at the given times."""
+    nodes = box.node_list()
+    vals = np.stack([np.asarray(fn(t, nodes), dtype=float).reshape(*box.shape, -1)
+                     for t in times])
+    return GridSolution(box=box, times=times, values=vals)
+
+
+# Sampled pairs (x, y) of check_monotone_map; the pin of
+# test_sampled_monotonicity_minima_are_pinned fixes it.
+MAP_SAMPLES = 2000
+
+
+def check_monotone_map(U, box, rng_seed=0) -> float:
+    """Minimum of <U(x)-U(y), x-y>/|x-y|^2 over sampled pairs in the box.
+
+    Degenerate pairs (|x-y| below 1e-12) are skipped. U is any vectorized
+    map accepting (N, d) points.
+    """
+    rng = np.random.default_rng(rng_seed)
+    x = box.sample_points(rng, MAP_SAMPLES)
+    y = box.sample_points(rng, MAP_SAMPLES)
+    diff = x - y
+    d2 = np.sum(diff ** 2, axis=-1)
+    keep = d2 > 1e-24
+    if not np.any(keep):
+        raise ConfigError("all sampled pairs were degenerate")
+    ux = np.asarray(U(x[keep]), dtype=float)
+    uy = np.asarray(U(y[keep]), dtype=float)
+    vals = np.sum((ux - uy) * diff[keep], axis=-1) / d2[keep]
+    return float(np.min(vals))
+
+
+def affine_couple_eigenvalue(F: FieldSpec, G: FieldSpec) -> float:
+    """Smallest eigenvalue of the symmetric part of [[Gx, Gp], [Fx, Fp]].
+
+    Exact monotonicity test for affine couples: the couple is monotone iff
+    this eigenvalue is >= 0.
+    """
+    if F.kind != "affine" or G.kind != "affine":
+        raise ConfigError("eigenvalue test requires affine F and G")
+    M = np.block([[G.Mx, G.Mp], [F.Mx, F.Mp]])
+    sym = 0.5 * (M + M.T)
+    return float(np.linalg.eigvalsh(sym)[0])
 
 
 def box1d(n=400, lo=-1.0, hi=2.0):

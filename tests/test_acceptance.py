@@ -12,17 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from mfgplan import (AffineNoiseMap, AnalyticField, Box, FieldSpec, ModelSpec,
+from mfgplan import (AffineNoiseMap, Box, FieldSpec, ModelSpec,
                      PullbackField, SolverParams, chain_rule_defect,
-                     check_inward_flow, check_log_blowup, check_monotone_map,
+                     check_inward_flow, check_log_blowup,
                      check_value_consistency, cross_monotonicity, eqV_residual,
                      extract_limit, extracted_field, flow_forward,
                      graph_limit_diagnostic, integrate_backward,
                      lipschitz_norm, node_jacobians, penalized_data,
-                     penalized_slice, run_penalization, sample_solution,
+                     penalized_slice, run_penalization,
                      solve_by_shooting, solve_master, transformed_model,
                      yosida_apply, yosida_by_transport, HalfspaceModel)
-from conftest import LQ0_RUN_PARAMS, X0, baseline_model, box1d, closed_form, coupled_model
+from conftest import (LQ0_RUN_PARAMS, X0, AnalyticField, baseline_model, box1d,
+                      check_monotone_map, closed_form, coupled_model, sample_solution)
 
 T_MIN = 0.2
 

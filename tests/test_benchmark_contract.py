@@ -1,4 +1,5 @@
-"""The names the benchmark in perfbench/ looks up in mfgplan all exist.
+"""The names the benchmark in perfbench/ looks up in mfgplan all exist, and
+every name mfgplan exports has a caller in the package or the benchmark.
 
 perfbench/tracing.py wraps its targets by module and attribute name, and
 perfbench/child.py calls mfgplan attributes directly; a renamed or deleted
@@ -17,6 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import mfgplan
 from mfgplan import SolverParams, penalized_slice, run_penalization, solve_master
 from conftest import baseline_model, box1d
 
@@ -96,6 +98,22 @@ def test_child_calls_bind_to_signatures():
     # the direct calls as well as the ones made through p.attempt
     assert {"yosida.yosida_apply", "yosida.yosida_by_transport", "cli.load_config",
             "planning.extract_limit", "cli.main"} <= checked
+
+
+def test_every_export_has_a_caller():
+    # a name is called when it is an ast Name or Attribute in the package's
+    # modules (its __init__.py aside) or in perfbench/; test oracles live in
+    # tests/conftest.py, not in the package
+    files = [p for p in (PERFBENCH.parent / "src" / "mfgplan").glob("*.py")
+             if p.name != "__init__.py"] + list(PERFBENCH.glob("*.py"))
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(mfgplan.__all__) - used) == []
 
 
 # The parameter each count hook in tracing.py reads by position: (target, slot) -> name.

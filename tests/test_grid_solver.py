@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
-                     GridSolution, ModelSpec, Slice, SolverParams, check_monotone_map,
+                     GridSolution, ModelSpec, Slice, SolverParams,
                      eqV_residual, lipschitz_norm, node_jacobians, penalized_slice,
-                     sample_solution, solve_master, write_solution_csv)
+                     solve_master, write_solution_csv)
 from mfgplan import grid_solver
 from mfgplan.grid_solver import InterpPlan, write_table
 from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
-                      box1d, closed_form, digest12, jump_model)
+                      box1d, check_monotone_map, closed_form, digest12, jump_model,
+                      sample_solution)
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
 # logistic closed form kappa/((kappa/a0+1)e^{kappa t}-1) with kappa=0.75

@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 from mfgplan import planning
-from mfgplan import (AffineNoiseMap, AnalyticField, BlowupError, Box, ConfigError,
+from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError,
                      FieldSpec, HalfspaceModel, ModelSpec, NewtonError, SolverParams,
-                     certificate_bound, certificate_horizon, cross_monotonicity,
+                     certificate_horizon, cross_monotonicity,
                      estimate_certificate, extract_limit, extracted_field,
                      eqV_residual, graph_limit_diagnostic, penalized_slice,
                      run_penalization, solve_master, transformed_model, yosida_apply,
                      yosida_field)
 from mfgplan.cli import load_config, main
-from conftest import (X0, assert_same_bits, baseline_model, box1d, closed_form,
-                      coupled_model, digest12, jump_model)
+from conftest import (X0, AnalyticField, assert_same_bits, baseline_model, box1d,
+                      check_monotone_map, closed_form, coupled_model, digest12, jump_model)
 
 # gap law for the 4-term schedule at t_min = 0.2 (box [-1, 2], x0 = 0.5)
 GAP_LAW = (1.25, 1.25, 1.0)
@@ -189,9 +189,10 @@ def test_graph_diagnostic_flags_nonshrinking():
     assert not diag.passed  # sublevel set is the whole box at every t
 
 
-def test_certificate_bound_baseline():
+def test_certificate_bound_baseline(lq0_solution):
     m = baseline_model()
-    assert abs(certificate_bound(m, 0.5) - 4.0) <= 1e-12  # 2/t with gamma = 0
+    bound = estimate_certificate(m, lq0_solution, [0.5]).bound
+    assert abs(bound[0] - 4.0) <= 1e-12  # 2/t with gamma = 0
     assert certificate_horizon(m, 1.0) == pytest.approx(1.0)  # never violated
 
 
@@ -269,7 +270,6 @@ def test_coupled_two_dimensional_gaps_decrease():
     gaps = np.asarray(run.gaps)
     assert np.all(np.diff(gaps) < 0)
     ext = extract_limit(run, 0.4)
-    from mfgplan import check_monotone_map
     mono = check_monotone_map(ext.slice.eval, box, rng_seed=1)
     assert mono >= -1e-4
 

@@ -9,12 +9,12 @@ whose paths are x(t) = x0 cosh(t) + C sinh(t).
 import numpy as np
 import pytest
 
-from mfgplan import (AffineNoiseMap, AnalyticField, Box, ConfigError, FieldSpec,
+from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec,
                      IntegrationError, ModelSpec, SolverParams, Trajectory,
                      TrajectoryExitError, check_planning_convergence, check_value_consistency,
-                     integrate_backward, penalized_slice, sample_solution, solve_master)
-from conftest import (X0, baseline_model, box1d, closed_form, coupled_model,
-                      jump_model)
+                     integrate_backward, penalized_slice, solve_master)
+from conftest import (X0, AnalyticField, baseline_model, box1d, closed_form, coupled_model,
+                      jump_model, sample_solution)
 
 
 def limit_field(box=None):

@@ -10,10 +10,10 @@ import pytest
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      NewtonError, Slice, SolverParams, eqV_residual,
                      invert_shift, node_jacobians, penalized_slice, resolvent,
-                     sample_solution, solve_master, yosida_apply,
+                     solve_master, yosida_apply,
                      yosida_by_transport, yosida_field)
 from mfgplan.yosida import _newton_batch
-from conftest import baseline_model, box1d, closed_form, jump_model
+from conftest import baseline_model, box1d, closed_form, jump_model, sample_solution
 
 X0 = 0.5
 
