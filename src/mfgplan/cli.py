@@ -19,8 +19,8 @@ import numpy as np
 
 from .characteristics import penalized_data, solve_by_shooting
 from .errors import BlowupError, ConfigError, PlanningError
-from .grid_solver import (Box, SolverParams, lipschitz_norm, meta_record, solve_master,
-                          write_meta_jsonl, write_solution_csv, write_table)
+from .grid_solver import (TIME_MATCH_TOL, Box, SolverParams, lipschitz_norm, meta_record,
+                          solve_master, write_meta_jsonl, write_solution_csv, write_table)
 from .halfspace import (HalfspaceModel, PullbackField, chain_rule_defect, check_factorization,
                         check_inward_flow, check_log_blowup, transformed_model)
 from .model import (FIELD_KEYS, ModelSpec, _parse_field, check_couple_monotone, check_keys,
@@ -408,14 +408,21 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     if cfg.model.lam > 0:
         raise ConfigError("probe compares against characteristics; lambda must be 0")
     eps, sol = _single_solve(cfg)
-    grid_val = sol.field().eval(t, x)
+    field = sol.field()
+    grid_val = field.eval(t, x)
     char_val = solve_by_shooting(cfg.model, penalized_data(cfg.model.x0, eps), t, x)
     diff = float(np.max(np.abs(grid_val - char_val)))
-    cfg.say(f"grid value at (t={t:g}, x={x_text.strip()}): "
-            + ",".join(f"{v:.12g}" for v in np.atleast_1d(grid_val)))
-    cfg.say("characteristics value:          "
-            + ",".join(f"{v:.12g}" for v in np.atleast_1d(char_val)))
+
+    def text(vals):
+        return ",".join(f"{v:.12g}" for v in np.atleast_1d(vals))
+
+    cfg.say(f"grid value at (t={t:g}, x={x_text.strip()}): {text(grid_val)}")
+    cfg.say(f"characteristics value:          {text(char_val)}")
     cfg.say(f"max component difference: {diff:.6g}")
+    if np.min(np.abs(sol.times - t)) > TIME_MATCH_TOL:  # the grid value blends two records
+        k = int(np.searchsorted(sol.times, t))
+        cfg.say("grid value between records, linear in t: " + ", ".join(
+            f"{text(field.eval(s, x))} at t={s:g}" for s in sol.times[k - 1:k + 1]))
     return 0
 
 

@@ -456,7 +456,11 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     if box.margin_cells(m.x0) < TARGET_MARGIN_CELLS:
         raise ConfigError(
             f"box must contain x0 with a margin of at least {TARGET_MARGIN_CELLS} cells")
-    F_at, G_at = m.bind(box.nodes())
+    nodes = box.nodes()
+    F_at, G_at = m.bind(nodes)
+    # a p-free G is one (*nodes, d) constant, evaluated once; rhs - (+0.0) is rhs
+    G_fixed = G_at(np.zeros_like(nodes)) if m.G.form == "p-free" else None
+    G_zero = G_fixed is not None and not (G_fixed.any() or np.signbit(G_fixed).any())
     dx = box.dx
     rec_times = params.record_times()
     U = np.stack([s.values for s in slices])
@@ -470,6 +474,10 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     # per-value weights once
     jump_plan = InterpPlan(box, m.noise(box.node_list())).widen(U.shape[-1]) \
         if m.lam > 0 else None
+    # S = s I takes one multiply, which can differ from matmul only in the sign
+    # of a zero; rhs is never -0.0 when the jump term is added, so U is the same
+    jump_by, S = (np.matmul, m.noise.S) if m.noise.scale is None \
+        else (np.multiply, m.noise.scale)
 
     meta = {  # meta_record adds the box and d
         "cfl": params.cfl, "visc": params.visc, "dt_max": params.dt_max,
@@ -516,10 +524,13 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         if event:
             dt = np.where(hit, target - t, dt)
         rhs = _advection(U, Fv, dx, w)
-        rhs -= G_at(U, w.G)
+        if G_fixed is None:
+            rhs -= G_at(U, w.G)
+        elif not G_zero:
+            rhs -= G_fixed
         if jump_plan is not None:
             relabeled = jump_plan.apply(U, out=w.G_flat, tmp=w.pick_flat).reshape(U.shape)
-            jump = np.matmul(relabeled, m.noise.S, out=w.pick)  # row u @ S == S^T u
+            jump = jump_by(relabeled, S, out=w.pick)  # row u @ S == S^T u
             rhs += np.multiply(np.subtract(U, jump, out=jump), m.lam, out=jump)
         if visc > 0:
             rhs -= np.multiply(_laplacian(dx, w), visc, out=w.lap)

@@ -86,6 +86,10 @@ class FieldSpec:
     An affine field keeps read-only copies of Mx, Mp and c and builds its
     transposed blocks MxT and MpT once, contiguous and read-only; every affine
     product multiplies by them, so one row rounds like its row of a batch.
+    It also classifies itself once, as form: "identity" (Mx = 0, Mp = I; the
+    value is p + c), "p-free" (Mp = 0; the value is x @ MxT + c) or "dense".
+    The short forms need a c with no -0.0 entry (see bind_field); a
+    registered field's form is "".
     """
 
     kind: str
@@ -96,9 +100,10 @@ class FieldSpec:
     binder: object = None
     MxT: np.ndarray | None = field(default=None, init=False, repr=False)
     MpT: np.ndarray | None = field(default=None, init=False, repr=False)
+    form: str = field(default="", init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind == "affine":  # own read-only copies: MxT and MpT cannot go stale
+        if self.kind == "affine":  # own read-only copies: MxT, MpT and form cannot go stale
             for name in ("Mx", "Mp", "c"):
                 M = np.array(getattr(self, name), dtype=float)
                 M.flags.writeable = False
@@ -107,6 +112,13 @@ class FieldSpec:
                 M = np.ascontiguousarray(M.T)
                 M.flags.writeable = False
                 object.__setattr__(self, name, M)
+            form = "dense"
+            if not np.any(np.signbit(self.c) & (self.c == 0.0)):
+                if not self.Mp.any():
+                    form = "p-free"
+                elif not self.Mx.any() and np.array_equal(self.Mp, np.eye(len(self.Mp))):
+                    form = "identity"
+            object.__setattr__(self, "form", form)
 
     @staticmethod
     def affine(Mx, Mp, c=0.0, d=None):
@@ -132,39 +144,61 @@ def eval_field(f: FieldSpec, x, p) -> np.ndarray:
     """Evaluate a coupling map at (x, p); both arguments broadcast as (..., d)."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if f.kind == "affine":
+    if f.kind != "affine":
+        return bind_field(f, x)(p)
+    if f.form == "dense":
         return x @ f.MxT + p @ f.MpT + f.c
-    return bind_field(f, x)(p)
+    # the dense expression's shape, which x's or p's alone is when they agree
+    out = None if x.shape == p.shape else np.empty(np.broadcast_shapes(x.shape, p.shape))
+    return np.add(p if f.form == "identity" else x @ f.MxT, f.c, out=out)
 
 
 def bind_field(f: FieldSpec, x):
     """Evaluator (p, out=None) -> eval_field(f, x, p) for fixed x and float arrays p, bit for bit.
 
-    Affine fields cache x @ MxT and c tiled along the last node axis (one
-    contiguous loop per row, not a d-long loop per node), and add both to
-    p @ MpT in place, in out when given; caching x @ MxT + c instead would
-    change rounding. Registered evaluators ignore out.
+    An affine field of form "identity" adds c to p, and one of form "p-free"
+    fills its result (out when given) with x @ MxT + c, computed here once.
+    Both equal the dense x @ MxT + p @ MpT + c bit for bit, shape and signs
+    of zeros included, for finite x and p: a term that multiplies by a zero
+    block is a sum of +-0 products, which leaves any nonzero value unchanged
+    and, once c is added, any zero one too, since (+-0) + c is c for a c
+    that is not -0.0. A -0.0 in c would keep a -0 sum, so such a field stays
+    dense. A dense affine field caches x @ MxT and c tiled along the last
+    node axis (one contiguous loop per row, not a d-long loop per node), and
+    adds both to p @ MpT in place, in out when given; caching x @ MxT + c
+    instead would change rounding. Registered evaluators ignore out.
     """
     x = np.asarray(x, dtype=float)
     if f.kind == "affine":
+        # c tiled along the last node axis, viewed at x @ MxT's shape: a result
+        # then has the dense expression's shape without computing x @ MxT
+        shape = x.shape[:-1] + f.c.shape
+        c = np.broadcast_to(np.broadcast_to(f.c, shape[-2:]).copy(), shape)
+        if f.form == "identity":
+            return lambda p, out=None: np.add(p, c, out=out)
         xm = x @ f.MxT
-        c = np.broadcast_to(f.c, xm.shape[-2:]).copy()
+        if f.form == "p-free":
+            xc = np.add(xm, c)
+
+            def fill(p, out=None):
+                if out is None:
+                    out = np.empty(np.broadcast_shapes(xc.shape, p.shape))
+                np.copyto(out, xc)
+                return out
+            return fill
         # For d = 1, p @ MpT is one product per element, and np.multiply
         # skips matmul's per-member BLAS call. The two can differ only in the
         # sign of a zero: a BLAS that accumulates onto +0 turns a -0 product
         # into +0, and otherwise they agree already. The next operation adds
         # xm = x @ MxT, from the same kind of call, so in the first case xm
         # is never -0 when its product is normalized; -0 + y equals +0 + y for
-        # every y that is not -0, so out is the same either way. (The jump's
-        # relabeled @ S is followed by U - jump, where the sign of a zero
-        # shows: it stays matmul.)
+        # every y that is not -0, so out is the same either way.
         product, MpT = np.matmul, f.MpT
         if MpT.shape == (1, 1):
             product, MpT = np.multiply, MpT.reshape(1)  # (..., 1) times (1,): matmul's shape
 
         def at(p, out=None):
-            out = product(p, MpT, out=out)
-            out += xm
+            out = np.add(product(p, MpT, out=out), xm, out=out)  # in place when out is given
             out += c
             return out
         return at
@@ -181,22 +215,31 @@ def bind_field(f: FieldSpec, x):
 
 @dataclass(frozen=True, eq=False)
 class AffineNoiseMap:
-    """State relabeling T(x) = S x + e used by the jump term."""
+    """State relabeling T(x) = S x + e used by the jump term.
+
+    S and e are the map's own read-only copies, so scale cannot go stale: the
+    float s when S = s I, else None.
+    """
 
     S: np.ndarray
     e: np.ndarray
+    scale: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
+        S = np.array(self.S, dtype=float)  # copies: the caller's arrays stay theirs
         if S.ndim == 0:
             S = S.reshape(1, 1)
-        e = np.asarray(self.e, dtype=float).reshape(-1)
+        e = np.array(self.e, dtype=float).reshape(-1)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ConfigError(f"noise matrix must be square, got shape {S.shape}")
         if e.shape != (S.shape[0],):
             raise ConfigError("noise shift length does not match the matrix size")
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "e", e)
+        for name, arr in (("S", S), ("e", e)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        s = float(S.flat[0]) if S.size else 0.0
+        if np.array_equal(S, s * np.eye(len(S))):
+            object.__setattr__(self, "scale", s)
 
     @staticmethod
     def identity(d):
@@ -233,9 +276,10 @@ class ModelSpec:
             raise ConfigError("jump intensity lambda must be >= 0")
         if self.alpha < 0:
             raise ConfigError("monotonicity modulus alpha must be >= 0")
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        x0 = np.array(self.x0, dtype=float).reshape(-1)  # a read-only copy, as Box keeps
         if x0.shape != (self.d,):
             raise ConfigError(f"x0 must have length d={self.d}")
+        x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
         if self.noise.S.shape != (self.d, self.d):
             raise ConfigError("noise matrix size does not match d")

@@ -1,5 +1,6 @@
-"""The names the benchmark in perfbench/ looks up in mfgplan all exist, and
-every name mfgplan exports has a caller in the package or the benchmark.
+"""The names the benchmark in perfbench/ looks up in mfgplan all exist,
+every name mfgplan exports has a caller in the package or the benchmark, and
+the package imports nothing but numpy and the standard library.
 
 perfbench/tracing.py wraps its targets by module and attribute name, and
 perfbench/child.py calls mfgplan attributes directly; a renamed or deleted
@@ -114,6 +115,20 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(mfgplan.__all__) - used) == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the only runtime dependency: every absolute import in the
+    # package's modules names numpy or a standard-library module
+    imported = set()
+    for path in (PERFBENCH.parent / "src" / "mfgplan").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert sorted(imported - set(sys.stdlib_module_names) - {"numpy"}) == []
 
 
 # The parameter each count hook in tracing.py reads by position: (target, slot) -> name.

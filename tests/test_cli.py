@@ -393,6 +393,31 @@ def test_probe_shoots_short_horizons(tmp_path, capsys):
     assert float(line.split(":")[1]) == pytest.approx(639.0870185, rel=1e-6)
 
 
+def test_probe_names_the_records_it_blends(tmp_path, capsys):
+    # off a record time the grid value is linear in t between two records;
+    # near t = 0 on lq0.cfg that blend, not the march, is what misses the
+    # characteristics, so probe names both records and the grid value at each
+    args = ["probe", "--config", str(CONFIGS / "lq0.cfg"), "--out", str(tmp_path / "probe"),
+            "--x", "1.2", "--t"]
+    assert main(args + ["0.0009"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    grid = float(lines[0].split(":")[1])
+    assert grid == pytest.approx(3267.57392531, rel=1e-9)
+    head, tail = lines[3].split(": ")
+    assert head == "grid value between records, linear in t"
+    ends = [part.split(" at t=") for part in tail.split(", ")]
+    assert [float(t) for _, t in ends] == [0.0, 0.01]
+    (v0, _), (v1, _) = ends
+    assert float(v0) == pytest.approx(3584.0, rel=1e-9)
+    assert float(v1) == pytest.approx(68.1547256273, rel=1e-9)
+    assert 0.91 * float(v0) + 0.09 * float(v1) == pytest.approx(grid, rel=1e-9)
+    assert main(args + ["0.01"]) == 0  # a record time: the three lines alone
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and not any("between records" in line for line in lines)
+    assert float(lines[0].split(":")[1]) == pytest.approx(68.1547256273, rel=1e-9)
+
+
 def test_probe_malformed_point(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
     assert main(["probe", "--config", str(cfg), "--t", "0.4", "--x", "1.2,bogus"]) == 2

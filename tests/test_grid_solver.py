@@ -4,8 +4,10 @@ Frozen constants derive from tests/oracles/derive_values.py (closed forms
 cross-checked there by independent fine-step RK4 integration).
 """
 
+import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ import pytest
 from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      GridSolution, ModelSpec, Slice, SolverParams,
                      eqV_residual, lipschitz_norm, node_jacobians, penalized_slice,
-                     solve_master, write_solution_csv)
-from mfgplan import grid_solver
+                     run_penalization, solve_master, write_solution_csv)
+from mfgplan import grid_solver, model
+from mfgplan.cli import load_config
 from mfgplan.grid_solver import InterpPlan, write_table
 from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
                       box1d, check_monotone_map, closed_form, digest12, jump_model,
@@ -23,6 +26,8 @@ from conftest import (assert_batch_matches_single_solves, assert_same_bits, base
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
 # logistic closed form kappa/((kappa/a0+1)e^{kappa t}-1) with kappa=0.75
 JUMP_SLOPE_HALF = 1.329514328326566
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_box_geometry():
@@ -446,6 +451,58 @@ def test_march_3d_jump_bits_pinned():
     assert digest12(sol.values) == MARCH_3D_SHA256
 
 
+# sha256 of the raw bytes of marched values, signs of zeros included, which
+# digest12 cannot see. Computed before the affine short forms and the scalar
+# jump existed, with every F and G evaluated densely and every jump by matmul,
+# so they pin that both leave every bit of a march unchanged.
+RAW_2D_SCALAR_JUMP = "259b4e87d73ea2c10ae26f51ec29570cc7533b91fb3fa53964263b5cfd67fb81"
+RAW_LQ0_SMALLEST = "a08feac17994b01ded0869065cf501ee7bf75dd19dd1ee389796869f1883347f"
+RAW_LQ0_GAPS = "e3e0aa7b9106fb8bc64b942fc69a1584a6694d584d7df19e86aa6e760562a3c9"
+RAW_2D_ZEROS = "0eff4f0986617795a0d824bac00cdd9bef9621ee4cf8079572781dc4de2dbb14"
+
+
+def raw_sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def scalar_jump_model(s, x0):
+    """F = p (identity form), G = x (p-free form), jumps at rate 1 by x -> s x."""
+    return ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
+                     lam=1.0, noise=AffineNoiseMap(s * np.eye(2), np.zeros(2)),
+                     x0=np.asarray(x0, dtype=float))
+
+
+def test_march_scalar_jump_raw_bits_pinned():
+    m = scalar_jump_model(0.5, (0.5, 0.5))
+    assert (m.F.form, m.G.form, m.noise.scale) == ("identity", "p-free", 0.5)
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40))
+    sol = solve_master(m, penalized_slice(m, box, 0.2), SolverParams(t_end=0.3, n_rec=4))
+    assert sol.meta["steps"] == 49
+    assert raw_sha256(sol.values) == RAW_2D_SCALAR_JUMP
+
+
+def test_march_exact_zeros_raw_bits_pinned():
+    # S = -I and x0 = 0 on a node: U stays odd, so its axes hold exact zeros,
+    # where a -0.0 from the jump's multiply would show if it reached U
+    m = scalar_jump_model(-1.0, (0.0, 0.0))
+    box = Box(np.full(2, -1.0), np.full(2, 1.0), np.full(2, 40))
+    sol = solve_master(m, penalized_slice(m, box, 0.2), SolverParams(t_end=0.3, n_rec=6))
+    assert sol.meta["steps"] == 54
+    assert int(np.count_nonzero(sol.values == 0.0)) == 492
+    assert not np.signbit(sol.values[sol.values == 0.0]).any()
+    assert raw_sha256(sol.values) == RAW_2D_ZEROS
+
+
+def test_lq0_continuation_raw_bits_pinned():
+    cfg = load_config(CONFIGS / "lq0.cfg")
+    assert (cfg.model.F.form, cfg.model.G.form) == ("identity", "p-free")
+    run = run_penalization(cfg.model, cfg.box, cfg.eps_schedule, cfg.params, t_min=cfg.t_min,
+                           delta=cfg.delta, conv_tol=cfg.conv_tol)
+    assert sum(meta["steps"] for meta in run.metas) == 8246
+    assert raw_sha256(run.smallest_eps_solution.values) == RAW_LQ0_SMALLEST
+    assert raw_sha256(run.gaps) == RAW_LQ0_GAPS
+
+
 # eps out of order, so that members short of a record are not always the last ones
 BATCH_CASES = {
     "1d-baseline": (baseline_model(), box1d(n=200), (0.1, 0.4, 0.00625, 0.025),
@@ -456,6 +513,9 @@ BATCH_CASES = {
                 (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
     "3d-jump": (march_3d_model(), Box(np.full(3, -1.0), np.full(3, 1.0), np.full(3, 20)),
                 (0.5, 0.25), SolverParams(t_end=0.1, n_rec=3)),
+    "2d-scalar-jump": (scalar_jump_model(-1.0, (0.0, 0.0)),
+                       Box(np.full(2, -1.0), np.full(2, 1.0), np.full(2, 40)),
+                       (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
     # a registered F ignores out=, so the march must read F from what it returns,
     # before and after each compaction
     "2d-registered": (ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
@@ -532,6 +592,30 @@ def test_jump_plan_widened_once_per_solve(monkeypatch):
     for query in (sol.field().eval, lambda t, x: sol.slice_at(t).eval(x)):
         _, n = count(query, 0.5, pts)
         assert n == {"init": 1, "widen": 0}
+
+
+def test_p_free_source_evaluated_once_per_solve(monkeypatch):
+    # a p-free G is one constant on the nodes, evaluated when the march starts
+    # whatever its step count; F, and a G that reads p, every iteration
+    calls = {}
+    bind = model.bind_field
+
+    def counted(f, x):
+        at = bind(f, x)
+
+        def wrapper(p, out=None):
+            calls[f] = calls.get(f, 0) + 1
+            return at(p, out=out)
+        return wrapper
+
+    monkeypatch.setattr(model, "bind_field", counted)
+    for case, G_calls in (("3d-jump", 1), ("2d-scalar-jump", 1), ("2d-jump", None)):
+        m, box, eps, params = BATCH_CASES[case]
+        calls.clear()
+        batch = solve_master(m, [penalized_slice(m, box, e) for e in eps], params)
+        iterations = max(meta["steps"] for meta in batch.metas)
+        assert batch.failure is None and calls[m.F] == iterations > 1
+        assert calls[m.G] == (iterations if G_calls is None else G_calls)
 
 
 def test_step_views_built_once_per_compaction(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      check_couple_monotone, eval_field, load_model, registered_names)
+from mfgplan.model import bind_field
 from conftest import affine_couple_eigenvalue, baseline_model, box1d, check_monotone_map
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -80,10 +81,11 @@ def test_bind_matches_eval_bit_for_bit():
         assert F_at(p).tobytes() == want.tobytes()
         for e in range(3):
             assert out[e].tobytes() == m.eval_F(x, p[e]).tobytes()
-    # d = 1 binds an elementwise product in place of matmul, whose BLAS may
-    # turn a -0 product into +0: lq0's F and G (Mx = 0, Mp = 1 and 0, c = 0) on
-    # its (12, 201, 1) member stack with -0 in p, a product that underflows to
-    # -0 (with c = -0, which keeps a -0 sum), and Mx != 0 at the x = 0 node
+    # a dense d = 1 field binds an elementwise product in place of matmul,
+    # whose BLAS may turn a -0 product into +0: lq0's F and G (Mx = 0, Mp = 1
+    # and 0, c = 0: the identity and p-free forms) on its (12, 201, 1) member
+    # stack with -0 in p, a product that underflows to -0 (with c = -0, which
+    # keeps a -0 sum and the field dense), and Mx != 0 at the x = 0 node
     lq0_x = np.linspace(-1.0, 2.0, 201)[:, None]
     zero_x = np.linspace(-1.0, 1.0, 201)[:, None]
     assert zero_x[100, 0] == 0.0 and not np.signbit(zero_x[100, 0])
@@ -162,6 +164,81 @@ def test_affine_field_keeps_read_only_copies():
         mine[0] += 1.0
     assert eval_field(f, x, p).tobytes() == want.tobytes()
     assert np.array_equal(f.Mx, [[1.0, 2.0], [3.0, 4.0]]) and np.array_equal(f.c, [1.0, -1.0])
+
+
+def test_noise_map_and_model_keep_read_only_copies():
+    # S, e and x0 are the model's own read-only copies, as a field's blocks
+    # are: writing into the caller's arrays after construction changes
+    # nothing, and the cached scale of S = s I cannot go stale
+    S, e, x0 = 0.5 * np.eye(2), np.array([0.1, -0.2]), np.array([0.3, 0.4])
+    noise = AffineNoiseMap(S, e)
+    m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
+                  lam=1.0, noise=noise, x0=x0)
+    want = noise(np.array([[1.0, -2.0]]))
+    for arr in (noise.S, noise.e, m.x0):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] += 1.0
+    S[0, 0], e[1], x0[0] = 9.0, 3.0, -7.0
+    assert noise.scale == 0.5
+    assert np.array_equal(noise.S, 0.5 * np.eye(2)) and np.array_equal(noise.e, [0.1, -0.2])
+    assert np.array_equal(m.x0, [0.3, 0.4])
+    assert noise(np.array([[1.0, -2.0]])).tobytes() == want.tobytes()
+
+
+def test_noise_map_scale_is_s_only_for_s_times_identity():
+    assert AffineNoiseMap.identity(3).scale == 1.0
+    assert AffineNoiseMap(-1.0, 0.0).scale == -1.0
+    assert AffineNoiseMap(np.zeros((2, 2)), np.zeros(2)).scale == 0.0
+    for S in (np.diag([0.5, 0.6]), np.array([[0.5, 0.1], [0.0, 0.5]]),
+              np.array([[0.5, 0.0], [np.nan, 0.5]])):
+        assert AffineNoiseMap(S, np.zeros(2)).scale is None
+
+
+def _dense(f, x, p):
+    """The affine expression written out, every product taken: eval_field's dense form."""
+    return x @ f.MxT + p @ f.MpT + f.c
+
+
+def test_short_forms_equal_the_dense_expression():
+    # identity fields (Mx = 0, Mp = I) add c to p, p-free ones (Mp = 0) skip
+    # p @ MpT; both must give the dense expression byte for byte, with its
+    # shape, at signed zeros in x and p, on a leading member axis and for an
+    # x with more leading axes than p. A c with a -0.0 entry stays dense.
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 3):
+        c = rng.uniform(-1.0, 1.0, size=d)
+        c[0] = 0.0
+        neg_c = c.copy()
+        neg_c[-1] = -0.0
+        general = rng.uniform(-2.0, 2.0, size=(d, d))
+        fields = [(FieldSpec.affine(0.0, 1.0, d=d), "identity"),
+                  (FieldSpec.affine(0.0, 1.0, c=c, d=d), "identity"),
+                  (FieldSpec.affine(0.0, 0.0, c=c, d=d), "p-free"),
+                  (FieldSpec.affine(1.0, 0.0, d=d), "p-free"),
+                  (FieldSpec.affine(general, 0.0, c=c, d=d), "p-free"),
+                  (FieldSpec.affine(0.0, 1.0, c=neg_c, d=d), "dense"),
+                  (FieldSpec.affine(general, 0.0, c=neg_c, d=d), "dense"),
+                  (FieldSpec.affine(general, 0.5, c=c, d=d), "dense")]
+        x = rng.uniform(-2.0, 2.0, size=(3, 6, 5, d))
+        x[:, ::2, ::2] = -0.0
+        x[:, 1::2, 1::3] = 0.0
+        p = rng.uniform(-2.0, 2.0, size=(3, 6, 5, d))
+        p[0, ::3] = -0.0
+        p[1, 1::2] = 0.0
+        p[2, ::2, 1::2] = -0.0
+        # same shape; a member axis on p; x with more leading axes than p
+        pairs = [(x[0], p[0]), (x[0], p), (x, p[1])]
+        for f, form in fields:
+            assert f.form == form
+            for xs, ps in pairs:
+                want = _dense(f, xs, ps)
+                out = np.full(want.shape, np.nan)
+                at = bind_field(f, xs)
+                assert at(ps, out=out) is out
+                for got in (at(ps), out, eval_field(f, xs, ps)):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                assert at(ps).tobytes() == want.tobytes()  # a bound evaluator is reused
 
 
 def test_model_validation():
