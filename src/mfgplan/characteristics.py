@@ -94,11 +94,12 @@ def _affine_endpoint_map(m: ModelSpec, t, rk_steps):
     """Endpoint map of rk_steps RK4 steps over [0, t] for affine F and G.
 
     Returns (M, b) taking rows y = (x, u) to y @ M + b, or (None, None) for a
-    registered F or G or a map that is not finite. One step of y' = A y + c
-    is affine in y, so rk4_step on the zero row and the 2d unit rows gives
-    it, and the steps compose as one augmented matrix.
+    registered F or G, a model with coords (its fields read coords(x), which
+    need not be affine in x) or a map that is not finite. One step of
+    y' = A y + c is affine in y, so rk4_step on the zero row and the 2d unit
+    rows gives it, and the steps compose as one augmented matrix.
     """
-    if not m.F.kind == m.G.kind == "affine":
+    if m.coords is not None or not m.F.kind == m.G.kind == "affine":
         return None, None
     n = 2 * m.d
     basis = np.vstack([np.zeros(n), np.eye(n)]).reshape(n + 1, 2, m.d).transpose(1, 0, 2)
@@ -120,9 +121,9 @@ def solve_by_shooting(m: ModelSpec, U0, t, x) -> np.ndarray:
     is the initial map (vectorized, (N,d) -> (N,d)). The foot points z solve
     x(t; z) = x by the resolvent's batched damped Newton with finite-difference
     Jacobians (step 1e-6*(1+|z|)), at every t >= 0. Affine F and G flow
-    through the composed RK4 endpoint map; a registered field, or a map or
-    endpoint that is not finite, takes flow_forward. Raises NewtonError when a
-    row stays above SHOOT_TOL.
+    through the composed RK4 endpoint map; a registered field, a model with
+    coords, or a map or endpoint that is not finite, takes flow_forward.
+    Raises NewtonError when a row stays above SHOOT_TOL.
     """
     if m.lam > 0:
         raise ConfigError("shooting requires lambda = 0")

@@ -147,6 +147,8 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
 
     psec = _Section(cp, "planning")
     eps_schedule = tuple(psec.numbers("eps", "0.4, 0.2, 0.1"))
+    if not eps_schedule:  # every command solves at least the schedule's last eps
+        raise ConfigError("[planning] eps must list at least one eps")
     delta = psec.number("delta", "0.25")
     t_min = psec.number("t_min", "0.2")
     conv_tol = psec.number("conv_tol", "1e-2")

@@ -17,13 +17,13 @@ wall from the affine-in-y limit field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid_solver import Box, GridField
-from .model import FieldSpec, ModelSpec, bind_field, eval_field
+from .model import FieldSpec, ModelSpec, eval_field
 
 # check_factorization and check_inward_flow take no box: they sample
 # N_SAMPLES pairs (x, p), each coordinate but x_1 uniform in
@@ -113,32 +113,14 @@ def check_inward_flow(m: ModelSpec, rng_seed=0) -> float:
 
 
 def transformed_model(hm: HalfspaceModel) -> ModelSpec:
-    """Full-space model in straightened coordinates.
+    """Full-space model in straightened coordinates: the base model with the
+    factored drift, target y(x0), and fields read at x(y).
 
-    Drift and source are the factored maps evaluated at x(y); their binders
-    compute x(y) once per solve, and pointwise evaluation goes through them
-    too. The relabeling, target and declared constants carry over (the
-    relabeling commutes with the straightening because it leaves the first
-    coordinate fixed).
+    The relabeling and declared constants carry over (the relabeling commutes
+    with the straightening because it leaves the first coordinate fixed).
     """
-    base = hm.base
-    d = base.d
-
-    def straightened(name, f):
-        def binder(y):
-            at = bind_field(f, from_log_coordinates(y.reshape(-1, d)))
-            return lambda p: at(p.reshape(-1, y.size // d, d)).reshape(p.shape)
-
-        return FieldSpec.registered(name, binder=binder)
-
-    return ModelSpec(
-        d=d,
-        F=straightened("halfspace_straightened_drift", hm.ftilde),
-        G=straightened("halfspace_straightened_source", base.G),
-        lam=base.lam, noise=base.noise,
-        x0=to_log_coordinates(base.x0),
-        alpha=base.alpha, lip_Fx=base.lip_Fx, lip_Fp=base.lip_Fp,
-        lip_Gx=base.lip_Gx, lip_Gp=base.lip_Gp)
+    return replace(hm.base, F=hm.ftilde, x0=to_log_coordinates(hm.base.x0),
+                   coords=from_log_coordinates)
 
 
 class PullbackField:

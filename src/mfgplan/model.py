@@ -81,7 +81,7 @@ def _as_vector(value, d):
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
     """One coupling map, either affine (Mx x + Mp p + c) or registered: the
-    registry evaluator of that name, or binder(x) -> p-only evaluator when given.
+    register_field evaluator of that name.
 
     An affine field keeps read-only copies of Mx, Mp and c and builds its
     transposed blocks MxT and MpT once, contiguous and read-only; every affine
@@ -97,7 +97,6 @@ class FieldSpec:
     Mp: np.ndarray | None = None
     c: np.ndarray | None = None
     name: str = ""
-    binder: object = None
     MxT: np.ndarray | None = field(default=None, init=False, repr=False)
     MpT: np.ndarray | None = field(default=None, init=False, repr=False)
     form: str = field(default="", init=False, repr=False)
@@ -134,10 +133,10 @@ class FieldSpec:
                          c=_as_vector(c, d))
 
     @staticmethod
-    def registered(name, binder=None):
-        if binder is None and name not in _FIELD_REGISTRY:
+    def registered(name):
+        if name not in _FIELD_REGISTRY:
             raise ConfigError(f"unknown registered field '{name}'; known: {registered_names()}")
-        return FieldSpec(kind="registered", name=name, binder=binder)
+        return FieldSpec(kind="registered", name=name)
 
 
 def eval_field(f: FieldSpec, x, p) -> np.ndarray:
@@ -204,9 +203,6 @@ def bind_field(f: FieldSpec, x):
         return at
     if f.kind != "registered":
         raise ConfigError(f"unknown field kind '{f.kind}'")
-    if f.binder is not None:
-        at = f.binder(x)
-        return lambda p, out=None: at(p)
     fn = _FIELD_REGISTRY.get(f.name)
     if fn is None:
         raise ConfigError(f"unknown registered field '{f.name}'")
@@ -255,7 +251,12 @@ class AffineNoiseMap:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Full problem data plus the declared structural constants."""
+    """Full problem data plus the declared structural constants.
+
+    coords, when given, maps the points the model is solved at to the x its
+    fields read, (..., d) -> (..., d): eval_F, eval_G and bind evaluate F and
+    G at coords(x) (the straightened half-space model reads x(y)).
+    """
 
     d: int
     F: FieldSpec
@@ -268,6 +269,7 @@ class ModelSpec:
     lip_Fp: float = 0.0
     lip_Gx: float = 0.0
     lip_Gp: float = 0.0
+    coords: object = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -287,14 +289,18 @@ class ModelSpec:
             if fs.kind == "affine" and fs.Mx.shape != (self.d, self.d):
                 raise ConfigError("affine field blocks must be d x d")
 
+    def _read_at(self, x):
+        return x if self.coords is None else self.coords(x)
+
     def eval_F(self, x, p):
-        return eval_field(self.F, x, p)
+        return eval_field(self.F, self._read_at(x), p)
 
     def eval_G(self, x, p):
-        return eval_field(self.G, x, p)
+        return eval_field(self.G, self._read_at(x), p)
 
     def bind(self, x):
         """p-only evaluators (F_at, G_at) of F and G at the fixed nodes x."""
+        x = self._read_at(x)
         return bind_field(self.F, x), bind_field(self.G, x)
 
 

@@ -6,7 +6,8 @@ perfbench/tracing.py wraps its targets by module and attribute name, and
 perfbench/child.py calls mfgplan attributes directly; a renamed or deleted
 name fails every benchmark pass. Both files are only read here, apart from
 the count hooks of tracing.py, which run on real results without wrapping
-anything.
+anything, and one span-mode Recorder, whose wrappers are taken off after its
+test.
 """
 
 import ast
@@ -17,10 +18,12 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mfgplan
-from mfgplan import SolverParams, penalized_slice, run_penalization, solve_master
+from mfgplan import (AffineNoiseMap, Box, FieldSpec, HalfspaceModel, ModelSpec, SolverParams,
+                     penalized_slice, run_penalization, solve_master, transformed_model)
 from conftest import baseline_model, box1d
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -196,3 +199,28 @@ def test_count_hooks_run_on_real_results(tracing):
         tracing._count_run(rec, (m, box, eps, params), {}, run)
         assert rec.retained_bytes == single.values.nbytes
         assert (run.failed_eps is None) == (eps[-1] == 0.2)
+
+
+@pytest.fixture
+def span_recorder(tracing, monkeypatch):
+    """A span-mode Recorder; monkeypatch takes its wrappers off after the test."""
+    homes = [mfgplan, *map(_module, tracing.MODULES)]
+    for mod, attr, _ in tracing.TARGETS:
+        owner_name, _, name = attr.rpartition(".")
+        for owner in [_resolve(_module(mod), owner_name)] if owner_name else homes:
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, getattr(owner, name))
+    return tracing.Recorder(spans=True)
+
+
+def test_traced_straightening_is_seen(span_recorder):
+    # tracing.py counts halfspace.straighten_calls by rebinding the module's
+    # from_log_coordinates, which transformed_model must read when called
+    base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
+                     G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
+                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]))
+    m = transformed_model(HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2)))
+    box = Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]), np.array([50, 20]))
+    solve_master(m, penalized_slice(m, box, 0.1), SolverParams(t_end=0.05, n_rec=3))
+    metrics, _ = span_recorder.layer_metrics()
+    assert metrics["halfspace.straighten_calls"] >= 1

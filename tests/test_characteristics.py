@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from mfgplan import characteristics
-from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, IntegrationError,
-                     ModelSpec, NewtonError, flow_forward, penalized_data,
-                     solve_by_shooting, solve_master, penalized_slice,
-                     SolverParams)
+from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, HalfspaceModel,
+                     IntegrationError, ModelSpec, NewtonError, flow_forward, penalized_data,
+                     register_field, solve_by_shooting, solve_master, penalized_slice,
+                     SolverParams, transformed_model)
 from mfgplan.characteristics import rk4_step
 from conftest import baseline_model, box1d, coupled_model, digest12, jump_model
 
@@ -223,12 +223,35 @@ def test_overflowing_endpoint_flows_step_by_step():
         solve_by_shooting(m, penalized_data(m.x0, 1e-228), 0.4, np.array([0.6]))
 
 
+@register_field("nan_above_one")
+def _nan_above_one(x, p):
+    return np.where(p > 1.0, np.nan, 1.0)
+
+
+# U(0.3, y) of the straightened model below at y = (0.3, 0.2) and (-0.5, 0.1),
+# shot through flow_forward when the straightened fields were wrapped
+# registered fields; the composed affine map gave 0.0447 and -1.5945 for u_1
+STRAIGHTENED_SHOT = [[0.03833129510321324, 0.41549654455895824],
+                     [-1.5846755134393713, 0.20774827227947915]]
+
+
+def test_shooting_reads_a_straightened_model_at_x_of_y():
+    # G = x/2 read at x(y) is affine in x, not in y: the composed RK4 map of
+    # the affine blocks would be a wrong answer, so shooting flows the rows
+    base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
+                     G=FieldSpec.affine(0.5, 0.0, d=2), lam=0.0,
+                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]))
+    m = transformed_model(HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2)))
+    assert characteristics._affine_endpoint_map(m, 0.3, 64) == (None, None)
+    u = solve_by_shooting(m, penalized_data(m.x0, 0.2), 0.3, np.array([[0.3, 0.2], [-0.5, 0.1]]))
+    assert np.max(np.abs(u - STRAIGHTENED_SHOT)) <= 1e-12
+
+
 def test_flow_forward_nonfinite_keeps_last_state():
     # dx/ds = 0, du/ds = 1 while u <= 1 and nan beyond: with h = 0.25 the
     # first row's step from u = 1 is the first to turn non-finite
-    nan_above = FieldSpec.registered(
-        "nan_above_one", binder=lambda x: lambda p: np.where(p > 1.0, np.nan, 1.0))
-    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1), G=nan_above, lam=0.0,
+    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1),
+                  G=FieldSpec.registered("nan_above_one"), lam=0.0,
                   noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
     z, u0 = np.array([[0.3], [0.7]]), np.array([[0.0], [-5.0]])
     with pytest.raises(IntegrationError, match="after step 4 of 8") as exc:

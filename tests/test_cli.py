@@ -176,6 +176,16 @@ def test_unknown_key_is_config_error(tmp_path, capsys, command, section, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "plan", "yosida", "traject", "halfspace",
+                                     "verify", "probe"])
+def test_empty_eps_schedule_is_config_error(tmp_path, capsys, command):
+    cfg, out = make_config(tmp_path, eps="")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[planning] eps" in err
+    assert not out.exists()
+
+
 def test_model_file_with_other_keys_is_config_error(tmp_path, capsys):
     # a [model] section naming a file reads nothing else from the config
     (tmp_path / "m.model").write_text((CONFIGS / "lq0.model").read_text())

@@ -15,7 +15,7 @@ import pytest
 from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
                      GridSolution, ModelSpec, Slice, SolverParams,
                      eqV_residual, lipschitz_norm, node_jacobians, penalized_slice,
-                     run_penalization, solve_master, write_solution_csv)
+                     register_field, run_penalization, solve_master, write_solution_csv)
 from mfgplan import grid_solver, model
 from mfgplan.cli import load_config
 from mfgplan.grid_solver import InterpPlan, write_table
@@ -655,15 +655,19 @@ def test_batch_members_wait_on_every_record():
         assert np.shares_memory(s.values, batch.values)
 
 
+@register_field("nan_below")
+def _nan_below(x, p):
+    return np.where(p < -1.0, np.nan, 0.0)
+
+
 def test_waiting_member_is_not_stepped():
     # F = -p and G = nan wherever p < -1. The constant member (U = 5) takes two
     # steps per record and the linear one a single step, so the two land on
     # the records at different iterations of the batch, also on the one where
     # the linear member's G turns nan; it must fail in its own next step, with
     # the records its own solve keeps, and the constant member run on
-    nan_below = FieldSpec.registered(
-        "nan_below", binder=lambda x: lambda p: np.where(p < -1.0, np.nan, 0.0))
-    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1), G=nan_below, lam=0.0,
+    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1),
+                  G=FieldSpec.registered("nan_below"), lam=0.0,
                   noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
     box = box1d(n=60)
     params = SolverParams(t_end=0.3, n_rec=31)

@@ -7,6 +7,8 @@ pulled-back first component is (1 + ln x_1 - y01)/(t + eps) for x_1 < 1 and
 the log-fit coefficient is exactly 1/(t + eps).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,9 @@ def derived_solution():
 def test_transformed_model_bind_matches_eval():
     rng = np.random.default_rng(8)
     my = transformed_model(derived_halfspace())
+    # the straightened model reads the factored drift and the base source
+    # themselves, short forms included, and binds them at x(y)
+    assert my.F.form == "identity" and my.G.form == "p-free"
     y = rng.uniform(-4.0, 2.0, size=(9, 5, 2))
     F_at, G_at = my.bind(y)
     hm = derived_halfspace()
@@ -61,6 +66,30 @@ def test_transformed_model_bind_matches_eval():
         # the factored maps evaluated at x(y)
         for got, f in ((F_at(p), hm.ftilde), (G_at(p), hm.base.G)):
             assert np.array_equal(got, eval_field(f, x, p.reshape(-1, 2)).reshape(p.shape))
+        buf = np.empty_like(p)
+        assert F_at(p, out=buf) is buf and np.array_equal(buf, F_at(p))
+
+
+# sha256 of the raw bytes of the smallest-eps values of a straightened march
+# whose drift, source and jumps all depend on x(y). Computed when the
+# straightened fields were wrapped registered fields, so it pins that reading
+# the base model's fields at x(y) leaves every bit of the march unchanged.
+RAW_STRAIGHTENED_X_DEPENDENT = "8b2f81de0c849afb44963e1b4b642f59bd425d25c9a28a1bb9f3d67925694a66"
+
+
+def test_straightened_march_reading_x_raw_bits_pinned():
+    base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
+                     G=FieldSpec.affine([[0.3, 0.1], [-0.2, 0.4]], 0.0, c=[0.05, -0.1]),
+                     lam=0.8, noise=AffineNoiseMap(np.diag([1.0, 0.5]), np.array([0.0, 0.1])),
+                     x0=np.array([0.5, 0.0]), alpha=1.0, lip_Fx=1.0, lip_Fp=1.0)
+    hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(np.diag([0.1, 0.2]),
+                                                           [[1.0, 0.2], [0.0, 1.0]]))
+    box_y = Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]), np.array([50, 20]))
+    run = run_penalization(transformed_model(hm), box_y, (0.1, 0.05),
+                           SolverParams(t_end=0.4, n_rec=9), conv_tol=10.0)
+    values = run.smallest_eps_solution.values
+    assert values.shape == (9, 51, 21, 2) and np.isfinite(values).all()
+    assert hashlib.sha256(values.tobytes()).hexdigest() == RAW_STRAIGHTENED_X_DEPENDENT
 
 
 def test_straightening_not_repeated_per_step(monkeypatch):
@@ -81,7 +110,7 @@ def test_straightening_not_repeated_per_step(monkeypatch):
         counts.append((len(calls), run.metas[0]["steps"]))
     (short_calls, short_steps), (long_calls, long_steps) = counts
     assert long_steps > 2 * short_steps
-    assert long_calls == short_calls <= 4
+    assert long_calls == short_calls == 1  # one straightening per bind
 
 
 def test_log_map_pointwise():
@@ -263,7 +292,7 @@ def test_trajectories_stay_off_wall(derived_solution):
 
 
 def test_straightened_batch_matches_single_solves():
-    # the straightened fields' binder broadcasts over the leading member axis
+    # the straightened fields broadcast over the leading member axis
     my = transformed_model(derived_halfspace())
     box_y = Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]), np.array([50, 20]))
     assert_batch_matches_single_solves(my, box_y, (0.05, 0.1, 0.025),

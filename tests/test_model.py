@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
-                     check_couple_monotone, eval_field, load_model, registered_names)
+                     check_couple_monotone, eval_field, load_model, register_field,
+                     registered_names)
 from mfgplan.model import bind_field
 from conftest import affine_couple_eigenvalue, baseline_model, box1d, check_monotone_map
 
@@ -391,11 +392,18 @@ def test_registered_field_round_trip(tmp_path):
     assert np.allclose(back.eval_F(x, p), m.eval_F(x, p))
 
 
-def test_registered_field_needs_a_known_name_or_a_binder():
-    f = FieldSpec.registered("doubled", binder=lambda x: (lambda p: 2.0 * p + x))
+@register_field("doubled")
+def _doubled(x, p):
+    return 2.0 * p + x
+
+
+def test_registered_field_needs_a_known_name():
+    f = FieldSpec.registered("doubled")
     x = np.array([[1.0, 2.0]])
     p = np.array([[3.0, -1.0]])
     assert np.array_equal(eval_field(f, x, p), [[7.0, 0.0]])
+    with pytest.raises(ConfigError, match="no_such_field"):
+        FieldSpec.registered("no_such_field")
     with pytest.raises(ConfigError, match="no_such_field"):
         eval_field(FieldSpec(kind="registered", name="no_such_field"), x, p)
     with pytest.raises(ConfigError, match="kind"):
