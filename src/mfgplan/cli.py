@@ -24,9 +24,10 @@ from .grid_solver import (TIME_MATCH_TOL, Box, SolverParams, lipschitz_norm, met
 from .halfspace import (HalfspaceModel, PullbackField, chain_rule_defect, check_factorization,
                         check_inward_flow, check_log_blowup, transformed_model)
 from .model import (FIELD_KEYS, ModelSpec, _parse_field, check_couple_monotone, check_keys,
-                    load_model, model_from_items, parse_number, parse_numbers)
-from .planning import (PenalizationRun, cross_monotonicity, estimate_certificate, extracted_field,
-                       graph_limit_diagnostic, penalized_slice, run_penalization)
+                    load_model, model_from_items, parse_number, parse_numbers, read_ini)
+from .planning import (PenalizationRun, check_eps_schedule, cross_monotonicity,
+                       estimate_certificate, extracted_field, graph_limit_diagnostic,
+                       penalized_slice, run_penalization)
 from .trajectories import (check_planning_convergence, check_value_consistency,
                            integrate_backward)
 from .yosida import eqV_residual, yosida_field
@@ -107,10 +108,7 @@ class RunConfig:
 
 
 def load_config(path, out_override=None, seed_override=None, quiet=False) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.optionxform = str
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file '{path}'")
+    cp = read_ini(path, "config")
     base_dir = Path(path).resolve().parent
 
     check_keys(cp.defaults(), (), "DEFAULT")  # configparser copies these into every section
@@ -146,9 +144,8 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     )
 
     psec = _Section(cp, "planning")
-    eps_schedule = tuple(psec.numbers("eps", "0.4, 0.2, 0.1"))
-    if not eps_schedule:  # every command solves at least the schedule's last eps
-        raise ConfigError("[planning] eps must list at least one eps")
+    # every command solves at least the schedule's last, smallest eps
+    eps_schedule = check_eps_schedule(psec.numbers("eps", "0.4, 0.2, 0.1"))
     delta = psec.number("delta", "0.25")
     t_min = psec.number("t_min", "0.2")
     conv_tol = psec.number("conv_tol", "1e-2")

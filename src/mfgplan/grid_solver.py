@@ -13,11 +13,12 @@ forward Euler in time with an adaptive step
 
     dt = min(dt_max, cfl / max_nodes sum_a |F_a|/dx_a, cfl dx_min^2 / (2 d nu)),
 
-which reduces to cfl*dx_min/max|F| in one dimension. Values outside the box
-(upwind ghost nodes, relabeled points S x + e, interpolation queries) come from
-clamped linear extrapolation off the two outermost nodes of each axis, which is
-what the unclamped multilinear weight formula produces on the clamped boundary
-cell. The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
+which reduces to cfl*dx_min/max|F| in one dimension. A step differences U once
+per axis, for the upwind pick and the viscous term alike. Values outside the
+box (upwind ghost nodes, relabeled points S x + e, interpolation queries) come
+from clamped linear extrapolation off the two outermost nodes of each axis,
+which is what the unclamped multilinear weight formula produces on the clamped
+boundary cell. The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
 """
 
 from __future__ import annotations
@@ -345,73 +346,65 @@ def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
 # array axis a + 1, and writes every step into the buffers of one workspace
 # through views that are built once per compaction, never in a step.
 
-def _advection(U, Fv, dx, w):
-    """Upwind (F . grad) applied to every component of U, into w.rhs.
+def _transport(U, Fv, dx, visc, w):
+    """Upwind (F . grad) applied to every component of U, less visc Lap U, into w.rhs.
 
-    Per axis, U is padded with one linear-extrapolation ghost node on both ends
-    (in w.pad) and differenced over the padded nodes: node i's backward
-    difference is D[i] and its forward difference is D[i+1]. The upwind pick
-    runs per component of U, so no inner loop is only d long.
+    Per axis, D[i] = U[i] - U[i-1], and past each face the difference to the ghost
+    node 2 U[0] - U[1] or 2 U[-1] - U[-2], rounded as such (the interior difference
+    next to it is equal only in exact arithmetic). Node i's backward and forward
+    differences are D[i] and D[i+1], and its second difference D[i+1] - D[i]. The
+    upwind pick runs per component of U, so no inner loop is only d long.
     """
     w.rhs.fill(0.0)
-    for a, (inner, lo, hi, edges, right, left, D, comps) in enumerate(w.stencil):
-        np.copyto(inner, U)
+    for a, (ahead, behind, edges, (lo, inner, hi), D, Dm, Dp, comps) in enumerate(w.stencil):
         first, second, last, before_last = edges
-        np.subtract(np.multiply(first, 2.0, out=lo), second, out=lo)
-        np.subtract(np.multiply(last, 2.0, out=hi), before_last, out=hi)
-        np.subtract(right, left, out=D)
+        np.subtract(ahead, behind, out=inner)
+        np.subtract(first, np.subtract(np.multiply(first, 2.0, out=lo), second, out=lo), out=lo)
+        np.subtract(np.subtract(np.multiply(last, 2.0, out=hi), before_last, out=hi), last, out=hi)
         D /= dx[a]
         Fa = Fv[..., a]
         pos = np.greater(Fa, 0, out=w.pos)
-        for pick, Dm, Dp, adv in comps:
-            np.copyto(pick, Dp)
-            np.copyto(pick, Dm, where=pos)
+        for pick, Dm_i, Dp_i, adv in comps:
+            np.copyto(pick, Dp_i)
+            np.copyto(pick, Dm_i, where=pos)
             adv += np.multiply(pick, Fa, out=pick)
+        if visc > 0:
+            w.rhs -= np.multiply(np.subtract(Dp, Dm, out=w.pick), visc / dx[a], out=w.pick)
     return w.rhs
-
-
-def _laplacian(dx, w):
-    """Sum of the second differences along each axis of the padded U in w.pad, into w.lap."""
-    w.lap.fill(0.0)
-    for a, P in enumerate(w.pad):
-        term = np.multiply(_along(P, a + 1, 1, -1), 2.0, out=w.pick)
-        np.subtract(_along(P, a + 1, 2), term, out=term)
-        term += _along(P, a + 1, None, -2)
-        w.lap += np.divide(term, dx[a] ** 2, out=term)
-    return w.lap
 
 
 def _workspace(E, shape, d):
     """Step buffers for a march of E members, allocated once per solve."""
-    full, grown = (E, *shape, d), lambda a, by: (E, *shape[:a], shape[a] + by, *shape[a + 1:], d)
-    return dict(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick", "lap")},
+    full = (E, *shape, d)
+    return dict(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick")},
                 speed=np.empty(full[:-1]), term=np.empty(full[:-1]),
                 pos=np.empty(full[:-1], dtype=bool),
-                pad=[np.empty(grown(a, 2)) for a in range(len(shape))],
-                diff=[np.empty(grown(a, 1)) for a in range(len(shape))])
+                diff=[np.empty((E, *shape[:a], shape[a] + 1, *shape[a + 1:], d))
+                      for a in range(len(shape))])
 
 
 def _step_views(ws, U):
     """The buffers of ws viewed at the n members of U, and the views a step writes through.
 
-    stencil holds, per axis, the pad's interior and its two ghost faces, the edge
-    nodes of U they extrapolate, the pad's two shifted halves, their difference
-    D, and per component of U its (pick, Dm, Dp, rhs) views, Dm and Dp being
-    D's backward and forward halves. col spreads a per-member dt over a member's
-    values; G_flat and pick_flat are G and pick shaped (n, nodes, d) for the
-    jump gather. U is updated in place between compactions, so its views hold.
+    stencil holds, per axis, U's two shifted halves and edge nodes, the difference
+    table D's face, interior and face slices, D with its backward and forward halves
+    Dm and Dp, and per component of U its (pick, Dm, Dp, rhs) views. col spreads a
+    per-member dt over a member's values; G_flat and pick_flat are G and pick shaped
+    (n, nodes, d) for the jump gather. U is updated in place between compactions,
+    so its views hold.
     """
     n, d = U.shape[0], U.shape[-1]
     w = SimpleNamespace(**{k: [b[:n] for b in v] if isinstance(v, list) else v[:n]
                            for k, v in ws.items()})
     w.stencil = []
-    for ax, (P, D) in enumerate(zip(w.pad, w.diff), start=1):
+    for ax, D in enumerate(w.diff, start=1):
         Dm, Dp = _along(D, ax, None, -1), _along(D, ax, 1)
         edges = (_along(U, ax, 0, 1), _along(U, ax, 1, 2),
                  _along(U, ax, -1), _along(U, ax, -2, -1))
+        parts = (_along(D, ax, 0, 1), _along(D, ax, 1, -1), _along(D, ax, -1))
         comps = [(w.pick[..., i], Dm[..., i], Dp[..., i], w.rhs[..., i]) for i in range(d)]
-        w.stencil.append((_along(P, ax, 1, -1), _along(P, ax, 0, 1), _along(P, ax, -1), edges,
-                          _along(P, ax, 1), _along(P, ax, None, -1), D, comps))
+        w.stencil.append((_along(U, ax, 1), _along(U, ax, None, -1), edges, parts, D, Dm, Dp,
+                          comps))
     w.col = (n,) + (1,) * (U.ndim - 1)
     flat = (n, math.prod(U.shape[1:-1]), d)
     w.G_flat, w.pick_flat = w.G.reshape(flat), w.pick.reshape(flat)
@@ -523,7 +516,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         event = hit.any()
         if event:
             dt = np.where(hit, target - t, dt)
-        rhs = _advection(U, Fv, dx, w)
+        rhs = _transport(U, Fv, dx, visc, w)
         if G_fixed is None:
             rhs -= G_at(U, w.G)
         elif not G_zero:
@@ -532,8 +525,6 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
             relabeled = jump_plan.apply(U, out=w.G_flat, tmp=w.pick_flat).reshape(U.shape)
             jump = jump_by(relabeled, S, out=w.pick)  # row u @ S == S^T u
             rhs += np.multiply(np.subtract(U, jump, out=jump), m.lam, out=jump)
-        if visc > 0:
-            rhs -= np.multiply(_laplacian(dx, w), visc, out=w.lap)
         U -= np.multiply(rhs, dt.reshape(w.col), out=rhs)
         if not np.abs(U, out=w.pick).max() <= OVERFLOW_GUARD:  # nan fails too
             ok = w.pick.reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD

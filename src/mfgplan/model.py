@@ -420,12 +420,17 @@ def model_from_items(items: dict) -> ModelSpec:
     return ModelSpec(d=d, F=F, G=G, lam=lam, noise=AffineNoiseMap(S, e), x0=x0, **consts)
 
 
+def read_ini(path, kind) -> configparser.ConfigParser:
+    """A config or model file, parsed: keys keep their case, '#' starts a comment."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.optionxform = str
+    if not cp.read(path):
+        raise ConfigError(f"cannot read {kind} file '{path}'")
+    return cp
+
+
 def load_model(path) -> ModelSpec:
-    cp = configparser.ConfigParser()
-    cp.optionxform = str  # keep key case, 'F.Mx' vs 'f.mx'
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read model file '{path}'")
+    cp = read_ini(path, "model")
     if "model" not in cp:
         raise ConfigError(f"model file '{path}' has no [model] section")
     for name in cp.sections():

@@ -100,6 +100,18 @@ class _CauchyFold:
             held[e, k] = row.copy()
 
 
+def check_eps_schedule(eps_schedule) -> tuple:
+    """The schedule as floats; ConfigError unless it is nonempty, > 0 and strictly decreasing."""
+    eps_schedule = tuple(float(e) for e in eps_schedule)
+    if not eps_schedule:
+        raise ConfigError("[planning] eps must list at least one eps")
+    if not all(e > 0 for e in eps_schedule):
+        raise ConfigError("[planning] eps values must be > 0")
+    if not all(b < a for a, b in zip(eps_schedule, eps_schedule[1:])):
+        raise ConfigError("[planning] eps schedule must be strictly decreasing")
+    return eps_schedule
+
+
 def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
                      t_min=0.2, delta=0.25, conv_tol=1e-2) -> PenalizationRun:
     """Solve for each eps and record sup gaps between consecutive solutions.
@@ -114,13 +126,7 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
     failure's partial solution, a failing schedule is marched a second time,
     keeping every record; its gaps are the first march's between completed eps.
     """
-    eps_schedule = tuple(float(e) for e in eps_schedule)
-    if not eps_schedule:
-        raise ConfigError("eps schedule must be nonempty")
-    if any(e <= 0 for e in eps_schedule):
-        raise ConfigError("eps values must be > 0")
-    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ConfigError("eps schedule must be strictly decreasing")
+    eps_schedule = check_eps_schedule(eps_schedule)
     k0 = int(np.searchsorted(params.record_times(), t_min - 1e-12))  # records >= t_min
     if k0 == params.n_rec:
         raise ConfigError("no recorded times at or above t_min")

@@ -179,11 +179,14 @@ def test_unknown_key_is_config_error(tmp_path, capsys, command, section, key):
 @pytest.mark.parametrize("command", ["solve", "plan", "yosida", "traject", "halfspace",
                                      "verify", "probe"])
 def test_empty_eps_schedule_is_config_error(tmp_path, capsys, command):
-    cfg, out = make_config(tmp_path, eps="")
-    assert main([command, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "[planning] eps" in err
-    assert not out.exists()
+    # so are an increasing and a non-positive schedule: the single-solve
+    # commands read the schedule's last eps as its smallest
+    for eps in ("", "0.05, 0.2", "0.1, 0"):
+        cfg, out = make_config(tmp_path, eps=eps)
+        assert main([command, "--config", str(cfg)]) == 2, eps
+        err = capsys.readouterr().err
+        assert "config error" in err and "[planning] eps" in err
+        assert not out.exists()
 
 
 def test_model_file_with_other_keys_is_config_error(tmp_path, capsys):

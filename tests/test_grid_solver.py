@@ -20,8 +20,8 @@ from mfgplan import grid_solver, model
 from mfgplan.cli import load_config
 from mfgplan.grid_solver import InterpPlan, write_table
 from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
-                      box1d, check_monotone_map, closed_form, digest12, jump_model,
-                      sample_solution)
+                      box1d, check_monotone_map, closed_form, coupled_model, digest12,
+                      jump_model, sample_solution)
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
 # logistic closed form kappa/((kappa/a0+1)e^{kappa t}-1) with kappa=0.75
@@ -531,6 +531,45 @@ def test_batch_matches_single_solves(case):
     assert_batch_matches_single_solves(*BATCH_CASES[case])
 
 
+# The viscous marches' values at t_end, to round-off: how the second difference
+# is formed from U moves their last bits, so they are not bit pins. Jump
+# members at nodes 0, 1, 75, 149 and 150:
+VISC_JUMP_END = np.array([
+    [-0.9873335687928284, -0.9675868974169719, 0.49366678439641426,
+     1.954920466209801, 1.9746671375856573],
+    [-1.3480882123357372, -1.3211264480890226, 0.6740441061678686,
+     2.6692146604247595, 2.6961764246714743],
+    [-1.8567589349608378, -1.819623756261621, 0.9283794674804191,
+     3.676382691222459, 3.713517869921676],
+    [-1.6493204244985058, -1.6163340160085358, 0.8246602122492532,
+     3.2656544405070425, 3.2986408489970125]])
+# the 2-D coupled march from a curved start, at these nodes (both components)
+VISC_2D_NODES = ([0, 0, 30, 30, 15, 7], [0, 30, 0, 30, 15, 22])
+VISC_2D_END = np.array([
+    [-3.101651405738312, -3.101651405738312],
+    [-2.9955210311219354, 3.274846841187594],
+    [3.274846841187594, -2.9955210311219354],
+    [3.3920135217987823, 3.3920135217987823],
+    [0.19477035345193866, 0.19477035345193866],
+    [-1.4878316828823013, 1.627911026553746]])
+
+
+def test_viscous_march_values_pinned_to_round_off():
+    m, box, eps, params = BATCH_CASES["1d-jump-visc"]
+    batch = solve_master(m, [penalized_slice(m, box, e) for e in eps], params)
+    assert batch.meta["steps"] == 734
+    np.testing.assert_allclose(batch.values[:, -1, [0, 1, 75, 149, 150], 0], VISC_JUMP_END,
+                               rtol=1e-14, atol=0.0)
+    # the penalized slices are affine, which diffusion leaves alone: a curved
+    # start makes the viscous term count
+    m = coupled_model(K=1.0, d=2, x0=[0.5, 0.5])
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 30))
+    u0 = Slice.from_fn(box, lambda x: (x - 0.5) / 0.2 + 0.3 * np.sin(2.0 * x[:, ::-1]))
+    sol = solve_master(m, u0, SolverParams(t_end=0.3, n_rec=4, visc=0.02))
+    assert sol.meta["steps"] == 42
+    np.testing.assert_allclose(sol.values[-1][VISC_2D_NODES], VISC_2D_END, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_on_record_sees_every_record_once(case):
     # the hook sees each member's records in order as they land, bit for bit
@@ -960,10 +999,11 @@ def test_solution_csv_matches_per_cell_format(tmp_path, dim, d):
 
 @pytest.mark.parametrize("repeating", [True, False], ids=["repeating", "distinct"])
 def test_solution_csv_holds_one_record_at_a_time(tmp_path, repeating):
-    # the size of the halfspace run's solution: 61 records of 121 x 41 x 2 values.
-    # Separable records hold 162 distinct values each; the writer's peak stays
-    # near one record's worth, far from the 4.8 MB of one index per value
-    box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), np.array([120, 40]))
+    # the halfspace run's 61 records of 2 values a node, on 31 x 11 nodes, not
+    # its 121 x 41. Separable records hold 42 distinct values each; the writer's
+    # peak stays near one record's worth, far from the 333 kB of one index per
+    # value (the bound is the 4 MB that held on 121 x 41 nodes, scaled to these)
+    box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), np.array([30, 10]))
     times = np.linspace(0.0, 1.0, 61)
     if repeating:
         vals = np.empty((61, *box.shape, 2))
@@ -978,8 +1018,8 @@ def test_solution_csv_holds_one_record_at_a_time(tmp_path, repeating):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
-    assert (tmp_path / "sol.csv").stat().st_size > 61 * 121 * 41 * 20
+    assert peak < 4e6 * (31 * 11) / (121 * 41)
+    assert (tmp_path / "sol.csv").stat().st_size > 61 * 31 * 11 * 20
 
 
 def test_table_matches_per_cell_format(tmp_path):

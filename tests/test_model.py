@@ -1,5 +1,6 @@
 """Model container, field evaluation, monotonicity checks, model file loading."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -434,3 +435,23 @@ def test_model_file_refuses_other_sections(tmp_path):
     path.write_text((CONFIGS / "lq0.model").read_text() + "\n[solver]\ndt_max = 0.5\n")
     with pytest.raises(ConfigError, match=r"\[solver\] is not a section of a model file"):
         load_model(path)
+
+
+def _same_spec(a, b) -> bool:
+    """Specs equal field by field, arrays by dtype and value."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same_spec(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def test_model_file_takes_inline_comments(tmp_path):
+    # read like a config file: '#' starts a comment on its own line or after a value
+    lines = (CONFIGS / "lq0.model").read_text().splitlines()
+    path = tmp_path / "commented.model"
+    path.write_text("# lq0, annotated\n" + "".join(
+        f"{line}  # {line.split()[0]}\n" if "=" in line else f"{line}\n" for line in lines))
+    assert "d = 1  # d\n" in path.read_text()
+    assert _same_spec(load_model(path), load_model(CONFIGS / "lq0.model"))

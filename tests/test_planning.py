@@ -48,6 +48,8 @@ def test_schedule_validation():
         run_penalization(m, box, (0.4, 0.2, 0.3), params)
     with pytest.raises(ConfigError):
         run_penalization(m, box, (0.4, -0.1), params)
+    with pytest.raises(ConfigError, match="> 0"):  # refused, not marched to a blowup
+        run_penalization(m, box, (0.4, float("nan")), params)
     with pytest.raises(ConfigError, match="no recorded times"):  # checked before any march
         run_penalization(m, box, (0.4, 1e-15), params, t_min=0.5)
 
