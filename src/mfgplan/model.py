@@ -185,19 +185,9 @@ def bind_field(f: FieldSpec, x):
                 np.copyto(out, xc)
                 return out
             return fill
-        # For d = 1, p @ MpT is one product per element, and np.multiply
-        # skips matmul's per-member BLAS call. The two can differ only in the
-        # sign of a zero: a BLAS that accumulates onto +0 turns a -0 product
-        # into +0, and otherwise they agree already. The next operation adds
-        # xm = x @ MxT, from the same kind of call, so in the first case xm
-        # is never -0 when its product is normalized; -0 + y equals +0 + y for
-        # every y that is not -0, so out is the same either way.
-        product, MpT = np.matmul, f.MpT
-        if MpT.shape == (1, 1):
-            product, MpT = np.multiply, MpT.reshape(1)  # (..., 1) times (1,): matmul's shape
 
         def at(p, out=None):
-            out = np.add(product(p, MpT, out=out), xm, out=out)  # in place when out is given
+            out = np.add(np.matmul(p, f.MpT, out=out), xm, out=out)  # in place when out is given
             out += c
             return out
         return at
@@ -278,6 +268,9 @@ class ModelSpec:
             raise ConfigError("jump intensity lambda must be >= 0")
         if self.alpha < 0:
             raise ConfigError("monotonicity modulus alpha must be >= 0")
+        for name in ("lip_Fx", "lip_Fp", "lip_Gx", "lip_Gp"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"Lipschitz constant {name} must be >= 0")
         x0 = np.array(self.x0, dtype=float).reshape(-1)  # a read-only copy, as Box keeps
         if x0.shape != (self.d,):
             raise ConfigError(f"x0 must have length d={self.d}")

@@ -75,7 +75,7 @@ def _newton_batch(f, target, y0, tol, max_iter, fd_h=1e-7):
     rows, h = probes(y, 1)
     val, pay = f(rows)
     val = val.reshape(1 + 2 * d, n, d) - target
-    r, fp, pay = val[0], val[1:], pay[:n]
+    r, fp, pay = val[0], val[1:], pay[:n].copy()  # a view would keep the probes' rows alive
     rn = np.linalg.norm(r, axis=1)
     for _ in range(max_iter):
         if np.all(rn <= tol):
@@ -115,8 +115,12 @@ def _require_converged(rn, tol, what):
                           f"(worst residual {worst:.3e})", residual=worst)
 
 
-def resolvent(U, delta, x) -> np.ndarray:
-    """Solve y + delta U(y) = x for each row of x by damped Newton."""
+def resolvent(U, delta, x):
+    """Solve y + delta U(y) = x for each row of x by damped Newton; returns (y, U(y)).
+
+    U(y) is the Newton's payload at the accepted points, so a caller that
+    needs the field there does not evaluate it again.
+    """
     if delta < 0:
         raise ConfigError("delta must be >= 0")
     ue = _as_eval(U)
@@ -124,24 +128,20 @@ def resolvent(U, delta, x) -> np.ndarray:
     single = x.ndim == 1
     X = np.atleast_2d(x)
     if delta == 0:
-        return x.copy()
+        y, u = X.copy(), ue(X)
+    else:
+        def f(y):
+            u = ue(y)
+            return y + delta * u, u
 
-    def f(y):
-        u = ue(y)
-        return y + delta * u, u
-
-    y, rn, _ = _newton_batch(f, X, X, NEWTON_TOL, NEWTON_MAX_ITER)
-    _require_converged(rn, NEWTON_TOL, "resolvent Newton")
-    return y[0] if single else y
+        y, rn, u = _newton_batch(f, X, X, NEWTON_TOL, NEWTON_MAX_ITER)
+        _require_converged(rn, NEWTON_TOL, "resolvent Newton")
+    return (y[0], u[0]) if single else (y, u)
 
 
 def yosida_apply(U, delta, x) -> np.ndarray:
     """Regularized map V(x) = U((Id + delta U)^{-1} x)."""
-    ue = _as_eval(U)
-    y = resolvent(U, delta, x)
-    single = np.asarray(x).ndim == 1
-    out = ue(np.atleast_2d(y))
-    return out[0] if single else out
+    return resolvent(U, delta, x)[1]
 
 
 def yosida_by_transport(u: Slice, delta, burgers_steps=1) -> Slice:
@@ -193,9 +193,10 @@ def yosida_field(base: GridSolution, delta, times) -> GridSolution:
 
 
 def invert_shift(v: Slice, delta, targets):
-    """Solve w - delta V(w) = target per row; returns (w, converged mask).
+    """Solve w - delta V(w) = target per row; returns (w, converged mask, V(w)).
 
     Newton starts from target + delta V(target), which is exact for affine V.
+    V(w) is the Newton's payload at the accepted points.
     """
     ve = v.eval
     T = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -206,8 +207,8 @@ def invert_shift(v: Slice, delta, targets):
         v = ve(w)
         return w - delta * v, v
 
-    w, rn, _ = _newton_batch(f, T, w0, NEWTON_TOL, NEWTON_MAX_ITER)
-    return w, rn <= SHIFT_ACCEPT_TOL
+    w, rn, vw = _newton_batch(f, T, w0, NEWTON_TOL, NEWTON_MAX_ITER)
+    return w, rn <= SHIFT_ACCEPT_TOL, vw
 
 
 @dataclass(eq=False)
@@ -250,10 +251,9 @@ def eqV_residual(m: ModelSpec, V: GridSolution, delta, t) -> ResidualField:
     core = m.eval_G(y, Vk)
     excluded = np.zeros(box.shape, dtype=bool)
     if m.lam > 0:
-        vslice = Slice(box, Vk)
         z = m.noise(y.reshape(-1, box.dim))
-        w, ok = invert_shift(vslice, delta, z)
-        relabeled = (vslice.eval(w) @ m.noise.S).reshape(Vk.shape)
+        _, ok, vw = invert_shift(Slice(box, Vk), delta, z)
+        relabeled = (vw @ m.noise.S).reshape(Vk.shape)
         core = core - m.lam * (Vk - relabeled)
         excluded = (~ok).reshape(box.shape)
     eye = np.eye(box.dim)

@@ -99,6 +99,15 @@ def main():
     print(f"c1 root       = {float(r[r > 0][0]):.16g}")
     print()
 
+    print("# certificate horizon of the 2-D stress model: alpha=1, |DxG|=1, |DpF|=1,")
+    print("# lambda=1, |S|=0.5, so A = 1 - 0.75 = 0.25, k = 1, B = 0.75 - 1 = -0.25;")
+    print("# c1/alpha = 1/2 - A t/2 - k t^2 binds, c2 = t (3/2 + B t) fails past 6")
+    A, k = 0.25, 1.0
+    print(f"c1 root 2/(A + sqrt(A^2 + 8k)) = {2.0 / (A + np.sqrt(A * A + 8.0 * k)):.16g}")
+    r = np.roots([k, A / 2, -0.5])
+    print(f"c1 root (np.roots)             = {float(r[r > 0][0]):.16g}")
+    print()
+
     print("# penalization gap law for velocity = value, no source:")
     print("# sup_{t >= t_min} max_box |x - x0| * (1/(t+e2) - 1/(t+e1)), box [-1,2], x0=0.5")
     for e1, e2 in ((0.4, 0.2), (0.2, 0.1), (0.1, 0.05)):

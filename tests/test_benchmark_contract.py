@@ -23,7 +23,8 @@ import pytest
 
 import mfgplan
 from mfgplan import (AffineNoiseMap, Box, FieldSpec, HalfspaceModel, ModelSpec, SolverParams,
-                     penalized_slice, run_penalization, solve_master, transformed_model)
+                     extract_limit, penalized_slice, run_penalization, solve_master,
+                     transformed_model, yosida_apply)
 from conftest import baseline_model, box1d
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -224,3 +225,16 @@ def test_traced_straightening_is_seen(span_recorder):
     solve_master(m, penalized_slice(m, box, 0.1), SolverParams(t_end=0.05, n_rec=3))
     metrics, _ = span_recorder.layer_metrics()
     assert metrics["halfspace.straighten_calls"] >= 1
+
+
+def test_resolvent_points_counted_per_node(span_recorder):
+    # yosida.points counts the rows of each resolvent and shift inversion:
+    # an extraction inverts every node twice, a regularization its rows once
+    m, box = baseline_model(), box1d(n=60)
+    run = run_penalization(m, box, (0.4, 0.2), SolverParams(t_end=0.3, n_rec=7), t_min=0.2)
+    nodes = box.node_list()
+    extract_limit(run, 0.25)
+    assert span_recorder.exact_counts()["yosida.points"] == 2 * len(nodes)
+    span_recorder.counts["yosida.points"] = 0
+    yosida_apply(run.smallest_eps_solution.slice_at(0.25), run.delta, nodes[::3])
+    assert span_recorder.exact_counts()["yosida.points"] == len(nodes[::3])

@@ -205,6 +205,22 @@ def test_model_file_with_other_keys_is_config_error(tmp_path, capsys):
     assert "[model] lip_FX" in capsys.readouterr().err
 
 
+def test_negative_lipschitz_constant_is_config_error(tmp_path, capsys):
+    # the declared constants are norms: a negative one is refused, from a
+    # model file and from an inline [model] alike, before any solve
+    (tmp_path / "m.model").write_text((CONFIGS / "lq0.model").read_text()
+                                      .replace("lip_Gx = 0", "lip_Gx = -1"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "lq0.cfg").read_text().replace("file = lq0.model", "file = m.model"))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+    assert "lip_Gx" in capsys.readouterr().err
+    inline, _ = make_config(tmp_path, name="inline.cfg")
+    inline.write_text(inline.read_text().replace("lip_Fp = 1\n", "lip_Fp = 1\nlip_Gx = -1\n"))
+    assert main(["verify", "--config", str(inline), "--out", str(tmp_path / "b")]) == 2
+    assert "lip_Gx" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_probe_malformed_time_flag(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
     assert main(["probe", "--config", str(cfg), "--t", "soon", "--x", "1.2"]) == 2

@@ -154,10 +154,10 @@ def test_extracted_field_refuses_failed_nodes(lq0_run, tmp_path, capsys, monkeyp
     invert = planning.invert_shift
 
     def fail_one_node(v, delta, targets):
-        w, ok = invert(v, delta, targets)
+        w, ok, vw = invert(v, delta, targets)
         ok = ok.copy()
         ok[3] = False
-        return w, ok
+        return w, ok, vw
 
     monkeypatch.setattr(planning, "invert_shift", fail_one_node)
     with pytest.raises(NewtonError, match=r"^extraction at t=0\.2 left 1 of 401 nodes"):
@@ -210,11 +210,47 @@ def test_certificate_horizon_stiff_model():
 
 def test_certificate_horizon_pinned_on_the_stress_model():
     # perfbench's 2-D stress model (F = p, G = x, lambda = 1, S = 0.5 I): the
-    # first violation of the scan and 60 bisections of its bracket, exactly
+    # first inequality's root 2 / (A + sqrt(A^2 + 8k)) with A = 0.25, k = 1,
+    # exactly (tests/oracles/derive_values.py prints it)
     m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
                   lam=1.0, noise=AffineNoiseMap(0.5 * np.eye(2), np.zeros(2)),
                   x0=np.full(2, 0.5), alpha=1.0, lip_Fp=1.0, lip_Gx=1.0)
     assert certificate_horizon(m, 1.0) == 0.6473635432250342
+
+
+def _certificate_terms(lam, s, alpha, fx, fp, gx, gp, t):
+    """The two certificate inequalities written out at t, with the size of their terms."""
+    beta, gamma = 0.5 * alpha * t, gx * alpha * t ** 2
+    damp = lam * (1.0 - s ** 2)
+    terms1 = (alpha, -beta * (gx + 2.0 * fx - damp), -0.5 * alpha, -gamma * fp)
+    terms2 = (2.0 * gx * alpha * t, gamma * (damp - fp - 2.0 * gp), -beta * gx)
+    return [(sum(terms), sum(np.abs(x) for x in terms)) for terms in (terms1, terms2)]
+
+
+def test_certificate_horizon_is_the_first_failure():
+    # over random constant sets, some of them 0: both inequalities hold on
+    # [0, t_f] (to round-off of their terms), and unless t_f is t_max one of
+    # them fails just past it
+    rng = np.random.default_rng(11)
+    ended = 0
+    for _ in range(200):
+        lam, s, alpha = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.5), rng.uniform(0.1, 3.0)
+        fx, fp, gx, gp = rng.uniform(0.0, 5.0, 4) * (rng.random(4) > 0.3)
+        m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1), G=FieldSpec.affine(0.0, 0.0, d=1),
+                      lam=lam, noise=AffineNoiseMap(s, 0.0), x0=np.zeros(1), alpha=alpha,
+                      lip_Fx=fx, lip_Fp=fp, lip_Gx=gx, lip_Gp=gp)
+        t_max = rng.uniform(0.2, 2.0)
+        t_f = certificate_horizon(m, t_max)
+        assert 0.0 < t_f <= t_max
+        nS = m.noise.norm_S
+        for value, size in _certificate_terms(lam, nS, alpha, fx, fp, gx, gp,
+                                              np.linspace(0.0, t_f, 2001)):
+            assert np.all(value >= -1e-12 * size)
+        if t_f < t_max:
+            ended += 1
+            past = _certificate_terms(lam, nS, alpha, fx, fp, gx, gp, t_f * (1.0 + 1e-9))
+            assert min(value for value, _ in past) < 0.0
+    assert ended >= 50 and 200 - ended >= 20  # both outcomes are exercised
 
 
 def test_certificate_requires_alpha():

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
-                     NewtonError, Slice, SolverParams, eqV_residual,
+                     NewtonError, Slice, SolverParams, eqV_residual, extract_limit,
                      invert_shift, node_jacobians, penalized_slice, resolvent,
                      solve_master, yosida_apply,
                      yosida_by_transport, yosida_field)
+from mfgplan import yosida
 from mfgplan.yosida import _newton_batch
 from conftest import baseline_model, box1d, closed_form, jump_model, sample_solution
 
@@ -21,7 +22,7 @@ X0 = 0.5
 def test_resolvent_linear_hand_value():
     # y + 0.25 (y - 0.5)/0.5 = 2  ->  y = (0.5*2 + 0.25*0.5)/0.75 = 1.5
     U = lambda y: (y - X0) / 0.5
-    y = resolvent(U, 0.25, np.array([[2.0]]))
+    y, _ = resolvent(U, 0.25, np.array([[2.0]]))
     assert abs(y[0, 0] - 1.5) <= 1e-10
     V = yosida_apply(U, 0.25, np.array([[2.0]]))
     assert abs(V[0, 0] - (2.0 - X0) / 0.75) <= 1e-10  # (x - x0)/(t + delta)
@@ -31,7 +32,7 @@ def test_resolvent_cubic_against_roots():
     delta = 0.5
     U = lambda y: y ** 3 + y
     for x in (2.0, 3.0, -1.7):
-        got = resolvent(U, delta, np.array([[x]]))[0, 0]
+        got = resolvent(U, delta, np.array([[x]]))[0][0, 0]
         roots = np.roots([delta, 0.0, 1.0 + delta, -x])
         want = float(roots[np.abs(roots.imag) < 1e-9].real[0])
         assert abs(got - want) <= 1e-9
@@ -42,7 +43,7 @@ def test_resolvent_cubic_against_roots():
 def test_resolvent_delta_zero_is_identity():
     U = lambda y: 2.0 * y
     x = np.array([[0.3], [-1.2]])
-    assert np.allclose(resolvent(U, 0.0, x), x)
+    assert np.allclose(resolvent(U, 0.0, x)[0], x)
     assert np.allclose(yosida_apply(U, 0.0, x), U(x))
 
 
@@ -64,8 +65,8 @@ def test_resolvent_nonexpansive():
     rng = np.random.default_rng(5)
     x = rng.uniform(-2.0, 2.0, size=(200, 1))
     y = rng.uniform(-2.0, 2.0, size=(200, 1))
-    Rx = resolvent(U, 0.4, x)
-    Ry = resolvent(U, 0.4, y)
+    Rx, _ = resolvent(U, 0.4, x)
+    Ry, _ = resolvent(U, 0.4, y)
     assert np.all(np.abs(Rx - Ry) <= np.abs(x - y) + 1e-9)
 
 
@@ -139,7 +140,7 @@ def test_invert_shift_round_trip():
     box = box1d(n=100)
     v = Slice.from_fn(box, lambda x: (x - X0) / 0.5)
     targets = np.linspace(-0.5, 1.5, 7)[:, None]
-    w, ok = invert_shift(v, 0.3, targets)
+    w, ok, _ = invert_shift(v, 0.3, targets)
     assert np.all(ok)
     back = w - 0.3 * v.eval(w)
     assert np.allclose(back, targets, atol=1e-9)
@@ -225,14 +226,51 @@ def test_resolvent_and_invert_shift_match_an_unmerged_newton():
         y, rn, u = _unmerged_newton(lambda y: (y + delta * v.eval(y), v.eval(y)),
                                     x, x, 1e-10, 60)
         assert np.all(rn <= 1e-10)
-        assert resolvent(v, delta, x).tobytes() == y.tobytes()
+        assert resolvent(v, delta, x)[0].tobytes() == y.tobytes()
         assert yosida_apply(v, delta, x).tobytes() == v.eval(y).tobytes()
         w0 = x + delta * v.eval(x)
         w, rn, _ = _unmerged_newton(lambda w: (w - delta * v.eval(w), v.eval(w)),
                                     x, w0, 1e-10, 60)
-        got, ok = invert_shift(v, delta, x)
+        got, ok, vw = invert_shift(v, delta, x)
         assert got.tobytes() == w.tobytes()
+        assert vw.tobytes() == v.eval(w).tobytes()
         assert ok.tobytes() == (rn <= 1e-8).tobytes()
+
+
+def test_field_values_come_from_the_newton_payload(monkeypatch, lq0_run):
+    # the resolvent and the shift inversion return the field values their
+    # Newton evaluated, so the callers interpolate no accepted point again:
+    # the only Slice.eval outside a Newton is the shift inversion's start
+    calls = {"outside": 0}
+    inside = []
+    newton, slice_eval = yosida._newton_batch, Slice.eval
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(self, pts):
+        if not inside:
+            calls["outside"] += 1
+        return slice_eval(self, pts)
+
+    monkeypatch.setattr(yosida, "_newton_batch", flagged)
+    monkeypatch.setattr(Slice, "eval", counted)
+
+    def outside(fn, *args):
+        calls["outside"] = 0
+        fn(*args)
+        return calls["outside"]
+
+    sol = lq0_run.smallest_eps_solution
+    assert outside(yosida_apply, sol.slice_at(0.5), lq0_run.delta, sol.box.node_list()) == 0
+    assert outside(extract_limit, lq0_run, 0.5) == 1
+    times = np.linspace(0.2, 0.6, 21)
+    V = _analytic_V_field(box1d(n=100), times, 0.2, lambda t, x: (x - X0) / (t + 0.2))
+    assert outside(eqV_residual, jump_model(lam=1.0, S=0.5), V, 0.2, times[10]) == 1
 
 
 def test_newton_batch_converged_start_returns_it_unchanged():
