@@ -13,12 +13,14 @@ forward Euler in time with an adaptive step
 
     dt = min(dt_max, cfl / max_nodes sum_a |F_a|/dx_a, cfl dx_min^2 / (2 d nu)),
 
-which reduces to cfl*dx_min/max|F| in one dimension. A step differences U once
-per axis, for the upwind pick and the viscous term alike. Values outside the
-box (upwind ghost nodes, relabeled points S x + e, interpolation queries) come
-from clamped linear extrapolation off the two outermost nodes of each axis,
-which is what the unclamped multilinear weight formula produces on the clamped
-boundary cell. The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
+which reduces to cfl*dx_min/max|F| in one dimension. A step is U -= dt L(U),
+where L, built once per solve by _operator, returns (F . grad) U - nu Lap U - G
++ lambda (U - S^T U(S x + e)) and the CFL rate, differencing U once per axis
+for the upwind pick and the viscous term alike. Values outside the box (upwind
+ghost nodes, relabeled points S x + e, interpolation queries) come from clamped
+linear extrapolation off the two outermost nodes of each axis, which is what
+the unclamped multilinear weight formula produces on the clamped boundary cell.
+The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class Box:
             n = np.full(lo.shape, n[0])
         if not (lo.shape == hi.shape == n.shape):
             raise ConfigError("box lo/hi/n must have matching lengths")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ConfigError("box lo and hi must be finite")
         if np.any(hi <= lo):
             raise ConfigError("box needs hi > lo on every axis")
         if np.any(n < 2):
@@ -215,11 +219,6 @@ class Slice:
     def d(self) -> int:
         return self.values.shape[-1]
 
-    @staticmethod
-    def from_fn(box: Box, fn) -> "Slice":
-        vals = np.asarray(fn(box.node_list()), dtype=float)
-        return Slice(box, vals.reshape(*box.shape, -1))
-
     def eval(self, pts) -> np.ndarray:
         """U at points (..., dim), as (..., d)."""
         rows, lead = _point_rows(self.box, pts)
@@ -240,12 +239,12 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError("solver.cfl must lie in (0, 1]")
-        if self.visc < 0:
-            raise ConfigError("solver.visc must be >= 0")
-        if self.t_end <= 0:
-            raise ConfigError("solver.t_end must be > 0")
-        if self.dt_max <= 0:
-            raise ConfigError("solver.dt_max must be > 0")
+        if not (math.isfinite(self.visc) and self.visc >= 0):
+            raise ConfigError("solver.visc must be finite and >= 0")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ConfigError("solver.t_end must be finite and > 0")
+        if not (math.isfinite(self.dt_max) and self.dt_max > 0):
+            raise ConfigError("solver.dt_max must be finite and > 0")
         if self.n_rec < 2:
             raise ConfigError("solver.n_rec must be >= 2")
 
@@ -346,31 +345,63 @@ def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
 # array axis a + 1, and writes every step into the buffers of one workspace
 # through views that are built once per compaction, never in a step.
 
-def _transport(U, Fv, dx, visc, w):
-    """Upwind (F . grad) applied to every component of U, less visc Lap U, into w.rhs.
+def _operator(m: ModelSpec, box: Box, visc, d):
+    """The step's operator L(U, w) -> (rhs, rate) of model m on box, built once per solve.
 
-    Per axis, D[i] = U[i] - U[i-1], and past each face the difference to the ghost
-    node 2 U[0] - U[1] or 2 U[-1] - U[-2], rounded as such (the interior difference
-    next to it is equal only in exact arithmetic). Node i's backward and forward
-    differences are D[i] and D[i+1], and its second difference D[i+1] - D[i]. The
-    upwind pick runs per component of U, so no inner loop is only d long.
+    rhs, in w.rhs, is (F . grad) U - visc Lap U - G + lam (U - S^T U(S x + e)) and rate the
+    max over nodes of sum_a |F_a|/dx_a, per member of U, whose views w holds (see
+    _step_views). F and G are bound to the nodes, a p-free G is evaluated and the jump's
+    gather is planned here, once: the relabeled points are fixed in time.
+
+    Transport, per axis: D[i] = U[i] - U[i-1], and past each face the difference to the
+    ghost node 2 U[0] - U[1] or 2 U[-1] - U[-2], rounded as such (the interior difference
+    next to it is equal only in exact arithmetic). Node i's backward and forward differences
+    are D[i] and D[i+1], and its second difference D[i+1] - D[i]. The upwind pick runs per
+    component of U, so no inner loop is only d long.
     """
-    w.rhs.fill(0.0)
-    for a, (ahead, behind, edges, (lo, inner, hi), D, Dm, Dp, comps) in enumerate(w.stencil):
-        first, second, last, before_last = edges
-        np.subtract(ahead, behind, out=inner)
-        np.subtract(first, np.subtract(np.multiply(first, 2.0, out=lo), second, out=lo), out=lo)
-        np.subtract(np.subtract(np.multiply(last, 2.0, out=hi), before_last, out=hi), last, out=hi)
-        D /= dx[a]
-        Fa = Fv[..., a]
-        pos = np.greater(Fa, 0, out=w.pos)
-        for pick, Dm_i, Dp_i, adv in comps:
-            np.copyto(pick, Dp_i)
-            np.copyto(pick, Dm_i, where=pos)
-            adv += np.multiply(pick, Fa, out=pick)
-        if visc > 0:
-            w.rhs -= np.multiply(np.subtract(Dp, Dm, out=w.pick), visc / dx[a], out=w.pick)
-    return w.rhs
+    nodes = box.nodes()
+    F_at, G_at = m.bind(nodes)
+    # a p-free G is one (*nodes, d) constant, evaluated once; rhs - (+0.0) is rhs
+    G_fixed = G_at(np.zeros_like(nodes)) if m.G.form == "p-free" else None
+    G_zero = G_fixed is not None and not (G_fixed.any() or np.signbit(G_fixed).any())
+    jump_plan = InterpPlan(box, m.noise(box.node_list())).widen(d) if m.lam > 0 else None
+    # S = s I takes one multiply, which can differ from matmul only in the sign
+    # of a zero; rhs is never -0.0 when the jump term is added, so U is the same
+    jump_by, S = (np.matmul, m.noise.S) if m.noise.scale is None \
+        else (np.multiply, m.noise.scale)
+    dx, lam = box.dx, m.lam
+
+    def L(U, w):
+        Fv = F_at(U, w.F)  # a registered F ignores out: use the array it returns
+        speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
+        for a in range(1, box.dim):
+            speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
+        rate = speed.reshape(len(U), -1).max(axis=1)
+        w.rhs.fill(0.0)
+        for a, (ahead, behind, edges, (lo, inner, hi), D, Dm, Dp, comps) in enumerate(w.stencil):
+            u0, u1, un, un1 = edges  # U[0], U[1], U[-1], U[-2]
+            np.subtract(ahead, behind, out=inner)
+            np.subtract(u0, np.subtract(np.multiply(u0, 2.0, out=lo), u1, out=lo), out=lo)
+            np.subtract(np.subtract(np.multiply(un, 2.0, out=hi), un1, out=hi), un, out=hi)
+            D /= dx[a]
+            Fa = Fv[..., a]
+            pos = np.greater(Fa, 0, out=w.pos)
+            for pick, Dm_i, Dp_i, adv in comps:
+                np.copyto(pick, Dp_i)
+                np.copyto(pick, Dm_i, where=pos)
+                adv += np.multiply(pick, Fa, out=pick)
+            if visc > 0:
+                w.rhs -= np.multiply(np.subtract(Dp, Dm, out=w.pick), visc / dx[a], out=w.pick)
+        if G_fixed is None:
+            w.rhs -= G_at(U, w.G)
+        elif not G_zero:
+            w.rhs -= G_fixed
+        if jump_plan is not None:
+            relabeled = jump_plan.apply(U, out=w.G_flat, tmp=w.pick_flat).reshape(U.shape)
+            jump = jump_by(relabeled, S, out=w.pick)  # row u @ S == S^T u
+            w.rhs += np.multiply(np.subtract(U, jump, out=jump), lam, out=jump)
+        return w.rhs, rate
+    return L
 
 
 def _workspace(E, shape, d):
@@ -449,12 +480,6 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     if box.margin_cells(m.x0) < TARGET_MARGIN_CELLS:
         raise ConfigError(
             f"box must contain x0 with a margin of at least {TARGET_MARGIN_CELLS} cells")
-    nodes = box.nodes()
-    F_at, G_at = m.bind(nodes)
-    # a p-free G is one (*nodes, d) constant, evaluated once; rhs - (+0.0) is rhs
-    G_fixed = G_at(np.zeros_like(nodes)) if m.G.form == "p-free" else None
-    G_zero = G_fixed is not None and not (G_fixed.any() or np.signbit(G_fixed).any())
-    dx = box.dx
     rec_times = params.record_times()
     U = np.stack([s.values for s in slices])
     E = U.shape[0]
@@ -462,15 +487,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     rec = np.empty((E - keep, params.n_rec) + U.shape[1:])
     rec[:, 0] = U[keep:]
     ws = _workspace(E, box.shape, U.shape[-1])
-
-    # relabeled probe points are fixed in time; build the gather plan and its
-    # per-value weights once
-    jump_plan = InterpPlan(box, m.noise(box.node_list())).widen(U.shape[-1]) \
-        if m.lam > 0 else None
-    # S = s I takes one multiply, which can differ from matmul only in the sign
-    # of a zero; rhs is never -0.0 when the jump term is added, so U is the same
-    jump_by, S = (np.matmul, m.noise.S) if m.noise.scale is None \
-        else (np.multiply, m.noise.scale)
+    L = _operator(m, box, params.visc, U.shape[-1])
 
     meta = {  # meta_record adds the box and d
         "cfl": params.cfl, "visc": params.visc, "dt_max": params.dt_max,
@@ -493,9 +510,9 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         for e in range(live):
             on_record(e, 0, U[e])
 
-    dt_visc = params.cfl * float(np.min(dx)) ** 2 / (2.0 * box.dim * params.visc) \
+    dt_visc = params.cfl * float(np.min(box.dx)) ** 2 / (2.0 * box.dim * params.visc) \
         if params.visc > 0 else np.inf
-    cfl, visc, n_rec, dt_cap = params.cfl, params.visc, params.n_rec, min(params.dt_max, dt_visc)
+    cfl, n_rec, dt_cap = params.cfl, params.n_rec, min(params.dt_max, dt_visc)
     # row r of U is member rows[r] at time t[r], short of record k[r]. An iteration
     # in which no member lands on a record and none blows up only marches; records
     # are written, and rows leave and are compacted, in its event branch alone
@@ -505,26 +522,14 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     reach = target - 1e-14  # a step ending this close to its record lands on it
     while n:
         it += 1
-        Fv = F_at(U, w.F)
-        speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
-        for a in range(1, box.dim):
-            speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
-        dt_cfl = cfl / np.maximum(speed.reshape(n, -1).max(axis=1), 1e-12)
+        rhs, rate = L(U, w)
+        dt_cfl = cfl / np.maximum(rate, 1e-12)
         dt = np.fmin(dt_cfl, dt_cap)  # fmin: min() skips nan too
         t_next = t + dt
         hit = t_next >= reach
         event = hit.any()
         if event:
             dt = np.where(hit, target - t, dt)
-        rhs = _transport(U, Fv, dx, visc, w)
-        if G_fixed is None:
-            rhs -= G_at(U, w.G)
-        elif not G_zero:
-            rhs -= G_fixed
-        if jump_plan is not None:
-            relabeled = jump_plan.apply(U, out=w.G_flat, tmp=w.pick_flat).reshape(U.shape)
-            jump = jump_by(relabeled, S, out=w.pick)  # row u @ S == S^T u
-            rhs += np.multiply(np.subtract(U, jump, out=jump), m.lam, out=jump)
         U -= np.multiply(rhs, dt.reshape(w.col), out=rhs)
         if not np.abs(U, out=w.pick).max() <= OVERFLOW_GUARD:  # nan fails too
             ok = w.pick.reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD

@@ -227,10 +227,6 @@ class AffineNoiseMap:
         if np.array_equal(S, s * np.eye(len(S))):
             object.__setattr__(self, "scale", s)
 
-    @staticmethod
-    def identity(d):
-        return AffineNoiseMap(np.eye(d), np.zeros(d))
-
     @property
     def norm_S(self) -> float:
         return float(np.linalg.norm(self.S, 2))
@@ -417,8 +413,11 @@ def read_ini(path, kind) -> configparser.ConfigParser:
     """A config or model file, parsed: keys keep their case, '#' starts a comment."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str
-    if not cp.read(path):
-        raise ConfigError(f"cannot read {kind} file '{path}'")
+    try:
+        if not cp.read(str(path)):  # configparser's errors then quote the plain path
+            raise ConfigError(f"cannot read {kind} file '{path}'")
+    except configparser.Error as exc:  # a duplicate section or key, or no section header
+        raise ConfigError(f"malformed {kind} file: {' '.join(str(exc).split())}") from None
     return cp
 
 

@@ -41,10 +41,6 @@ class Trajectory:
             raise ConfigError(f"{what} takes one path, not a batch of {self.states.shape[1]}: "
                               "pass path(i)")
 
-    def final_distance(self, x0) -> float:
-        self._require_one_path("final_distance")
-        return float(np.linalg.norm(self.states[-1] - np.asarray(x0, dtype=float)))
-
 
 def integrate_backward(U, m: ModelSpec, x1, t1, t_min, steps=200) -> Trajectory:
     """RK4 march of dx/dt = F(x, U(t,x)) from (t1, x1) down to t_min.

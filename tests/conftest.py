@@ -11,9 +11,26 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, GridSolution, ModelSpec,
-                     SolverParams, penalized_slice, run_penalization, solve_master)
+                     Slice, SolverParams, penalized_slice, run_penalization, solve_master)
 
 X0 = 0.5
+
+
+def identity_noise(d):
+    """The relabeling x -> x: S = I, e = 0."""
+    return AffineNoiseMap(np.eye(d), np.zeros(d))
+
+
+def slice_from_fn(box: Box, fn):
+    """The Slice of fn's values at the box nodes; fn maps (N, dim) rows to (N, d) or (N,)."""
+    vals = np.asarray(fn(box.node_list()), dtype=float)
+    return Slice(box, vals.reshape(*box.shape, -1))
+
+
+def final_distance(traj, x0) -> float:
+    """Distance from the last state of one backward path to x0."""
+    traj._require_one_path("final_distance")
+    return float(np.linalg.norm(traj.states[-1] - np.asarray(x0, dtype=float)))
 
 
 def baseline_model(d=1, x0=None):
@@ -22,7 +39,7 @@ def baseline_model(d=1, x0=None):
         x0 = np.full(d, X0)
     return ModelSpec(d=d, F=FieldSpec.affine(0.0, 1.0, d=d),
                      G=FieldSpec.affine(0.0, 0.0, d=d), lam=0.0,
-                     noise=AffineNoiseMap.identity(d), x0=np.asarray(x0, float),
+                     noise=identity_noise(d), x0=np.asarray(x0, float),
                      alpha=1.0, lip_Fx=0.0, lip_Fp=1.0, lip_Gx=0.0, lip_Gp=0.0)
 
 
@@ -32,7 +49,7 @@ def coupled_model(K=1.0, d=1, x0=None):
         x0 = np.full(d, X0)
     return ModelSpec(d=d, F=FieldSpec.affine(0.0, 1.0, d=d),
                      G=FieldSpec.affine(K, 0.0, d=d), lam=0.0,
-                     noise=AffineNoiseMap.identity(d), x0=np.asarray(x0, float),
+                     noise=identity_noise(d), x0=np.asarray(x0, float),
                      alpha=1.0, lip_Fx=0.0, lip_Fp=1.0, lip_Gx=K, lip_Gp=0.0)
 
 

@@ -23,7 +23,8 @@ from mfgplan import (AffineNoiseMap, Box, FieldSpec, ModelSpec,
                      solve_by_shooting, solve_master, transformed_model,
                      yosida_apply, yosida_by_transport, HalfspaceModel)
 from conftest import (LQ0_RUN_PARAMS, X0, AnalyticField, baseline_model, box1d,
-                      check_monotone_map, closed_form, coupled_model, sample_solution)
+                      check_monotone_map, closed_form, coupled_model, final_distance,
+                      identity_noise, sample_solution)
 
 T_MIN = 0.2
 
@@ -113,7 +114,7 @@ def coupled_flat_solution():
 def coupled_plane_solution():
     m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2),
                   G=FieldSpec.affine(0.2, 0.0, d=2), lam=0.0,
-                  noise=AffineNoiseMap.identity(2), x0=np.array([0.3, 0.1]),
+                  noise=identity_noise(2), x0=np.array([0.3, 0.1]),
                   alpha=1.0, lip_Fp=1.0, lip_Gx=0.2)
     box = Box(np.array([-1.0, -1.0]), np.array([1.5, 1.5]),
               np.array([60, 60]))
@@ -218,7 +219,7 @@ def test_criterion_08_backward_trajectories():
     details = []
     for t_min in (0.1, 0.05):
         traj = integrate_backward(U, m, [1.0], 1.0, t_min, steps=400)
-        dist = traj.final_distance([X0])
+        dist = final_distance(traj, [X0])
         want = 0.5 * t_min
         defect = check_value_consistency(traj, m)
         ok = ok and abs(dist - want) <= 0.1 * want and defect <= 1e-3
@@ -257,7 +258,7 @@ def test_criterion_09_characteristics_cross_oracle(lq0_solution,
 def test_criterion_10_halfspace_straightening():
     base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                      G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                     noise=AffineNoiseMap.identity(2),
+                     noise=identity_noise(2),
                      x0=np.array([0.5, 0.0]), alpha=1.0, lip_Fx=1.0,
                      lip_Fp=1.0)
     hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))

@@ -1,6 +1,7 @@
 """The names the benchmark in perfbench/ looks up in mfgplan all exist,
-every name mfgplan exports has a caller in the package or the benchmark, and
-the package imports nothing but numpy and the standard library.
+every name mfgplan exports and every function it defines has a caller in the
+package or the benchmark, and the package imports nothing but numpy and the
+standard library.
 
 perfbench/tracing.py wraps its targets by module and attribute name, and
 perfbench/child.py calls mfgplan attributes directly; a renamed or deleted
@@ -22,10 +23,10 @@ import numpy as np
 import pytest
 
 import mfgplan
-from mfgplan import (AffineNoiseMap, Box, FieldSpec, HalfspaceModel, ModelSpec, SolverParams,
-                     extract_limit, penalized_slice, run_penalization, solve_master,
-                     transformed_model, yosida_apply)
-from conftest import baseline_model, box1d
+from mfgplan import (Box, FieldSpec, HalfspaceModel, ModelSpec, SolverParams, extract_limit,
+                     penalized_slice, run_penalization, solve_master, transformed_model,
+                     yosida_apply)
+from conftest import baseline_model, box1d, identity_noise
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # names child.py binds to mfgplan or one of its modules
@@ -119,6 +120,31 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(mfgplan.__all__) - used) == []
+
+
+def _registered(fn):
+    return any(isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "register_field"
+               for dec in fn.decorator_list)
+
+
+def test_every_function_has_a_caller():
+    # every def in the package (dunders and register_field evaluators, which a
+    # model file names, aside) is named as an ast Name or Attribute in the
+    # package or in perfbench/; a helper only tests call lives in tests/conftest.py
+    package = list((PERFBENCH.parent / "src" / "mfgplan").glob("*.py"))
+    defined, used = {}, set()
+    for path in package + list(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and path in package and not _registered(node) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+    assert sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in used) == []
 
 
 def test_package_imports_only_numpy_and_the_standard_library():
@@ -219,7 +245,7 @@ def test_traced_straightening_is_seen(span_recorder):
     # from_log_coordinates, which transformed_model must read when called
     base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                      G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]))
+                     noise=identity_noise(2), x0=np.array([0.5, 0.0]))
     m = transformed_model(HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2)))
     box = Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]), np.array([50, 20]))
     solve_master(m, penalized_slice(m, box, 0.1), SolverParams(t_end=0.05, n_rec=3))

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from mfgplan import characteristics
-from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, HalfspaceModel,
+from mfgplan import (Box, ConfigError, FieldSpec, HalfspaceModel,
                      IntegrationError, ModelSpec, NewtonError, flow_forward, penalized_data,
                      register_field, solve_by_shooting, solve_master, penalized_slice,
                      SolverParams, transformed_model)
 from mfgplan.characteristics import rk4_step
-from conftest import baseline_model, box1d, coupled_model, digest12, jump_model
+from conftest import (baseline_model, box1d, coupled_model, digest12, identity_noise,
+                      jump_model)
 
 COSH1 = 1.543080634815244
 SINH1 = 1.175201193643801
@@ -85,7 +86,7 @@ def nondiagonal_model(d):
                          np.eye(d) + rng.uniform(-0.2, 0.2, (d, d)), c=c, d=d)
     G = FieldSpec.affine(0.5 * np.eye(d) + rng.uniform(-0.2, 0.2, (d, d)),
                          rng.uniform(-0.1, 0.1, (d, d)), c=-c, d=d)
-    return ModelSpec(d=d, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(d),
+    return ModelSpec(d=d, F=F, G=G, lam=0.0, noise=identity_noise(d),
                      x0=np.full(d, 0.5))
 
 
@@ -118,7 +119,7 @@ def test_registered_flow_goes_through_eval_and_keeps_its_bits(monkeypatch):
     G = FieldSpec.affine(np.array([[0.4, -0.3], [0.2, 0.1]]),
                          np.array([[0.0, 0.5], [-0.25, 0.0]]), c=np.array([-0.0, 0.3]), d=2)
     m = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"), G=G, lam=0.0,
-                  noise=AffineNoiseMap.identity(2), x0=np.zeros(2))
+                  noise=identity_noise(2), x0=np.zeros(2))
     z = rng.uniform(0.0, 1.5, size=(5, 2))
     u0 = rng.uniform(-1.0, 1.0, size=(5, 2))
     x, u = flow_forward(m, z, u0, 0.3, rk_steps=20)
@@ -135,7 +136,7 @@ def shifted_model():
     """d = 1 affine F and G, each with a nonzero c."""
     return ModelSpec(d=1, F=FieldSpec.affine(0.3, 1.0, c=0.2, d=1),
                      G=FieldSpec.affine(1.0, -0.5, c=-0.4, d=1), lam=0.0,
-                     noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+                     noise=identity_noise(1), x0=np.array([0.5]))
 
 
 @pytest.mark.parametrize("kind, d", [("coupled", 1), ("coupled", 2), ("coupled", 3),
@@ -175,7 +176,7 @@ def test_registered_shooting_flows_forward(monkeypatch):
                         lambda *a, **k: flows.append(np.shape(a[1])) or orig(*a, **k))
     m = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                   G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                  noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.5]))
+                  noise=identity_noise(2), x0=np.array([0.5, 0.5]))
     U0 = penalized_data(m.x0, 0.2)
     x = np.array([[2.0, 0.7], [2.5, 0.2]])
     got = solve_by_shooting(m, U0, 0.3, x)
@@ -189,7 +190,7 @@ def exploding_model():
     """G = 5000 p: e^(5000 t) overflows long before t = 0.4."""
     return ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
                      G=FieldSpec.affine(0.0, 5000.0, d=1), lam=0.0,
-                     noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+                     noise=identity_noise(1), x0=np.array([0.5]))
 
 
 def test_exploding_affine_shooting_raises(monkeypatch):
@@ -240,7 +241,7 @@ def test_shooting_reads_a_straightened_model_at_x_of_y():
     # the affine blocks would be a wrong answer, so shooting flows the rows
     base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                      G=FieldSpec.affine(0.5, 0.0, d=2), lam=0.0,
-                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]))
+                     noise=identity_noise(2), x0=np.array([0.5, 0.0]))
     m = transformed_model(HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2)))
     assert characteristics._affine_endpoint_map(m, 0.3, 64) == (None, None)
     u = solve_by_shooting(m, penalized_data(m.x0, 0.2), 0.3, np.array([[0.3, 0.2], [-0.5, 0.1]]))
@@ -252,7 +253,7 @@ def test_flow_forward_nonfinite_keeps_last_state():
     # first row's step from u = 1 is the first to turn non-finite
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1),
                   G=FieldSpec.registered("nan_above_one"), lam=0.0,
-                  noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+                  noise=identity_noise(1), x0=np.array([0.5]))
     z, u0 = np.array([[0.3], [0.7]]), np.array([[0.0], [-5.0]])
     with pytest.raises(IntegrationError, match="after step 4 of 8") as exc:
         flow_forward(m, z, u0, 2.0, rk_steps=8)

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import mfgplan
-from mfgplan.cli import main
+from mfgplan import ConfigError
+from mfgplan.cli import load_config, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -187,6 +188,52 @@ def test_empty_eps_schedule_is_config_error(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert "config error" in err and "[planning] eps" in err
         assert not out.exists()
+
+
+# (section, key, value): numbers no solve can use, refused while the config loads;
+# a solve with t_end = nan or inf would never land a record
+NONFINITE = [("solver", "t_end", "nan"), ("solver", "t_end", "inf"),
+             ("solver", "dt_max", "nan"), ("solver", "visc", "nan"),
+             ("box", "lo", "nan"), ("box", "hi", "inf")]
+
+
+@pytest.mark.parametrize("section,key,value", NONFINITE,
+                         ids=["-".join(case) for case in NONFINITE])
+def test_nonfinite_number_is_config_error(tmp_path, section, key, value):
+    cfg, _ = make_config(tmp_path)
+    text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", cfg.read_text(), flags=re.M)
+    assert hits == 1
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be finite"
+                                          if section == "solver" else r"^box lo and hi"):
+        load_config(cfg)
+
+
+# (file edited, edit): what configparser itself refuses, in a run config or a model file
+MALFORMED_INI = {
+    "duplicate-section": ("run.cfg", lambda text: text + "\n[box]\nn = 60\n"),
+    "duplicate-key": ("run.cfg",
+                      lambda text: text.replace("cfl = 0.75\n", "cfl = 0.75\ncfl = 0.5\n")),
+    "duplicate-model-key": ("m.model", lambda text: text + "d = 1\n"),
+    "no-section-header": ("run.cfg", lambda text: "cfl = 0.5\n" + text),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INI))
+def test_malformed_file_is_config_error(tmp_path, capsys, case):
+    name, edit = MALFORMED_INI[case]
+    (tmp_path / "m.model").write_text((CONFIGS / "lq0.model").read_text())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "lq0.cfg").read_text().replace("file = lq0.model", "file = m.model"))
+    path = tmp_path / name
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    kind = "model" if name == "m.model" else "config"
+    assert err.startswith(f"config error: malformed {kind} file: ")
+    assert f"'{path.resolve()}'" in err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_model_file_with_other_keys_is_config_error(tmp_path, capsys):

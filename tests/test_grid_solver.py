@@ -4,6 +4,7 @@ Frozen constants derive from tests/oracles/derive_values.py (closed forms
 cross-checked there by independent fine-step RK4 integration).
 """
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from mfgplan.cli import load_config
 from mfgplan.grid_solver import InterpPlan, write_table
 from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
                       box1d, check_monotone_map, closed_form, coupled_model, digest12,
-                      jump_model, sample_solution)
+                      identity_noise, jump_model, sample_solution, slice_from_fn)
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
 # logistic closed form kappa/((kappa/a0+1)e^{kappa t}-1) with kappa=0.75
@@ -63,7 +64,7 @@ def test_box_dx_is_read_only_and_its_layout_built_once(monkeypatch):
         assert not arr.flags.writeable
     assert np.array_equal(box.dx, [0.5, 0.25])
     lin = lambda t, x: x @ np.array([[2.0, -1.0], [0.5, 3.0]]).T + t
-    slc = Slice.from_fn(box, lambda x: lin(0.0, x))
+    slc = slice_from_fn(box, lambda x: lin(0.0, x))
     field = sample_solution(box, [0.0, 0.5, 1.0], lin).field()
     pts = np.random.default_rng(0).uniform(-1.5, 2.5, size=(20, 2))
     for i, x in enumerate(pts):
@@ -150,7 +151,7 @@ def test_interp_exact_on_linear_including_extrapolation():
     box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([5, 5]))
     A = np.array([[2.0, -1.0], [0.5, 3.0]])
     lin = lambda x: x @ A.T + np.array([0.3, -0.7])
-    sl = Slice.from_fn(box, lin)
+    sl = slice_from_fn(box, lin)
     inside = np.array([[0.31, 0.77], [0.5, 0.5]])
     outside = np.array([[-0.4, 0.5], [1.3, 1.9]])  # linear extension applies
     for pts in (inside, outside):
@@ -267,7 +268,7 @@ def test_interp_indices_stay_on_the_grid_far_outside(dim):
     assert plan.idx.min() >= 0 and plan.idx.max() < np.prod(box.shape)
     A = rng.normal(size=(dim, dim))
     lin = lambda x: x @ A.T + 0.25
-    got = plan.apply(Slice.from_fn(box, lin).values)
+    got = plan.apply(slice_from_fn(box, lin).values)
     assert np.all(np.isfinite(got))
     assert np.allclose(got[:len(near)], lin(near), rtol=1e-9, atol=1e-9)
 
@@ -283,6 +284,19 @@ def test_solver_params_validation():
         SolverParams(n_rec=1)
     with pytest.raises(ConfigError, match="visc"):
         SolverParams(visc=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_solver_and_box_numbers_are_config_errors(value):
+    # nan passes every comparison the checks make, a nan or infinite t_end lands
+    # no record (the march never ends), and a nan dt_max or visc drops the step
+    # cap or the viscosity: each is refused before any solve
+    for key in ("visc", "t_end", "dt_max"):
+        with pytest.raises(ConfigError, match=rf"^solver\.{key} must be finite"):
+            SolverParams(**{key: value})
+    for lo, hi in (([value, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, value])):
+        with pytest.raises(ConfigError, match="^box lo and hi must be finite"):
+            Box(np.array(lo), np.array(hi), np.array([4, 4]))
 
 
 def test_baseline_closed_form_and_refinement():
@@ -305,7 +319,7 @@ def test_identity_relabeling_matches_no_jump():
     # S = Id, e = 0 makes the jump term vanish identically
     m0 = baseline_model()
     m1 = ModelSpec(d=1, F=m0.F, G=m0.G, lam=2.0,
-                   noise=AffineNoiseMap.identity(1), x0=m0.x0, alpha=1.0,
+                   noise=identity_noise(1), x0=m0.x0, alpha=1.0,
                    lip_Fp=1.0)
     params = SolverParams(t_end=0.3, n_rec=31)
     box = box1d(n=100)
@@ -330,10 +344,10 @@ def test_pure_source_is_time_exact():
     # F = 0 removes advection; forward Euler integrates dU/dt = x exactly
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1),
                   G=FieldSpec.affine(1.0, 0.0, d=1), lam=0.0,
-                  noise=AffineNoiseMap.identity(1), x0=np.zeros(1), alpha=0.0,
+                  noise=identity_noise(1), x0=np.zeros(1), alpha=0.0,
                   lip_Gx=1.0)
     box = box1d(n=50)
-    u0 = Slice.from_fn(box, lambda x: 0.5 * x)
+    u0 = slice_from_fn(box, lambda x: 0.5 * x)
     sol = solve_master(m, u0, SolverParams(t_end=0.4, n_rec=5))
     X = box.nodes()
     for i, t in enumerate(sol.times):
@@ -383,7 +397,7 @@ def test_viscosity_continuity():
     # so march a bent monotone profile instead
     m = baseline_model()
     box = box1d(n=100)
-    u0 = Slice.from_fn(box, lambda x: x + 0.3 * np.sin(2.0 * x))
+    u0 = slice_from_fn(box, lambda x: x + 0.3 * np.sin(2.0 * x))
     ref = solve_master(m, u0, SolverParams(t_end=0.3, n_rec=31))
     diffs = []
     for visc in (0.02, 0.01):
@@ -520,7 +534,7 @@ BATCH_CASES = {
     # before and after each compaction
     "2d-registered": (ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                                 G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                                noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0])),
+                                noise=identity_noise(2), x0=np.array([0.5, 0.0])),
                       Box(np.array([0.0, -1.0]), np.array([2.0, 1.0]), np.array([40, 20])),
                       (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
 }
@@ -564,7 +578,7 @@ def test_viscous_march_values_pinned_to_round_off():
     # start makes the viscous term count
     m = coupled_model(K=1.0, d=2, x0=[0.5, 0.5])
     box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 30))
-    u0 = Slice.from_fn(box, lambda x: (x - 0.5) / 0.2 + 0.3 * np.sin(2.0 * x[:, ::-1]))
+    u0 = slice_from_fn(box, lambda x: (x - 0.5) / 0.2 + 0.3 * np.sin(2.0 * x[:, ::-1]))
     sol = solve_master(m, u0, SolverParams(t_end=0.3, n_rec=4, visc=0.02))
     assert sol.meta["steps"] == 42
     np.testing.assert_allclose(sol.values[-1][VISC_2D_NODES], VISC_2D_END, rtol=1e-14, atol=0.0)
@@ -683,6 +697,150 @@ def test_step_views_built_once_per_compaction(monkeypatch):
     assert len(steps) == 2
 
 
+def test_operator_built_once_per_solve(monkeypatch):
+    # L binds F and G, evaluates a p-free G and plans the jump gather when the
+    # march starts, whatever its step and compaction count
+    builds = []
+    operator = grid_solver._operator
+    monkeypatch.setattr(grid_solver, "_operator",
+                        lambda *args: builds.append(args) or operator(*args))
+    for case in ("1d-baseline", "2d-jump", "2d-registered"):
+        m, box, eps, params = BATCH_CASES[case]
+        slices = [penalized_slice(m, box, e) for e in eps]
+        for u0 in (slices, slices[0]):
+            builds.clear()
+            sol = solve_master(m, u0, params)
+            assert sol.meta["steps"] > params.n_rec
+            assert len(builds) == 1
+
+
+# The step's operator L applied to a smooth non-affine U* without marching,
+# against the exact (F(x, U*) . grad) U* - G(x, U*) + lam (U* - S^T U*(S x + e))
+# - nu Lap U*. Every part of L is exact on a field affine in x; on U* the upwind
+# differences and the face ghosts are first order, and the jump gather is second
+# order while S x + e stays inside the box. The 2-D case (F = p) misses by
+# 0.0500 / 0.0556 (interior / all nodes) at n = 40 and by 0.0265 / 0.0280 at
+# n = 80.
+
+def _manufactured(x):
+    """U*(x), its Jacobian J[..., i, a] = dU*_i/dx_a and its Laplacian, for dim 1 to 3."""
+    x1 = x[..., 0]
+    z = np.zeros_like(x1)
+    if x.shape[-1] == 1:
+        U, J, lap = [np.sin(x1) + 0.3 * x1 ** 2], [[np.cos(x1) + 0.6 * x1]], [0.6 - np.sin(x1)]
+    elif x.shape[-1] == 2:
+        x2 = x[..., 1]
+        U = [np.sin(x1) + 0.3 * x2 ** 2, x1 * x2]
+        J = [[np.cos(x1), 0.6 * x2], [x2, x1]]
+        lap = [0.6 - np.sin(x1), z]
+    else:
+        x2, x3 = x[..., 1], x[..., 2]
+        U = [np.sin(x1) + 0.3 * x2 ** 2, x1 * x3, np.cos(x3) + 0.2 * x2 * x3]
+        J = [[np.cos(x1), 0.6 * x2, z], [x3, z, x1], [z, 0.2 * x3, 0.2 * x2 - np.sin(x3)]]
+        lap = [0.6 - np.sin(x1), z, -np.cos(x3)]
+    return np.stack(U, -1), np.stack([np.stack(row, -1) for row in J], -2), np.stack(lap, -1)
+
+
+def _operator_model(F, lam, S, e):
+    """A model with drift F, a dense G with Gp != 0, and jumps at rate lam to S x + e."""
+    d = len(e)
+    rng = np.random.default_rng(d)
+    G = FieldSpec.affine(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, (d, d)),
+                         c=rng.uniform(-1, 1, d), d=d)
+    assert G.form == "dense"
+    return ModelSpec(d=d, F=F, G=G, lam=lam, noise=AffineNoiseMap(np.array(S, float), e),
+                     x0=np.full(d, 0.5))
+
+
+def _apply_operator(m, n, visc=0.0):
+    """L(U*) and the CFL rate from _operator on [-1, 2]^d with n cells per axis, and the box."""
+    box = Box(np.full(m.d, -1.0), np.full(m.d, 2.0), np.full(m.d, n))
+    U = _manufactured(box.nodes())[0][None]
+    w = grid_solver._step_views(grid_solver._workspace(1, box.shape, m.d), U)
+    rhs, rate = grid_solver._operator(m, box, visc, m.d)(U, w)
+    return rhs[0].copy(), rate, box
+
+
+def _operator_errors(m, n, visc=0.0):
+    """Max |L(U*) - exact| over the interior nodes and over all nodes."""
+    rhs, rate, box = _apply_operator(m, n, visc)
+    x = box.nodes()
+    U, J, lap = _manufactured(x)
+    F = m.eval_F(x, U)
+    assert rate.shape == (1,)
+    assert rate[0] == pytest.approx(np.max(np.sum(np.abs(F) / box.dx, axis=-1)), rel=1e-15)
+    exact = (np.einsum("...ia,...a->...i", J, F) - m.eval_G(x, U)
+             + m.lam * (U - _manufactured(m.noise(x))[0] @ m.noise.S) - visc * lap)
+    err = np.abs(rhs - exact).max(axis=-1)
+    return err[(slice(1, -1),) * m.d].max(), err.max()
+
+
+S_2D = [[0.5, 0.1], [-0.1, 0.5]]
+# (F, lam, S, e, the two cell counts compared): S x + e inside the box in each
+OPERATOR_CASES = {
+    "1d-jump": (FieldSpec.affine(0.3, 1.0, c=0.1, d=1), 1.5, [[0.6]], [0.2], (40, 80)),
+    "2d-jump": (FieldSpec.affine(0.0, 1.0, d=2), 2.0, S_2D, [0.1, -0.05], (40, 80)),
+    "3d-jump": (FieldSpec.affine([[0.1, 0.0, 0.05], [0.0, -0.1, 0.0], [0.05, 0.0, 0.1]],
+                                 [[1.0, 0.1, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 1.0]], d=3),
+                1.0, [[0.5, 0.1, 0.0], [-0.1, 0.4, 0.1], [0.0, 0.1, 0.5]], [0.1, -0.05, 0.05],
+                (20, 40)),
+    "2d-registered": (FieldSpec.registered("capped_x1_burgers"), 2.0, S_2D, [0.1, -0.05],
+                      (40, 80)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+def test_operator_is_first_order_on_a_smooth_field(case):
+    F, lam, S, e, (n, n2) = OPERATOR_CASES[case]
+    m = _operator_model(F, lam, S, np.array(e))
+    box = Box(np.full(m.d, -1.0), np.full(m.d, 2.0), np.full(m.d, n))
+    y = m.noise(box.nodes())
+    assert np.all((y >= box.lo) & (y <= box.hi))
+    (inner, whole), (inner2, whole2) = _operator_errors(m, n), _operator_errors(m, n2)
+    assert inner / inner2 >= 1.8 and whole / whole2 >= 1.9
+    if case == "2d-jump":
+        assert (round(inner, 4), round(whole, 4), round(inner2, 4), round(whole2, 4)) == \
+            (0.0500, 0.0556, 0.0265, 0.0280)
+
+
+def test_operator_jump_off_the_box_reads_the_clamped_extrapolation():
+    # relabeled points off the box read U through the clamped linear
+    # extrapolation, a boundary rule that does not converge to U*(S x + e): the
+    # all-node miss of L(U*) stays at 0.90, 0.80, 0.76 and 0.73 for n = 20 to
+    # 160. What L adds for the jump is lam (U - S^T Slice(box, U).eval(S x + e))
+    S = np.array([[1.2, 0.1], [-0.1, 1.1]])
+    m = _operator_model(FieldSpec.affine(0.0, 1.0, d=2), 2.0, S, np.array([0.3, -0.2]))
+    no_jump = dataclasses.replace(m, lam=0.0)
+    for n in (20, 40):
+        rhs, _, box = _apply_operator(m, n)
+        y = m.noise(box.nodes())
+        assert not np.all((y >= box.lo) & (y <= box.hi))
+        U = _manufactured(box.nodes())[0]
+        jump = m.lam * (U - Slice(box, U).eval(y) @ S)
+        np.testing.assert_allclose(rhs - _apply_operator(no_jump, n)[0], jump,
+                                   rtol=0.0, atol=1e-14 * np.abs(rhs).max())
+
+
+def test_operator_viscous_term_vanishes_across_the_faces():
+    # against the linear ghost the second difference across a face is zero up to
+    # round-off, so L drops nu Lap U* there along the face normal: the interior
+    # converges, the faces do not (all-node miss 0.127, 0.100 and 0.086 at
+    # n = 40, 80 and 160 in 2-D with nu = 0.05)
+    F, lam, S, e, (n, n2) = OPERATOR_CASES["2d-jump"]
+    m = _operator_model(F, lam, S, np.array(e))
+    assert _operator_errors(m, n, visc=0.05)[0] / _operator_errors(m, n2, visc=0.05)[0] >= 1.8
+    # at a node where every axis is at a face (both ends in 1-D, the corners in
+    # 2-D) L with nu and L without agree to round-off
+    for case in ("1d-jump", "2d-jump"):
+        F, lam, S, e, (n, _) = OPERATOR_CASES[case]
+        m = _operator_model(F, lam, S, np.array(e))
+        rhs, _, box = _apply_operator(m, n, visc=0.05)
+        corners = (slice(None, None, n),) * m.d
+        scale = 0.05 * np.abs(_manufactured(box.nodes())[0]).max() / np.min(box.dx) ** 2
+        np.testing.assert_allclose(rhs[corners], _apply_operator(m, n)[0][corners],
+                                   rtol=0.0, atol=16 * np.finfo(float).eps * scale)
+
+
 def test_batch_members_wait_on_every_record():
     # members step at different rates, each on its own clock, yet each lands
     # on every record time and takes its own serial step count
@@ -707,11 +865,11 @@ def test_waiting_member_is_not_stepped():
     # the records its own solve keeps, and the constant member run on
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1),
                   G=FieldSpec.registered("nan_below"), lam=0.0,
-                  noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+                  noise=identity_noise(1), x0=np.array([0.5]))
     box = box1d(n=60)
     params = SolverParams(t_end=0.3, n_rec=31)
     fast = Slice(box, np.full((61, 1), 5.0))
-    slow = Slice.from_fn(box, lambda x: 0.6 * (x - 0.5))
+    slow = slice_from_fn(box, lambda x: 0.6 * (x - 0.5))
     batch = solve_master(m, [fast, slow], params)
     assert [s.meta["steps"] for s in batch.members] == [60]
     assert_same_bits(batch.members[0], solve_master(m, fast, params))
@@ -748,7 +906,7 @@ def test_blowup_guard_reports_partial():
 def test_blowup_partial_counts_its_steps():
     # F = -p: the slope (x - x0)/(eps - t) blows up near t = eps
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1), G=FieldSpec.affine(0.0, 0.0, d=1),
-                  lam=0.0, noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+                  lam=0.0, noise=identity_noise(1), x0=np.array([0.5]))
     box, params = box1d(n=60), SolverParams(t_end=0.3, n_rec=31)
     with pytest.raises(BlowupError) as exc:
         solve_master(m, penalized_slice(m, box, 0.1), params)
@@ -785,7 +943,7 @@ def growth_model(K, speed=0.0):
     """F = speed, G = K p: carried at a constant speed, U grows by the factor 1 + K dt a step."""
     return ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, c=speed, d=1),
                      G=FieldSpec.affine(0.0, K, d=1),
-                     lam=0.0, noise=AffineNoiseMap.identity(1), x0=np.array([0.5]))
+                     lam=0.0, noise=identity_noise(1), x0=np.array([0.5]))
 
 
 # (dt_max, visc, limit that sets the failing step, its dt, steps per record interval):
@@ -909,7 +1067,7 @@ def test_field_and_slice_eval_take_any_leading_shape(lq0_solution):
 def test_node_jacobians_exact_on_linear():
     box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([6, 6]))
     A = np.array([[1.5, -0.5], [2.0, 0.25]])
-    sl = Slice.from_fn(box, lambda x: x @ A.T)
+    sl = slice_from_fn(box, lambda x: x @ A.T)
     J = node_jacobians(sl)
     assert J.shape == (7, 7, 2, 2)
     assert np.allclose(J, A, atol=1e-12)

@@ -18,7 +18,8 @@ from mfgplan import (AffineNoiseMap, Box, ConfigError,
                      chain_rule_defect, check_factorization, check_inward_flow,
                      check_log_blowup, eval_field, from_log_coordinates, integrate_backward,
                      run_penalization, to_log_coordinates, transformed_model)
-from conftest import AnalyticField, assert_batch_matches_single_solves
+from conftest import (AnalyticField, assert_batch_matches_single_solves, final_distance,
+                      identity_noise)
 
 E_INV = 0.36787944117144233
 
@@ -28,7 +29,7 @@ def capped_model(d=2, x0_1=0.5, lam=0.0, noise=None):
     x0[0] = x0_1
     return ModelSpec(d=d, F=FieldSpec.registered("capped_x1_burgers"),
                      G=FieldSpec.affine(0.0, 0.0, d=d), lam=lam,
-                     noise=noise if noise is not None else AffineNoiseMap.identity(d),
+                     noise=noise if noise is not None else identity_noise(d),
                      x0=x0, alpha=1.0, lip_Fx=1.0, lip_Fp=1.0)
 
 
@@ -157,7 +158,7 @@ def test_factorization_and_inward_flow():
     # constant outward drift fails the wall condition
     bad = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, c=-1.0, d=1),
                     G=FieldSpec.affine(0.0, 0.0, d=1), lam=0.0,
-                    noise=AffineNoiseMap.identity(1), x0=np.ones(1), alpha=1.0)
+                    noise=identity_noise(1), x0=np.ones(1), alpha=1.0)
     assert check_inward_flow(bad) == pytest.approx(-1.0)
 
 
@@ -167,7 +168,7 @@ def test_factorization_and_inward_flow_pinned():
     # sampling cube's half-width
     F = FieldSpec.affine([[0.5, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], c=[0.1, 0.0], d=2)
     base = ModelSpec(d=2, F=F, G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]), alpha=1.0)
+                     noise=identity_noise(2), x0=np.array([0.5, 0.0]), alpha=1.0)
     hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))
     assert check_factorization(hm) == 2.0819171219479764
     assert check_inward_flow(base) == -1.8910839699884785
@@ -281,13 +282,13 @@ def test_seam_region_matches_direct_solve():
 def test_trajectories_stay_off_wall(derived_solution):
     base = derived_halfspace().base
     m_flow = ModelSpec(d=2, F=base.F, G=base.G, lam=0.0,
-                       noise=AffineNoiseMap.identity(2), x0=base.x0,
+                       noise=identity_noise(2), x0=base.x0,
                        alpha=1.0)
     traj = integrate_backward(derived_solution, m_flow, [0.08, 0.4], 0.6, 0.05,
                               steps=300)
     assert float(np.min(traj.states[:, 0])) > 0.0
     # backward paths pull toward the target (0.5, 0)
-    assert traj.final_distance(base.x0) < np.linalg.norm(
+    assert final_distance(traj, base.x0) < np.linalg.norm(
         np.array([0.08, 0.4]) - base.x0)
 
 

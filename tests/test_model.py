@@ -10,7 +10,8 @@ from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      check_couple_monotone, eval_field, load_model, register_field,
                      registered_names)
 from mfgplan.model import bind_field
-from conftest import affine_couple_eigenvalue, baseline_model, box1d, check_monotone_map
+from conftest import (affine_couple_eigenvalue, baseline_model, box1d, check_monotone_map,
+                      identity_noise)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -65,7 +66,7 @@ def test_bind_matches_eval_bit_for_bit():
         x = rng.uniform(-2.0, 2.0, size=(7, 6, d))
         x[1::2, ::3] = -0.0
         m = ModelSpec(d=d, F=F, G=FieldSpec.registered("capped_x1_burgers"), lam=0.0,
-                      noise=AffineNoiseMap.identity(d), x0=np.zeros(d))
+                      noise=identity_noise(d), x0=np.zeros(d))
         F_at, G_at = m.bind(x)
         for k in range(3):  # the bound evaluators are reused across calls
             p = rng.uniform(-2.0, 2.0, size=x.shape)
@@ -105,7 +106,7 @@ def test_bind_matches_eval_bit_for_bit():
         if F is tiny:
             p[:, 2::3] = -1e-200  # (-1e-200) (1e-200) underflows to -0
         p[:, 100] = [[v] for v in ([-0.0, 0.0, -1.0, 1.0] * 3)]  # at the x = 0 node
-        m = ModelSpec(d=1, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(1),
+        m = ModelSpec(d=1, F=F, G=G, lam=0.0, noise=identity_noise(1),
                       x0=np.zeros(1))
         for at, ev in zip(m.bind(x), (m.eval_F, m.eval_G)):
             out = np.full(p.shape, np.nan)
@@ -131,11 +132,11 @@ def test_one_row_evaluates_like_its_batch_row():
         F, G = (FieldSpec.affine(rng.uniform(-2.0, 2.0, size=(d, d)),
                                  rng.uniform(-2.0, 2.0, size=(d, d)) / 3.0, c=c[i], d=d)
                 for i in range(2))
-        m = ModelSpec(d=d, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(d), x0=np.zeros(d))
+        m = ModelSpec(d=d, F=F, G=G, lam=0.0, noise=identity_noise(d), x0=np.zeros(d))
         # x = p = -0 and c = -0 on every component
         zero = FieldSpec.affine(rng.uniform(-2.0, 2.0, size=(d, d)),
                                 rng.uniform(-2.0, 2.0, size=(d, d)), c=-0.0, d=d)
-        mz = ModelSpec(d=d, F=zero, G=zero, lam=0.0, noise=AffineNoiseMap.identity(d),
+        mz = ModelSpec(d=d, F=zero, G=zero, lam=0.0, noise=identity_noise(d),
                        x0=np.zeros(d))
         x, p = rng.uniform(-2.0, 2.0, size=(2, 9, d))
         x[::2] = -0.0
@@ -188,7 +189,7 @@ def test_noise_map_and_model_keep_read_only_copies():
 
 
 def test_noise_map_scale_is_s_only_for_s_times_identity():
-    assert AffineNoiseMap.identity(3).scale == 1.0
+    assert identity_noise(3).scale == 1.0
     assert AffineNoiseMap(-1.0, 0.0).scale == -1.0
     assert AffineNoiseMap(np.zeros((2, 2)), np.zeros(2)).scale == 0.0
     for S in (np.diag([0.5, 0.6]), np.array([[0.5, 0.1], [0.0, 0.5]]),
@@ -282,7 +283,7 @@ def test_couple_pure_source_fails_second_modulus():
     # so any positive alpha-in-the-second-variable claim must fail
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1),
                   G=FieldSpec.affine(1.0, 0.0, d=1), lam=0.0,
-                  noise=AffineNoiseMap.identity(1), x0=np.zeros(1),
+                  noise=identity_noise(1), x0=np.zeros(1),
                   alpha=1.0, lip_Gx=1.0)
     rep = check_couple_monotone(m, box1d(n=10))
     assert rep.passed
@@ -293,7 +294,7 @@ def test_couple_pure_source_fails_second_modulus():
 def test_couple_antimonotone_fails():
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1),
                   G=FieldSpec.affine(0.0, 0.0, d=1), lam=0.0,
-                  noise=AffineNoiseMap.identity(1), x0=np.zeros(1), alpha=0.0,
+                  noise=identity_noise(1), x0=np.zeros(1), alpha=0.0,
                   lip_Fp=1.0)
     rep = check_couple_monotone(m, box1d(n=10))
     assert not rep.passed
@@ -313,7 +314,7 @@ def test_affine_eigenvalue_agrees_with_sampling():
         F = FieldSpec.affine(blocks[2], blocks[3], d=2)
         lam_min = affine_couple_eigenvalue(F, G)
         m = ModelSpec(d=2, F=F, G=G, lam=0.0,
-                      noise=AffineNoiseMap.identity(2), x0=np.zeros(2),
+                      noise=identity_noise(2), x0=np.zeros(2),
                       alpha=0.0)
         rep = check_couple_monotone(m, box, rng_seed=11)
         if lam_min >= 0:
@@ -343,7 +344,7 @@ def test_sampled_monotonicity_minima_are_pinned():
     box = Box(np.array([-1.0, -0.5]), np.array([1.5, 2.0]), np.array([10, 10]))
     F = FieldSpec.affine([[0.2, 0.1], [-0.3, 0.1]], [[1.0, 0.4], [0.1, 0.8]], d=2)
     G = FieldSpec.affine([[0.9, -0.2], [0.3, 0.5]], [[0.1, 0.0], [0.2, 0.0]], d=2)
-    m = ModelSpec(d=2, F=F, G=G, lam=0.0, noise=AffineNoiseMap.identity(2),
+    m = ModelSpec(d=2, F=F, G=G, lam=0.0, noise=identity_noise(2),
                   x0=np.zeros(2), alpha=0.3)
     rep = check_couple_monotone(m, box)
     assert (rep.min_pairing, rep.min_second_modulus) == (
@@ -379,7 +380,7 @@ def test_model_file_round_trip(tmp_path):
 def test_registered_field_round_trip(tmp_path):
     m = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                   G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                  noise=AffineNoiseMap.identity(2), x0=np.array([0.6, 0.0]),
+                  noise=identity_noise(2), x0=np.array([0.6, 0.0]),
                   alpha=0.0, lip_Fx=1.0, lip_Fp=1.0)
     path = tmp_path / "m.model"
     path.write_text("[model]\nd = 2\nlambda = 0\nx0 = 0.6,0\nS = 1,0; 0,1\ne = 0,0\n"

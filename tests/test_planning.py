@@ -24,7 +24,8 @@ from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError,
                      yosida_field)
 from mfgplan.cli import load_config, main
 from conftest import (X0, AnalyticField, assert_same_bits, baseline_model, box1d,
-                      check_monotone_map, closed_form, coupled_model, digest12, jump_model)
+                      check_monotone_map, closed_form, coupled_model, digest12, identity_noise,
+                      jump_model)
 
 # gap law for the 4-term schedule at t_min = 0.2 (box [-1, 2], x0 = 0.5)
 GAP_LAW = (1.25, 1.25, 1.0)
@@ -201,7 +202,7 @@ def test_certificate_bound_baseline(lq0_solution):
 def test_certificate_horizon_stiff_model():
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
                   G=FieldSpec.affine(1.0, 0.0, d=1), lam=0.0,
-                  noise=AffineNoiseMap.identity(1), x0=np.zeros(1), alpha=1.0,
+                  noise=identity_noise(1), x0=np.zeros(1), alpha=1.0,
                   lip_Fx=0.0, lip_Fp=1000.0, lip_Gx=1.0, lip_Gp=0.0)
     t_f = certificate_horizon(m, 1.0)
     assert abs(t_f - STIFF_T_F) <= 1e-6
@@ -256,7 +257,7 @@ def test_certificate_horizon_is_the_first_failure():
 def test_certificate_requires_alpha():
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
                   G=FieldSpec.affine(0.0, 0.0, d=1), lam=0.0,
-                  noise=AffineNoiseMap.identity(1), x0=np.zeros(1), alpha=0.0,
+                  noise=identity_noise(1), x0=np.zeros(1), alpha=0.0,
                   lip_Fp=1.0)
     with pytest.raises(ConfigError):
         certificate_horizon(m, 1.0)
@@ -298,7 +299,7 @@ def test_coupled_two_dimensional_gaps_decrease():
     # no closed form: continuation with source 0.2 x in d = 2
     m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2),
                   G=FieldSpec.affine(0.2, 0.0, d=2), lam=0.0,
-                  noise=AffineNoiseMap.identity(2),
+                  noise=identity_noise(2),
                   x0=np.array([0.3, 0.1]), alpha=1.0,
                   lip_Fx=0.0, lip_Fp=1.0, lip_Gx=0.2, lip_Gp=0.0)
     box = Box(np.array([-1.0, -1.0]), np.array([1.5, 1.5]), np.array([60, 60]))
@@ -336,7 +337,7 @@ def test_extract_limit_2d_jump_bits_pinned():
 def focusing_model():
     """F = -p, G = 0 in d = 1: the slope (x - x0)/(eps - t) blows up near t = eps."""
     return ModelSpec(d=1, F=FieldSpec.affine(0.0, -1.0, d=1), G=FieldSpec.affine(0.0, 0.0, d=1),
-                     lam=0.0, noise=AffineNoiseMap.identity(1), x0=np.array([X0]))
+                     lam=0.0, noise=identity_noise(1), x0=np.array([X0]))
 
 
 def test_failure_semantics_are_serial():
@@ -389,7 +390,7 @@ def test_failure_of_the_first_eps_leaves_no_survivor():
 def test_failure_of_a_middle_eps_in_2d_is_serial():
     # F = -p in 2-D: eps 0.2 and 0.1 blow up before t_end, 1.0 and 0.8 do not
     m = ModelSpec(d=2, F=FieldSpec.affine(0.0, -1.0, d=2), G=FieldSpec.affine(0.0, 0.0, d=2),
-                  lam=0.0, noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.5]))
+                  lam=0.0, noise=identity_noise(2), x0=np.array([0.5, 0.5]))
     box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 20))
     params = SolverParams(t_end=0.3, n_rec=16)
     run = run_penalization(m, box, (1.0, 0.8, 0.2, 0.1), params, t_min=0.1)
@@ -421,7 +422,7 @@ def _jump_2d_case():
 def _halfspace_case():
     base = ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                      G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                     noise=AffineNoiseMap.identity(2), x0=np.array([0.5, 0.0]),
+                     noise=identity_noise(2), x0=np.array([0.5, 0.0]),
                      alpha=1.0, lip_Fx=1.0, lip_Fp=1.0)
     hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))
     return (transformed_model(hm), Box(np.array([-3.0, -1.0]), np.array([2.0, 1.0]),

@@ -9,12 +9,12 @@ whose paths are x(t) = x0 cosh(t) + C sinh(t).
 import numpy as np
 import pytest
 
-from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec,
+from mfgplan import (Box, ConfigError, FieldSpec,
                      IntegrationError, ModelSpec, SolverParams, Trajectory,
                      TrajectoryExitError, check_planning_convergence, check_value_consistency,
                      integrate_backward, penalized_slice, solve_master)
 from conftest import (X0, AnalyticField, baseline_model, box1d, closed_form, coupled_model,
-                      jump_model, sample_solution)
+                      final_distance, identity_noise, jump_model, sample_solution)
 
 
 def limit_field(box=None):
@@ -37,8 +37,8 @@ def test_path_matches_closed_form():
 def test_final_distance_halves_with_t_min():
     m = baseline_model()
     U = limit_field()
-    d1 = integrate_backward(U, m, [1.0], 1.0, 0.1, steps=400).final_distance([X0])
-    d2 = integrate_backward(U, m, [1.0], 1.0, 0.05, steps=400).final_distance([X0])
+    d1 = final_distance(integrate_backward(U, m, [1.0], 1.0, 0.1, steps=400), [X0])
+    d2 = final_distance(integrate_backward(U, m, [1.0], 1.0, 0.05, steps=400), [X0])
     assert abs(d1 - 0.05) <= 2e-3
     assert abs(d2 - 0.025) <= 2e-3
     assert 1.8 <= d1 / d2 <= 2.2
@@ -184,7 +184,7 @@ def test_batch_equals_serial_paths_2d():
     F = FieldSpec.affine(rng.uniform(-0.3, 0.3, (3, 3)),
                          np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3)), c=rng.uniform(-0.5, 0.5, 3), d=3)
     m3 = ModelSpec(d=3, F=F, G=FieldSpec.affine(0.0, 0.0, d=3), lam=0.0,
-                   noise=AffineNoiseMap.identity(3), x0=np.full(3, 0.5))
+                   noise=identity_noise(3), x0=np.full(3, 0.5))
     U = AnalyticField(lambda t, x: (x - m3.x0) / (t + 0.5))
     assert_columns_are_serial_paths(U, m3, rng.uniform(-0.5, 1.5, (9, 3)), 1.0, 0.05, 40)
 
@@ -222,7 +222,7 @@ def test_single_path_checks_refuse_a_batch():
     m = baseline_model()
     starts = np.array([[1.0], [0.2], [0.8]])
     paths = integrate_backward(limit_field(), m, starts, 1.0, 0.05, steps=40)
-    for call, what in ((lambda: paths.final_distance([X0]), "final_distance"),
+    for call, what in ((lambda: final_distance(paths, [X0]), "final_distance"),
                        (lambda: check_planning_convergence(paths, [X0]),
                         "check_planning_convergence"),
                        (lambda: check_value_consistency(paths, m), "check_value_consistency")):
@@ -231,7 +231,7 @@ def test_single_path_checks_refuse_a_batch():
             call()
     for i, x1 in enumerate(starts):
         one = integrate_backward(limit_field(), m, x1, 1.0, 0.05, steps=40)
-        assert paths.path(i).final_distance([X0]) == one.final_distance([X0])
+        assert final_distance(paths.path(i), [X0]) == final_distance(one, [X0])
         assert check_planning_convergence(paths.path(i), [X0]) == \
             check_planning_convergence(one, [X0])
         assert check_value_consistency(paths.path(i), m) == check_value_consistency(one, m)

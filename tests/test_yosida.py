@@ -14,7 +14,8 @@ from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      yosida_by_transport, yosida_field)
 from mfgplan import yosida
 from mfgplan.yosida import _newton_batch
-from conftest import baseline_model, box1d, closed_form, jump_model, sample_solution
+from conftest import (baseline_model, box1d, closed_form, identity_noise, jump_model,
+                      sample_solution, slice_from_fn)
 
 X0 = 0.5
 
@@ -54,7 +55,7 @@ def test_resolvent_nan_is_not_converged():
     x = np.array([[0.3], [-1.2]])
     with pytest.raises(NewtonError, match="1 points"):
         resolvent(lambda y: np.where(y > 0, np.nan, y), 0.25, x)
-    sl = Slice.from_fn(box1d(n=40), lambda y: y ** 3)
+    sl = slice_from_fn(box1d(n=40), lambda y: y ** 3)
     with pytest.raises(NewtonError, match="1 points"):
         resolvent(sl, 0.25, np.array([[0.3], [np.nan]]))
 
@@ -74,7 +75,7 @@ def test_transport_matches_apply_on_numeric_slice():
     # the two constructions share no code path: one inverts by Newton, the
     # other transports along the vector conservation flow
     box = box1d(n=200)
-    sl = Slice.from_fn(box, lambda x: (x - X0) / 0.6)
+    sl = slice_from_fn(box, lambda x: (x - X0) / 0.6)
     for delta in (0.1, 0.25):
         direct = yosida_apply(sl, delta, box.node_list())
         moved = yosida_by_transport(sl, delta)
@@ -84,7 +85,7 @@ def test_transport_matches_apply_on_numeric_slice():
 
 def test_transport_multistep_exact_on_affine():
     box = box1d(n=100)
-    sl = Slice.from_fn(box, lambda x: (x - X0) / 0.4)
+    sl = slice_from_fn(box, lambda x: (x - X0) / 0.4)
     for steps in (1, 2, 5):
         out = yosida_by_transport(sl, 0.3, burgers_steps=steps)
         want = (box.nodes() - X0) / 0.7
@@ -97,7 +98,7 @@ def test_transport_divergence_fails_cleanly(slope):
     # At slopes 25 and 100 it overflows before the iteration cap; that must
     # raise no numpy warning (pyproject turns warnings into errors) and still
     # report a finite last gap.
-    steep = Slice.from_fn(box1d(n=100), lambda x: (x - X0) * slope)
+    steep = slice_from_fn(box1d(n=100), lambda x: (x - X0) * slope)
     with pytest.raises(NewtonError) as err:
         yosida_by_transport(steep, 0.2, burgers_steps=1)
     assert np.isfinite(err.value.residual)
@@ -107,7 +108,7 @@ def test_transport_needs_contraction():
     # s * Lip = delta * 10 > 1 with one substep (test_transport_divergence_fails_cleanly);
     # four substeps contract
     box = box1d(n=100)
-    steep = Slice.from_fn(box, lambda x: (x - X0) / 0.1)
+    steep = slice_from_fn(box, lambda x: (x - X0) / 0.1)
     out = yosida_by_transport(steep, 0.2, burgers_steps=4)
     want = (box.nodes() - X0) / 0.3
     assert float(np.max(np.abs(out.values - want))) <= 1e-8
@@ -116,7 +117,7 @@ def test_transport_needs_contraction():
 def test_regularized_slope_capped_by_inverse_delta():
     # slope of the input is 100; the output slope must stay below 1/delta
     box = box1d(n=400)
-    steep = Slice.from_fn(box, lambda x: (x - X0) / 0.01)
+    steep = slice_from_fn(box, lambda x: (x - X0) / 0.01)
     delta = 0.25
     V = yosida_by_transport(steep, delta, burgers_steps=40)
     J = node_jacobians(V)
@@ -138,7 +139,7 @@ def test_yosida_field_time_zero_slice(lq0_solution):
 
 def test_invert_shift_round_trip():
     box = box1d(n=100)
-    v = Slice.from_fn(box, lambda x: (x - X0) / 0.5)
+    v = slice_from_fn(box, lambda x: (x - X0) / 0.5)
     targets = np.linspace(-0.5, 1.5, 7)[:, None]
     w, ok, _ = invert_shift(v, 0.3, targets)
     assert np.all(ok)
@@ -218,7 +219,7 @@ def test_resolvent_and_invert_shift_match_an_unmerged_newton():
     # the start rides in the call of its probes; on a 2-D slice, where the
     # field is interpolated row by row, every byte stays as in separate calls
     box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 24))
-    v = Slice.from_fn(box, lambda x: np.stack([x[:, 0] ** 3 + x[:, 0] + 0.2 * x[:, 1],
+    v = slice_from_fn(box, lambda x: np.stack([x[:, 0] ** 3 + x[:, 0] + 0.2 * x[:, 1],
                                                np.sinh(x[:, 1]) - 0.1 * x[:, 0]], axis=1))
     x = np.concatenate([box.node_list()[::7],
                         np.random.default_rng(4).uniform(-1.5, 2.5, size=(40, 2))])
@@ -314,7 +315,7 @@ def test_eqv_residual_identity_relabeling_bracket_vanishes():
     from mfgplan import AffineNoiseMap, FieldSpec, ModelSpec
     m0 = baseline_model()
     m1 = ModelSpec(d=1, F=m0.F, G=m0.G, lam=2.0,
-                   noise=AffineNoiseMap.identity(1), x0=m0.x0, alpha=1.0,
+                   noise=identity_noise(1), x0=m0.x0, alpha=1.0,
                    lip_Fp=1.0)
     delta = 0.25
     times = np.linspace(0.2, 0.6, 21)
