@@ -21,9 +21,8 @@ from .yosida import (ResidualField, eqV_residual, invert_shift, resolvent,
                      yosida_apply, yosida_by_transport, yosida_field)
 from .planning import (EstimateReport, ExtractedLimit, GraphLimitDiagnostic,
                        PenalizationRun, certificate_horizon, cross_monotonicity,
-                       estimate_certificate, extract_limit, extracted_field,
-                       graph_limit_diagnostic, penalized_slice,
-                       run_penalization)
+                       estimate_certificate, extract_limit,
+                       graph_limit_diagnostic, penalized_slice, run_penalization)
 from .trajectories import (PlanningConvergence, Trajectory,
                            check_planning_convergence,
                            check_value_consistency, integrate_backward)
@@ -46,7 +45,7 @@ __all__ = [
     "check_couple_monotone", "check_factorization", "check_inward_flow",
     "check_log_blowup", "check_planning_convergence", "check_value_consistency",
     "cross_monotonicity", "eqV_residual", "estimate_certificate", "eval_field",
-    "extract_limit", "extracted_field", "flow_forward", "from_log_coordinates",
+    "extract_limit", "flow_forward", "from_log_coordinates",
     "graph_limit_diagnostic", "integrate_backward", "invert_shift",
     "lipschitz_norm", "load_model", "model_from_items", "node_jacobians",
     "penalized_data", "penalized_slice", "register_field", "registered_names",

@@ -26,8 +26,8 @@ from .halfspace import (HalfspaceModel, PullbackField, chain_rule_defect, check_
 from .model import (FIELD_KEYS, ModelSpec, _parse_field, check_couple_monotone, check_keys,
                     load_model, model_from_items, parse_number, parse_numbers, read_ini)
 from .planning import (PenalizationRun, check_eps_schedule, cross_monotonicity,
-                       estimate_certificate, extracted_field, graph_limit_diagnostic,
-                       penalized_slice, run_penalization)
+                       estimate_certificate, graph_limit_diagnostic, penalized_slice,
+                       run_penalization)
 from .trajectories import (check_planning_convergence, check_value_consistency,
                            integrate_backward)
 from .yosida import eqV_residual, yosida_field
@@ -196,7 +196,7 @@ def _single_solve(cfg: RunConfig):
 def _continuation(cfg: RunConfig, model: ModelSpec) -> PenalizationRun:
     """The penalization run of model on the config's box, schedule and controls."""
     return run_penalization(model, cfg.box, cfg.eps_schedule, cfg.params,
-                            t_min=cfg.t_min, delta=cfg.delta, conv_tol=cfg.conv_tol)
+                            t_min=cfg.t_min, conv_tol=cfg.conv_tol)
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
@@ -349,10 +349,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     sol = run.smallest_eps_solution
     snap = list(dict.fromkeys(sol.snap(times)))  # distinct records, in the order given
     cert = estimate_certificate(cfg.model, sol, snap)
-    ext = extracted_field(run, snap)
-    diag = graph_limit_diagnostic(ext.field(), cfg.model.x0, M, snap)
-    cross = cross_monotonicity(sol.field(), ext.field(), max(snap),
-                               n_pairs=n_pairs, rng_seed=cfg.seed)
+    field = sol.field()
+    diag = graph_limit_diagnostic(field, cfg.model.x0, M, snap)
+    cross = cross_monotonicity(field, field, max(snap), n_pairs=n_pairs, rng_seed=cfg.seed)
     checks = {
         "couple_monotonicity": mono.passed,
         "penalization_cauchy": run.converged,
@@ -404,6 +403,9 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     x = np.asarray(parse_numbers(x_text, "probe x"))
     if x.shape != (cfg.model.d,):
         raise ConfigError(f"probe x must have {cfg.model.d} coordinates")
+    if not np.all((cfg.box.lo <= x) & (x <= cfg.box.hi)):  # off the grid: an extrapolation
+        raise ConfigError(f"probe x = {x_text.strip()} lies outside the box " + " x ".join(
+            f"[{lo:.12g}, {hi:.12g}]" for lo, hi in zip(cfg.box.lo, cfg.box.hi)))
     if cfg.model.lam > 0:
         raise ConfigError("probe compares against characteristics; lambda must be 0")
     eps, sol = _single_solve(cfg)

@@ -346,11 +346,11 @@ def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
 # through views that are built once per compaction, never in a step.
 
 def _operator(m: ModelSpec, box: Box, visc, d):
-    """The step's operator L(U, w) -> (rhs, rate) of model m on box, built once per solve.
+    """The step's operator L(w) -> (rhs, rate) of model m on box, built once per solve.
 
     rhs, in w.rhs, is (F . grad) U - visc Lap U - G + lam (U - S^T U(S x + e)) and rate the
-    max over nodes of sum_a |F_a|/dx_a, per member of U, whose views w holds (see
-    _step_views). F and G are bound to the nodes, a p-free G is evaluated and the jump's
+    max over nodes of sum_a |F_a|/dx_a, per member of U = w.U, the array whose views w holds
+    (see _step_views). F and G are bound to the nodes, a p-free G is evaluated and the jump's
     gather is planned here, once: the relabeled points are fixed in time.
 
     Transport, per axis: D[i] = U[i] - U[i-1], and past each face the difference to the
@@ -371,7 +371,8 @@ def _operator(m: ModelSpec, box: Box, visc, d):
         else (np.multiply, m.noise.scale)
     dx, lam = box.dx, m.lam
 
-    def L(U, w):
+    def L(w):
+        U = w.U
         Fv = F_at(U, w.F)  # a registered F ignores out: use the array it returns
         speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
         for a in range(1, box.dim):
@@ -415,7 +416,8 @@ def _workspace(E, shape, d):
 
 
 def _step_views(ws, U):
-    """The buffers of ws viewed at the n members of U, and the views a step writes through.
+    """The buffers of ws viewed at the n members of U, U itself, and the views a step
+    reads and writes through.
 
     stencil holds, per axis, U's two shifted halves and edge nodes, the difference
     table D's face, interior and face slices, D with its backward and forward halves
@@ -427,7 +429,7 @@ def _step_views(ws, U):
     n, d = U.shape[0], U.shape[-1]
     w = SimpleNamespace(**{k: [b[:n] for b in v] if isinstance(v, list) else v[:n]
                            for k, v in ws.items()})
-    w.stencil = []
+    w.U, w.stencil = U, []
     for ax, D in enumerate(w.diff, start=1):
         Dm, Dp = _along(D, ax, None, -1), _along(D, ax, 1)
         edges = (_along(U, ax, 0, 1), _along(U, ax, 1, 2),
@@ -522,7 +524,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     reach = target - 1e-14  # a step ending this close to its record lands on it
     while n:
         it += 1
-        rhs, rate = L(U, w)
+        rhs, rate = L(w)
         dt_cfl = cfl / np.maximum(rate, 1e-12)
         dt = np.fmin(dt_cfl, dt_cap)  # fmin: min() skips nan too
         t_next = t + dt

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import penalized_data
-from .errors import BlowupError, ConfigError, NewtonError
+from .errors import BlowupError, ConfigError
 from .grid_solver import (Box, GridSolution, Slice, SolverParams, lipschitz_norm,
                           solve_master)
 from .model import ModelSpec
@@ -176,20 +176,6 @@ def extract_limit(run: PenalizationRun, t) -> ExtractedLimit:
     return ExtractedLimit(slice=Slice(base.box, U), failed=(~ok).reshape(base.box.shape))
 
 
-def extracted_field(run: PenalizationRun, times) -> GridSolution:
-    """Assemble extracted limit slices at several times into one solution.
-
-    Raises NewtonError at the first time with a node whose inversion failed.
-    """
-    times = np.asarray(sorted(float(t) for t in times))
-    lims = [extract_limit(run, t) for t in times]
-    for t, lim in zip(times, lims):
-        if lim.failed.any():
-            raise NewtonError(f"extraction at t={t:g} left {lim.failed.sum()} of {lim.failed.size}"
-                              " nodes whose shift inversion did not converge")
-    return GridSolution(box=run.box, times=times, values=np.stack([e.values for e in lims]))
-
-
 @dataclass(eq=False)
 class GraphLimitDiagnostic:
     """Sublevel diameters sup{|x - x0| : |U(t,x)| <= M} over a time list."""
@@ -208,6 +194,8 @@ def graph_limit_diagnostic(U, x0, M, times) -> GraphLimitDiagnostic:
     For fields converging to the planning limit the diameter decays linearly
     in t; the diagnostic fits diameter ~ slope * t and passes when every
     consecutive halving of t at least halves the diameter (ratio >= 1.8).
+    A time t = 0 is measured but pairs with no other and adds nothing to the
+    fit; with no positive time the slope is nan.
     """
     if M <= 0:
         raise ConfigError("level M must be > 0")
@@ -223,10 +211,10 @@ def graph_limit_diagnostic(U, x0, M, times) -> GraphLimitDiagnostic:
         vals = U.eval(t, nodes)
         sub = np.linalg.norm(vals, axis=1) <= M
         diams[i] = float(np.max(dist[sub])) if np.any(sub) else 0.0
-    slope = float(np.sum(diams * times) / np.sum(times ** 2))
+    slope = float(np.sum(diams * times) / np.sum(times ** 2)) if np.any(times > 0) else np.nan
     ratios = []
     for i in range(len(times) - 1):
-        if abs(times[i] / times[i + 1] - 2.0) <= 0.05 and diams[i + 1] > 0:
+        if times[i + 1] > 0 and abs(times[i] / times[i + 1] - 2.0) <= 0.05 and diams[i + 1] > 0:
             ratios.append(diams[i] / diams[i + 1])
     ratios = np.asarray(ratios)
     passed = bool(ratios.size) and bool(np.all(ratios >= 1.8))

@@ -29,7 +29,7 @@ from .model import ModelSpec
 # are compared; the iteration cap only stops a row that stalls.
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 60
 # invert_shift counts a row converged within this looser residual; extract_limit
-# flags the other rows as failed nodes, and extracted_field refuses them.
+# flags the other rows as failed nodes.
 SHIFT_ACCEPT_TOL = 1e-8
 # yosida_by_transport's contraction stops once no foot point moves further
 # than TRANSPORT_TOL; the iteration cap, or a non-finite move, stops one that

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from mfgplan import (AffineNoiseMap, Box, FieldSpec, ModelSpec,
+from mfgplan import (AffineNoiseMap, Box, FieldSpec, GridSolution, ModelSpec,
                      PullbackField, SolverParams, chain_rule_defect,
                      check_inward_flow, check_log_blowup,
                      check_value_consistency, cross_monotonicity, eqV_residual,
-                     extract_limit, extracted_field, flow_forward,
+                     extract_limit, flow_forward,
                      graph_limit_diagnostic, integrate_backward,
                      lipschitz_norm, node_jacobians, penalized_data,
                      penalized_slice, run_penalization,
@@ -201,11 +201,11 @@ def test_criterion_06_penalization_cauchy_gaps():
 def test_criterion_07_uniqueness_cross_checks(lq0_run):
     sol = lq0_run.smallest_eps_solution
     _register_schedule("reference schedule index", lq0_run, LQ0_RUN_PARAMS)
-    ext = extracted_field(lq0_run, [0.3, 0.5, 0.8])
-    cross = cross_monotonicity(sol.field(), ext.field(), 0.5, n_pairs=10000,
-                               rng_seed=0)
     a = extract_limit(dataclasses.replace(lq0_run, delta=0.1), 0.5)
     b = extract_limit(dataclasses.replace(lq0_run, delta=0.25), 0.5)
+    ext = GridSolution(box=lq0_run.box, times=[0.5], values=b.values[None])
+    cross = cross_monotonicity(sol.field(), ext.field(), 0.5, n_pairs=10000,
+                               rng_seed=0)
     dgap = float(np.max(np.abs(a.values - b.values)))
     ok = cross >= -1e-3 and dgap <= 1e-3
     _verdict(7, "uniqueness cross checks", ok,

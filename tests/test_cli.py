@@ -500,6 +500,18 @@ def test_probe_malformed_point(tmp_path, capsys):
     assert "comma-separated numbers" in capsys.readouterr().err
 
 
+def test_probe_refuses_a_point_outside_the_box(tmp_path, capsys):
+    # off the box the grid value would be the clamped linear extrapolation
+    # (8.93111897956 at x = 5, against shooting's 8.99648574775); a face is inside
+    args = ["probe", "--config", str(CONFIGS / "lq0.cfg"), "--out", str(tmp_path / "probe"),
+            "--t", "0.5", "--x"]
+    assert main(args + ["5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: probe x = 5 lies outside the box [-1, 2]" in err
+    assert main(args + ["2"]) == 0
+    assert capsys.readouterr().out.startswith("grid value at (t=0.5, x=2): ")
+
+
 def test_probe_rejects_jumps(tmp_path, capsys):
     path = tmp_path / "jump.cfg"
     path.write_text("[model]\nd = 1\nF.Mp = 1\nlambda = 1\nS = 0.5\n"

@@ -757,7 +757,7 @@ def _apply_operator(m, n, visc=0.0):
     box = Box(np.full(m.d, -1.0), np.full(m.d, 2.0), np.full(m.d, n))
     U = _manufactured(box.nodes())[0][None]
     w = grid_solver._step_views(grid_solver._workspace(1, box.shape, m.d), U)
-    rhs, rate = grid_solver._operator(m, box, visc, m.d)(U, w)
+    rhs, rate = grid_solver._operator(m, box, visc, m.d)(w)
     return rhs[0].copy(), rate, box
 
 

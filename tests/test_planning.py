@@ -7,6 +7,7 @@ stiff model below is 1.5/|DpF| from the second compatibility inequality.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -16,9 +17,9 @@ import pytest
 
 from mfgplan import planning
 from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError,
-                     FieldSpec, HalfspaceModel, ModelSpec, NewtonError, SolverParams,
-                     certificate_horizon, cross_monotonicity,
-                     estimate_certificate, extract_limit, extracted_field,
+                     FieldSpec, GridSolution, HalfspaceModel, ModelSpec, NewtonError,
+                     SolverParams, certificate_horizon, cross_monotonicity,
+                     estimate_certificate, extract_limit,
                      eqV_residual, graph_limit_diagnostic, penalized_slice,
                      run_penalization, solve_master, transformed_model, yosida_apply,
                      yosida_field)
@@ -139,35 +140,19 @@ def test_unrecorded_time_is_config_error_naming_the_nearest_record():
             call()
 
 
-def test_extracted_field_assembly(lq0_run):
-    field = extracted_field(lq0_run, [0.4, 0.2, 0.8])
-    assert np.allclose(field.times, [0.2, 0.4, 0.8])
-    sol = lq0_run.smallest_eps_solution
-    for t in (0.2, 0.4, 0.8):
-        gap = float(np.max(np.abs(field.slice_at(t).values
-                                  - sol.slice_at(t).values)))
-        assert gap <= 1e-6
+def test_verify_runs_no_extraction(tmp_path, monkeypatch):
+    # verify checks the field it solved: no resolvent or shift inversion runs,
+    # so neither can fail it
+    def refuse(*args, **kwargs):
+        raise NewtonError("verify must not extract")
 
-
-def test_extracted_field_refuses_failed_nodes(lq0_run, tmp_path, capsys, monkeypatch):
-    # a node whose shift inversion did not converge must not reach verify's
-    # graph-limit and cross-monotonicity checks
-    invert = planning.invert_shift
-
-    def fail_one_node(v, delta, targets):
-        w, ok, vw = invert(v, delta, targets)
-        ok = ok.copy()
-        ok[3] = False
-        return w, ok, vw
-
-    monkeypatch.setattr(planning, "invert_shift", fail_one_node)
-    with pytest.raises(NewtonError, match=r"^extraction at t=0\.2 left 1 of 401 nodes"):
-        extracted_field(lq0_run, [0.4, 0.2])
+    monkeypatch.setattr(planning, "yosida_apply", refuse)
+    monkeypatch.setattr(planning, "invert_shift", refuse)
+    out = tmp_path / "verify"
     assert main(["verify", "--config", str(CONFIGS / "lq0.cfg"), "--quiet",
-                 "--out", str(tmp_path / "verify")]) == 1
-    assert "numerical failure: extraction at t=0.2 left 1 of 201 nodes" in \
-        capsys.readouterr().err
-    assert not (tmp_path / "verify" / "report.json").exists()
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "curves.csv").read_bytes()).hexdigest() == \
+        "f128ed5f8fade2754fbd7cc69278c641a94780b902eb63f52a04263f8680c513"
 
 
 def test_graph_diagnostic_exact_on_limit_field():
@@ -184,6 +169,19 @@ def test_graph_diagnostic_exact_on_limit_field():
     # doubling the level doubles every diameter
     diag2 = graph_limit_diagnostic(U, np.array([X0]), 4.0, (0.2, 0.1))
     assert np.allclose(diag2.diameters, 2.0 * diag.diameters[1:3], atol=4e-2)
+
+
+def test_graph_diagnostic_skips_a_zero_time():
+    # t = 0 pairs with no other time and adds nothing to the slope fit
+    U = AnalyticField(lambda t, x: closed_form(t, x, eps=0.01), box=box1d(n=600))
+    x0 = np.array([X0])
+    with_zero = graph_limit_diagnostic(U, x0, 2.0, (0.4, 0.2, 0.0))
+    without = graph_limit_diagnostic(U, x0, 2.0, (0.4, 0.2))
+    assert with_zero.halving_ratios.tobytes() == without.halving_ratios.tobytes()
+    assert with_zero.slope == without.slope and with_zero.passed and without.passed
+    assert with_zero.diameters[:2].tobytes() == without.diameters.tobytes()
+    alone = graph_limit_diagnostic(U, x0, 2.0, (0.0,))
+    assert math.isnan(alone.slope) and alone.halving_ratios.size == 0 and not alone.passed
 
 
 def test_graph_diagnostic_flags_nonshrinking():
@@ -289,7 +287,8 @@ def test_cross_monotonicity_identical_and_shifted():
 
 def test_cross_monotonicity_solver_vs_extraction(lq0_run):
     sol = lq0_run.smallest_eps_solution
-    ext = extracted_field(lq0_run, [0.3, 0.5, 0.8])
+    ext = GridSolution(box=lq0_run.box, times=[0.5],
+                       values=extract_limit(lq0_run, 0.5).values[None])
     val = cross_monotonicity(sol.field(), ext.field(), 0.5, n_pairs=10000,
                              rng_seed=0)
     assert val >= -1e-3
