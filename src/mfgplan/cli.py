@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +37,8 @@ from .yosida import eqV_residual, yosida_field
 # The keys of each section but [model]; any other key or section is a ConfigError.
 _SECTION_KEYS = {
     "run": ("seed", "out"), "box": ("lo", "hi", "n"), "solve": ("eps",),
-    "solver": ("cfl", "visc", "t_end", "dt_max", "n_rec"),
-    "planning": ("eps", "delta", "t_min", "conv_tol"), "yosida": ("delta", "times"),
+    "solver": ("cfl", "t_end", "dt_max", "n_rec"),
+    "planning": ("eps", "t_min", "conv_tol"), "yosida": ("delta", "times"),
     "trajectories": ("starts", "t1", "t_min", "steps"), "probe": ("t", "x"),
     "verify": ("M", "n_pairs", "tol_mono", "cross_tol", "times"),
     "halfspace": ("t_fit", "x1_min", "x1_max", "n_tail", *(f"ftilde.{k}" for k in FIELD_KEYS)),
@@ -60,6 +61,14 @@ class _Section(dict):
 
     def numbers(self, key, default=None, kind=float) -> list:
         return parse_numbers(self.get(key, default), self.label(key), kind)
+
+    def nonneg(self, key, default, strict=False) -> float:
+        """A finite number >= 0, or > 0 when strict: a nan passes or fails every check."""
+        v = self.number(key, default)
+        if not (math.isfinite(v) and (v > 0 if strict else v >= 0)):
+            raise ConfigError(f"{self.label(key)} must be finite and {'>' if strict else '>='} "
+                              f"0, got {v:.12g}")
+        return v
 
     def time(self, key, default, t_end) -> float:
         return _in_horizon(self.number(key, default), self.label(key), t_end)
@@ -94,7 +103,6 @@ class RunConfig:
     box: Box
     params: SolverParams
     eps_schedule: tuple
-    delta: float
     t_min: float
     conv_tol: float
     seed: int
@@ -137,7 +145,6 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     ssec = _Section(cp, "solver")
     params = SolverParams(
         cfl=ssec.number("cfl", "0.75"),
-        visc=ssec.number("visc", "0"),
         t_end=ssec.number("t_end", "1.0"),
         dt_max=ssec.number("dt_max", "0.01"),
         n_rec=ssec.number("n_rec", "101", int),
@@ -146,9 +153,8 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     psec = _Section(cp, "planning")
     # every command solves at least the schedule's last, smallest eps
     eps_schedule = check_eps_schedule(psec.numbers("eps", "0.4, 0.2, 0.1"))
-    delta = psec.number("delta", "0.25")
     t_min = psec.number("t_min", "0.2")
-    conv_tol = psec.number("conv_tol", "1e-2")
+    conv_tol = psec.nonneg("conv_tol", "1e-2")
 
     rsec = _Section(cp, "run")
     seed = rsec.number("seed", "0", int) if seed_override is None else seed_override
@@ -156,8 +162,7 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
         raise ConfigError(f"[run] seed (or --seed) must be >= 0, got {seed}")
     out = Path(rsec.get("out", "out")) if out_override is None else Path(out_override)
     return RunConfig(model=model, box=box, params=params, eps_schedule=eps_schedule,
-                     delta=delta, t_min=t_min, conv_tol=conv_tol, seed=seed,
-                     out=out, quiet=quiet, cp=cp)
+                     t_min=t_min, conv_tol=conv_tol, seed=seed, out=out, quiet=quiet, cp=cp)
 
 
 def _jsonable(obj):
@@ -238,7 +243,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 
 def cmd_yosida(cfg: RunConfig, args) -> int:
     sec = _Section(cfg.cp, "yosida")
-    delta = sec.number("delta", cfg.delta)
+    delta = sec.nonneg("delta", "0.25")
     if "times" not in sec and cfg.params.n_rec < 3:
         raise ConfigError("[solver] n_rec must be >= 3 for yosida without [yosida] times")
     eps, sol = _single_solve(cfg)
@@ -331,12 +336,12 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     sec = _Section(cfg.cp, "verify")
-    M = sec.number("M", "2.0")
+    M = sec.nonneg("M", "2.0", strict=True)
     n_pairs = sec.number("n_pairs", "2000", int)
     if n_pairs < 1:
         raise ConfigError(f"[verify] n_pairs must be >= 1, got {n_pairs}")
-    tol_mono = sec.number("tol_mono", "1e-4")
-    cross_tol = sec.number("cross_tol", "1e-3")
+    tol_mono = sec.nonneg("tol_mono", "1e-4")
+    cross_tol = sec.nonneg("cross_tol", "1e-3")
     times = sec.numbers("times", "0.8, 0.4, 0.2")
     times = [t for t in times if cfg.t_min - 1e-12 <= t <= cfg.params.t_end + 1e-12]
     if not times:

@@ -29,7 +29,7 @@ class BlowupError(PlanningError):
     """The time marcher exceeded the overflow guard.
 
     Carries the last stable time, the partial solution, the steps taken (the failing
-    one included), the failing dt and what set it: 'cfl', 'dt_max', 'visc' or 'record'.
+    one included), the failing dt and what set it: 'cfl', 'dt_max' or 'record'.
     """
 
     def __init__(self, message, t_last, partial=None, steps=None, dt=None, limit=None):

@@ -2,24 +2,24 @@
 
 Solves, forward in t on an axis-aligned box,
 
-    dU/dt + (F(x,U) . grad_x) U + lambda (U - S^T U(S x + e)) = G(x,U) + nu Lap U,
+    dU/dt + (F(x,U) . grad_x) U + lambda (U - S^T U(S x + e)) = G(x,U),
     U(0, x) = U0(x),
 
-where U(t, x) is an R^d valued field, the advection velocity F(x, U) is shared
-by every component of U, and nu >= 0 is an optional artificial viscosity.
+where U(t, x) is an R^d valued field and the advection velocity F(x, U) is
+shared by every component of U.
 
 Scheme: first-order upwind differences per axis against the common velocity,
 forward Euler in time with an adaptive step
 
-    dt = min(dt_max, cfl / max_nodes sum_a |F_a|/dx_a, cfl dx_min^2 / (2 d nu)),
+    dt = min(dt_max, cfl / max_nodes sum_a |F_a|/dx_a),
 
 which reduces to cfl*dx_min/max|F| in one dimension. A step is U -= dt L(U),
-where L, built once per solve by _operator, returns (F . grad) U - nu Lap U - G
-+ lambda (U - S^T U(S x + e)) and the CFL rate, differencing U once per axis
-for the upwind pick and the viscous term alike. Values outside the box (upwind
-ghost nodes, relabeled points S x + e, interpolation queries) come from clamped
-linear extrapolation off the two outermost nodes of each axis, which is what
-the unclamped multilinear weight formula produces on the clamped boundary cell.
+where L, built once per solve by _operator, returns (F . grad) U - G
++ lambda (U - S^T U(S x + e)) and the CFL rate, differencing U once per axis.
+Values outside the box (upwind ghost nodes, relabeled points S x + e,
+interpolation queries) come from clamped linear extrapolation off the two
+outermost nodes of each axis, which is what the unclamped multilinear weight
+formula produces on the clamped boundary cell.
 The march aborts when any |U| exceeds OVERFLOW_GUARD or is nan.
 """
 
@@ -231,7 +231,6 @@ class SolverParams:
     """Marcher controls."""
 
     cfl: float = 0.75
-    visc: float = 0.0
     t_end: float = 1.0
     dt_max: float = 0.01
     n_rec: int = 101
@@ -239,8 +238,6 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError("solver.cfl must lie in (0, 1]")
-        if not (math.isfinite(self.visc) and self.visc >= 0):
-            raise ConfigError("solver.visc must be finite and >= 0")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ConfigError("solver.t_end must be finite and > 0")
         if not (math.isfinite(self.dt_max) and self.dt_max > 0):
@@ -345,10 +342,10 @@ def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
 # array axis a + 1, and writes every step into the buffers of one workspace
 # through views that are built once per compaction, never in a step.
 
-def _operator(m: ModelSpec, box: Box, visc, d):
+def _operator(m: ModelSpec, box: Box, d):
     """The step's operator L(w) -> (rhs, rate) of model m on box, built once per solve.
 
-    rhs, in w.rhs, is (F . grad) U - visc Lap U - G + lam (U - S^T U(S x + e)) and rate the
+    rhs, in w.rhs, is (F . grad) U - G + lam (U - S^T U(S x + e)) and rate the
     max over nodes of sum_a |F_a|/dx_a, per member of U = w.U, the array whose views w holds
     (see _step_views). F and G are bound to the nodes, a p-free G is evaluated and the jump's
     gather is planned here, once: the relabeled points are fixed in time.
@@ -356,8 +353,8 @@ def _operator(m: ModelSpec, box: Box, visc, d):
     Transport, per axis: D[i] = U[i] - U[i-1], and past each face the difference to the
     ghost node 2 U[0] - U[1] or 2 U[-1] - U[-2], rounded as such (the interior difference
     next to it is equal only in exact arithmetic). Node i's backward and forward differences
-    are D[i] and D[i+1], and its second difference D[i+1] - D[i]. The upwind pick runs per
-    component of U, so no inner loop is only d long.
+    are D[i] and D[i+1]. The upwind pick runs per component of U, so no inner loop is only
+    d long.
     """
     nodes = box.nodes()
     F_at, G_at = m.bind(nodes)
@@ -379,7 +376,7 @@ def _operator(m: ModelSpec, box: Box, visc, d):
             speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
         rate = speed.reshape(len(U), -1).max(axis=1)
         w.rhs.fill(0.0)
-        for a, (ahead, behind, edges, (lo, inner, hi), D, Dm, Dp, comps) in enumerate(w.stencil):
+        for a, (ahead, behind, edges, (lo, inner, hi), D, comps) in enumerate(w.stencil):
             u0, u1, un, un1 = edges  # U[0], U[1], U[-1], U[-2]
             np.subtract(ahead, behind, out=inner)
             np.subtract(u0, np.subtract(np.multiply(u0, 2.0, out=lo), u1, out=lo), out=lo)
@@ -391,8 +388,6 @@ def _operator(m: ModelSpec, box: Box, visc, d):
                 np.copyto(pick, Dp_i)
                 np.copyto(pick, Dm_i, where=pos)
                 adv += np.multiply(pick, Fa, out=pick)
-            if visc > 0:
-                w.rhs -= np.multiply(np.subtract(Dp, Dm, out=w.pick), visc / dx[a], out=w.pick)
         if G_fixed is None:
             w.rhs -= G_at(U, w.G)
         elif not G_zero:
@@ -420,8 +415,8 @@ def _step_views(ws, U):
     reads and writes through.
 
     stencil holds, per axis, U's two shifted halves and edge nodes, the difference
-    table D's face, interior and face slices, D with its backward and forward halves
-    Dm and Dp, and per component of U its (pick, Dm, Dp, rhs) views. col spreads a
+    table D's face, interior and face slices, D, and per component of U its (pick,
+    Dm, Dp, rhs) views, Dm and Dp being D's backward and forward halves. col spreads a
     per-member dt over a member's values; G_flat and pick_flat are G and pick shaped
     (n, nodes, d) for the jump gather. U is updated in place between compactions,
     so its views hold.
@@ -436,8 +431,7 @@ def _step_views(ws, U):
                  _along(U, ax, -1), _along(U, ax, -2, -1))
         parts = (_along(D, ax, 0, 1), _along(D, ax, 1, -1), _along(D, ax, -1))
         comps = [(w.pick[..., i], Dm[..., i], Dp[..., i], w.rhs[..., i]) for i in range(d)]
-        w.stencil.append((_along(U, ax, 1), _along(U, ax, None, -1), edges, parts, D, Dm, Dp,
-                          comps))
+        w.stencil.append((_along(U, ax, 1), _along(U, ax, None, -1), edges, parts, D, comps))
     w.col = (n,) + (1,) * (U.ndim - 1)
     flat = (n, math.prod(U.shape[1:-1]), d)
     w.G_flat, w.pick_flat = w.G.reshape(flat), w.pick.reshape(flat)
@@ -489,10 +483,10 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     rec = np.empty((E - keep, params.n_rec) + U.shape[1:])
     rec[:, 0] = U[keep:]
     ws = _workspace(E, box.shape, U.shape[-1])
-    L = _operator(m, box, params.visc, U.shape[-1])
+    L = _operator(m, box, U.shape[-1])
 
     meta = {  # meta_record adds the box and d
-        "cfl": params.cfl, "visc": params.visc, "dt_max": params.dt_max,
+        "cfl": params.cfl, "dt_max": params.dt_max,
         "t_end": params.t_end, "n_rec": params.n_rec, "lambda": m.lam,
         "aborted": False, "steps": 0,
     }
@@ -512,9 +506,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         for e in range(live):
             on_record(e, 0, U[e])
 
-    dt_visc = params.cfl * float(np.min(box.dx)) ** 2 / (2.0 * box.dim * params.visc) \
-        if params.visc > 0 else np.inf
-    cfl, n_rec, dt_cap = params.cfl, params.n_rec, min(params.dt_max, dt_visc)
+    cfl, dt_max, n_rec = params.cfl, params.dt_max, params.n_rec
     # row r of U is member rows[r] at time t[r], short of record k[r]. An iteration
     # in which no member lands on a record and none blows up only marches; records
     # are written, and rows leave and are compacted, in its event branch alone
@@ -526,7 +518,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         it += 1
         rhs, rate = L(w)
         dt_cfl = cfl / np.maximum(rate, 1e-12)
-        dt = np.fmin(dt_cfl, dt_cap)  # fmin: min() skips nan too
+        dt = np.fmin(dt_cfl, dt_max)  # fmin: min() skips nan too
         t_next = t + dt
         hit = t_next >= reach
         event = hit.any()
@@ -536,8 +528,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         if not np.abs(U, out=w.pick).max() <= OVERFLOW_GUARD:  # nan fails too
             ok = w.pick.reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD
             r = int(np.argmin(ok))
-            limit = "record" if hit[r] else "dt_max" if dt[r] == params.dt_max \
-                else "cfl" if dt[r] == dt_cfl[r] else "visc"
+            limit = "record" if hit[r] else "dt_max" if dt[r] == dt_max else "cfl"
             fail(int(rows[r]), f"solution exceeded the overflow guard at t={t[r] + dt[r]:.6g}",
                  int(k[r]), float(t[r]), steps=it, dt=float(dt[r]), limit=limit)
             ok[r:] = False  # rows hold members in order: every later one is dropped too

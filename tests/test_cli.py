@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import mfgplan
-from mfgplan import ConfigError
-from mfgplan.cli import load_config, main
+from mfgplan import ConfigError, SolverParams
+from mfgplan.cli import _SECTION_KEYS, load_config, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,14 +42,12 @@ n = {n}
 
 [solver]
 cfl = {cfl}
-visc = 0
 t_end = 1.0
 dt_max = 0.01
 n_rec = 51
 
 [planning]
 eps = {eps}
-delta = 0.25
 t_min = 0.2
 conv_tol = 10
 
@@ -77,7 +75,7 @@ def test_solve_happy_path(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["eps"] == 0.0125
     assert not meta["aborted"]
-    assert set(meta) == {"box", "n_times", "d", "cfl", "visc", "dt_max", "t_end", "n_rec",
+    assert set(meta) == {"box", "n_times", "d", "cfl", "dt_max", "t_end", "n_rec",
                          "lambda", "aborted", "steps", "eps"}  # the box once, not as box_*
     assert "wrote" in capsys.readouterr().out
 
@@ -109,7 +107,7 @@ def test_bad_cfl_names_field(tmp_path, capsys):
 # (command, section, key): each gets a malformed number
 BAD_NUMBERS = [
     ("solve", "box", "n"), ("solve", "solver", "cfl"), ("solve", "solver", "n_rec"),
-    ("solve", "planning", "delta"), ("solve", "run", "seed"), ("solve", "solve", "eps"),
+    ("solve", "run", "seed"), ("solve", "solve", "eps"),
     ("yosida", "yosida", "delta"),
     ("traject", "trajectories", "t1"), ("traject", "trajectories", "t_min"),
     ("traject", "trajectories", "steps"),
@@ -128,6 +126,10 @@ OUT_OF_RANGE = [
     ("halfspace", "halfspace", "x1_min", "0.95"), ("halfspace", "halfspace", "n_tail", "0"),
     ("halfspace", "halfspace", "n_tail", "1"), ("solve", "run", "seed", "-1"),
     ("verify", "verify", "n_pairs", "0"),
+    # a nan tolerance or level passes or fails every check it is compared in
+    ("plan", "planning", "conv_tol", "nan"), ("verify", "verify", "M", "nan"),
+    ("verify", "verify", "tol_mono", "nan"), ("verify", "verify", "cross_tol", "nan"),
+    ("yosida", "yosida", "delta", "nan"),
 ]
 BAD_INPUTS = [(*case, "abc") for case in BAD_NUMBERS] + OUT_OF_RANGE
 
@@ -135,7 +137,7 @@ BAD_INPUTS = [(*case, "abc") for case in BAD_NUMBERS] + OUT_OF_RANGE
 @pytest.mark.parametrize("command,section,key,value", BAD_INPUTS, ids=[
     "-".join(case[:3]) + ("" if case[3] == "abc" else f"={case[3]}") for case in BAD_INPUTS])
 def test_malformed_number_is_config_error(tmp_path, capsys, command, section, key, value):
-    cfg, _ = make_config(tmp_path)
+    cfg, out = make_config(tmp_path)
     text = cfg.read_text()
     if f"[{section}]" in text:
         text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
@@ -146,6 +148,7 @@ def test_malformed_number_is_config_error(tmp_path, capsys, command, section, ke
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not out.exists()
 
 
 # (command, section, key): a misspelled key, or a section the CLI does not
@@ -156,7 +159,7 @@ UNKNOWN_KEYS = [
     ("solve", "solve", "eps_"), ("yosida", "yosida", "time"),
     ("traject", "trajectories", "start"), ("halfspace", "halfspace", "ftilde.M"),
     ("verify", "verify", "tolmono"), ("probe", "probe", "xx"), ("solve", "sovler", "cfl"),
-    ("solve", "DEFAULT", "seed"),
+    ("solve", "DEFAULT", "seed"), ("solve", "solver", "visc"), ("plan", "planning", "delta"),
 ]
 
 
@@ -177,6 +180,12 @@ def test_unknown_key_is_config_error(tmp_path, capsys, command, section, key):
     assert not out.exists()
 
 
+def test_solver_keys_are_the_solver_params():
+    # a knob dropped from one side and left on the other is a key that reaches
+    # no solve, or a control no config can set
+    assert set(_SECTION_KEYS["solver"]) == {f.name for f in dataclasses.fields(SolverParams)}
+
+
 @pytest.mark.parametrize("command", ["solve", "plan", "yosida", "traject", "halfspace",
                                      "verify", "probe"])
 def test_empty_eps_schedule_is_config_error(tmp_path, capsys, command):
@@ -193,8 +202,7 @@ def test_empty_eps_schedule_is_config_error(tmp_path, capsys, command):
 # (section, key, value): numbers no solve can use, refused while the config loads;
 # a solve with t_end = nan or inf would never land a record
 NONFINITE = [("solver", "t_end", "nan"), ("solver", "t_end", "inf"),
-             ("solver", "dt_max", "nan"), ("solver", "visc", "nan"),
-             ("box", "lo", "nan"), ("box", "hi", "inf")]
+             ("solver", "dt_max", "nan"), ("box", "lo", "nan"), ("box", "hi", "inf")]
 
 
 @pytest.mark.parametrize("section,key,value", NONFINITE,
@@ -587,7 +595,7 @@ LQ0_TABLES = {
     "plan": {"convergence.csv":
              "a9609c1d7ea01e3fb17d9a64ae8da9fc493156393719d4a80a8abfdfd986a28f",
              "meta.json":
-             "538c729f9e5f8576f311c1cf902b8d0bc03e63aa8778966ce64c1087298a2d2f"},
+             "3492f9c20577562352c18a758f18cf044553dfae80a3b944d2a9ee865d0fd2c9"},
     "yosida": {"eqv_residual.csv":
                "334695bf0d0e1e7dae2cda1ef9f20d8eabff21d990e13e5151f61a2f225a7f17",
                "v_slices.csv":

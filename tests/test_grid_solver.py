@@ -21,7 +21,7 @@ from mfgplan import grid_solver, model
 from mfgplan.cli import load_config
 from mfgplan.grid_solver import InterpPlan, write_table
 from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
-                      box1d, check_monotone_map, closed_form, coupled_model, digest12,
+                      box1d, check_monotone_map, closed_form, digest12,
                       identity_noise, jump_model, sample_solution, slice_from_fn)
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
@@ -282,16 +282,14 @@ def test_solver_params_validation():
         SolverParams(t_end=0.0)
     with pytest.raises(ConfigError, match="n_rec"):
         SolverParams(n_rec=1)
-    with pytest.raises(ConfigError, match="visc"):
-        SolverParams(visc=-0.1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_nonfinite_solver_and_box_numbers_are_config_errors(value):
     # nan passes every comparison the checks make, a nan or infinite t_end lands
-    # no record (the march never ends), and a nan dt_max or visc drops the step
-    # cap or the viscosity: each is refused before any solve
-    for key in ("visc", "t_end", "dt_max"):
+    # no record (the march never ends), and a nan dt_max drops the step cap:
+    # each is refused before any solve
+    for key in ("t_end", "dt_max"):
         with pytest.raises(ConfigError, match=rf"^solver\.{key} must be finite"):
             SolverParams(**{key: value})
     for lo, hi in (([value, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, value])):
@@ -390,21 +388,6 @@ def test_monotonicity_propagates(lq0_solution):
     for t in (0.2, 0.5, 1.0):
         mn = check_monotone_map(lambda x: field.eval(t, x), box, rng_seed=3)
         assert mn >= -1e-4
-
-
-def test_viscosity_continuity():
-    # needs curvature: the penalized slice is linear and diffusion-invariant,
-    # so march a bent monotone profile instead
-    m = baseline_model()
-    box = box1d(n=100)
-    u0 = slice_from_fn(box, lambda x: x + 0.3 * np.sin(2.0 * x))
-    ref = solve_master(m, u0, SolverParams(t_end=0.3, n_rec=31))
-    diffs = []
-    for visc in (0.02, 0.01):
-        p = SolverParams(t_end=0.3, n_rec=31, visc=visc)
-        sol = solve_master(m, u0, p)
-        diffs.append(float(np.max(np.abs(sol.values - ref.values))))
-    assert diffs[1] < diffs[0] <= 5e-2
 
 
 def test_two_dimensional_solve():
@@ -511,7 +494,7 @@ def test_lq0_continuation_raw_bits_pinned():
     cfg = load_config(CONFIGS / "lq0.cfg")
     assert (cfg.model.F.form, cfg.model.G.form) == ("identity", "p-free")
     run = run_penalization(cfg.model, cfg.box, cfg.eps_schedule, cfg.params, t_min=cfg.t_min,
-                           delta=cfg.delta, conv_tol=cfg.conv_tol)
+                           conv_tol=cfg.conv_tol)
     assert sum(meta["steps"] for meta in run.metas) == 8246
     assert raw_sha256(run.smallest_eps_solution.values) == RAW_LQ0_SMALLEST
     assert raw_sha256(run.gaps) == RAW_LQ0_GAPS
@@ -521,8 +504,8 @@ def test_lq0_continuation_raw_bits_pinned():
 BATCH_CASES = {
     "1d-baseline": (baseline_model(), box1d(n=200), (0.1, 0.4, 0.00625, 0.025),
                     SolverParams(t_end=0.5, n_rec=26)),
-    "1d-jump-visc": (jump_model(lam=1.0, S=0.5), box1d(n=150), (0.4, 0.2, 0.05, 0.1),
-                     SolverParams(t_end=0.4, n_rec=21, visc=0.01)),
+    "1d-jump": (jump_model(lam=1.0, S=0.5), box1d(n=150), (0.4, 0.2, 0.05, 0.1),
+                SolverParams(t_end=0.4, n_rec=21)),
     "2d-jump": (march_2d_model(), Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40)),
                 (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
     "3d-jump": (march_3d_model(), Box(np.full(3, -1.0), np.full(3, 1.0), np.full(3, 20)),
@@ -543,45 +526,6 @@ BATCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batch_matches_single_solves(case):
     assert_batch_matches_single_solves(*BATCH_CASES[case])
-
-
-# The viscous marches' values at t_end, to round-off: how the second difference
-# is formed from U moves their last bits, so they are not bit pins. Jump
-# members at nodes 0, 1, 75, 149 and 150:
-VISC_JUMP_END = np.array([
-    [-0.9873335687928284, -0.9675868974169719, 0.49366678439641426,
-     1.954920466209801, 1.9746671375856573],
-    [-1.3480882123357372, -1.3211264480890226, 0.6740441061678686,
-     2.6692146604247595, 2.6961764246714743],
-    [-1.8567589349608378, -1.819623756261621, 0.9283794674804191,
-     3.676382691222459, 3.713517869921676],
-    [-1.6493204244985058, -1.6163340160085358, 0.8246602122492532,
-     3.2656544405070425, 3.2986408489970125]])
-# the 2-D coupled march from a curved start, at these nodes (both components)
-VISC_2D_NODES = ([0, 0, 30, 30, 15, 7], [0, 30, 0, 30, 15, 22])
-VISC_2D_END = np.array([
-    [-3.101651405738312, -3.101651405738312],
-    [-2.9955210311219354, 3.274846841187594],
-    [3.274846841187594, -2.9955210311219354],
-    [3.3920135217987823, 3.3920135217987823],
-    [0.19477035345193866, 0.19477035345193866],
-    [-1.4878316828823013, 1.627911026553746]])
-
-
-def test_viscous_march_values_pinned_to_round_off():
-    m, box, eps, params = BATCH_CASES["1d-jump-visc"]
-    batch = solve_master(m, [penalized_slice(m, box, e) for e in eps], params)
-    assert batch.meta["steps"] == 734
-    np.testing.assert_allclose(batch.values[:, -1, [0, 1, 75, 149, 150], 0], VISC_JUMP_END,
-                               rtol=1e-14, atol=0.0)
-    # the penalized slices are affine, which diffusion leaves alone: a curved
-    # start makes the viscous term count
-    m = coupled_model(K=1.0, d=2, x0=[0.5, 0.5])
-    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 30))
-    u0 = slice_from_fn(box, lambda x: (x - 0.5) / 0.2 + 0.3 * np.sin(2.0 * x[:, ::-1]))
-    sol = solve_master(m, u0, SolverParams(t_end=0.3, n_rec=4, visc=0.02))
-    assert sol.meta["steps"] == 42
-    np.testing.assert_allclose(sol.values[-1][VISC_2D_NODES], VISC_2D_END, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
@@ -715,30 +659,28 @@ def test_operator_built_once_per_solve(monkeypatch):
 
 
 # The step's operator L applied to a smooth non-affine U* without marching,
-# against the exact (F(x, U*) . grad) U* - G(x, U*) + lam (U* - S^T U*(S x + e))
-# - nu Lap U*. Every part of L is exact on a field affine in x; on U* the upwind
+# against the exact (F(x, U*) . grad) U* - G(x, U*) + lam (U* - S^T U*(S x + e)).
+# Every part of L is exact on a field affine in x; on U* the upwind
 # differences and the face ghosts are first order, and the jump gather is second
 # order while S x + e stays inside the box. The 2-D case (F = p) misses by
 # 0.0500 / 0.0556 (interior / all nodes) at n = 40 and by 0.0265 / 0.0280 at
 # n = 80.
 
 def _manufactured(x):
-    """U*(x), its Jacobian J[..., i, a] = dU*_i/dx_a and its Laplacian, for dim 1 to 3."""
+    """U*(x) and its Jacobian J[..., i, a] = dU*_i/dx_a, for dim 1 to 3."""
     x1 = x[..., 0]
-    z = np.zeros_like(x1)
     if x.shape[-1] == 1:
-        U, J, lap = [np.sin(x1) + 0.3 * x1 ** 2], [[np.cos(x1) + 0.6 * x1]], [0.6 - np.sin(x1)]
+        U, J = [np.sin(x1) + 0.3 * x1 ** 2], [[np.cos(x1) + 0.6 * x1]]
     elif x.shape[-1] == 2:
         x2 = x[..., 1]
         U = [np.sin(x1) + 0.3 * x2 ** 2, x1 * x2]
         J = [[np.cos(x1), 0.6 * x2], [x2, x1]]
-        lap = [0.6 - np.sin(x1), z]
     else:
         x2, x3 = x[..., 1], x[..., 2]
+        z = np.zeros_like(x1)
         U = [np.sin(x1) + 0.3 * x2 ** 2, x1 * x3, np.cos(x3) + 0.2 * x2 * x3]
         J = [[np.cos(x1), 0.6 * x2, z], [x3, z, x1], [z, 0.2 * x3, 0.2 * x2 - np.sin(x3)]]
-        lap = [0.6 - np.sin(x1), z, -np.cos(x3)]
-    return np.stack(U, -1), np.stack([np.stack(row, -1) for row in J], -2), np.stack(lap, -1)
+    return np.stack(U, -1), np.stack([np.stack(row, -1) for row in J], -2)
 
 
 def _operator_model(F, lam, S, e):
@@ -752,25 +694,25 @@ def _operator_model(F, lam, S, e):
                      x0=np.full(d, 0.5))
 
 
-def _apply_operator(m, n, visc=0.0):
+def _apply_operator(m, n):
     """L(U*) and the CFL rate from _operator on [-1, 2]^d with n cells per axis, and the box."""
     box = Box(np.full(m.d, -1.0), np.full(m.d, 2.0), np.full(m.d, n))
     U = _manufactured(box.nodes())[0][None]
     w = grid_solver._step_views(grid_solver._workspace(1, box.shape, m.d), U)
-    rhs, rate = grid_solver._operator(m, box, visc, m.d)(w)
+    rhs, rate = grid_solver._operator(m, box, m.d)(w)
     return rhs[0].copy(), rate, box
 
 
-def _operator_errors(m, n, visc=0.0):
+def _operator_errors(m, n):
     """Max |L(U*) - exact| over the interior nodes and over all nodes."""
-    rhs, rate, box = _apply_operator(m, n, visc)
+    rhs, rate, box = _apply_operator(m, n)
     x = box.nodes()
-    U, J, lap = _manufactured(x)
+    U, J = _manufactured(x)
     F = m.eval_F(x, U)
     assert rate.shape == (1,)
     assert rate[0] == pytest.approx(np.max(np.sum(np.abs(F) / box.dx, axis=-1)), rel=1e-15)
     exact = (np.einsum("...ia,...a->...i", J, F) - m.eval_G(x, U)
-             + m.lam * (U - _manufactured(m.noise(x))[0] @ m.noise.S) - visc * lap)
+             + m.lam * (U - _manufactured(m.noise(x))[0] @ m.noise.S))
     err = np.abs(rhs - exact).max(axis=-1)
     return err[(slice(1, -1),) * m.d].max(), err.max()
 
@@ -819,26 +761,6 @@ def test_operator_jump_off_the_box_reads_the_clamped_extrapolation():
         jump = m.lam * (U - Slice(box, U).eval(y) @ S)
         np.testing.assert_allclose(rhs - _apply_operator(no_jump, n)[0], jump,
                                    rtol=0.0, atol=1e-14 * np.abs(rhs).max())
-
-
-def test_operator_viscous_term_vanishes_across_the_faces():
-    # against the linear ghost the second difference across a face is zero up to
-    # round-off, so L drops nu Lap U* there along the face normal: the interior
-    # converges, the faces do not (all-node miss 0.127, 0.100 and 0.086 at
-    # n = 40, 80 and 160 in 2-D with nu = 0.05)
-    F, lam, S, e, (n, n2) = OPERATOR_CASES["2d-jump"]
-    m = _operator_model(F, lam, S, np.array(e))
-    assert _operator_errors(m, n, visc=0.05)[0] / _operator_errors(m, n2, visc=0.05)[0] >= 1.8
-    # at a node where every axis is at a face (both ends in 1-D, the corners in
-    # 2-D) L with nu and L without agree to round-off
-    for case in ("1d-jump", "2d-jump"):
-        F, lam, S, e, (n, _) = OPERATOR_CASES[case]
-        m = _operator_model(F, lam, S, np.array(e))
-        rhs, _, box = _apply_operator(m, n, visc=0.05)
-        corners = (slice(None, None, n),) * m.d
-        scale = 0.05 * np.abs(_manufactured(box.nodes())[0]).max() / np.min(box.dx) ** 2
-        np.testing.assert_allclose(rhs[corners], _apply_operator(m, n)[0][corners],
-                                   rtol=0.0, atol=16 * np.finfo(float).eps * scale)
 
 
 def test_batch_members_wait_on_every_record():
@@ -946,18 +868,17 @@ def growth_model(K, speed=0.0):
                      lam=0.0, noise=identity_noise(1), x0=np.array([0.5]))
 
 
-# (dt_max, visc, limit that sets the failing step, its dt, steps per record interval):
-# records are 0.01 apart and dx = 0.05, so visc = 1 limits dt to 0.75 dx^2 / 2; the
-# cfl row's model moves at speed F = 5, which limits dt to 0.75 dx / 5
+# (dt_max, speed F, limit that sets the failing step, its dt, steps per record interval):
+# records are 0.01 apart and dx = 0.05, so the cfl row's speed F = 5 limits dt to
+# 0.75 dx / 5
 STEP_LIMITS = [(0.01, 0.0, "record", 0.01, 1), (0.004, 0.0, "dt_max", 0.004, 3),
-               (0.01, 1.0, "visc", 0.75 * 0.05 ** 2 / 2, 11),
-               (0.01, 0.0, "cfl", 0.75 * 0.05 / 5, 2)]
+               (0.01, 5.0, "cfl", 0.75 * 0.05 / 5, 2)]
 
 
-@pytest.mark.parametrize("dt_max, visc, limit, dt, per_record", STEP_LIMITS)
-def test_blowup_reports_steps_dt_and_limit(dt_max, visc, limit, dt, per_record):
-    m = growth_model(100.0, speed=5.0 if limit == "cfl" else 0.0)
-    params = SolverParams(t_end=1.0, n_rec=101, dt_max=dt_max, visc=visc)
+@pytest.mark.parametrize("dt_max, speed, limit, dt, per_record", STEP_LIMITS)
+def test_blowup_reports_steps_dt_and_limit(dt_max, speed, limit, dt, per_record):
+    m = growth_model(100.0, speed=speed)
+    params = SolverParams(t_end=1.0, n_rec=101, dt_max=dt_max)
     with pytest.raises(BlowupError, match="^solution exceeded the overflow guard at t=") as exc:
         solve_master(m, penalized_slice(m, box1d(n=60), 0.1), params)
     err = exc.value
