@@ -763,6 +763,61 @@ def test_operator_jump_off_the_box_reads_the_clamped_extrapolation():
                                    rtol=0.0, atol=1e-14 * np.abs(rhs).max())
 
 
+@register_field("mixed_drift")
+def _mixed_drift(x, p):
+    # F_a = (1 - 0.75 a) p_(a mod d): both signs, and both signs of zero, on every axis
+    d = p.shape[-1]
+    return np.stack([(1.0 - 0.75 * a) * p[..., a % d] for a in range(x.shape[-1])], -1)
+
+
+def _small_box_members(rng, shape, d):
+    """Members on shape's nodes: random; flat at every face (U[0] = U[1] and
+    U[-1] = U[-2] along each axis); all +-0.0; and random with half its values +-0.0."""
+    U = rng.uniform(-1.0, 1.0, shape + (d,))
+    flat = U.copy()
+    for ax in range(len(shape)):
+        flat[(slice(None),) * ax + (0,)] = flat[(slice(None),) * ax + (1,)]
+        flat[(slice(None),) * ax + (-1,)] = flat[(slice(None),) * ax + (-2,)]
+    zeros = np.where(rng.random(U.shape) < 0.5, -0.0, 0.0)
+    return np.stack([U, flat, zeros, np.where(rng.random(U.shape) < 0.5, zeros, U)])
+
+
+def _reference_operator(U, F, dx):
+    """rhs and rate by the README's formulas, axis by axis: D[0] = U[0] - (2 U[0] - U[1]),
+    D[i] = U[i] - U[i-1] and D[n] = (2 U[n-1] - U[n-2]) - U[n-1], each over dx; a node
+    takes its backward difference D[i] where F_a > 0 and its forward one D[i+1] elsewhere."""
+    rhs = np.zeros(U.shape)
+    for a in range(len(dx)):
+        u, Fa = np.moveaxis(U, a + 1, 0), np.moveaxis(F[..., a], a + 1, 0)[..., None]
+        lo, hi = u[0] - (2.0 * u[0] - u[1]), (2.0 * u[-1] - u[-2]) - u[-1]
+        D = np.concatenate([lo[None], u[1:] - u[:-1], hi[None]]) / dx[a]
+        rhs += np.moveaxis(np.where(Fa > 0, D[:-1], D[1:]) * Fa, 0, a + 1)
+    speed = sum(np.abs(F[..., a]) / dx[a] for a in range(len(dx)))
+    return rhs, speed.reshape(len(U), -1).max(axis=1)
+
+
+@pytest.mark.parametrize("dim, d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3)])
+def test_operator_bits_on_the_smallest_boxes(dim, d):
+    # 2 to 5 cells per axis, where no march runs (TARGET_MARGIN_CELLS): with 2
+    # cells both faces' ghosts read the same middle node. rhs and rate match
+    # the reference byte for byte, signs of zeros included
+    m = ModelSpec(d=dim, F=FieldSpec.registered("mixed_drift"),
+                  G=FieldSpec.affine(0.0, 0.0, d=dim), lam=0.0, noise=identity_noise(dim),
+                  x0=np.zeros(dim))
+    rng = np.random.default_rng(10 * dim + d)
+    sizes = [(k,) * dim for k in (2, 3, 4, 5)] + ([(2, 5, 3)[:dim]] if dim > 1 else [])
+    for n in sizes:
+        box = Box(np.full(dim, -1.0), (2.0, 1.5, 0.7)[:dim], n)
+        U = _small_box_members(rng, box.shape, d)
+        w = grid_solver._step_views(grid_solver._workspace(len(U) + 1, box.shape, d), U)
+        L = grid_solver._operator(m, box, d)
+        want_rhs, want_rate = _reference_operator(U, _mixed_drift(box.nodes(), U), box.dx)
+        for _ in range(2):  # a second call reuses every buffer
+            rhs, rate = L(w)
+            assert rhs.tobytes() == want_rhs.tobytes(), n
+            assert rate.tobytes() == want_rate.tobytes(), n
+
+
 def test_batch_members_wait_on_every_record():
     # members step at different rates, each on its own clock, yet each lands
     # on every record time and takes its own serial step count
