@@ -276,7 +276,11 @@ def cmd_traject(cfg: RunConfig, args) -> int:
     sec = _Section(cfg.cp, "trajectories")
     t1 = sec.time("t1", cfg.params.t_end, cfg.params.t_end)
     t_min = sec.number("t_min", "0.05")
+    if not 0.0 <= t_min < t1:  # checked here too, so that a bad value costs no solve
+        raise ConfigError(f"{sec.label('t_min')} = {t_min:.12g} must lie in [0, t1 = {t1:.12g})")
     steps = sec.number("steps", "200", int)
+    if steps < 1:
+        raise ConfigError(f"{sec.label('steps')} must be >= 1, got {steps}")
     starts = _points(sec, "starts", "1.0", cfg.model.d)
     eps, sol = _single_solve(cfg)
     paths = integrate_backward(sol.field(), cfg.model, starts, t1, t_min, steps=steps)

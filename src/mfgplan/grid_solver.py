@@ -333,9 +333,9 @@ class GridField:
         return out.reshape(lead + out.shape[-1:])
 
 
-def _along(A: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
-    """View A[start:stop] taken along one axis (axis >= 0)."""
-    return A[(slice(None),) * axis + (slice(start, stop),)]
+def _along(A: np.ndarray, axis: int, start=None, stop=None, step=None) -> np.ndarray:
+    """View A[start:stop:step] taken along one axis (axis >= 0)."""
+    return A[(slice(None),) * axis + (slice(start, stop, step),)]
 
 
 # The march keeps a leading member axis on every array, so node axis a is
@@ -347,14 +347,16 @@ def _operator(m: ModelSpec, box: Box, d):
 
     rhs, in w.rhs, is (F . grad) U - G + lam (U - S^T U(S x + e)) and rate the
     max over nodes of sum_a |F_a|/dx_a, per member of U = w.U, the array whose views w holds
-    (see _step_views). F and G are bound to the nodes, a p-free G is evaluated and the jump's
-    gather is planned here, once: the relabeled points are fixed in time.
+    (see _step_views); in 1-D, max |F| / dx, the same number with one divide per member.
+    F and G are bound to the nodes, a p-free G is evaluated and the jump's gather is planned
+    here, once: the relabeled points are fixed in time.
 
     Transport, per axis: D[i] = U[i] - U[i-1], and past each face the difference to the
     ghost node 2 U[0] - U[1] or 2 U[-1] - U[-2], rounded as such (the interior difference
-    next to it is equal only in exact arithmetic). Node i's backward and forward differences
-    are D[i] and D[i+1]. The upwind pick runs per component of U, so no inner loop is only
-    d long.
+    next to it is equal only in exact arithmetic). Both ghosts are made at once, from a view
+    of both face nodes and one of their neighbours, in D's two face slots; then D[0] =
+    U[0] - ghost and D[-1] = ghost - U[-1]. Node i's backward and forward differences are
+    D[i] and D[i+1]. The upwind pick runs per component of U, so no inner loop is only d long.
     """
     nodes = box.nodes()
     F_at, G_at = m.bind(nodes)
@@ -366,28 +368,31 @@ def _operator(m: ModelSpec, box: Box, d):
     # of a zero; rhs is never -0.0 when the jump term is added, so U is the same
     jump_by, S = (np.matmul, m.noise.S) if m.noise.scale is None \
         else (np.multiply, m.noise.scale)
-    dx, lam = box.dx, m.lam
+    dx, lam, one_axis = box.dx, m.lam, box.dim == 1
 
     def L(w):
         U = w.U
         Fv = F_at(U, w.F)  # a registered F ignores out: use the array it returns
-        speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
-        for a in range(1, box.dim):
-            speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
-        rate = speed.reshape(len(U), -1).max(axis=1)
-        w.rhs.fill(0.0)
-        for a, (ahead, behind, edges, (lo, inner, hi), D, comps) in enumerate(w.stencil):
-            u0, u1, un, un1 = edges  # U[0], U[1], U[-1], U[-2]
+        if one_axis:  # x -> x/dx is monotone: the max's quotient is the max quotient
+            rate = np.maximum.reduce(np.abs(Fv[..., 0], out=w.speed), axis=1) / dx[0]
+        else:
+            speed = np.divide(np.abs(Fv[..., 0], out=w.speed), dx[0], out=w.speed)
+            for a in range(1, box.dim):
+                speed += np.divide(np.abs(Fv[..., a], out=w.term), dx[a], out=w.term)
+            rate = np.maximum.reduce(speed.reshape(len(U), -1), axis=1)
+        for a, (ahead, behind, inner, faces, ghosts, (u0, D0), (un, Dn), D, comps) \
+                in enumerate(w.stencil):
             np.subtract(ahead, behind, out=inner)
-            np.subtract(u0, np.subtract(np.multiply(u0, 2.0, out=lo), u1, out=lo), out=lo)
-            np.subtract(np.subtract(np.multiply(un, 2.0, out=hi), un1, out=hi), un, out=hi)
+            np.subtract(np.add(faces[0], faces[0], out=ghosts), faces[1], out=ghosts)
+            np.subtract(u0, D0, out=D0)
+            np.subtract(Dn, un, out=Dn)
             D /= dx[a]
             Fa = Fv[..., a]
             pos = np.greater(Fa, 0, out=w.pos)
-            for pick, Dm_i, Dp_i, adv in comps:
+            for pick, Dm_i, Dp_i, base, adv in comps:  # base: +0.0 on the first axis, else adv
                 np.copyto(pick, Dp_i)
                 np.copyto(pick, Dm_i, where=pos)
-                adv += np.multiply(pick, Fa, out=pick)
+                np.add(base, np.multiply(pick, Fa, out=pick), out=adv)
         if G_fixed is None:
             w.rhs -= G_at(U, w.G)
         elif not G_zero:
@@ -414,24 +419,28 @@ def _step_views(ws, U):
     """The buffers of ws viewed at the n members of U, U itself, and the views a step
     reads and writes through.
 
-    stencil holds, per axis, U's two shifted halves and edge nodes, the difference
-    table D's face, interior and face slices, D, and per component of U its (pick,
-    Dm, Dp, rhs) views, Dm and Dp being D's backward and forward halves. col spreads a
-    per-member dt over a member's values; G_flat and pick_flat are G and pick shaped
-    (n, nodes, d) for the jump gather. U is updated in place between compactions,
-    so its views hold.
+    stencil holds, per axis, U's two shifted halves, D's interior, the two face nodes
+    and their neighbours (the middle node alone on a 3-node axis), D's two face slots,
+    each face node with its own slot, the difference table D, and per component of U its
+    (pick, Dm, Dp, base, rhs) views: Dm and Dp are D's backward and forward halves, and
+    base is what the upwind term is added to, +0.0 on the first axis and rhs after it.
+    col spreads a per-member dt over a member's values; G_flat and pick_flat are G and
+    pick shaped (n, nodes, d) for the jump gather. U is updated in place between
+    compactions, so its views hold.
     """
     n, d = U.shape[0], U.shape[-1]
     w = SimpleNamespace(**{k: [b[:n] for b in v] if isinstance(v, list) else v[:n]
                            for k, v in ws.items()})
     w.U, w.stencil = U, []
     for ax, D in enumerate(w.diff, start=1):
+        N = U.shape[ax]  # >= 3 nodes; with 3, U[1] is both faces' neighbour, broadcast
         Dm, Dp = _along(D, ax, None, -1), _along(D, ax, 1)
-        edges = (_along(U, ax, 0, 1), _along(U, ax, 1, 2),
-                 _along(U, ax, -1), _along(U, ax, -2, -1))
-        parts = (_along(D, ax, 0, 1), _along(D, ax, 1, -1), _along(D, ax, -1))
-        comps = [(w.pick[..., i], Dm[..., i], Dp[..., i], w.rhs[..., i]) for i in range(d)]
-        w.stencil.append((_along(U, ax, 1), _along(U, ax, None, -1), edges, parts, D, comps))
+        faces = (_along(U, ax, 0, None, N - 1), _along(U, ax, 1, -1, max(N - 3, 1)))
+        ends = ((_along(U, ax, 0, 1), _along(D, ax, 0, 1)), (_along(U, ax, -1), _along(D, ax, -1)))
+        comps = [(w.pick[..., i], Dm[..., i], Dp[..., i], 0.0 if ax == 1 else w.rhs[..., i],
+                  w.rhs[..., i]) for i in range(d)]
+        w.stencil.append((_along(U, ax, 1), _along(U, ax, None, -1), _along(D, ax, 1, -1), faces,
+                          _along(D, ax, 0, None, N), *ends, D, comps))
     w.col = (n,) + (1,) * (U.ndim - 1)
     flat = (n, math.prod(U.shape[1:-1]), d)
     w.G_flat, w.pick_flat = w.G.reshape(flat), w.pick.reshape(flat)
@@ -512,8 +521,8 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
     # are written, and rows leave and are compacted, in its event branch alone
     U, rows, n, it, steps = U[:live], np.arange(live), live, 0, np.zeros(E, dtype=np.int64)
     t, k, w = np.zeros(live), np.ones(live, dtype=np.int64), _step_views(ws, U)
-    target = rec_times[k]
-    reach = target - 1e-14  # a step ending this close to its record lands on it
+    rec_reach = rec_times - 1e-14  # a step ending this close to its record lands on it
+    target, reach = rec_times[k], rec_reach[k]
     while n:
         it += 1
         rhs, rate = L(w)
@@ -521,38 +530,33 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         dt = np.fmin(dt_cfl, dt_max)  # fmin: min() skips nan too
         t_next = t + dt
         hit = t_next >= reach
-        event = hit.any()
+        event = np.logical_or.reduce(hit)  # the ufunc: ndarray.any wraps it in Python
         if event:
             dt = np.where(hit, target - t, dt)
         U -= np.multiply(rhs, dt.reshape(w.col), out=rhs)
-        if not np.abs(U, out=w.pick).max() <= OVERFLOW_GUARD:  # nan fails too
-            ok = w.pick.reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD
-            r = int(np.argmin(ok))
+        if not np.maximum.reduce(np.abs(U, out=w.pick), None) <= OVERFLOW_GUARD:  # nan fails too
+            r = int(np.argmin(w.pick.reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD))
             limit = "record" if hit[r] else "dt_max" if dt[r] == dt_max else "cfl"
             fail(int(rows[r]), f"solution exceeded the overflow guard at t={t[r] + dt[r]:.6g}",
                  int(k[r]), float(t[r]), steps=it, dt=float(dt[r]), limit=limit)
-            ok[r:] = False  # rows hold members in order: every later one is dropped too
-            hit &= ok
-        elif event:
-            ok = True
-        else:
+            hit[r:], k[r:] = False, n_rec  # rows hold members in order: every later one goes too
+        elif not event:
             t = t_next
             continue
         t = np.where(hit, target, t_next)
-        for r in hit.nonzero()[0]:
-            e, kr = int(rows[r]), int(k[r])
+        hits = hit.nonzero()[0]
+        for r, e, kr in zip(hits.tolist(), rows[hits].tolist(), k[hits].tolist()):
             if e >= keep:
                 rec[e - keep, kr] = U[r]
             if on_record is not None:
                 on_record(e, kr, U[r])
         k += hit
-        stay = ok & (k < n_rec)
-        if not stay.all():
+        stay = k < n_rec
+        if not np.logical_and.reduce(stay):
             steps[rows[~stay]] = it
             U, t, k, rows = U[stay], t[stay], k[stay], rows[stay]
             n, w = rows.size, _step_views(ws, U)
-        target = rec_times[k]
-        reach = target - 1e-14
+        target, reach = rec_times[k], rec_reach[k]
 
     metas = [dict(meta, steps=int(steps[e])) for e in range(live)]
     members = [GridSolution(box=box, times=rec_times, values=rec[e - keep], meta=metas[e])

@@ -127,6 +127,8 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
     keeping every record; its gaps are the first march's between completed eps.
     """
     eps_schedule = check_eps_schedule(eps_schedule)
+    if not (np.isfinite(conv_tol) and conv_tol >= 0):  # a nan would decide converged alone
+        raise ConfigError(f"conv_tol must be finite and >= 0, got {conv_tol:.12g}")
     k0 = int(np.searchsorted(params.record_times(), t_min - 1e-12))  # records >= t_min
     if k0 == params.n_rec:
         raise ConfigError("no recorded times at or above t_min")
@@ -197,8 +199,8 @@ def graph_limit_diagnostic(U, x0, M, times) -> GraphLimitDiagnostic:
     A time t = 0 is measured but pairs with no other and adds nothing to the
     fit; with no positive time the slope is nan.
     """
-    if M <= 0:
-        raise ConfigError("level M must be > 0")
+    if not (np.isfinite(M) and M > 0):
+        raise ConfigError(f"level M must be finite and > 0, got {M:.12g}")
     box = getattr(U, "box", None)
     if box is None:
         raise ConfigError("a box is required (field has none attached)")

@@ -459,6 +459,21 @@ def test_traject_exit_writes_no_trajectory(tmp_path, capsys):
     assert not list(tmp_path.glob("**/trajectory_*.csv"))
 
 
+@pytest.mark.parametrize("key, value", [("t_min", "2"), ("steps", "0")])
+def test_traject_refuses_its_range_before_solving(tmp_path, capsys, monkeypatch, key, value):
+    solves = []
+    solve = mfgplan.cli.solve_master
+    monkeypatch.setattr(mfgplan.cli, "solve_master",
+                        lambda *args: solves.append(args) or solve(*args))
+    keys = {"t_min": "0.1", "steps": "150", key: value}
+    cfg, out = make_config(tmp_path, extra="[trajectories]\nstarts = 1.0\nt1 = 1.0\n"
+                           + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["traject", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: [trajectories] {key}" in err and "must" in err, err
+    assert solves == [] and not out.exists()
+
+
 def test_probe_cross_oracle(tmp_path, capsys):
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
     assert main(["probe", "--config", str(cfg), "--t", "0.4", "--x", "1.2"]) == 0

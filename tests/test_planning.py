@@ -56,6 +56,15 @@ def test_schedule_validation():
         run_penalization(m, box, (0.4, 1e-15), params, t_min=0.5)
 
 
+@pytest.mark.parametrize("conv_tol", [math.nan, math.inf, -1.0])
+def test_conv_tol_must_be_finite_and_nonnegative(monkeypatch, conv_tol):
+    # refused before any march: a nan tolerance made every run unconverged
+    monkeypatch.setattr(planning, "solve_master", lambda *args, **kwargs: pytest.fail("marched"))
+    with pytest.raises(ConfigError, match="conv_tol must be finite and >= 0"):
+        run_penalization(baseline_model(), box1d(n=50), (0.4, 0.2),
+                         SolverParams(t_end=0.3, n_rec=4), conv_tol=conv_tol)
+
+
 def test_gap_law(lq0_run):
     assert len(lq0_run.gaps) == 3
     for got, law in zip(lq0_run.gaps, GAP_LAW):
@@ -182,6 +191,14 @@ def test_graph_diagnostic_skips_a_zero_time():
     assert with_zero.diameters[:2].tobytes() == without.diameters.tobytes()
     alone = graph_limit_diagnostic(U, x0, 2.0, (0.0,))
     assert math.isnan(alone.slope) and alone.halving_ratios.size == 0 and not alone.passed
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, 0.0, -2.0])
+def test_graph_diagnostic_level_must_be_finite_and_positive(M):
+    # a nan level passed the old M <= 0 check and measured every diameter as 0
+    U = AnalyticField(lambda t, x: closed_form(t, x), box=box1d(n=100))
+    with pytest.raises(ConfigError, match="level M must be finite and > 0"):
+        graph_limit_diagnostic(U, np.array([X0]), M, (0.4, 0.2))
 
 
 def test_graph_diagnostic_flags_nonshrinking():
