@@ -539,7 +539,7 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
             limit = "record" if hit[r] else "dt_max" if dt[r] == dt_max else "cfl"
             fail(int(rows[r]), f"solution exceeded the overflow guard at t={t[r] + dt[r]:.6g}",
                  int(k[r]), float(t[r]), steps=it, dt=float(dt[r]), limit=limit)
-            hit[r:], k[r:] = False, n_rec  # rows hold members in order: every later one goes too
+            hit[r:], k[r:] = False, n_rec  # rows hold members in order: every later one is dropped
         elif not event:
             t = t_next
             continue

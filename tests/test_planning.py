@@ -58,7 +58,7 @@ def test_schedule_validation():
 
 @pytest.mark.parametrize("conv_tol", [math.nan, math.inf, -1.0])
 def test_conv_tol_must_be_finite_and_nonnegative(monkeypatch, conv_tol):
-    # refused before any march: a nan tolerance made every run unconverged
+    # refused before any march: a nan tolerance would make every run unconverged
     monkeypatch.setattr(planning, "solve_master", lambda *args, **kwargs: pytest.fail("marched"))
     with pytest.raises(ConfigError, match="conv_tol must be finite and >= 0"):
         run_penalization(baseline_model(), box1d(n=50), (0.4, 0.2),
@@ -195,7 +195,7 @@ def test_graph_diagnostic_skips_a_zero_time():
 
 @pytest.mark.parametrize("M", [math.nan, math.inf, 0.0, -2.0])
 def test_graph_diagnostic_level_must_be_finite_and_positive(M):
-    # a nan level passed the old M <= 0 check and measured every diameter as 0
+    # a nan level would pass an M <= 0 check and measure every diameter as 0
     U = AnalyticField(lambda t, x: closed_form(t, x), box=box1d(n=100))
     with pytest.raises(ConfigError, match="level M must be finite and > 0"):
         graph_limit_diagnostic(U, np.array([X0]), M, (0.4, 0.2))
