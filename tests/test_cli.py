@@ -573,6 +573,8 @@ def test_verify_reference_config(tmp_path, capsys):
     assert len(curves) > 1
     assert _sha256(out / "curves.csv") == \
         "f128ed5f8fade2754fbd7cc69278c641a94780b902eb63f52a04263f8680c513"
+    assert _sha256(out / "report.json") == \
+        "23c11eabe7b86081fcf53a3cf92b56b17a73baf0011208c8f0ad201f15c3abc5"
 
 
 def test_verify_drops_times_snapping_to_one_record(tmp_path):
@@ -602,6 +604,8 @@ def test_halfspace_reference_config(tmp_path):
     assert (out / "halfspace_y.csv").exists()
     assert _sha256(out / "halfspace_y.csv") == \
         "7d9e6854576dadbd6da46c5c9382c14df57b4985293398fcab8c7123f52697f6"
+    assert _sha256(out / "report.json") == \
+        "831036d36696e34dc86b0e15d324b2479e597603507cf4e0d3a8c5d38a975441"
 
 
 # sha256 of the tables each command writes from configs/lq0.cfg; plan's
