@@ -22,13 +22,14 @@ from .characteristics import penalized_data, solve_by_shooting
 from .errors import BlowupError, ConfigError, PlanningError
 from .grid_solver import (TIME_MATCH_TOL, Box, SolverParams, lipschitz_norm, meta_record,
                           solve_master, write_meta_jsonl, write_solution_csv, write_table)
-from .halfspace import (HalfspaceModel, PullbackField, chain_rule_defect, check_factorization,
+from .halfspace import (LOG_FIT_POINTS, LOG_FIT_X1_MAX, LOG_FIT_X1_MIN, HalfspaceModel,
+                        PullbackField, chain_rule_defect, check_factorization,
                         check_inward_flow, check_log_blowup, transformed_model)
 from .model import (FIELD_KEYS, ModelSpec, _parse_field, check_couple_monotone, check_keys,
                     load_model, model_from_items, parse_number, parse_numbers, read_ini)
-from .planning import (PenalizationRun, check_eps_schedule, cross_monotonicity,
-                       estimate_certificate, graph_limit_diagnostic, penalized_slice,
-                       run_penalization)
+from .planning import (CROSS_PAIRS, CROSS_TOL, SUBLEVEL_M, PenalizationRun,
+                       check_eps_schedule, cross_monotonicity, estimate_certificate,
+                       graph_limit_diagnostic, penalized_slice, run_penalization)
 from .trajectories import (check_planning_convergence, check_value_consistency,
                            integrate_backward)
 from .yosida import eqV_residual, yosida_field
@@ -40,8 +41,7 @@ _SECTION_KEYS = {
     "solver": ("cfl", "t_end", "dt_max", "n_rec"),
     "planning": ("eps", "t_min", "conv_tol"), "yosida": ("delta", "times"),
     "trajectories": ("starts", "t1", "t_min", "steps"), "probe": ("t", "x"),
-    "verify": ("M", "n_pairs", "tol_mono", "cross_tol", "times"),
-    "halfspace": ("t_fit", "x1_min", "x1_max", "n_tail", *(f"ftilde.{k}" for k in FIELD_KEYS)),
+    "verify": ("times",), "halfspace": ("t_fit", *(f"ftilde.{k}" for k in FIELD_KEYS)),
 }
 
 
@@ -62,12 +62,11 @@ class _Section(dict):
     def numbers(self, key, default=None, kind=float) -> list:
         return parse_numbers(self.get(key, default), self.label(key), kind)
 
-    def nonneg(self, key, default, strict=False) -> float:
-        """A finite number >= 0, or > 0 when strict: a nan passes or fails every check."""
+    def nonneg(self, key, default) -> float:
+        """A finite number >= 0: a nan passes or fails every check."""
         v = self.number(key, default)
-        if not (math.isfinite(v) and (v > 0 if strict else v >= 0)):
-            raise ConfigError(f"{self.label(key)} must be finite and {'>' if strict else '>='} "
-                              f"0, got {v:.12g}")
+        if not (math.isfinite(v) and v >= 0):
+            raise ConfigError(f"{self.label(key)} must be finite and >= 0, got {v:.12g}")
         return v
 
     def time(self, key, default, t_end) -> float:
@@ -282,6 +281,8 @@ def cmd_traject(cfg: RunConfig, args) -> int:
     if steps < 1:
         raise ConfigError(f"{sec.label('steps')} must be >= 1, got {steps}")
     starts = _points(sec, "starts", "1.0", cfg.model.d)
+    if cfg.model.lam > 0:
+        raise ConfigError("trajectories follow characteristics; [model] lambda must be 0")
     eps, sol = _single_solve(cfg)
     paths = integrate_backward(sol.field(), cfg.model, starts, t1, t_min, steps=steps)
     out = _outdir(cfg)
@@ -306,11 +307,6 @@ def cmd_traject(cfg: RunConfig, args) -> int:
 def cmd_halfspace(cfg: RunConfig, args) -> int:
     sec = _Section(cfg.cp, "halfspace")
     t_fit = sec.time("t_fit", "0.25", cfg.params.t_end)
-    x1_lo = sec.number("x1_min", "0.02")
-    x1_hi = sec.number("x1_max", "0.9")
-    n_tail = sec.number("n_tail", "12", int)
-    if not (0.0 < x1_lo < x1_hi < 1.0 and n_tail >= 2):
-        raise ConfigError("[halfspace] tail needs 0 < x1_min < x1_max < 1 and n_tail >= 2")
     ftilde = _parse_field(sec, "ftilde", cfg.model.d)
     hm = HalfspaceModel(base=cfg.model, ftilde=ftilde)
     fact = check_factorization(hm, rng_seed=cfg.seed)
@@ -320,9 +316,9 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
         raise run.failure
     u = PullbackField(run.smallest_eps_solution.field())
     x_rest = cfg.model.x0[1:]
-    tail = np.geomspace(x1_lo, x1_hi, n_tail)
+    tail = np.geomspace(LOG_FIT_X1_MIN, LOG_FIT_X1_MAX, LOG_FIT_POINTS)
     fit = check_log_blowup(u.eval, t_fit, tail, x_rest)
-    probes = np.column_stack([np.geomspace(max(x1_lo, 0.05), x1_hi, 10), np.tile(x_rest, (10, 1))])
+    probes = np.column_stack([np.geomspace(0.05, LOG_FIT_X1_MAX, 10), np.tile(x_rest, (10, 1))])
     chain = chain_rule_defect(u, t_fit, probes)
     out = _outdir(cfg)
     write_solution_csv(run.smallest_eps_solution, out / "halfspace_y.csv")
@@ -339,19 +335,12 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    sec = _Section(cfg.cp, "verify")
-    M = sec.nonneg("M", "2.0", strict=True)
-    n_pairs = sec.number("n_pairs", "2000", int)
-    if n_pairs < 1:
-        raise ConfigError(f"[verify] n_pairs must be >= 1, got {n_pairs}")
-    tol_mono = sec.nonneg("tol_mono", "1e-4")
-    cross_tol = sec.nonneg("cross_tol", "1e-3")
-    times = sec.numbers("times", "0.8, 0.4, 0.2")
+    times = _Section(cfg.cp, "verify").numbers("times", "0.8, 0.4, 0.2")
     times = [t for t in times if cfg.t_min - 1e-12 <= t <= cfg.params.t_end + 1e-12]
     if not times:
         raise ConfigError("[verify] times must intersect [t_min, t_end]")
 
-    mono = check_couple_monotone(cfg.model, cfg.box, rng_seed=cfg.seed, tol_mono=tol_mono)
+    mono = check_couple_monotone(cfg.model, cfg.box, rng_seed=cfg.seed)
     run = _continuation(cfg, cfg.model)
     if run.failed_eps is not None:
         raise run.failure
@@ -359,14 +348,14 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     snap = list(dict.fromkeys(sol.snap(times)))  # distinct records, in the order given
     cert = estimate_certificate(cfg.model, sol, snap)
     field = sol.field()
-    diag = graph_limit_diagnostic(field, cfg.model.x0, M, snap)
-    cross = cross_monotonicity(field, field, max(snap), n_pairs=n_pairs, rng_seed=cfg.seed)
+    diag = graph_limit_diagnostic(field, cfg.model.x0, SUBLEVEL_M, snap)
+    cross = cross_monotonicity(field, field, max(snap), rng_seed=cfg.seed)
     checks = {
         "couple_monotonicity": mono.passed,
         "penalization_cauchy": run.converged,
         "certificate": bool(cert.passed) if cert.applicable else None,
         "graph_limit": diag.passed,
-        "cross_monotonicity": cross >= -cross_tol,
+        "cross_monotonicity": cross >= -CROSS_TOL,
     }
     out = _outdir(cfg)
     _write_json({
@@ -383,7 +372,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                         "diameters": diag.diameters, "slope": diag.slope,
                         "halving_ratios": diag.halving_ratios,
                         "passed": diag.passed},
-        "cross_monotonicity": {"min": cross, "n_pairs": n_pairs,
+        "cross_monotonicity": {"min": cross, "n_pairs": CROSS_PAIRS,
                                "t": max(snap)},
         "checks": checks,
     }, out / "report.json")

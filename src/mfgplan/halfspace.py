@@ -35,6 +35,10 @@ N_SAMPLES, SAMPLE_HALFWIDTH = 2000, 2.0
 # absolute on the straightened side.
 CHAIN_RULE_STEP = 1e-3
 
+# The halfspace command fits the wall's log profile at LOG_FIT_POINTS >= 2 values of x_1,
+# geometric in [LOG_FIT_X1_MIN, LOG_FIT_X1_MAX], inside (0, 1) where y_1 = 1 + ln(x_1).
+LOG_FIT_X1_MIN, LOG_FIT_X1_MAX, LOG_FIT_POINTS = 0.02, 0.9, 12
+
 
 def to_log_coordinates(x) -> np.ndarray:
     """Straightening map on any (..., d) array; requires x_1 > 0."""

@@ -178,6 +178,10 @@ def extract_limit(run: PenalizationRun, t) -> ExtractedLimit:
     return ExtractedLimit(slice=Slice(base.box, U), failed=(~ok).reshape(base.box.shape))
 
 
+# verify's level: any M > 0 works, as the limit's M-sublevel set has diameter ~ M t.
+SUBLEVEL_M = 2.0
+
+
 @dataclass(eq=False)
 class GraphLimitDiagnostic:
     """Sublevel diameters sup{|x - x0| : |U(t,x)| <= M} over a time list."""
@@ -320,8 +324,13 @@ def estimate_certificate(m: ModelSpec, sol: GridSolution, times) -> EstimateRepo
                           measured=measured, checked=checked, ok=ok)
 
 
-def cross_monotonicity(U, V, t, n_pairs=10000, rng_seed=0) -> float:
-    """Minimum of <U(t,x) - V(t,y), x - y> over sampled pairs.
+# Sampled pairs (x, y) behind cross_monotonicity, and the slack verify grants
+# its minimum: a grid field is monotone up to its discretization error.
+CROSS_PAIRS, CROSS_TOL = 2000, 1e-3
+
+
+def cross_monotonicity(U, V, t, n_pairs=CROSS_PAIRS, rng_seed=0) -> float:
+    """Minimum of <U(t,x) - V(t,y), x - y> over n_pairs sampled pairs.
 
     Nonnegative for two fields that are selections of one monotone graph; a
     systematic negative value witnesses genuinely different fields.
@@ -329,6 +338,8 @@ def cross_monotonicity(U, V, t, n_pairs=10000, rng_seed=0) -> float:
     box = getattr(U, "box", None) or getattr(V, "box", None)
     if box is None:
         raise ConfigError("a box is required (neither field has one attached)")
+    if n_pairs < 1:
+        raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(rng_seed)
     x = box.sample_points(rng, n_pairs)
     y = box.sample_points(rng, n_pairs)

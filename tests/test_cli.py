@@ -111,27 +111,35 @@ BAD_NUMBERS = [
     ("yosida", "yosida", "delta"),
     ("traject", "trajectories", "t1"), ("traject", "trajectories", "t_min"),
     ("traject", "trajectories", "steps"),
-    ("halfspace", "halfspace", "t_fit"), ("halfspace", "halfspace", "x1_min"),
-    ("halfspace", "halfspace", "x1_max"), ("halfspace", "halfspace", "n_tail"),
-    ("verify", "verify", "M"), ("verify", "verify", "n_pairs"),
-    ("verify", "verify", "tol_mono"), ("verify", "verify", "cross_tol"),
-    ("probe", "probe", "t"),
+    ("halfspace", "halfspace", "t_fit"), ("probe", "probe", "t"),
     ("solve", "model", "d"), ("halfspace", "halfspace", "ftilde.Mp"),
 ]
 
 
 # (command, section, key, value): numbers out of their range, checked before any solve
 OUT_OF_RANGE = [
+    ("solve", "run", "seed", "-1"),
+    # a nan tolerance passes or fails every check it is compared in
+    ("plan", "planning", "conv_tol", "nan"), ("yosida", "yosida", "delta", "nan"),
+]
+
+
+# (command, section, key, value): keys whose values are now the constants of
+# their checks; a value that was malformed or out of range, like any other, is
+# refused for the key's name, so an old config never runs with a value it did not set
+RETIRED_KEYS = [
+    *((command, section, key, "abc") for command, section, key in (
+        ("halfspace", "halfspace", "x1_min"), ("halfspace", "halfspace", "x1_max"),
+        ("halfspace", "halfspace", "n_tail"), ("verify", "verify", "M"),
+        ("verify", "verify", "n_pairs"), ("verify", "verify", "tol_mono"),
+        ("verify", "verify", "cross_tol"))),
     ("halfspace", "halfspace", "x1_min", "0"), ("halfspace", "halfspace", "x1_max", "1"),
     ("halfspace", "halfspace", "x1_min", "0.95"), ("halfspace", "halfspace", "n_tail", "0"),
-    ("halfspace", "halfspace", "n_tail", "1"), ("solve", "run", "seed", "-1"),
-    ("verify", "verify", "n_pairs", "0"),
-    # a nan tolerance or level passes or fails every check it is compared in
-    ("plan", "planning", "conv_tol", "nan"), ("verify", "verify", "M", "nan"),
-    ("verify", "verify", "tol_mono", "nan"), ("verify", "verify", "cross_tol", "nan"),
-    ("yosida", "yosida", "delta", "nan"),
+    ("halfspace", "halfspace", "n_tail", "1"), ("verify", "verify", "n_pairs", "0"),
+    ("verify", "verify", "M", "nan"), ("verify", "verify", "tol_mono", "nan"),
+    ("verify", "verify", "cross_tol", "nan"),
 ]
-BAD_INPUTS = [(*case, "abc") for case in BAD_NUMBERS] + OUT_OF_RANGE
+BAD_INPUTS = [(*case, "abc") for case in BAD_NUMBERS] + OUT_OF_RANGE + RETIRED_KEYS
 
 
 @pytest.mark.parametrize("command,section,key,value", BAD_INPUTS, ids=[
@@ -148,6 +156,8 @@ def test_malformed_number_is_config_error(tmp_path, capsys, command, section, ke
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    retired = (command, section, key, value) in RETIRED_KEYS
+    assert (f"[{section}] {key} is not a known key" in err) == retired, err
     assert not out.exists()
 
 
@@ -160,6 +170,10 @@ UNKNOWN_KEYS = [
     ("traject", "trajectories", "start"), ("halfspace", "halfspace", "ftilde.M"),
     ("verify", "verify", "tolmono"), ("probe", "probe", "xx"), ("solve", "sovler", "cfl"),
     ("solve", "DEFAULT", "seed"), ("solve", "solver", "visc"), ("plan", "planning", "delta"),
+    ("halfspace", "halfspace", "x1_min"), ("halfspace", "halfspace", "x1_max"),
+    ("halfspace", "halfspace", "n_tail"), ("verify", "verify", "M"),
+    ("verify", "verify", "n_pairs"), ("verify", "verify", "tol_mono"),
+    ("verify", "verify", "cross_tol"),
 ]
 
 
@@ -471,6 +485,20 @@ def test_traject_refuses_its_range_before_solving(tmp_path, capsys, monkeypatch,
     assert main(["traject", "--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"config error: [trajectories] {key}" in err and "must" in err, err
+    assert solves == [] and not out.exists()
+
+
+def test_traject_refuses_jumps_before_solving(tmp_path, capsys, monkeypatch):
+    # trajectories follow the characteristics, which a jump term breaks
+    solves = []
+    solve = mfgplan.cli.solve_master
+    monkeypatch.setattr(mfgplan.cli, "solve_master",
+                        lambda *args: solves.append(args) or solve(*args))
+    cfg, out = make_config(tmp_path, extra="[trajectories]\nstarts = 1.0\n")
+    cfg.write_text(cfg.read_text().replace("lambda = 0\n", "lambda = 1\nS = 0.5\n"))
+    assert main(["traject", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "[model] lambda must be 0" in err, err
     assert solves == [] and not out.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      check_couple_monotone, eval_field, load_model, register_field,
                      registered_names)
-from mfgplan.model import bind_field
+from mfgplan.model import COUPLE_TOL, bind_field
 from conftest import (affine_couple_eigenvalue, baseline_model, box1d, check_monotone_map,
                       identity_noise)
 
@@ -40,7 +40,7 @@ def test_scalar_shorthand_expands():
 
 def test_registered_fields():
     names = registered_names()
-    assert "zero" in names and "capped_x1_burgers" in names
+    assert "capped_x1_burgers" in names
     f = FieldSpec.registered("capped_x1_burgers")
     x = np.array([[0.5, 2.0], [2.0, 0.3]])
     p = np.array([[3.0, 4.0], [3.0, 4.0]])
@@ -273,7 +273,7 @@ def test_couple_velocity_equals_value_is_exactly_one_monotone():
     # pairing D = |p - q|^2 by hand, so D - 1*|p - q|^2 vanishes identically
     rep = check_couple_monotone(baseline_model(), box1d(n=10))
     assert rep.passed
-    assert rep.min_second_modulus >= -rep.tol
+    assert rep.min_second_modulus >= -COUPLE_TOL
     assert abs(rep.min_second_modulus) <= 1e-14
     assert rep.min_pairing >= 0.0
 
@@ -287,7 +287,7 @@ def test_couple_pure_source_fails_second_modulus():
                   alpha=1.0, lip_Gx=1.0)
     rep = check_couple_monotone(m, box1d(n=10))
     assert rep.passed
-    assert rep.min_second_modulus < -rep.tol
+    assert rep.min_second_modulus < -COUPLE_TOL
     assert rep.min_second_modulus < -0.1
 
 

@@ -302,6 +302,14 @@ def test_cross_monotonicity_identical_and_shifted():
     assert crossed < -1e-3
 
 
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_cross_monotonicity_needs_a_pair(n_pairs):
+    # no pair has no minimum: numpy's empty min would escape as a bare ValueError
+    U = AnalyticField(lambda t, x: closed_form(t, x), box=box1d(n=100))
+    with pytest.raises(ConfigError, match=f"n_pairs must be >= 1, got {n_pairs}"):
+        cross_monotonicity(U, U, 0.5, n_pairs=n_pairs)
+
+
 def test_cross_monotonicity_solver_vs_extraction(lq0_run):
     sol = lq0_run.smallest_eps_solution
     ext = GridSolution(box=lq0_run.box, times=[0.5],
