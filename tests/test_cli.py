@@ -124,9 +124,9 @@ OUT_OF_RANGE = [
 ]
 
 
-# (command, section, key, value): keys whose values are now the constants of
-# their checks; a value that was malformed or out of range, like any other, is
-# refused for the key's name, so an old config never runs with a value it did not set
+# (command, section, key, value): keys whose values became constants of their
+# checks; any value, malformed and out of range ones too, is refused for the
+# key's name, so a config that sets one never runs with the constant in its place
 RETIRED_KEYS = [
     *((command, section, key, "abc") for command, section, key in (
         ("halfspace", "halfspace", "x1_min"), ("halfspace", "halfspace", "x1_max"),
