@@ -361,7 +361,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     _write_json({
         "couple_monotonicity": {"min_pairing": mono.min_pairing,
                                 "min_second_modulus": mono.min_second_modulus,
-                                "alpha": mono.alpha},
+                                "alpha": cfg.model.consts.alpha},
         "penalization": {"eps": list(run.eps_schedule), "gaps": run.gaps,
                          "converged": run.converged},
         "certificate": {"applicable": cert.applicable, "t_f": cert.t_f,

@@ -66,8 +66,9 @@ class HalfspaceModel:
 
     base.F is the drift on the half space (F_1 = x_1 * Ftilde_1 for x_1 <= 1);
     ftilde is the factored drift (Ftilde_1, F_2, ..., F_d). The declared
-    structural constants of base describe ftilde, which is the map the
-    straightened system runs on.
+    structural constants of base (0 where undeclared) describe ftilde, which
+    is the map the straightened system runs on; an affine base checks them
+    against its own couple instead (ModelSpec), so it should declare none.
     """
 
     base: ModelSpec
@@ -120,8 +121,9 @@ def transformed_model(hm: HalfspaceModel) -> ModelSpec:
     """Full-space model in straightened coordinates: the base model with the
     factored drift, target y(x0), and fields read at x(y).
 
-    The relabeling and declared constants carry over (the relabeling commutes
-    with the straightening because it leaves the first coordinate fixed).
+    The relabeling and the declared constants (used as declared, not derived)
+    carry over: the relabeling commutes with the straightening because it
+    leaves the first coordinate fixed.
     """
     return replace(hm.base, F=hm.ftilde, x0=to_log_coordinates(hm.base.x0),
                    coords=from_log_coordinates)

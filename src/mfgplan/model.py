@@ -2,9 +2,9 @@
 
 A model collects the coupling maps F, G : R^d x R^d -> R^d, the jump
 intensity lambda together with the affine state relabeling T(x) = S x + e,
-the planning target x0, and the declared structural constants (the
-monotonicity modulus alpha and the Lipschitz constants of F and G in each
-argument) that the regularizing-bound certificate consumes.
+the planning target x0, and the structural constants (the monotonicity
+modulus alpha and the Lipschitz constants of F and G in each argument) that
+the regularizing-bound certificate consumes: an affine couple derives them.
 
 The central structural notion is monotonicity of the couple (G, F):
 
@@ -18,6 +18,7 @@ symmetric part of the block matrix [[Gx, Gp], [Fx, Fp]].
 from __future__ import annotations
 
 import configparser
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,8 @@ from .errors import ConfigError
 # minimum only bounds the infimum from above, and more pairs tighten it. A
 # couple passes at a minimum >= -COUPLE_TOL: with no margin it samples 0 up to rounding.
 COUPLE_SAMPLES, COUPLE_TOL = 4000, 1e-4
+# A declared constant of an affine couple is within DECLARED_REL_TOL * max(1, derived) of it.
+DECLARED_REL_TOL = 1e-6
 
 # Registry of named drift/source evaluators usable from model files.
 # An evaluator takes arrays x, p of shape (..., d) and returns (..., d).
@@ -231,9 +234,31 @@ class AffineNoiseMap:
         return np.asarray(x, dtype=float) @ self.S.T + self.e
 
 
+CoupleConstants = namedtuple("CoupleConstants", "alpha lip_Fx lip_Fp lip_Gx lip_Gp")
+
+
+def affine_couple_constants(F: FieldSpec, G: FieldSpec) -> CoupleConstants:
+    """The spectral norms of an affine couple's blocks, and the largest alpha >= 0
+    with sym(B) - alpha diag(0, I) >= 0 for B = [[Gx, Gp], [Fx, Fp]]: with
+    sym(B) = [[P, Q], [Q^T, R]], the least eigenvalue of R - Q^T P^+ Q (P^+ drops
+    P's rounded zeros), or 0 if that alpha fails beyond rounding, as when sym(B) is not >= 0."""
+    P, Q, R = (G.Mx + G.Mx.T) / 2, (G.Mp + F.Mx.T) / 2, (F.Mp + F.Mp.T) / 2
+    schur = R - Q.T @ np.linalg.pinv(P, 1e-10, hermitian=True) @ Q
+    alpha = max(float(np.linalg.eigvalsh(schur)[0]), 0.0)
+    M = np.block([[P, Q], [Q.T, R - alpha * np.eye(len(R))]])
+    if np.linalg.eigvalsh(M)[0] < -1e-12 * max(1.0, np.abs(M).max()):
+        alpha = 0.0
+    norms = np.linalg.svd(np.stack((F.Mx, F.Mp, G.Mx, G.Mp)), compute_uv=False)[:, 0]
+    return CoupleConstants(alpha, *norms.tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Full problem data plus the declared structural constants.
+    """Full problem data plus the structural constants.
+
+    alpha and lip_* are declared (None: undeclared); consts holds those in use.
+    An affine couple read in its own coordinates derives consts, and a declared
+    value is checked against them; any other uses its declared values or 0.
 
     coords, when given, maps the points the model is solved at to the x its
     fields read, (..., d) -> (..., d): eval_F, eval_G and bind evaluate F and
@@ -246,23 +271,19 @@ class ModelSpec:
     lam: float
     noise: AffineNoiseMap
     x0: np.ndarray
-    alpha: float = 0.0
-    lip_Fx: float = 0.0
-    lip_Fp: float = 0.0
-    lip_Gx: float = 0.0
-    lip_Gp: float = 0.0
+    alpha: float | None = None
+    lip_Fx: float | None = None
+    lip_Fp: float | None = None
+    lip_Gx: float | None = None
+    lip_Gp: float | None = None
     coords: object = None
+    consts: CoupleConstants = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ConfigError("model dimension d must be >= 1")
         if self.lam < 0:
             raise ConfigError("jump intensity lambda must be >= 0")
-        if self.alpha < 0:
-            raise ConfigError("monotonicity modulus alpha must be >= 0")
-        for name in ("lip_Fx", "lip_Fp", "lip_Gx", "lip_Gp"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"Lipschitz constant {name} must be >= 0")
         x0 = np.array(self.x0, dtype=float).reshape(-1)  # a read-only copy, as Box keeps
         if x0.shape != (self.d,):
             raise ConfigError(f"x0 must have length d={self.d}")
@@ -273,6 +294,18 @@ class ModelSpec:
         for fs in (self.F, self.G):
             if fs.kind == "affine" and fs.Mx.shape != (self.d, self.d):
                 raise ConfigError("affine field blocks must be d x d")
+        declared = [getattr(self, k) for k in CoupleConstants._fields]
+        if self.coords is None and self.F.kind == self.G.kind == "affine":
+            consts = affine_couple_constants(self.F, self.G)
+        else:
+            consts = CoupleConstants(*(0.0 if v is None else float(v) for v in declared))
+        for k, v, c in zip(CoupleConstants._fields, declared, consts):
+            if not c >= 0:
+                raise ConfigError(f"[model] {k} must be >= 0, got {c:.12g}")
+            if v is not None and not abs(v - c) <= DECLARED_REL_TOL * max(1.0, c):
+                raise ConfigError(f"[model] {k} = {v:.12g} is declared, but the affine "
+                                  f"couple gives {c:.12g}")
+        object.__setattr__(self, "consts", consts)
 
     def _read_at(self, x):
         return x if self.coords is None else self.coords(x)
@@ -295,17 +328,16 @@ class MonotonicityReport:
 
     min_pairing: float
     min_second_modulus: float
-    alpha: float
 
     @property
-    def passed(self) -> bool:
-        return self.min_pairing >= -COUPLE_TOL
+    def passed(self) -> bool:  # the second modulus is at most the pairing, as alpha >= 0
+        return self.min_second_modulus >= -COUPLE_TOL
 
 
 def check_couple_monotone(m: ModelSpec, box, rng_seed=0) -> MonotonicityReport:
     """Sample the pairing D over box x box and report its minima.
 
-    The second-modulus entry subtracts alpha |p-q|^2, so that a nonnegative
+    The second-modulus entry subtracts m.consts.alpha |p-q|^2, so that a nonnegative
     minimum certifies monotonicity with modulus alpha in the second variable.
     """
     rng = np.random.default_rng(rng_seed)
@@ -314,11 +346,7 @@ def check_couple_monotone(m: ModelSpec, box, rng_seed=0) -> MonotonicityReport:
     dF = m.eval_F(x, p) - m.eval_F(y, q)
     D = np.sum(dG * (x - y), axis=-1) + np.sum(dF * (p - q), axis=-1)
     pq2 = np.sum((p - q) ** 2, axis=-1)
-    return MonotonicityReport(
-        min_pairing=float(np.min(D)),
-        min_second_modulus=float(np.min(D - m.alpha * pq2)),
-        alpha=m.alpha,
-    )
+    return MonotonicityReport(float(np.min(D)), float(np.min(D - m.consts.alpha * pq2)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +387,8 @@ def _parse_matrix(text, d, what):
 
 # The keys a field reads after its prefix ('F.', 'G.', 'ftilde.'); the keys of [model].
 FIELD_KEYS = ("kind", "Mx", "Mp", "c", "name")
-MODEL_KEYS = ("d", "lambda", "x0", "S", "e", "alpha", "lip_Fx", "lip_Fp", "lip_Gx",
-              "lip_Gp", *(f"{f}.{k}" for f in ("F", "G") for k in FIELD_KEYS))
+MODEL_KEYS = ("d", "lambda", "x0", "S", "e", *CoupleConstants._fields,
+              *(f"{f}.{k}" for f in ("F", "G") for k in FIELD_KEYS))
 
 
 def check_keys(items, known, section):
@@ -398,8 +426,8 @@ def model_from_items(items: dict) -> ModelSpec:
     e = _parse_vector(items.get("e", "0"), d, "[model] e")
     F = _parse_field(items, "F", d)
     G = _parse_field(items, "G", d)
-    consts = {k: parse_number(items.get(k, "0"), f"[model] {k}")
-              for k in ("alpha", "lip_Fx", "lip_Fp", "lip_Gx", "lip_Gp")}
+    consts = {k: parse_number(items[k], f"[model] {k}")
+              for k in CoupleConstants._fields if k in items}
     return ModelSpec(d=d, F=F, G=G, lam=lam, noise=AffineNoiseMap(S, e), x0=x0, **consts)
 
 

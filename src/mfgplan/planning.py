@@ -19,7 +19,7 @@ from .characteristics import penalized_data
 from .errors import BlowupError, ConfigError
 from .grid_solver import (Box, GridSolution, Slice, SolverParams, lipschitz_norm,
                           solve_master)
-from .model import ModelSpec
+from .model import CoupleConstants, ModelSpec
 from .yosida import invert_shift, yosida_apply
 
 
@@ -246,8 +246,8 @@ def graph_limit_diagnostic(U, x0, M, times) -> GraphLimitDiagnostic:
 CERT_REL_SLACK = 0.05
 
 
-def _beta_gamma(m: ModelSpec, t):
-    return 0.5 * m.alpha * t, m.lip_Gx * m.alpha * t ** 2
+def _beta_gamma(c: CoupleConstants, t):
+    return 0.5 * c.alpha * t, c.lip_Gx * c.alpha * t ** 2
 
 
 def _bound(t, beta, gamma):
@@ -255,25 +255,24 @@ def _bound(t, beta, gamma):
     return np.where(t > 0, np.sqrt(1.0 + 4.0 * beta * gamma) / np.maximum(beta, 1e-300), np.inf)
 
 
-def certificate_horizon(m: ModelSpec, t_max) -> float:
-    """Largest t <= t_max on which both certificate inequalities hold.
+def certificate_horizon(c: CoupleConstants, damp, t_max) -> float:
+    """Largest t <= t_max on which both certificate inequalities hold, for the
+    constants c and damp = lambda (1 - |S|^2).
 
     The first inequality's root 2 k t^2 + A t - 1 = 0 is taken in the form
-    free of cancellation for the sign of A; the declared constants are >= 0,
-    so k >= 0 and the second inequality fails only past -3 / (2 B), when
-    |DxG| > 0 > B.
+    free of cancellation for the sign of A; the constants are >= 0, so k >= 0
+    and the second inequality fails only past -3 / (2 B), when |DxG| > 0 > B.
     """
-    if m.alpha <= 0:
+    if c.alpha <= 0:
         raise ConfigError("certificate requires alpha > 0")
-    damp = m.lam * (1.0 - m.noise.norm_S ** 2)
-    A = m.lip_Gx + 2.0 * m.lip_Fx - damp
-    B = damp - m.lip_Fp - 2.0 * m.lip_Gp
-    k = m.lip_Gx * m.lip_Fp
+    A = c.lip_Gx + 2.0 * c.lip_Fx - damp
+    B = damp - c.lip_Fp - 2.0 * c.lip_Gp
+    k = c.lip_Gx * c.lip_Fp
     root = np.sqrt(A * A + 8.0 * k)
     roots = [float(t_max)]
     if A + root > 0:
         roots.append(2.0 / (A + root) if A >= 0 else (root - A) / (4.0 * k))
-    if m.lip_Gx > 0 > B:
+    if c.lip_Gx > 0 > B:
         roots.append(-1.5 / B)
     return float(min(roots))
 
@@ -307,15 +306,16 @@ def estimate_certificate(m: ModelSpec, sol: GridSolution, times) -> EstimateRepo
     measured <= bound * (1 + CERT_REL_SLACK).
     """
     times = np.asarray([float(t) for t in times])
-    if m.alpha <= 0:
+    c = m.consts
+    if c.alpha <= 0:
         return EstimateReport(applicable=False, t_f=0.0, times=times,
                               bound=np.zeros_like(times),
                               measured=np.full_like(times, np.nan),
                               checked=np.zeros_like(times, dtype=bool),
                               ok=np.zeros_like(times, dtype=bool))
     horizon = float(sol.times[-1])
-    t_f = certificate_horizon(m, horizon)
-    bound = _bound(times, *_beta_gamma(m, times))
+    t_f = certificate_horizon(c, m.lam * (1.0 - m.noise.norm_S ** 2), horizon)
+    bound = _bound(times, *_beta_gamma(c, times))
     measured = np.full_like(times, np.nan)
     checked = (times > 0) & (times <= t_f + 1e-12)
     measured[checked] = [lipschitz_norm(sol, t) for t in times[checked]]

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, GridSolution, ModelSpec,
-                     Slice, SolverParams, penalized_slice, run_penalization, solve_master)
+                     Slice, SolverParams, eval_field, penalized_slice, register_field,
+                     run_penalization, solve_master)
 
 X0 = 0.5
 
@@ -39,8 +40,7 @@ def baseline_model(d=1, x0=None):
         x0 = np.full(d, X0)
     return ModelSpec(d=d, F=FieldSpec.affine(0.0, 1.0, d=d),
                      G=FieldSpec.affine(0.0, 0.0, d=d), lam=0.0,
-                     noise=identity_noise(d), x0=np.asarray(x0, float),
-                     alpha=1.0, lip_Fx=0.0, lip_Fp=1.0, lip_Gx=0.0, lip_Gp=0.0)
+                     noise=identity_noise(d), x0=np.asarray(x0, float))
 
 
 def coupled_model(K=1.0, d=1, x0=None):
@@ -49,8 +49,7 @@ def coupled_model(K=1.0, d=1, x0=None):
         x0 = np.full(d, X0)
     return ModelSpec(d=d, F=FieldSpec.affine(0.0, 1.0, d=d),
                      G=FieldSpec.affine(K, 0.0, d=d), lam=0.0,
-                     noise=identity_noise(d), x0=np.asarray(x0, float),
-                     alpha=1.0, lip_Fx=0.0, lip_Fp=1.0, lip_Gx=K, lip_Gp=0.0)
+                     noise=identity_noise(d), x0=np.asarray(x0, float))
 
 
 def jump_model(lam=1.0, S=0.5):
@@ -58,8 +57,14 @@ def jump_model(lam=1.0, S=0.5):
     return ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
                      G=FieldSpec.affine(0.0, 0.0, d=1), lam=lam,
                      noise=AffineNoiseMap(np.array([[S]]), np.zeros(1)),
-                     x0=np.zeros(1), alpha=1.0, lip_Fx=0.0, lip_Fp=1.0,
-                     lip_Gx=0.0, lip_Gp=0.0)
+                     x0=np.zeros(1))
+
+
+def registered_copy(name, f: FieldSpec) -> FieldSpec:
+    """The affine field f, registered as name: a couple holding it keeps its
+    declared constants, where an affine couple derives them."""
+    register_field(name)(lambda x, p: eval_field(f, x, p))
+    return FieldSpec.registered(name)
 
 
 def digest12(*arrays):

@@ -18,6 +18,8 @@ import pytest
 import mfgplan
 from mfgplan import ConfigError, SolverParams
 from mfgplan.cli import _SECTION_KEYS, load_config, main
+from mfgplan.model import COUPLE_TOL
+from conftest import registered_copy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -275,18 +277,23 @@ def test_model_file_with_other_keys_is_config_error(tmp_path, capsys):
 
 
 def test_negative_lipschitz_constant_is_config_error(tmp_path, capsys):
-    # the declared constants are norms: a negative one is refused, from a
-    # model file and from an inline [model] alike, before any solve
+    # the constants are norms: a negative one is refused, from a model file
+    # and from an inline [model] alike, before any solve. The affine lq0 couple
+    # derives lip_Gx = 0, so -1 contradicts it; a registered couple keeps its
+    # declared values, and the range check refuses -1.
     (tmp_path / "m.model").write_text((CONFIGS / "lq0.model").read_text()
                                       .replace("lip_Gx = 0", "lip_Gx = -1"))
     cfg = tmp_path / "run.cfg"
     cfg.write_text((CONFIGS / "lq0.cfg").read_text().replace("file = lq0.model", "file = m.model"))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
-    assert "lip_Gx" in capsys.readouterr().err
+    assert "[model] lip_Gx = -1 is declared, but the affine couple gives 0" in \
+        capsys.readouterr().err
     inline, _ = make_config(tmp_path, name="inline.cfg")
-    inline.write_text(inline.read_text().replace("lip_Fp = 1\n", "lip_Fp = 1\nlip_Gx = -1\n"))
+    inline.write_text(inline.read_text().replace(
+        "F.Mp = 1\n", "F.kind = registered\nF.name = capped_x1_burgers\n").replace(
+        "lip_Fp = 1\n", "lip_Fp = 1\nlip_Gx = -1\n"))
     assert main(["verify", "--config", str(inline), "--out", str(tmp_path / "b")]) == 2
-    assert "lip_Gx" in capsys.readouterr().err
+    assert "[model] lip_Gx must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
@@ -573,9 +580,11 @@ def test_probe_rejects_jumps(tmp_path, capsys):
 
 def test_probe_exploding_characteristic_exits_1(tmp_path, capsys, monkeypatch):
     # G = 5000 p overflows on the grid and along the characteristics alike; the
-    # grid is solved without the source so that shooting is what fails
+    # grid is solved without the source so that shooting is what fails. The
+    # couple derives alpha = 0, so BASE's declared alpha = 1 goes.
     cfg, _ = make_config(tmp_path, extra="[solve]\neps = 0.1\n")
-    cfg.write_text(cfg.read_text().replace("F.Mp = 1\n", "F.Mp = 1\nG.Mp = 5000\n"))
+    cfg.write_text(cfg.read_text().replace("F.Mp = 1\n", "F.Mp = 1\nG.Mp = 5000\n")
+                   .replace("alpha = 1\n", ""))
     solve = mfgplan.cli.solve_master
     monkeypatch.setattr(mfgplan.cli, "solve_master", lambda m, data, params: solve(
         dataclasses.replace(m, G=mfgplan.FieldSpec.affine(0.0, 0.0, d=1)), data, params))
@@ -603,6 +612,57 @@ def test_verify_reference_config(tmp_path, capsys):
         "f128ed5f8fade2754fbd7cc69278c641a94780b902eb63f52a04263f8680c513"
     assert _sha256(out / "report.json") == \
         "23c11eabe7b86081fcf53a3cf92b56b17a73baf0011208c8f0ad201f15c3abc5"
+
+
+def test_lq0_model_without_constants_verifies_identically(tmp_path):
+    # lq0's affine couple derives the five constants its model file declares
+    text = (CONFIGS / "lq0.model").read_text()
+    bare = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(("alpha", "lip_")))
+    assert len(bare.splitlines()) == len(text.splitlines()) - 5
+    (tmp_path / "bare.model").write_text(bare)
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text((CONFIGS / "lq0.cfg").read_text().replace("lq0.model", "bare.model"))
+    outputs = []
+    for config, out in ((CONFIGS / "lq0.cfg", tmp_path / "lq0"), (cfg, tmp_path / "bare")):
+        assert main(["verify", "--config", str(config), "--quiet", "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "curves.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("model, key", [
+    # monotone, but with no modulus in p: the couple derives alpha = 0
+    ("F.Mp = 0\nG.Mx = 1\nalpha = 1\n", "alpha = 1 is declared, but the affine couple gives 0"),
+    # F = p, G = x: |DxG| = 1, where lip_Gx = 0 would stretch the certificate window
+    ("F.Mp = 1\nG.Mx = 1\nalpha = 1\nlip_Fp = 1\nlip_Gx = 0\n",
+     "lip_Gx = 0 is declared, but the affine couple gives 1"),
+], ids=["alpha", "lip_Gx"])
+def test_contradicting_declared_constant_exits_2(tmp_path, capsys, model, key):
+    cfg, out = make_config(tmp_path)
+    declared = "F.Mp = 1\nlambda = 0\nx0 = 0.5\nalpha = 1\nlip_Fp = 1\n"  # BASE's model
+    cfg.write_text(cfg.read_text().replace(declared, f"{model}lambda = 0\nx0 = 0.5\n"))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert f"[model] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+registered_copy("cli_source_x", mfgplan.FieldSpec.affine(1.0, 0.0, d=1))
+
+
+def test_over_declared_alpha_fails_the_couple_check(tmp_path, capsys):
+    # F = p with a registered G = x: the couple's modulus is 1, and a
+    # registered couple keeps its declared alpha = 2, which the sampled
+    # second modulus refutes
+    cfg, out = make_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("alpha = 1", "alpha = 2").replace(
+        "F.Mp = 1\n", "F.Mp = 1\nG.kind = registered\nG.name = cli_source_x\n"))
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "couple_monotonicity: FAIL" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["couple_monotonicity"]["alpha"] == 2.0
+    assert rep["couple_monotonicity"]["min_pairing"] >= 0.0
+    assert rep["couple_monotonicity"]["min_second_modulus"] < -COUPLE_TOL
+    assert rep["checks"]["couple_monotonicity"] is False
 
 
 def test_verify_drops_times_snapping_to_one_record(tmp_path):
@@ -714,8 +774,9 @@ PLAN_BLOWUP_SHA256 = {
 
 
 def test_plan_last_eps_blowup_keeps_finished_solutions(tmp_path, capsys):
+    # F = -p is not monotone: it derives alpha = 0, so BASE's declared alpha = 1 goes
     cfg, out = make_config(tmp_path, eps="0.8, 0.4, 0.1", n="60")
-    cfg.write_text(cfg.read_text().replace("F.Mp = 1", "F.Mp = -1")
+    cfg.write_text(cfg.read_text().replace("F.Mp = 1", "F.Mp = -1").replace("alpha = 1\n", "")
                    .replace("t_end = 1.0", "t_end = 0.3").replace("n_rec = 51", "n_rec = 31"))
     assert main(["plan", "--config", str(cfg), "--quiet"]) == 1
     assert capsys.readouterr().err == ("numerical failure: solution exceeded the overflow "

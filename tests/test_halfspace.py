@@ -158,7 +158,7 @@ def test_factorization_and_inward_flow():
     # constant outward drift fails the wall condition
     bad = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, c=-1.0, d=1),
                     G=FieldSpec.affine(0.0, 0.0, d=1), lam=0.0,
-                    noise=identity_noise(1), x0=np.ones(1), alpha=1.0)
+                    noise=identity_noise(1), x0=np.ones(1))
     assert check_inward_flow(bad) == pytest.approx(-1.0)
 
 
@@ -168,7 +168,7 @@ def test_factorization_and_inward_flow_pinned():
     # sampling cube's half-width
     F = FieldSpec.affine([[0.5, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], c=[0.1, 0.0], d=2)
     base = ModelSpec(d=2, F=F, G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
-                     noise=identity_noise(2), x0=np.array([0.5, 0.0]), alpha=1.0)
+                     noise=identity_noise(2), x0=np.array([0.5, 0.0]))
     hm = HalfspaceModel(base=base, ftilde=FieldSpec.affine(0.0, 1.0, d=2))
     assert check_factorization(hm) == 2.0819171219479764
     assert check_inward_flow(base) == -1.8910839699884785

@@ -1,6 +1,7 @@
 """Model container, field evaluation, monotonicity checks, model file loading."""
 
 import dataclasses
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      check_couple_monotone, eval_field, load_model, register_field,
                      registered_names)
-from mfgplan.model import COUPLE_TOL, bind_field
+from mfgplan.model import COUPLE_TOL, DECLARED_REL_TOL, bind_field
 from conftest import (affine_couple_eigenvalue, baseline_model, box1d, check_monotone_map,
-                      identity_noise)
+                      identity_noise, registered_copy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = CONFIGS.parent / "perfbench"
 
 
 def test_affine_field_hand_values():
@@ -279,16 +281,18 @@ def test_couple_velocity_equals_value_is_exactly_one_monotone():
 
 
 def test_couple_pure_source_fails_second_modulus():
-    # F = 0, G = x: D = |x - y|^2 >= 0, but no |p - q|^2 term exists,
-    # so any positive alpha-in-the-second-variable claim must fail
+    # F = 0, G = x: D = |x - y|^2 >= 0, but no |p - q|^2 term exists, so any
+    # positive alpha-in-the-second-variable claim must fail. An affine G would
+    # derive alpha = 0 and refuse the claim; a registered one keeps it.
     m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1),
-                  G=FieldSpec.affine(1.0, 0.0, d=1), lam=0.0,
+                  G=registered_copy("pure_source", FieldSpec.affine(1.0, 0.0, d=1)), lam=0.0,
                   noise=identity_noise(1), x0=np.zeros(1),
                   alpha=1.0, lip_Gx=1.0)
     rep = check_couple_monotone(m, box1d(n=10))
-    assert rep.passed
+    assert rep.min_pairing >= 0.0
     assert rep.min_second_modulus < -COUPLE_TOL
     assert rep.min_second_modulus < -0.1
+    assert not rep.passed
 
 
 def test_couple_antimonotone_fails():
@@ -332,6 +336,97 @@ def test_affine_eigenvalue_agrees_with_sampling():
         assert abs(affine_couple_eigenvalue(F, G) - c) < 1e-12
 
 
+def _couple(B, d):
+    """The affine couple (F, G) of the block matrix B = [[Gx, Gp], [Fx, Fp]]."""
+    return (FieldSpec.affine(B[d:, :d], B[d:, d:], d=d),
+            FieldSpec.affine(B[:d, :d], B[:d, d:], d=d))
+
+
+def _plain_model(F, G, **declared):
+    d = len(F.Mx)
+    return ModelSpec(d=d, F=F, G=G, lam=0.0, noise=identity_noise(d), x0=np.zeros(d), **declared)
+
+
+def test_derived_alpha_is_the_largest_modulus():
+    # random monotone couples with non-symmetric blocks, sym(B) = L L^T + a0 diag(0, I)
+    # with L of every rank (so P = sym(Gx) singular too): sym(B) - alpha diag(0, I)
+    # is >= 0 at the derived alpha and is not just above it
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        for rank in range(1, 2 * d + 1):
+            for _ in range(12):
+                L, K = rng.normal(size=(2 * d, rank)), rng.normal(size=(2 * d, 2 * d))
+                a0 = rng.uniform(0.0, 2.0) * (rng.random() > 0.3)
+                B = L @ L.T + K - K.T
+                B[d:, d:] += a0 * np.eye(d)
+                F, G = _couple(B, d)
+                c = _plain_model(F, G).consts
+                assert c.alpha >= a0 - 1e-9
+
+                def lam_min(a):  # of sym(B) - a diag(0, I)
+                    return affine_couple_eigenvalue(FieldSpec.affine(F.Mx, F.Mp - a * np.eye(d)), G)
+                assert lam_min(c.alpha) >= -1e-12
+                assert lam_min(c.alpha + 1e-6) < 0.0
+                for lip, M in zip(c[1:], (F.Mx, F.Mp, G.Mx, G.Mp)):  # spectral norms
+                    assert lip == pytest.approx(np.linalg.norm(M, 2), rel=1e-14, abs=0.0)
+
+
+def test_non_monotone_couple_derives_alpha_zero():
+    rng = np.random.default_rng(5)
+    seen = 0
+    for d in (1, 2, 3):
+        for _ in range(20):
+            F, G = _couple(rng.normal(size=(2 * d, 2 * d)), d)
+            if affine_couple_eigenvalue(F, G) < 0:
+                assert _plain_model(F, G).consts.alpha == 0.0
+                seen += 1
+    assert seen >= 20
+    # F = 0, G = x is monotone with no modulus in p; F = x + p, G = 0 is not
+    # monotone, as sym(B) = [[0, 1/2], [1/2, 1]] has a negative eigenvalue
+    assert _plain_model(*_couple(np.diag([1.0, 0.0]), 1)).consts.alpha == 0.0
+    assert _plain_model(*_couple(np.array([[0.0, 0.0], [1.0, 1.0]]), 1)).consts.alpha == 0.0
+
+
+def test_shipped_affine_models_derive_their_declared_constants():
+    # bit for bit: lq0.model declares them, perfbench's coupled_model declares three
+    assert load_model(CONFIGS / "lq0.model").consts == (1.0, 0.0, 1.0, 0.0, 0.0)
+    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for lam, S in ((1.0, 0.5), (0.0, 1.0)):
+        assert child.coupled_model((0.5, 0.5), lam, S).consts == (1.0, 0.0, 1.0, 1.0, 0.0)
+
+
+def test_declared_constants_are_assertions():
+    F, G = FieldSpec.affine(0.0, 1.0, d=1), FieldSpec.affine(1.0, 0.0, d=1)  # F = p, G = x
+    assert _plain_model(F, G).consts == (1.0, 0.0, 1.0, 1.0, 0.0)
+    # a declared value within the tolerance passes, and the derived one is used
+    near = _plain_model(F, G, alpha=1.0 + 0.5 * DECLARED_REL_TOL)
+    assert near.alpha == 1.0 + 0.5 * DECLARED_REL_TOL and near.consts.alpha == 1.0
+    for key, value in (("alpha", 1.0 + 2 * DECLARED_REL_TOL), ("lip_Gx", 0.0),
+                       ("lip_Fp", -1.0), ("lip_Gp", float("nan"))):
+        with pytest.raises(ConfigError, match=rf"\[model\] {key} = .* is declared, but the "
+                                              rf"affine couple gives"):
+            _plain_model(F, G, **{key: value})
+    # a registered couple keeps what it declares, 0 where undeclared, each >= 0
+    Greg = registered_copy("declared_G", G)
+    assert _plain_model(F, Greg, lip_Gx=0.25).consts == (0.0, 0.0, 0.0, 0.25, 0.0)
+    for value in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match=r"\[model\] lip_Gx must be >= 0"):
+            _plain_model(F, Greg, lip_Gx=value)
+
+
+def test_replace_rederives_the_constants():
+    # replace passes the declared (None) values on: the new couple derives its own
+    m = baseline_model()
+    assert m.alpha is None and m.consts.alpha == 1.0
+    m2 = dataclasses.replace(m, G=FieldSpec.affine(0.0, 500.0, d=1))
+    assert m2.consts == (0.0, 0.0, 1.0, 0.0, 500.0)
+    declared = dataclasses.replace(m, alpha=1.0)
+    with pytest.raises(ConfigError, match=r"\[model\] alpha = 1 is declared"):
+        dataclasses.replace(declared, F=FieldSpec.affine(0.0, 0.0, d=1))
+
+
 def test_monotone_map_minimum():
     box = box1d(n=10)
     assert abs(check_monotone_map(lambda x: 2.0 * x, box) - 2.0) < 1e-9
@@ -344,8 +439,11 @@ def test_sampled_monotonicity_minima_are_pinned():
     box = Box(np.array([-1.0, -0.5]), np.array([1.5, 2.0]), np.array([10, 10]))
     F = FieldSpec.affine([[0.2, 0.1], [-0.3, 0.1]], [[1.0, 0.4], [0.1, 0.8]], d=2)
     G = FieldSpec.affine([[0.9, -0.2], [0.3, 0.5]], [[0.1, 0.0], [0.2, 0.0]], d=2)
-    m = ModelSpec(d=2, F=F, G=G, lam=0.0, noise=identity_noise(2),
+    # G registered, so that the declared alpha = 0.3 is the one in use (the
+    # affine couple derives 0.5799)
+    m = ModelSpec(d=2, F=F, G=registered_copy("pinned_G", G), lam=0.0, noise=identity_noise(2),
                   x0=np.zeros(2), alpha=0.3)
+    assert m.consts.alpha == 0.3
     rep = check_couple_monotone(m, box)
     assert (rep.min_pairing, rep.min_second_modulus) == (
         0.02646809899585814, 0.023149303862614615)
@@ -359,13 +457,13 @@ def test_model_file_round_trip(tmp_path):
                                      c=np.array([0.1, -0.2]), d=2),
                   G=FieldSpec.affine(0.3, 0.0, d=2), lam=0.7,
                   noise=AffineNoiseMap(0.8 * np.eye(2), np.array([0.05, 0.0])),
-                  x0=np.array([0.4, -0.1]), alpha=0.9,
+                  x0=np.array([0.4, -0.1]), alpha=0.791667,
                   lip_Fx=0.5, lip_Fp=1.0, lip_Gx=0.3, lip_Gp=0.0)
     path = tmp_path / "m.model"
     path.write_text("[model]\nd = 2\nlambda = 0.7\nx0 = 0.4,-0.1\nS = 0.8,0; 0,0.8\n"
                     "e = 0.05,0\nF.kind = affine\nF.Mx = 0,0.5; -0.5,0\nF.Mp = 1,0; 0,1\n"
                     "F.c = 0.1,-0.2\nG.kind = affine\nG.Mx = 0.3,0; 0,0.3\n"
-                    "G.Mp = 0,0; 0,0\nG.c = 0,0\nalpha = 0.9\nlip_Fx = 0.5\nlip_Fp = 1\n"
+                    "G.Mp = 0,0; 0,0\nG.c = 0,0\nalpha = 0.791667\nlip_Fx = 0.5\nlip_Fp = 1\n"
                     "lip_Gx = 0.3\nlip_Gp = 0\n")
     back = load_model(path)
     assert back.d == m.d and back.lam == m.lam and back.alpha == m.alpha
@@ -375,6 +473,8 @@ def test_model_file_round_trip(tmp_path):
         assert np.allclose(a, b, atol=1e-12)
     assert (back.lip_Fx, back.lip_Fp, back.lip_Gx, back.lip_Gp) == \
         (m.lip_Fx, m.lip_Fp, m.lip_Gx, m.lip_Gp)
+    # the declared alpha rounds the derived 1 - 0.25^2 / 0.3 = 19/24 within DECLARED_REL_TOL
+    assert back.consts == m.consts and back.consts.alpha == pytest.approx(19 / 24, rel=1e-15)
 
 
 def test_registered_field_round_trip(tmp_path):

@@ -24,6 +24,7 @@ from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError,
                      run_penalization, solve_master, transformed_model, yosida_apply,
                      yosida_field)
 from mfgplan.cli import load_config, main
+from mfgplan.model import CoupleConstants
 from conftest import (X0, AnalyticField, assert_same_bits, baseline_model, box1d,
                       check_monotone_map, closed_form, coupled_model, digest12, identity_noise,
                       jump_model)
@@ -211,15 +212,12 @@ def test_certificate_bound_baseline(lq0_solution):
     m = baseline_model()
     bound = estimate_certificate(m, lq0_solution, [0.5]).bound
     assert abs(bound[0] - 4.0) <= 1e-12  # 2/t with gamma = 0
-    assert certificate_horizon(m, 1.0) == pytest.approx(1.0)  # never violated
+    assert certificate_horizon(m.consts, 0.0, 1.0) == pytest.approx(1.0)  # never violated
 
 
 def test_certificate_horizon_stiff_model():
-    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
-                  G=FieldSpec.affine(1.0, 0.0, d=1), lam=0.0,
-                  noise=identity_noise(1), x0=np.zeros(1), alpha=1.0,
-                  lip_Fx=0.0, lip_Fp=1000.0, lip_Gx=1.0, lip_Gp=0.0)
-    t_f = certificate_horizon(m, 1.0)
+    t_f = certificate_horizon(CoupleConstants(alpha=1.0, lip_Fx=0.0, lip_Fp=1000.0,
+                                              lip_Gx=1.0, lip_Gp=0.0), 0.0, 1.0)
     assert abs(t_f - STIFF_T_F) <= 1e-6
     assert t_f < STIFF_INEQ1_ROOT  # the second inequality binds first
 
@@ -227,11 +225,12 @@ def test_certificate_horizon_stiff_model():
 def test_certificate_horizon_pinned_on_the_stress_model():
     # perfbench's 2-D stress model (F = p, G = x, lambda = 1, S = 0.5 I): the
     # first inequality's root 2 / (A + sqrt(A^2 + 8k)) with A = 0.25, k = 1,
-    # exactly (tests/oracles/derive_values.py prints it)
+    # exactly (tests/oracles/derive_values.py prints it), with the derived constants
     m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2), G=FieldSpec.affine(1.0, 0.0, d=2),
                   lam=1.0, noise=AffineNoiseMap(0.5 * np.eye(2), np.zeros(2)),
-                  x0=np.full(2, 0.5), alpha=1.0, lip_Fp=1.0, lip_Gx=1.0)
-    assert certificate_horizon(m, 1.0) == 0.6473635432250342
+                  x0=np.full(2, 0.5))
+    damp = m.lam * (1.0 - m.noise.norm_S ** 2)
+    assert certificate_horizon(m.consts, damp, 1.0) == 0.6473635432250342
 
 
 def _certificate_terms(lam, s, alpha, fx, fp, gx, gp, t):
@@ -252,30 +251,28 @@ def test_certificate_horizon_is_the_first_failure():
     for _ in range(200):
         lam, s, alpha = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.5), rng.uniform(0.1, 3.0)
         fx, fp, gx, gp = rng.uniform(0.0, 5.0, 4) * (rng.random(4) > 0.3)
-        m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1), G=FieldSpec.affine(0.0, 0.0, d=1),
-                      lam=lam, noise=AffineNoiseMap(s, 0.0), x0=np.zeros(1), alpha=alpha,
-                      lip_Fx=fx, lip_Fp=fp, lip_Gx=gx, lip_Gp=gp)
         t_max = rng.uniform(0.2, 2.0)
-        t_f = certificate_horizon(m, t_max)
+        t_f = certificate_horizon(CoupleConstants(alpha, fx, fp, gx, gp), lam * (1.0 - s ** 2),
+                                  t_max)
         assert 0.0 < t_f <= t_max
-        nS = m.noise.norm_S
-        for value, size in _certificate_terms(lam, nS, alpha, fx, fp, gx, gp,
+        for value, size in _certificate_terms(lam, s, alpha, fx, fp, gx, gp,
                                               np.linspace(0.0, t_f, 2001)):
             assert np.all(value >= -1e-12 * size)
         if t_f < t_max:
             ended += 1
-            past = _certificate_terms(lam, nS, alpha, fx, fp, gx, gp, t_f * (1.0 + 1e-9))
+            past = _certificate_terms(lam, s, alpha, fx, fp, gx, gp, t_f * (1.0 + 1e-9))
             assert min(value for value, _ in past) < 0.0
     assert ended >= 50 and 200 - ended >= 20  # both outcomes are exercised
 
 
 def test_certificate_requires_alpha():
-    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 1.0, d=1),
-                  G=FieldSpec.affine(0.0, 0.0, d=1), lam=0.0,
-                  noise=identity_noise(1), x0=np.zeros(1), alpha=0.0,
-                  lip_Fp=1.0)
-    with pytest.raises(ConfigError):
-        certificate_horizon(m, 1.0)
+    # F = 0, G = x: monotone, with no modulus in p
+    m = ModelSpec(d=1, F=FieldSpec.affine(0.0, 0.0, d=1),
+                  G=FieldSpec.affine(1.0, 0.0, d=1), lam=0.0,
+                  noise=identity_noise(1), x0=np.zeros(1))
+    assert m.consts.alpha == 0.0
+    with pytest.raises(ConfigError, match="alpha > 0"):
+        certificate_horizon(m.consts, 0.0, 1.0)
     report = estimate_certificate(m, None, [0.5])
     assert not report.applicable
     assert not report.passed
