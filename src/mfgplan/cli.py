@@ -454,6 +454,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, out_override=args.out,
                           seed_override=args.seed, quiet=args.quiet)
+        if cfg.cp.has_section("halfspace") and args.command != "halfspace":
+            raise ConfigError(f"a config with a [halfspace] section reads [box] in straightened "
+                              f"coordinates: run it with the halfspace command, not {args.command}")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -360,6 +360,9 @@ def _operator(m: ModelSpec, box: Box, d):
     """
     nodes = box.nodes()
     F_at, G_at = m.bind(nodes)
+    # F = p + 0.0 is read as U itself: the two differ only in the sign of a zero, and L
+    # reads F only through |F|, F > 0 and the products it adds to rhs, where +-0 leaves rhs
+    F_is_U = m.F.form == "identity" and not m.F.c.any()
     # a p-free G is one (*nodes, d) constant, evaluated once; rhs - (+0.0) is rhs
     G_fixed = G_at(np.zeros_like(nodes)) if m.G.form == "p-free" else None
     G_zero = G_fixed is not None and not (G_fixed.any() or np.signbit(G_fixed).any())
@@ -372,7 +375,7 @@ def _operator(m: ModelSpec, box: Box, d):
 
     def L(w):
         U = w.U
-        Fv = F_at(U, w.F)  # a registered F ignores out: use the array it returns
+        Fv = U if F_is_U else F_at(U, w.F)  # a registered F ignores out: use what it returns
         if one_axis:  # x -> x/dx is monotone: the max's quotient is the max quotient
             rate = np.maximum.reduce(np.abs(Fv[..., 0], out=w.speed), axis=1) / dx[0]
         else:
@@ -531,10 +534,11 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         t_next = t + dt
         hit = t_next >= reach
         event = np.logical_or.reduce(hit)  # the ufunc: ndarray.any wraps it in Python
-        if event:
-            dt = np.where(hit, target - t, dt)
+        if event:  # dt is fmin's own array
+            np.subtract(target, t, out=dt, where=hit)
         U -= np.multiply(rhs, dt.reshape(w.col), out=rhs)
-        if not np.maximum.reduce(np.abs(U, out=w.pick), None) <= OVERFLOW_GUARD:  # nan fails too
+        blown = not np.maximum.reduce(np.abs(U, out=w.pick), None) <= OVERFLOW_GUARD  # nan too
+        if blown:
             r = int(np.argmin(w.pick.reshape(n, -1).max(axis=1) <= OVERFLOW_GUARD))
             limit = "record" if hit[r] else "dt_max" if dt[r] == dt_max else "cfl"
             fail(int(rows[r]), f"solution exceeded the overflow guard at t={t[r] + dt[r]:.6g}",
@@ -543,16 +547,18 @@ def solve_master(m: ModelSpec, u0, params: SolverParams, on_record=None):
         elif not event:
             t = t_next
             continue
-        t = np.where(hit, target, t_next)
+        np.copyto(t_next, target, where=hit)
+        t = t_next
         hits = hit.nonzero()[0]
-        for r, e, kr in zip(hits.tolist(), rows[hits].tolist(), k[hits].tolist()):
+        landed = k[hits].tolist()
+        for r, e, kr in zip(hits.tolist(), rows[hits].tolist(), landed):
             if e >= keep:
                 rec[e - keep, kr] = U[r]
             if on_record is not None:
                 on_record(e, kr, U[r])
         k += hit
-        stay = k < n_rec
-        if not np.logical_and.reduce(stay):
+        if blown or n_rec - 1 in landed:  # a member leaves only after its last record
+            stay = k < n_rec
             steps[rows[~stay]] = it
             U, t, k, rows = U[stay], t[stay], k[stay], rows[stay]
             n, w = rows.size, _step_views(ws, U)

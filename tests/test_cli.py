@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import mfgplan
-from mfgplan import ConfigError, SolverParams
+from mfgplan import ConfigError, SolverParams, cli
 from mfgplan.cli import _SECTION_KEYS, load_config, main
 from mfgplan.model import COUPLE_TOL
 from conftest import registered_copy
@@ -334,6 +334,23 @@ def test_time_outside_the_horizon_is_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "t_end" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "plan", "yosida", "traject", "verify", "probe"])
+def test_halfspace_config_is_refused_by_other_commands(tmp_path, capsys, monkeypatch, command):
+    # [halfspace]'s box is read in straightened coordinates: any other command
+    # would march the base model on it, so it is refused before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a [halfspace] config")
+
+    monkeypatch.setattr(cli, "solve_master", no_solve)
+    monkeypatch.setattr(cli, "run_penalization", no_solve)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / "halfspace.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[halfspace]" in err
+    assert f"the halfspace command, not {command}" in err
+    assert not out.exists()
 
 
 def test_yosida_needs_three_records(tmp_path, capsys):

@@ -593,7 +593,8 @@ def test_jump_plan_widened_once_per_solve(monkeypatch):
 
 def test_p_free_source_evaluated_once_per_solve(monkeypatch):
     # a p-free G is one constant on the nodes, evaluated when the march starts
-    # whatever its step count; F, and a G that reads p, every iteration
+    # whatever its step count; F = p is read in place, never evaluated; any
+    # other F (dense or registered), and a G that reads p, every iteration
     calls = {}
     bind = model.bind_field
 
@@ -606,13 +607,38 @@ def test_p_free_source_evaluated_once_per_solve(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(model, "bind_field", counted)
-    for case, G_calls in (("3d-jump", 1), ("2d-scalar-jump", 1), ("2d-jump", None)):
+    for case, F_each, G_each in (("3d-jump", True, False), ("2d-scalar-jump", False, False),
+                                 ("2d-jump", True, True), ("2d-registered", True, False)):
         m, box, eps, params = BATCH_CASES[case]
         calls.clear()
         batch = solve_master(m, [penalized_slice(m, box, e) for e in eps], params)
         iterations = max(meta["steps"] for meta in batch.metas)
-        assert batch.failure is None and calls[m.F] == iterations > 1
-        assert calls[m.G] == (iterations if G_calls is None else G_calls)
+        assert batch.failure is None and iterations > 1
+        assert calls.get(m.F, 0) == (iterations if F_each else 0)
+        assert calls[m.G] == (iterations if G_each else 1)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_identity_drift_read_in_place_keeps_the_bits(case):
+    # F = p is read as U itself, which differs from p + 0.0 only in the sign of
+    # a zero; the same F with c = -0.0 stays dense and is evaluated every step.
+    # The initial slices hold -0.0 entries and exact zeros, so both signs reach F
+    m, box, eps, params = BATCH_CASES[case]
+    runs = []
+    for form, c in (("identity", 0.0), ("dense", -0.0)):
+        F = FieldSpec.affine(0.0, 1.0, c=c, d=m.d)
+        assert F.form == form
+        slices = []
+        for e in eps:
+            values = penalized_slice(m, box, e).values.copy()
+            values.reshape(-1)[::5], values.reshape(-1)[2::7] = -0.0, 0.0
+            slices.append(Slice(box, values))
+        runs.append(solve_master(dataclasses.replace(m, F=F), slices, params))
+    got, want = runs
+    assert got.failure is None and want.failure is None
+    assert np.signbit(got.values[got.values == 0.0]).any()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.metas == want.metas and got.meta == want.meta
 
 
 def test_step_views_built_once_per_compaction(monkeypatch):
