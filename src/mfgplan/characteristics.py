@@ -29,8 +29,8 @@ SHOOT_MIN_STEPS, SHOOT_MAX_H = 64, 0.005
 def penalized_data(x0, eps):
     """Vectorized initial map z -> (z - x0)/eps of the penalized problem."""
     x0 = np.asarray(x0, dtype=float)
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
+    if not (np.isfinite(eps) and eps > 0):  # a nan or inf eps gives no penalization
+        raise ConfigError(f"eps must be finite and > 0, got {eps:.12g}")
 
     def U0(z):
         return (np.asarray(z, dtype=float) - x0) / eps

@@ -80,6 +80,15 @@ def _in_horizon(t, name, t_end) -> float:
     return t
 
 
+def _check_in_box(x, box, name):
+    """ConfigError naming name unless the point x lies in the box, a face included: off it
+    a grid value is an extrapolation. A nan coordinate lies outside."""
+    if not np.all((box.lo <= x) & (x <= box.hi)):
+        faces = " x ".join(f"[{lo:.12g}, {hi:.12g}]" for lo, hi in zip(box.lo, box.hi))
+        point = ",".join(f"{v:.12g}" for v in x)
+        raise ConfigError(f"{name} = {point} lies outside the box {faces}")
+
+
 def _points(sec, key, default, d):
     pts = []
     for chunk in sec.get(key, default).split(";"):
@@ -152,7 +161,7 @@ def load_config(path, out_override=None, seed_override=None, quiet=False) -> Run
     psec = _Section(cp, "planning")
     # every command solves at least the schedule's last, smallest eps
     eps_schedule = check_eps_schedule(psec.numbers("eps", "0.4, 0.2, 0.1"))
-    t_min = psec.number("t_min", "0.2")
+    t_min = psec.time("t_min", "0.2", params.t_end)
     conv_tol = psec.nonneg("conv_tol", "1e-2")
 
     rsec = _Section(cp, "run")
@@ -243,12 +252,13 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 def cmd_yosida(cfg: RunConfig, args) -> int:
     sec = _Section(cfg.cp, "yosida")
     delta = sec.nonneg("delta", "0.25")
-    if "times" not in sec and cfg.params.n_rec < 3:
+    if "times" in sec:
+        wanted = [_in_horizon(t, sec.label("times"), cfg.params.t_end)
+                  for t in sec.numbers("times")]
+    elif cfg.params.n_rec < 3:
         raise ConfigError("[solver] n_rec must be >= 3 for yosida without [yosida] times")
     eps, sol = _single_solve(cfg)
-    if "times" in sec:
-        wanted = sec.numbers("times")
-    else:
+    if "times" not in sec:
         k = len(sol.times) // 2
         wanted = [sol.times[k - 1], sol.times[k], sol.times[k + 1]]
     snapped = sol.snap(wanted)
@@ -281,6 +291,8 @@ def cmd_traject(cfg: RunConfig, args) -> int:
     if steps < 1:
         raise ConfigError(f"{sec.label('steps')} must be >= 1, got {steps}")
     starts = _points(sec, "starts", "1.0", cfg.model.d)
+    for x in starts:
+        _check_in_box(x, cfg.box, sec.label("starts"))
     if cfg.model.lam > 0:
         raise ConfigError("trajectories follow characteristics; [model] lambda must be 0")
     eps, sol = _single_solve(cfg)
@@ -335,8 +347,10 @@ def cmd_halfspace(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    times = _Section(cfg.cp, "verify").numbers("times", "0.8, 0.4, 0.2")
-    times = [t for t in times if cfg.t_min - 1e-12 <= t <= cfg.params.t_end + 1e-12]
+    sec = _Section(cfg.cp, "verify")
+    times = [_in_horizon(t, sec.label("times"), cfg.params.t_end)
+             for t in sec.numbers("times", "0.8, 0.4, 0.2")]
+    times = [t for t in times if cfg.t_min - 1e-12 <= t]
     if not times:
         raise ConfigError("[verify] times must intersect [t_min, t_end]")
 
@@ -401,9 +415,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     x = np.asarray(parse_numbers(x_text, "probe x"))
     if x.shape != (cfg.model.d,):
         raise ConfigError(f"probe x must have {cfg.model.d} coordinates")
-    if not np.all((cfg.box.lo <= x) & (x <= cfg.box.hi)):  # off the grid: an extrapolation
-        raise ConfigError(f"probe x = {x_text.strip()} lies outside the box " + " x ".join(
-            f"[{lo:.12g}, {hi:.12g}]" for lo, hi in zip(cfg.box.lo, cfg.box.hi)))
+    _check_in_box(x, cfg.box, "probe x")
     if cfg.model.lam > 0:
         raise ConfigError("probe compares against characteristics; lambda must be 0")
     eps, sol = _single_solve(cfg)

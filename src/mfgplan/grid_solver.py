@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import BlowupError, ConfigError
-from .model import ModelSpec
+from .model import ModelSpec, eval_field
 
 OVERFLOW_GUARD = 1e12
 
@@ -348,8 +348,9 @@ def _operator(m: ModelSpec, box: Box, d):
     rhs, in w.rhs, is (F . grad) U - G + lam (U - S^T U(S x + e)) and rate the
     max over nodes of sum_a |F_a|/dx_a, per member of U = w.U, the array whose views w holds
     (see _step_views); in 1-D, max |F| / dx, the same number with one divide per member.
-    F and G are bound to the nodes, a p-free G is evaluated and the jump's gather is planned
-    here, once: the relabeled points are fixed in time.
+    The nodes are read through m.coords, a p-free G is evaluated and the jump's gather is
+    planned here, once: the relabeled points are fixed in time. Any other F or G is
+    eval_field at those x every call.
 
     Transport, per axis: D[i] = U[i] - U[i-1], and past each face the difference to the
     ghost node 2 U[0] - U[1] or 2 U[-1] - U[-2], rounded as such (the interior difference
@@ -358,13 +359,12 @@ def _operator(m: ModelSpec, box: Box, d):
     U[0] - ghost and D[-1] = ghost - U[-1]. Node i's backward and forward differences are
     D[i] and D[i+1]. The upwind pick runs per component of U, so no inner loop is only d long.
     """
-    nodes = box.nodes()
-    F_at, G_at = m.bind(nodes)
+    X = m.read_at(box.nodes())
     # F = p + 0.0 is read as U itself: the two differ only in the sign of a zero, and L
     # reads F only through |F|, F > 0 and the products it adds to rhs, where +-0 leaves rhs
     F_is_U = m.F.form == "identity" and not m.F.c.any()
     # a p-free G is one (*nodes, d) constant, evaluated once; rhs - (+0.0) is rhs
-    G_fixed = G_at(np.zeros_like(nodes)) if m.G.form == "p-free" else None
+    G_fixed = eval_field(m.G, X, np.zeros_like(X)) if m.G.form == "p-free" else None
     G_zero = G_fixed is not None and not (G_fixed.any() or np.signbit(G_fixed).any())
     jump_plan = InterpPlan(box, m.noise(box.node_list())).widen(d) if m.lam > 0 else None
     # S = s I takes one multiply, which can differ from matmul only in the sign
@@ -375,7 +375,7 @@ def _operator(m: ModelSpec, box: Box, d):
 
     def L(w):
         U = w.U
-        Fv = U if F_is_U else F_at(U, w.F)  # a registered F ignores out: use what it returns
+        Fv = U if F_is_U else eval_field(m.F, X, U)
         if one_axis:  # x -> x/dx is monotone: the max's quotient is the max quotient
             rate = np.maximum.reduce(np.abs(Fv[..., 0], out=w.speed), axis=1) / dx[0]
         else:
@@ -397,11 +397,11 @@ def _operator(m: ModelSpec, box: Box, d):
                 np.copyto(pick, Dm_i, where=pos)
                 np.add(base, np.multiply(pick, Fa, out=pick), out=adv)
         if G_fixed is None:
-            w.rhs -= G_at(U, w.G)
+            w.rhs -= eval_field(m.G, X, U)
         elif not G_zero:
             w.rhs -= G_fixed
         if jump_plan is not None:
-            relabeled = jump_plan.apply(U, out=w.G_flat, tmp=w.pick_flat).reshape(U.shape)
+            relabeled = jump_plan.apply(U, out=w.gather_flat, tmp=w.pick_flat).reshape(U.shape)
             jump = jump_by(relabeled, S, out=w.pick)  # row u @ S == S^T u
             w.rhs += np.multiply(np.subtract(U, jump, out=jump), lam, out=jump)
         return w.rhs, rate
@@ -411,7 +411,7 @@ def _operator(m: ModelSpec, box: Box, d):
 def _workspace(E, shape, d):
     """Step buffers for a march of E members, allocated once per solve."""
     full = (E, *shape, d)
-    return dict(**{k: np.empty(full) for k in ("F", "G", "rhs", "pick")},
+    return dict(**{k: np.empty(full) for k in ("gather", "rhs", "pick")},
                 speed=np.empty(full[:-1]), term=np.empty(full[:-1]),
                 pos=np.empty(full[:-1], dtype=bool),
                 diff=[np.empty((E, *shape[:a], shape[a] + 1, *shape[a + 1:], d))
@@ -427,8 +427,8 @@ def _step_views(ws, U):
     each face node with its own slot, the difference table D, and per component of U its
     (pick, Dm, Dp, base, rhs) views: Dm and Dp are D's backward and forward halves, and
     base is what the upwind term is added to, +0.0 on the first axis and rhs after it.
-    col spreads a per-member dt over a member's values; G_flat and pick_flat are G and
-    pick shaped (n, nodes, d) for the jump gather. U is updated in place between
+    col spreads a per-member dt over a member's values; gather_flat and pick_flat are
+    gather and pick shaped (n, nodes, d) for the jump gather. U is updated in place between
     compactions, so its views hold.
     """
     n, d = U.shape[0], U.shape[-1]
@@ -446,7 +446,7 @@ def _step_views(ws, U):
                           _along(D, ax, 0, None, N), *ends, D, comps))
     w.col = (n,) + (1,) * (U.ndim - 1)
     flat = (n, math.prod(U.shape[1:-1]), d)
-    w.G_flat, w.pick_flat = w.G.reshape(flat), w.pick.reshape(flat)
+    w.gather_flat, w.pick_flat = w.gather.reshape(flat), w.pick.reshape(flat)
     return w
 
 

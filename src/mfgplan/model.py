@@ -87,7 +87,7 @@ class FieldSpec:
     product multiplies by them, so one row rounds like its row of a batch.
     It also classifies itself once, as form: "identity" (Mx = 0, Mp = I; the
     value is p + c), "p-free" (Mp = 0; the value is x @ MxT + c) or "dense".
-    The short forms need a c with no -0.0 entry (see bind_field); a
+    The short forms need a c with no -0.0 entry (see eval_field); a
     registered field's form is "".
     """
 
@@ -139,63 +139,30 @@ class FieldSpec:
 
 
 def eval_field(f: FieldSpec, x, p) -> np.ndarray:
-    """Evaluate a coupling map at (x, p); both arguments broadcast as (..., d)."""
+    """Evaluate a coupling map at (x, p); both arguments broadcast as (..., d).
+
+    An affine field of form "identity" is p + c and one of form "p-free" is
+    x @ MxT + c. Both equal the dense x @ MxT + p @ MpT + c bit for bit, shape
+    and signs of zeros included, for finite x and p: a term that multiplies by
+    a zero block is a sum of +-0 products, which leaves any nonzero value
+    unchanged and, once c is added, any zero one too, since (+-0) + c is c for
+    a c that is not -0.0. A -0.0 in c would keep a -0 sum, so such a field
+    stays dense.
+    """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if f.kind != "affine":
-        return bind_field(f, x)(p)
+        if f.kind != "registered":
+            raise ConfigError(f"unknown field kind '{f.kind}'")
+        fn = _FIELD_REGISTRY.get(f.name)
+        if fn is None:
+            raise ConfigError(f"unknown registered field '{f.name}'")
+        return np.asarray(fn(x, p), dtype=float)
     if f.form == "dense":
         return x @ f.MxT + p @ f.MpT + f.c
     # the dense expression's shape, which x's or p's alone is when they agree
     out = None if x.shape == p.shape else np.empty(np.broadcast_shapes(x.shape, p.shape))
     return np.add(p if f.form == "identity" else x @ f.MxT, f.c, out=out)
-
-
-def bind_field(f: FieldSpec, x):
-    """Evaluator (p, out=None) -> eval_field(f, x, p) for fixed x and float arrays p, bit for bit.
-
-    An affine field of form "identity" adds c to p, and one of form "p-free"
-    fills its result (out when given) with x @ MxT + c, computed here once.
-    Both equal the dense x @ MxT + p @ MpT + c bit for bit, shape and signs
-    of zeros included, for finite x and p: a term that multiplies by a zero
-    block is a sum of +-0 products, which leaves any nonzero value unchanged
-    and, once c is added, any zero one too, since (+-0) + c is c for a c
-    that is not -0.0. A -0.0 in c would keep a -0 sum, so such a field stays
-    dense. A dense affine field caches x @ MxT and c tiled along the last
-    node axis (one contiguous loop per row, not a d-long loop per node), and
-    adds both to p @ MpT in place, in out when given; caching x @ MxT + c
-    instead would change rounding. Registered evaluators ignore out.
-    """
-    x = np.asarray(x, dtype=float)
-    if f.kind == "affine":
-        # c tiled along the last node axis, viewed at x @ MxT's shape: a result
-        # then has the dense expression's shape without computing x @ MxT
-        shape = x.shape[:-1] + f.c.shape
-        c = np.broadcast_to(np.broadcast_to(f.c, shape[-2:]).copy(), shape)
-        if f.form == "identity":
-            return lambda p, out=None: np.add(p, c, out=out)
-        xm = x @ f.MxT
-        if f.form == "p-free":
-            xc = np.add(xm, c)
-
-            def fill(p, out=None):
-                if out is None:
-                    out = np.empty(np.broadcast_shapes(xc.shape, p.shape))
-                np.copyto(out, xc)
-                return out
-            return fill
-
-        def at(p, out=None):
-            out = np.add(np.matmul(p, f.MpT, out=out), xm, out=out)  # in place when out is given
-            out += c
-            return out
-        return at
-    if f.kind != "registered":
-        raise ConfigError(f"unknown field kind '{f.kind}'")
-    fn = _FIELD_REGISTRY.get(f.name)
-    if fn is None:
-        raise ConfigError(f"unknown registered field '{f.name}'")
-    return lambda p, out=None: np.asarray(fn(x, p), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +228,9 @@ class ModelSpec:
     value is checked against them; any other uses its declared values or 0.
 
     coords, when given, maps the points the model is solved at to the x its
-    fields read, (..., d) -> (..., d): eval_F, eval_G and bind evaluate F and
-    G at coords(x) (the straightened half-space model reads x(y)).
+    fields read, (..., d) -> (..., d): eval_F and eval_G evaluate F and G at
+    read_at(x) = coords(x) (the straightened half-space model reads x(y)), and
+    the march reads its nodes through read_at once per solve.
     """
 
     d: int
@@ -307,19 +275,15 @@ class ModelSpec:
                                   f"couple gives {c:.12g}")
         object.__setattr__(self, "consts", consts)
 
-    def _read_at(self, x):
+    def read_at(self, x):
+        """The x that F and G read at the points x the model is solved at."""
         return x if self.coords is None else self.coords(x)
 
     def eval_F(self, x, p):
-        return eval_field(self.F, self._read_at(x), p)
+        return eval_field(self.F, self.read_at(x), p)
 
     def eval_G(self, x, p):
-        return eval_field(self.G, self._read_at(x), p)
-
-    def bind(self, x):
-        """p-only evaluators (F_at, G_at) of F and G at the fixed nodes x."""
-        x = self._read_at(x)
-        return bind_field(self.F, x), bind_field(self.G, x)
+        return eval_field(self.G, self.read_at(x), p)
 
 
 @dataclass

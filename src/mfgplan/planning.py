@@ -33,8 +33,6 @@ class PenalizationRun:
     completed one, as solving the eps in turn leaves them.
     """
 
-    model: ModelSpec
-    box: Box
     eps_schedule: tuple
     delta: float
     t_min: float
@@ -101,12 +99,13 @@ class _CauchyFold:
 
 
 def check_eps_schedule(eps_schedule) -> tuple:
-    """The schedule as floats; ConfigError unless it is nonempty, > 0 and strictly decreasing."""
+    """The schedule as floats; ConfigError unless it is nonempty, finite, > 0 and strictly
+    decreasing."""
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule:
         raise ConfigError("[planning] eps must list at least one eps")
-    if not all(e > 0 for e in eps_schedule):
-        raise ConfigError("[planning] eps values must be > 0")
+    if not all(np.isfinite(e) and e > 0 for e in eps_schedule):
+        raise ConfigError("[planning] eps values must be finite and > 0")
     if not all(b < a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ConfigError("[planning] eps schedule must be strictly decreasing")
     return eps_schedule
@@ -132,8 +131,7 @@ def run_penalization(m: ModelSpec, box: Box, eps_schedule, params: SolverParams,
     k0 = int(np.searchsorted(params.record_times(), t_min - 1e-12))  # records >= t_min
     if k0 == params.n_rec:
         raise ConfigError("no recorded times at or above t_min")
-    run = PenalizationRun(model=m, box=box, eps_schedule=eps_schedule,
-                          delta=float(delta), t_min=float(t_min),
+    run = PenalizationRun(eps_schedule=eps_schedule, delta=float(delta), t_min=float(t_min),
                           conv_tol=float(conv_tol))
     slices = [penalized_slice(m, box, eps) for eps in eps_schedule]
     fold = _CauchyFold(len(slices), k0, slices[0].values.shape)

@@ -6,6 +6,8 @@ U(t,x) = (x - x0)/(eps + t), which most tests lean on.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, GridSolution, 
                      run_penalization, solve_master)
 
 X0 = 0.5
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_child():
+    """perfbench/child.py as a module: its coupled_model builds the 2-D workloads' models."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child
 
 
 def identity_noise(d):

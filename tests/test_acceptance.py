@@ -37,10 +37,10 @@ def _register(label, box, sol):
         _REGISTRY.append((label, box, sol))
 
 
-def _register_schedule(label, run, params):
-    """Register every eps solution of run's schedule. A run keeps the smallest
+def _register_schedule(label, m, run, params):
+    """Register every eps solution of run, a run of model m. A run keeps the smallest
     eps's alone; the keep-all batch of the schedule gives each one's bits."""
-    m, box = run.model, run.box
+    box = run.smallest_eps_solution.box
     batch = solve_master(m, [penalized_slice(m, box, e) for e in run.eps_schedule], params)
     assert batch.values[-1].tobytes() == run.smallest_eps_solution.values.tobytes()
     for k, sol in enumerate(batch.members):
@@ -191,7 +191,7 @@ def test_criterion_06_penalization_cauchy_gaps():
     params = SolverParams(t_end=0.5, n_rec=26, dt_max=0.01)
     run = run_penalization(m, box, tuple(0.2 * 0.5 ** k for k in range(12)), params,
                            t_min=T_MIN, conv_tol=1e-2)
-    _register_schedule("cauchy eps index", run, params)
+    _register_schedule("cauchy eps index", m, run, params)
     gaps = np.asarray(run.gaps)
     ok = bool(np.all(np.diff(gaps) < 0)) and gaps[-1] <= 1e-2
     _verdict(6, "penalization Cauchy gaps", ok,
@@ -200,10 +200,10 @@ def test_criterion_06_penalization_cauchy_gaps():
 
 def test_criterion_07_uniqueness_cross_checks(lq0_run):
     sol = lq0_run.smallest_eps_solution
-    _register_schedule("reference schedule index", lq0_run, LQ0_RUN_PARAMS)
+    _register_schedule("reference schedule index", baseline_model(), lq0_run, LQ0_RUN_PARAMS)
     a = extract_limit(dataclasses.replace(lq0_run, delta=0.1), 0.5)
     b = extract_limit(dataclasses.replace(lq0_run, delta=0.25), 0.5)
-    ext = GridSolution(box=lq0_run.box, times=[0.5], values=b.values[None])
+    ext = GridSolution(box=sol.box, times=[0.5], values=b.values[None])
     cross = cross_monotonicity(sol.field(), ext.field(), 0.5, n_pairs=10000,
                                rng_seed=0)
     dgap = float(np.max(np.abs(a.values - b.values)))
@@ -265,10 +265,10 @@ def test_criterion_10_halfspace_straightening():
     box_y = Box(np.array([-5.0, -1.0]), np.array([2.0, 1.0]),
                 np.array([100, 20]))
     params = SolverParams(t_end=0.6, n_rec=31, dt_max=0.01)
-    run = run_penalization(transformed_model(hm), box_y, (0.1, 0.025, 0.00625), params,
-                           t_min=T_MIN, conv_tol=10.0)
+    my = transformed_model(hm)
+    run = run_penalization(my, box_y, (0.1, 0.025, 0.00625), params, t_min=T_MIN, conv_tol=10.0)
     u = PullbackField(run.smallest_eps_solution.field())
-    _register_schedule("straightened eps index", run, params)
+    _register_schedule("straightened eps index", my, run, params)
     tail = np.geomspace(0.02, 0.9, 12)
     fit_ok = True
     fits = []

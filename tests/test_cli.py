@@ -123,6 +123,18 @@ OUT_OF_RANGE = [
     ("solve", "run", "seed", "-1"),
     # a nan tolerance passes or fails every check it is compared in
     ("plan", "planning", "conv_tol", "nan"), ("yosida", "yosida", "delta", "nan"),
+    # no field is recorded outside [0, t_end]: a time there would be clamped,
+    # snapped to a face or dropped in place of refused
+    ("plan", "planning", "t_min", "-0.5"), ("plan", "planning", "t_min", "nan"),
+    ("yosida", "yosida", "times", "0.5, 0.52, 7.0"),
+    ("yosida", "yosida", "times", "0.5, 0.52, nan"),
+    ("verify", "verify", "times", "0.4, 9.0"), ("verify", "verify", "times", "0.4, -3"),
+    ("verify", "verify", "times", "0.4, nan"),
+    # a start off the box reads an extrapolated field
+    ("traject", "trajectories", "starts", "5.0"), ("traject", "trajectories", "starts", "nan"),
+    # a nan or inf eps gives no penalized data
+    ("solve", "solve", "eps", "nan"), ("solve", "solve", "eps", "inf"),
+    ("plan", "planning", "eps", "inf"),
 ]
 
 
@@ -488,12 +500,14 @@ TRAJECT_TWO_START_SHA256 = {
 
 
 def test_traject_exit_writes_no_trajectory(tmp_path, capsys):
-    # all starts march in one call, so a start outside the box stops the
-    # command before the first start's file is written
-    extra = "[trajectories]\nstarts = 1.0; 3.0\nt1 = 1.0\nt_min = 0.1\nsteps = 150\n"
+    # all starts march in one call, so a path that leaves the box stops the
+    # command before the first start's file is written; with the source G = 10
+    # the path from x = 0 at t = 1 crosses x = -1 on its way back
+    extra = "[trajectories]\nstarts = 1.0; 0.0\nt1 = 1.0\nt_min = 0.1\nsteps = 150\n"
     cfg, out = make_config(tmp_path, extra=extra)
+    cfg.write_text(cfg.read_text().replace("lambda = 0\n", "lambda = 0\nG.c = 10\n"))
     assert main(["traject", "--config", str(cfg), "--quiet"]) == 1
-    assert "trajectory 1 (start 3) left the box" in capsys.readouterr().err
+    assert "trajectory 1 (start 0) left the box" in capsys.readouterr().err
     assert not list(tmp_path.glob("**/trajectory_*.csv"))
 
 

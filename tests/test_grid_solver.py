@@ -14,15 +14,18 @@ import numpy as np
 import pytest
 
 from mfgplan import (AffineNoiseMap, BlowupError, Box, ConfigError, FieldSpec,
-                     GridSolution, ModelSpec, Slice, SolverParams,
+                     GridSolution, HalfspaceModel, ModelSpec, Slice, SolverParams,
                      eqV_residual, lipschitz_norm, node_jacobians, penalized_slice,
-                     register_field, run_penalization, solve_master, write_solution_csv)
-from mfgplan import grid_solver, model
+                     register_field, run_penalization, solve_master, transformed_model,
+                     write_solution_csv)
+from mfgplan import grid_solver
 from mfgplan.cli import load_config
 from mfgplan.grid_solver import InterpPlan, write_table
+from mfgplan.model import _parse_field
 from conftest import (assert_batch_matches_single_solves, assert_same_bits, baseline_model,
                       box1d, check_monotone_map, closed_form, digest12,
-                      identity_noise, jump_model, sample_solution, slice_from_fn)
+                      identity_noise, jump_model, perfbench_child, sample_solution,
+                      slice_from_fn)
 
 # slope of the jump model (lambda=1, S=0.5, eps=0.1) at t=0.5, from the
 # logistic closed form kappa/((kappa/a0+1)e^{kappa t}-1) with kappa=0.75
@@ -513,8 +516,7 @@ BATCH_CASES = {
     "2d-scalar-jump": (scalar_jump_model(-1.0, (0.0, 0.0)),
                        Box(np.full(2, -1.0), np.full(2, 1.0), np.full(2, 40)),
                        (0.2, 0.05, 0.1), SolverParams(t_end=0.3, n_rec=7)),
-    # a registered F ignores out=, so the march must read F from what it returns,
-    # before and after each compaction
+    # a registered F, evaluated every step, before and after each compaction
     "2d-registered": (ModelSpec(d=2, F=FieldSpec.registered("capped_x1_burgers"),
                                 G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.0,
                                 noise=identity_noise(2), x0=np.array([0.5, 0.0])),
@@ -596,20 +598,30 @@ def test_p_free_source_evaluated_once_per_solve(monkeypatch):
     # whatever its step count; F = p is read in place, never evaluated; any
     # other F (dense or registered), and a G that reads p, every iteration
     calls = {}
-    bind = model.bind_field
+    eval_field = grid_solver.eval_field
 
-    def counted(f, x):
-        at = bind(f, x)
+    def counted(f, x, p):
+        calls[f] = calls.get(f, 0) + 1
+        return eval_field(f, x, p)
 
-        def wrapper(p, out=None):
-            calls[f] = calls.get(f, 0) + 1
-            return at(p, out=out)
-        return wrapper
-
-    monkeypatch.setattr(model, "bind_field", counted)
-    for case, F_each, G_each in (("3d-jump", True, False), ("2d-scalar-jump", False, False),
-                                 ("2d-jump", True, True), ("2d-registered", True, False)):
-        m, box, eps, params = BATCH_CASES[case]
+    monkeypatch.setattr(grid_solver, "eval_field", counted)
+    cases = [(*BATCH_CASES[case], F_each, G_each) for case, F_each, G_each in (
+        ("3d-jump", True, False), ("2d-scalar-jump", False, False),
+        ("2d-jump", True, True), ("2d-registered", True, False))]
+    # the benchmark's models (lq0.cfg's, halfspace.cfg's straightened one, and the
+    # 2-D coupled model with and without jumps) evaluate no field per step
+    lq0 = load_config(CONFIGS / "lq0.cfg")
+    hs = load_config(CONFIGS / "halfspace.cfg")
+    straightened = transformed_model(HalfspaceModel(
+        base=hs.model, ftilde=_parse_field(hs.cp["halfspace"], "ftilde", hs.model.d)))
+    coupled = perfbench_child().coupled_model
+    square = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 20))
+    short = SolverParams(t_end=0.1, n_rec=3)
+    cases += [(m, box, eps, short, False, False) for m, box, eps in (
+        (lq0.model, lq0.box, lq0.eps_schedule[:3]), (straightened, hs.box, hs.eps_schedule),
+        (coupled((0.5, 0.5), lam=1.0, S=0.5), square, (0.2, 0.1)),
+        (coupled((0.5, 0.5), lam=0.0, S=1.0), square, (0.2, 0.1)))]
+    for m, box, eps, params, F_each, G_each in cases:
         calls.clear()
         batch = solve_master(m, [penalized_slice(m, box, e) for e in eps], params)
         iterations = max(meta["steps"] for meta in batch.metas)

@@ -50,25 +50,19 @@ def derived_solution():
     return PullbackField(run.smallest_eps_solution.field())
 
 
-def test_transformed_model_bind_matches_eval():
+def test_transformed_model_reads_fields_at_x_of_y():
     rng = np.random.default_rng(8)
     my = transformed_model(derived_halfspace())
     # the straightened model reads the factored drift and the base source
-    # themselves, short forms included, and binds them at x(y)
+    # themselves, short forms included, and evaluates them at x(y)
     assert my.F.form == "identity" and my.G.form == "p-free"
     y = rng.uniform(-4.0, 2.0, size=(9, 5, 2))
-    F_at, G_at = my.bind(y)
     hm = derived_halfspace()
     x = from_log_coordinates(y.reshape(-1, 2))
     for _ in range(2):
         p = rng.uniform(-3.0, 3.0, size=y.shape)
-        assert np.array_equal(F_at(p), my.eval_F(y, p))
-        assert np.array_equal(G_at(p), my.eval_G(y, p))
-        # the factored maps evaluated at x(y)
-        for got, f in ((F_at(p), hm.ftilde), (G_at(p), hm.base.G)):
+        for got, f in ((my.eval_F(y, p), hm.ftilde), (my.eval_G(y, p), hm.base.G)):
             assert np.array_equal(got, eval_field(f, x, p.reshape(-1, 2)).reshape(p.shape))
-        buf = np.empty_like(p)
-        assert F_at(p, out=buf) is buf and np.array_equal(buf, F_at(p))
 
 
 # sha256 of the raw bytes of the smallest-eps values of a straightened march
@@ -111,7 +105,7 @@ def test_straightening_not_repeated_per_step(monkeypatch):
         counts.append((len(calls), run.metas[0]["steps"]))
     (short_calls, short_steps), (long_calls, long_steps) = counts
     assert long_steps > 2 * short_steps
-    assert long_calls == short_calls == 1  # one straightening per bind
+    assert long_calls == short_calls == 1  # one straightening per solve
 
 
 def test_log_map_pointwise():

@@ -1,7 +1,6 @@
 """Model container, field evaluation, monotonicity checks, model file loading."""
 
 import dataclasses
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +9,11 @@ import pytest
 from mfgplan import (AffineNoiseMap, Box, ConfigError, FieldSpec, ModelSpec,
                      check_couple_monotone, eval_field, load_model, register_field,
                      registered_names)
-from mfgplan.model import COUPLE_TOL, DECLARED_REL_TOL, bind_field
+from mfgplan.model import COUPLE_TOL, DECLARED_REL_TOL
 from conftest import (affine_couple_eigenvalue, baseline_model, box1d, check_monotone_map,
-                      identity_noise, registered_copy)
+                      identity_noise, perfbench_child, registered_copy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-PERFBENCH = CONFIGS.parent / "perfbench"
 
 
 def test_affine_field_hand_values():
@@ -53,7 +51,9 @@ def test_registered_fields():
         FieldSpec.registered("no_such_field")
 
 
-def test_bind_matches_eval_bit_for_bit():
+def test_member_stack_evaluates_like_each_member_bit_for_bit():
+    # F and G on a stack of members (E, *x.shape), as the march evaluates them,
+    # are each member's own evaluation byte for byte, sign bits included.
     # d = 1, 2, 3; signed zeros in x, p and c; diagonal and non-diagonal Mp
     rng = np.random.default_rng(5)
     affine = [FieldSpec.affine(np.array([[0.3, -1.1], [2.0, 0.7]]), 1.0 / 3.0,
@@ -63,63 +63,45 @@ def test_bind_matches_eval_bit_for_bit():
         c[0] = -0.0
         affine.append(FieldSpec.affine(rng.uniform(-2.0, 2.0, size=(d, d)),
                                        rng.uniform(-2.0, 2.0, size=(d, d)) / 3.0, c=c, d=d))
+    cases = []
     for F in affine:
         d = F.c.shape[0]
         x = rng.uniform(-2.0, 2.0, size=(7, 6, d))
         x[1::2, ::3] = -0.0
-        m = ModelSpec(d=d, F=F, G=FieldSpec.registered("capped_x1_burgers"), lam=0.0,
-                      noise=identity_noise(d), x0=np.zeros(d))
-        F_at, G_at = m.bind(x)
-        for k in range(3):  # the bound evaluators are reused across calls
-            p = rng.uniform(-2.0, 2.0, size=x.shape)
-            p[k % 2::2, 1::2] = -0.0
-            for got, want in ((F_at(p), m.eval_F(x, p)), (G_at(p), m.eval_G(x, p))):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-        # a leading member axis, written into a given buffer as the march does
         p = rng.uniform(-2.0, 2.0, size=(3,) + x.shape)
         p[1, ::2] = -0.0
-        out = np.full(p.shape, np.nan)
-        assert F_at(p, out=out) is out
-        want = m.eval_F(x, p)
-        assert out.tobytes() == want.tobytes()
-        assert F_at(p).tobytes() == want.tobytes()
-        for e in range(3):
-            assert out[e].tobytes() == m.eval_F(x, p[e]).tobytes()
-    # a dense d = 1 field binds an elementwise product in place of matmul,
-    # whose BLAS may turn a -0 product into +0: lq0's F and G (Mx = 0, Mp = 1
-    # and 0, c = 0: the identity and p-free forms) on its (12, 201, 1) member
-    # stack with -0 in p, a product that underflows to -0 (with c = -0, which
-    # keeps a -0 sum and the field dense), and Mx != 0 at the x = 0 node
+        p[2, 1::2, 1::2] = -0.0
+        cases.append((F, FieldSpec.registered("capped_x1_burgers"), x, p))
+    # lq0's F and G (Mx = 0, Mp = 1 and 0, c = 0: the identity and p-free forms)
+    # on its (12, 201, 1) member stack with -0 in p, a product that underflows
+    # to -0 (with c = -0, which keeps a -0 sum and the field dense), and Mx != 0
+    # at the x = 0 node
     lq0_x = np.linspace(-1.0, 2.0, 201)[:, None]
     zero_x = np.linspace(-1.0, 1.0, 201)[:, None]
     assert zero_x[100, 0] == 0.0 and not np.signbit(zero_x[100, 0])
     neg_zero_x = zero_x.copy()
     neg_zero_x[100] = -0.0
     tiny = FieldSpec.affine(0.0, 1e-200, c=-0.0, d=1)
-    cases = [(FieldSpec.affine(0.0, 1.0, d=1), FieldSpec.affine(0.0, 0.0, d=1), lq0_x),
-             (tiny, FieldSpec.affine(0.5, 1e-200, c=-0.0, d=1), lq0_x),
-             (FieldSpec.affine(0.7, 1.0, d=1), FieldSpec.affine(-1.3, 0.0, d=1), zero_x),
-             (FieldSpec.affine(0.7, 1.0, d=1), FieldSpec.affine(-1.3, 0.0, d=1), neg_zero_x)]
-    for F, G, x in cases:
+    for F, G, x in [(FieldSpec.affine(0.0, 1.0, d=1), FieldSpec.affine(0.0, 0.0, d=1), lq0_x),
+                    (tiny, FieldSpec.affine(0.5, 1e-200, c=-0.0, d=1), lq0_x),
+                    (FieldSpec.affine(0.7, 1.0, d=1), FieldSpec.affine(-1.3, 0.0, d=1), zero_x),
+                    (FieldSpec.affine(0.7, 1.0, d=1), FieldSpec.affine(-1.3, 0.0, d=1),
+                     neg_zero_x)]:
         p = rng.uniform(-2.0, 2.0, size=(12,) + x.shape)
         p[:, ::3] = -0.0
         p[1::2, 1::4] = 0.0
         if F is tiny:
             p[:, 2::3] = -1e-200  # (-1e-200) (1e-200) underflows to -0
         p[:, 100] = [[v] for v in ([-0.0, 0.0, -1.0, 1.0] * 3)]  # at the x = 0 node
-        m = ModelSpec(d=1, F=F, G=G, lam=0.0, noise=identity_noise(1),
-                      x0=np.zeros(1))
-        for at, ev in zip(m.bind(x), (m.eval_F, m.eval_G)):
-            out = np.full(p.shape, np.nan)
+        cases.append((F, G, x, p))
+    for F, G, x, p in cases:
+        d = x.shape[-1]
+        m = ModelSpec(d=d, F=F, G=G, lam=0.0, noise=identity_noise(d), x0=np.zeros(d))
+        for ev in (m.eval_F, m.eval_G):
             want = ev(x, p)
-            for got in (at(p), at(p, out=out)):
-                assert got.tobytes() == want.tobytes()
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert want.shape == p.shape
             for e in range(len(p)):
-                one = ev(x, p[e])
-                assert at(p[e]).tobytes() == one.tobytes() == want[e].tobytes()
-                assert np.array_equal(np.signbit(at(p[e])), np.signbit(one))
+                assert ev(x, p[e]).tobytes() == want[e].tobytes()
 
 
 def test_one_row_evaluates_like_its_batch_row():
@@ -237,13 +219,9 @@ def test_short_forms_equal_the_dense_expression():
             assert f.form == form
             for xs, ps in pairs:
                 want = _dense(f, xs, ps)
-                out = np.full(want.shape, np.nan)
-                at = bind_field(f, xs)
-                assert at(ps, out=out) is out
-                for got in (at(ps), out, eval_field(f, xs, ps)):
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
-                assert at(ps).tobytes() == want.tobytes()  # a bound evaluator is reused
+                got = eval_field(f, xs, ps)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_model_validation():
@@ -390,9 +368,7 @@ def test_non_monotone_couple_derives_alpha_zero():
 def test_shipped_affine_models_derive_their_declared_constants():
     # bit for bit: lq0.model declares them, perfbench's coupled_model declares three
     assert load_model(CONFIGS / "lq0.model").consts == (1.0, 0.0, 1.0, 0.0, 0.0)
-    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    child = perfbench_child()
     for lam, S in ((1.0, 0.5), (0.0, 1.0)):
         assert child.coupled_model((0.5, 0.5), lam, S).consts == (1.0, 0.0, 1.0, 1.0, 0.0)
 

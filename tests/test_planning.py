@@ -108,7 +108,7 @@ def test_extraction_round_trip(lq0_run):
         gap = float(np.max(np.abs(ext.values - sol.slice_at(t).values)))
         assert gap <= 1e-6
     # re-regularizing the extracted slice returns the regularized values
-    box = lq0_run.box
+    box = sol.box
     ext = extract_limit(lq0_run, 0.5)
     V_direct = yosida_apply(sol.slice_at(0.5), lq0_run.delta, box.node_list())
     V_back = yosida_apply(ext.slice, lq0_run.delta, box.node_list())
@@ -309,7 +309,7 @@ def test_cross_monotonicity_needs_a_pair(n_pairs):
 
 def test_cross_monotonicity_solver_vs_extraction(lq0_run):
     sol = lq0_run.smallest_eps_solution
-    ext = GridSolution(box=lq0_run.box, times=[0.5],
+    ext = GridSolution(box=sol.box, times=[0.5],
                        values=extract_limit(lq0_run, 0.5).values[None])
     val = cross_monotonicity(sol.field(), ext.field(), 0.5, n_pairs=10000,
                              rng_seed=0)
