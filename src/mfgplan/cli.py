@@ -317,6 +317,9 @@ def cmd_traject(cfg: RunConfig, args) -> int:
 
 
 def cmd_halfspace(cfg: RunConfig, args) -> int:
+    if not cfg.cp.has_section("halfspace"):
+        raise ConfigError("the halfspace command needs a [halfspace] section: it names the "
+                          "straightened drift ftilde, and [box] is read in straightened coordinates")
     sec = _Section(cfg.cp, "halfspace")
     t_fit = sec.time("t_fit", "0.25", cfg.params.t_end)
     ftilde = _parse_field(sec, "ftilde", cfg.model.d)

@@ -288,14 +288,16 @@ def test_criterion_10_halfspace_straightening():
 
 
 def test_criterion_11_monotonicity_propagation():
-    # a jump-driven plane run with a rotating contraction as relabeling
+    # a jump-driven plane run with a rotating contraction as relabeling. The
+    # box must contain S(box): 0.7 (cos 30 + sin 30) = 0.96 < 1 maps [-1.5, 1.5]^2
+    # into itself, where no box contains the image of 0.8 R(30) (its max-norm is 1.09)
     th = np.deg2rad(30.0)
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     m = ModelSpec(d=2, F=FieldSpec.affine(0.0, 1.0, d=2),
                   G=FieldSpec.affine(0.0, 0.0, d=2), lam=0.5,
-                  noise=AffineNoiseMap(S=0.8 * R, e=np.zeros(2)),
+                  noise=AffineNoiseMap(S=0.7 * R, e=np.zeros(2)),
                   x0=np.array([0.3, 0.1]), alpha=1.0, lip_Fp=1.0)
-    box = Box(np.array([-1.0, -1.0]), np.array([1.5, 1.5]),
+    box = Box(np.array([-1.5, -1.5]), np.array([1.5, 1.5]),
               np.array([100, 100]))
     sol = solve_master(m, penalized_slice(m, box, 0.1),
                        SolverParams(t_end=0.6, n_rec=31, dt_max=0.01))

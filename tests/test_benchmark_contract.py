@@ -264,3 +264,17 @@ def test_resolvent_points_counted_per_node(span_recorder):
     span_recorder.counts["yosida.points"] = 0
     yosida_apply(run.smallest_eps_solution.slice_at(0.25), run.delta, nodes[::3])
     assert span_recorder.exact_counts()["yosida.points"] == len(nodes[::3])
+
+
+def test_one_point_field_query_is_one_query_span(tracing, span_recorder):
+    # a one-point GridField.eval builds no InterpPlan, yet grid_solver.query_s,
+    # the time of the outermost query spans, still takes it as one query
+    m, box = baseline_model(), box1d(n=60)
+    sol = solve_master(m, penalized_slice(m, box, 0.2), SolverParams(t_end=0.3, n_rec=7))
+    rec, first = span_recorder, len(span_recorder.names)
+    sol.field().eval(0.25, np.array([0.4]))
+    assert [tracing.NAMES[c] for c in rec.names[first:]] == ["grid_solver.GridField.eval"]
+    assert rec.parents[first] == -1
+    metrics, _ = rec.layer_metrics()
+    assert metrics["grid_solver.plan_builds"] == 0
+    assert metrics["grid_solver.query_s"] == rec.ends[first] - rec.starts[first]

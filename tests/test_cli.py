@@ -365,6 +365,20 @@ def test_halfspace_config_is_refused_by_other_commands(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_halfspace_command_refuses_a_config_without_the_section(tmp_path, capsys, monkeypatch):
+    # lq0.cfg has no [halfspace]: the command used to march it unstraightened and
+    # exit 0 with a report whose every check failed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config without [halfspace]")
+
+    monkeypatch.setattr(cli, "run_penalization", no_solve)
+    out = tmp_path / "out"
+    assert main(["halfspace", "--config", str(CONFIGS / "lq0.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "needs a [halfspace] section" in err
+    assert not out.exists()
+
+
 def test_yosida_needs_three_records(tmp_path, capsys):
     # without [yosida] times the command regularizes the middle record and
     # its two neighbours

@@ -4,6 +4,7 @@ Frozen constants derive from tests/oracles/derive_values.py (closed forms
 cross-checked there by independent fine-step RK4 integration).
 """
 
+import bisect
 import dataclasses
 import hashlib
 import math
@@ -556,7 +557,8 @@ def test_on_record_sees_every_record_once(case):
 
 def test_jump_plan_widened_once_per_solve(monkeypatch):
     # one plan and one widen per λ > 0 solve, whatever its step count; none
-    # for λ = 0; queries build their plans but never widen them
+    # for λ = 0; queries build their plans but never widen them, and a field
+    # query of few points builds none
     calls = {"init": 0, "widen": 0}
     init, widen = InterpPlan.__init__, InterpPlan.widen
 
@@ -587,10 +589,13 @@ def test_jump_plan_widened_once_per_solve(monkeypatch):
     batch, n = count(solve_master, m0, [penalized_slice(m0, box0, e) for e in eps0], params0)
     assert batch.meta["steps"] > 0 and n == {"init": 0, "widen": 0}
     sol = batch.members[0]
-    pts = np.array([[0.1], [0.7], [5.0]])
+    pts = np.linspace(0.1, 5.0, grid_solver.FEW_POINTS + 1).reshape(-1, 1)
     for query in (sol.field().eval, lambda t, x: sol.slice_at(t).eval(x)):
         _, n = count(query, 0.5, pts)
         assert n == {"init": 1, "widen": 0}
+    # a field query of at most FEW_POINTS points builds no plan
+    _, n = count(sol.field().eval, 0.5, pts[:-1])
+    assert n == {"init": 0, "widen": 0}
 
 
 def test_p_free_source_evaluated_once_per_solve(monkeypatch):
@@ -799,6 +804,33 @@ def test_operator_jump_off_the_box_reads_the_clamped_extrapolation():
         jump = m.lam * (U - Slice(box, U).eval(y) @ S)
         np.testing.assert_allclose(rhs - _apply_operator(no_jump, n)[0], jump,
                                    rtol=0.0, atol=1e-14 * np.abs(rhs).max())
+
+
+def test_solve_refuses_a_jump_off_the_box(monkeypatch):
+    # the same relabeling in a solve is refused before the operator is built,
+    # naming how many nodes leave the box and how many cells past a face the
+    # farthest lands; without the jump the box is fine
+    S, e = np.array([[1.2, 0.1], [-0.1, 1.1]]), np.array([0.3, -0.2])
+    m = _operator_model(FieldSpec.affine(0.0, 1.0, d=2), 2.0, S, e)
+    box = Box(np.full(2, -1.0), np.full(2, 2.0), np.full(2, 40))
+    y = box.node_list() @ S.T + e
+    below, above = (box.lo - y) / box.dx, (y - box.hi) / box.dx
+    off = ((below > 0) | (above > 0)).any(axis=1)
+    far = max(below.max(), above.max())
+    assert 0 < off.sum() < len(off) and far > 1
+    u0, params = penalized_slice(m, box, 0.1), SolverParams(t_end=0.05, n_rec=3)
+
+    def no_operator(*args):
+        raise AssertionError("built the operator of a refused solve")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grid_solver, "_operator", no_operator)
+        for start in (u0, [u0, u0]):
+            with pytest.raises(ConfigError, match=(
+                    f"relabels {off.sum()} of {len(off)} nodes off the box, "
+                    f"up to {far:.3g} cells past a face")):
+                solve_master(m, start, params)
+    assert solve_master(dataclasses.replace(m, lam=0.0), u0, params).meta["steps"] > 0
 
 
 @register_field("mixed_drift")
@@ -1041,6 +1073,63 @@ def test_field_eval_is_the_blend_of_two_gathers(dim, d):
         got = field.eval(t, pts)
         assert got.tobytes() == want.tobytes()
         assert field.eval(t, pts[3]).tobytes() == field.eval(t, pts[3:4])[0].tobytes()
+
+
+def _plan_blend(sol, t, rows):
+    """GridField.eval's plan path at t within the records: one InterpPlan over both
+    records of t's bracket (one record twice for a one-record solution), blended in t."""
+    times = sol.times.tolist()
+    k = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
+    w = 0.0 if k < 0 else (t - times[k]) / (times[k + 1] - times[k])
+    pair = InterpPlan(sol.box, rows).apply(sol.values[k:k + 2])
+    return (1.0 - w) * pair[0] + w * pair[-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_few_point_queries_match_the_plan_path_bit_for_bit(dim, monkeypatch):
+    # a query of at most FEW_POINTS finite points is computed in Python floats and
+    # gives the plan path's bytes, signed zeros included: points inside, on faces
+    # and off the box, t on a record and between, a one-record solution; each of
+    # its rows is its own one-point query. A larger query, or one with a nan or
+    # inf coordinate, takes the plan path
+    few, results = grid_solver._few_points, []
+    monkeypatch.setattr(grid_solver, "_few_points",
+                        lambda *args: results.append(few(*args)) or results[-1])
+    rng = np.random.default_rng(40 + dim)
+    box = Box(np.array([0.0, -1.0, 0.5])[:dim], np.array([1.0, 2.0, 1.75])[:dim],
+              np.array([5, 7, 3])[:dim])
+    faces = rng.uniform(box.lo, box.hi, size=(2 * dim, dim))
+    for a in range(dim):
+        faces[2 * a, a], faces[2 * a + 1, a] = box.lo[a], box.hi[a]
+    off = rng.uniform(box.lo - 1.5, box.hi + 1.5, size=(6, dim))
+    off[0], off[1, 0] = 1e12, -0.0  # far off; -0.0 on the face x_1 = 0
+    pts = np.concatenate([rng.uniform(box.lo, box.hi, size=(6, dim)), faces, off])
+    for d in sorted({1, dim}):
+        for times in ([0.0, 0.25, 0.7, 1.0], [0.25]):
+            shape = (len(times), *box.shape, d)
+            vals = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, shape)
+            vals.reshape(-1)[::3] = -0.0
+            vals[0, ..., -1] = -0.0
+            sol = GridSolution(box=box, times=np.array(times), values=vals)
+            field = sol.field()
+            for t in times + ([0.1, 0.5, 0.95] if len(times) > 1 else []):
+                for n in (1, grid_solver.FEW_POINTS, grid_solver.FEW_POINTS + 1):
+                    for rows in np.split(pts[:len(pts) // n * n], len(pts) // n):
+                        results.clear()
+                        got = field.eval(t, rows)
+                        assert got.tobytes() == _plan_blend(sol, t, rows).tobytes()
+                        assert [r is not None for r in results] == \
+                            [True] * (n <= grid_solver.FEW_POINTS)
+                        for x, row in zip(rows, got):
+                            assert field.eval(t, x).tobytes() == row.tobytes()
+            for bad in (np.nan, np.inf, -np.inf):
+                rows = pts[:2].copy()
+                rows[1, -1] = bad
+                results.clear()
+                with np.errstate(invalid="ignore"):  # the plan casts the nan cell to int
+                    got = field.eval(times[0], rows)
+                    assert got.tobytes() == _plan_blend(sol, times[0], rows).tobytes()
+                assert results == [None]
 
 
 def test_field_eval_refuses_times_outside_the_records(lq0_solution):
